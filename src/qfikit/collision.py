@@ -4,22 +4,31 @@ The probe couples to a fresh environment unit per time step. Keeping the
 no-jump record at every collision conditions the state on an effective
 non-Hermitian generator; each possible first jump becomes a discarded
 measurement branch. This module builds that picture on a finite grid:
-time-ordered propagation (with parameter derivatives carried alongside),
-the explicit Kraus channel of outcomes, the completeness and E/F/G
-integrals of the continuum limit, a two-part losslessness check for the
-no-jump branch, and the resulting information-loss fraction.
+time-ordered propagation, the explicit Kraus channel of outcomes, the
+completeness and E/F/G integrals of the continuum limit, a two-part
+losslessness check for the no-jump branch, and the resulting
+information-loss fraction.
 
 Two step rules are provided. ``euler_paper`` multiplies the first-order
 factors 1 - i*H*dt sampled at right edges, the textbook discretization;
 ``expm_step`` multiplies midpoint-sampled matrix exponentials and is the
 accurate production scheme (second order, norm-nonincreasing).
+
+The x-derivative travels inside the product: every step multiplies the
+block [[S, dS], [0, S]] into the column [[dK], [K]], the block-triangular
+form whose exponential yields the Frechet derivative of expm (Van Loan
+1978, "Computing integrals involving the matrix exponential"). Models
+given as constant data are sampled once per grid, so a whole propagation
+costs one exponential and N small matrix products. Functions that need a
+trajectory accept one already propagated through a ``traj`` keyword,
+which lets one run share a single propagation among all its quantities.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.linalg import expm
@@ -61,29 +70,58 @@ class IntegratorFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
+class _Constant:
+    """Time-independent generator data behind the callable interface."""
+
+    value: object
+
+    def __call__(self, t, x=None):
+        return self.value
+
+
+@dataclass(frozen=True)
+class _Linear:
+    """H0(t, x) = x * G with constant G, so dH0/dx = G."""
+
+    generator: Operator
+
+    def __call__(self, t, x):
+        return Operator(x * self.generator.entries)
+
+
+@dataclass(frozen=True)
 class CollisionSpec:
     """Generator data for one collision model.
 
+    Every generator is either constant data or a callable of time. After
+    construction ``h0``, ``h1``, ``dh0`` and each rate are callables in
+    either case, so ``spec.h0(t, x)`` always works; a spec whose every
+    entry is constant data is sampled once per grid instead of once per
+    step, which is what makes long grids cheap.
+
     Parameters
     ----------
-    h0 : callable
-        (t, x) -> Operator; the estimation Hamiltonian, Hermitian within
-        1e-10 at every sampled point. Units 1/time.
-    h1 : callable
-        t -> Operator; the control Hamiltonian, same requirements.
-    jumps : sequence of (Operator, callable)
-        Each entry couples a jump operator L_j to its rate function
-        gamma_j(t) >= 0 (units 1/time).
+    h0 : Operator or callable
+        The estimation Hamiltonian, Hermitian within 1e-10 at every
+        sampled point (units 1/time). An Operator G means H0(t, x) = x*G
+        with dH0/dx = G; a callable maps (t, x) -> Operator.
+    h1 : Operator or callable
+        The control Hamiltonian, same requirements: a constant Operator or
+        a callable t -> Operator.
+    jumps : sequence of (Operator, float or callable)
+        Each entry couples a jump operator L_j to its rate gamma_j >= 0
+        (units 1/time), a constant float or a callable t -> float.
     dim : int
         Hilbert-space dimension.
     dh0 : callable, optional
-        (t, x) -> Operator giving the analytic x-derivative of h0. When
-        absent a central difference over x is used per step, which is
-        exact for families linear in x.
+        (t, x) -> Operator giving the analytic x-derivative of a callable
+        h0. When absent a central difference over x is used per step,
+        which is exact for families linear in x. Not accepted with a
+        constant h0, which carries its own derivative.
     """
 
-    h0: Callable[[float, float], Operator]
-    h1: Callable[[float], Operator]
+    h0: Union[Operator, Callable[[float, float], Operator]]
+    h1: Union[Operator, Callable[[float], Operator]]
     jumps: tuple
     dim: int
     dh0: Optional[Callable[[float, float], Operator]] = None
@@ -91,7 +129,20 @@ class CollisionSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
-        jumps = tuple((op, rate) for op, rate in self.jumps)
+        for name, op in (("h0", self.h0), ("h1", self.h1)):
+            if isinstance(op, Operator) and op.dim != self.dim:
+                raise ValueError(f"{name} dimension {op.dim} does not match {self.dim}")
+        if isinstance(self.h0, Operator):
+            if self.dh0 is not None:
+                raise ValueError("a constant h0 carries its own derivative; drop dh0")
+            object.__setattr__(self, "dh0", _Constant(self.h0))
+            object.__setattr__(self, "h0", _Linear(self.h0))
+        if isinstance(self.h1, Operator):
+            object.__setattr__(self, "h1", _Constant(self.h1))
+        jumps = tuple(
+            (op, rate if callable(rate) else _Constant(float(rate)))
+            for op, rate in self.jumps
+        )
         for op, _ in jumps:
             if op.dim != self.dim:
                 raise ValueError(
@@ -149,7 +200,10 @@ class NhTrajectory:
     indexing and are None when propagation skipped them.
 
     Storage is dense, N+1 matrices of size dim x dim per array; at the
-    N <= 2**14 scales this package targets that is a few tens of MB.
+    N <= 2**14 scales this package targets that is a few tens of MB. With
+    derivatives, ``products`` and ``dproducts`` (and the two midpoint
+    arrays) are strided views of one (N+1, 2*dim, dim) column store
+    [[dK], [K]], written in place by ``propagate``.
 
     Under ``expm_step`` each factor is a contraction whenever the rates
     are nonnegative, so conditional-state norms never increase. The
@@ -188,58 +242,73 @@ class NhTrajectory:
         return np.linalg.norm(self.states(psi), axis=1)
 
 
+def _sample_times(spec: CollisionSpec, times: np.ndarray) -> np.ndarray:
+    """The times a spec must be sampled at to cover ``times``.
+
+    One sample stands for all of them when no generator or rate depends
+    on t, so every stack built from it has a time axis of length 1 that
+    broadcasts against the grid.
+    """
+    constant = (isinstance(spec.h0, _Linear) and isinstance(spec.h1, _Constant)
+                and all(isinstance(rate, _Constant) for _, rate in spec.jumps))
+    return times[:1] if constant else times
+
+
 def _rate_samples(spec: CollisionSpec, times: np.ndarray) -> np.ndarray:
-    """Rates gamma_j at the given times, shape (n_jumps, len(times))."""
-    rates = np.empty((len(spec.jumps), times.size))
+    """Rates gamma_j at the given times, shape (n_jumps, len(times)).
+
+    Constant rates are sampled once and come back as a broadcast view.
+    """
+    sampled = _sample_times(spec, times)
+    rates = np.empty((len(spec.jumps), sampled.size))
     for j, (_, rate) in enumerate(spec.jumps):
-        rates[j] = np.fromiter((float(rate(t)) for t in times), float, times.size)
+        rates[j] = np.fromiter((float(rate(t)) for t in sampled), float, sampled.size)
     if rates.size and rates.min() < 0.0:
         j, n = np.unravel_index(int(rates.argmin()), rates.shape)
         raise ValueError(
-            f"negative jump rate {rates[j, n]:.3e} for jump {j} at t={times[n]:.6g}"
+            f"negative jump rate {rates[j, n]:.3e} for jump {j} at t={sampled[n]:.6g}"
         )
-    return rates
+    return np.broadcast_to(rates, (len(spec.jumps), times.size))
 
 
-def _hamiltonian_samples(spec: CollisionSpec, times: np.ndarray, x: float):
-    """Stack of H_nh(t, x) over the given times plus the largest 2-norm.
+def _hamiltonian_samples(spec: CollisionSpec, times: np.ndarray, x: float,
+                         derivative: bool = False):
+    """Stacks of H_nh(t, x) and of its x-derivative over the given times.
 
-    Hermiticity of h0 and h1 is enforced per sample via the Frobenius
-    norm of A - A^+ (an upper bound on the spectral defect).
+    Both stacks have a time axis of length 1 when the spec is constant
+    (see _sample_times) and len(times) otherwise; the derivative is None
+    unless asked for. Hermiticity of h0 and h1 is enforced per sample via
+    the Frobenius norm of A - A^+ (an upper bound on the spectral defect).
     """
+    sampled = _sample_times(spec, times)
     d = spec.dim
-    herm = np.empty((times.size, d, d), dtype=complex)
-    for n, t in enumerate(times):
+    herm = np.empty((sampled.size, d, d), dtype=complex)
+    for n, t in enumerate(sampled):
         herm[n] = spec.h0(t, x).entries + spec.h1(t).entries
     defect = herm - herm.conj().transpose(0, 2, 1)
     frob = np.sqrt((np.abs(defect) ** 2).sum(axis=(1, 2)))
     if frob.max(initial=0.0) > HERMITIAN_TOL:
         n = int(frob.argmax())
         raise ValueError(
-            f"Hamiltonian is not Hermitian at t={times[n]:.6g}: "
+            f"Hamiltonian is not Hermitian at t={sampled[n]:.6g}: "
             f"defect {frob[n]:.3e}"
         )
-    rates = _rate_samples(spec, times)
-    total = herm.astype(complex)
+    total = herm
     if spec.jumps:
+        rates = _rate_samples(spec, sampled)
         damp = np.stack([op.entries.conj().T @ op.entries for op, _ in spec.jumps])
         total = total - 0.5j * np.einsum("jn,jab->nab", rates, damp)
-    sing = np.linalg.svd(total, compute_uv=False)
-    return total, rates, float(sing.max(initial=0.0))
-
-
-def _dh_samples(spec: CollisionSpec, times: np.ndarray, x: float) -> np.ndarray:
-    """x-derivative of the Hamiltonian at each time."""
-    d = spec.dim
-    out = np.empty((times.size, d, d), dtype=complex)
+    if not derivative:
+        return total, None
+    dh = np.empty((sampled.size, d, d), dtype=complex)
     if spec.dh0 is not None:
-        for n, t in enumerate(times):
-            out[n] = spec.dh0(t, x).entries
-        return out
+        for n, t in enumerate(sampled):
+            dh[n] = spec.dh0(t, x).entries
+        return total, dh
     h = 1e-6 * max(1.0, abs(x))
-    for n, t in enumerate(times):
-        out[n] = (spec.h0(t, x + h).entries - spec.h0(t, x - h).entries) / (2.0 * h)
-    return out
+    for n, t in enumerate(sampled):
+        dh[n] = (spec.h0(t, x + h).entries - spec.h0(t, x - h).entries) / (2.0 * h)
+    return total, dh
 
 
 def h_nh(spec: CollisionSpec, t: float, x: float) -> Operator:
@@ -262,89 +331,87 @@ def h_nh(spec: CollisionSpec, t: float, x: float) -> Operator:
     return Operator(total)
 
 
-def _step_factors(spec, grid, x, derivative):
-    """Per-step half/full factors (and derivatives) for the grid's scheme.
+def _step_block(factor, dfactor):
+    """[[S, dS], [0, S]] per step, or S alone when dS is None.
 
-    Returns (half, dhalf, full, dfull); the expm scheme composes full
-    steps as half @ half so full/dfull come back None there.
+    Applied to the column [[dK], [K]] the block gives [[S dK + dS K], [S K]]:
+    the product rule for d(SK)/dx in one matrix product.
+    """
+    if dfactor is None:
+        return factor
+    d = factor.shape[-1]
+    block = np.zeros((factor.shape[0], 2 * d, 2 * d), dtype=complex)
+    block[:, :d, :d] = factor
+    block[:, d:, d:] = factor
+    block[:, :d, d:] = dfactor
+    return block
+
+
+def _step_factors(spec, grid, x, derivative):
+    """Half-step and full-step blocks for the grid's scheme, one per step.
+
+    Each block is [[S, dS], [0, S]] with derivatives, S alone without.
+    A constant spec yields one block, returned as a broadcast view over
+    the N steps. The expm scheme composes a full step as two half steps,
+    so its full blocks come back None.
     """
     dt = grid.dt
-    d = spec.dim
-    mids = grid.midpoints()
-    h_mid, _, _ = _hamiltonian_samples(spec, mids, x)
-    dh_mid = _dh_samples(spec, mids, x) if derivative else None
-    eye = np.broadcast_to(np.eye(d, dtype=complex), (grid.N, d, d))
+    n_steps = grid.N
+    h_mid, dh_mid = _hamiltonian_samples(spec, grid.midpoints(), x, derivative)
 
     if grid.scheme == "euler_paper":
-        rights = grid.right_edges()
-        h_right, _, _ = _hamiltonian_samples(spec, rights, x)
-        half = eye - 0.5j * dt * h_mid
-        full = eye - 1j * dt * h_right
-        if not derivative:
-            return half, None, full, None
-        dh_right = _dh_samples(spec, rights, x)
-        return half, -0.5j * dt * dh_mid, full, -1j * dt * dh_right
+        eye = np.eye(spec.dim, dtype=complex)
+        h_right, dh_right = _hamiltonian_samples(
+            spec, grid.right_edges(), x, derivative)
+        half = _step_block(eye - 0.5j * dt * h_mid,
+                           None if dh_mid is None else -0.5j * dt * dh_mid)
+        full = _step_block(eye - 1j * dt * h_right,
+                           None if dh_right is None else -1j * dt * dh_right)
+        width = full.shape[-1]
+        return (np.broadcast_to(half, (n_steps, width, width)),
+                np.broadcast_to(full, (n_steps, width, width)))
 
-    if not derivative:
-        half = expm(-0.5j * dt * h_mid)
-        return half, None, None, None
-    # one augmented exponential per step yields the factor and its
-    # directional derivative together: expm([[A, E], [0, A]]) has the
+    # expm([[A, E], [0, A]]) holds expm(A) on its diagonal blocks and the
     # derivative of expm(A) along E in its upper-right block
-    blocks = np.zeros((grid.N, 2 * d, 2 * d), dtype=complex)
-    blocks[:, :d, :d] = -0.5j * dt * h_mid
-    blocks[:, d:, d:] = blocks[:, :d, :d]
-    blocks[:, :d, d:] = -0.5j * dt * dh_mid
-    exped = expm(blocks)
-    return exped[:, :d, :d], exped[:, :d, d:], None, None
+    half = expm(_step_block(-0.5j * dt * h_mid,
+                            None if dh_mid is None else -0.5j * dt * dh_mid))
+    width = half.shape[-1]
+    return np.broadcast_to(half, (n_steps, width, width)), None
 
 
 def propagate(spec: CollisionSpec, grid: TimeGrid, x: float,
               derivative: bool = True) -> NhTrajectory:
     """Accumulate the no-jump factors over the grid, in time order.
 
-    The x-derivative of every cumulative product is carried along via the
-    product rule, one extra multiply per factor, which stays accurate at
-    x values where differencing full propagators would cancel.
+    Each cumulative product K is held as the column [[dK], [K]] (K alone
+    without derivatives) and advanced by one matrix product with the step
+    block [[S, dS], [0, S]] per half-step, so the x-derivative follows
+    the product rule exactly, which stays accurate at x values where
+    differencing full propagators would cancel. The products and their
+    derivatives are views of the same column storage, written in place.
     """
     d = spec.dim
     n_steps = grid.N
-    half, dhalf, full, dfull = _step_factors(spec, grid, x, derivative)
+    half, full = _step_factors(spec, grid, x, derivative)
+    width = half.shape[-1]
 
-    products = np.empty((n_steps + 1, d, d), dtype=complex)
-    mid_products = np.empty((n_steps, d, d), dtype=complex)
-    products[0] = np.eye(d)
-    dproducts = dmid = None
-    if derivative:
-        dproducts = np.zeros((n_steps + 1, d, d), dtype=complex)
-        dmid = np.empty((n_steps, d, d), dtype=complex)
-
-    k = products[0]
-    dk = np.zeros((d, d), dtype=complex)
+    cols = np.empty((n_steps + 1, width, d), dtype=complex)
+    mid_cols = np.empty((n_steps, width, d), dtype=complex)
+    cols[0] = 0.0
+    cols[0, width - d:] = np.eye(d)
     # overflow here is reported as IntegratorFailure below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            k_mid = half[n] @ k
-            mid_products[n] = k_mid
-            if derivative:
-                dk_mid = dhalf[n] @ k + half[n] @ dk
-                dmid[n] = dk_mid
-            if full is None:
-                k = half[n] @ k_mid
-                if derivative:
-                    dk = dhalf[n] @ k_mid + half[n] @ dk_mid
-            else:
-                k_next = full[n] @ k
-                if derivative:
-                    dk = dfull[n] @ k + full[n] @ dk
-                k = k_next
-            products[n + 1] = k
-            if derivative:
-                dproducts[n + 1] = dk
+        if full is None:
+            for step, k, k_mid, k_next in zip(half, cols[:-1], mid_cols, cols[1:]):
+                np.matmul(step, k, out=k_mid)
+                np.matmul(step, k_mid, out=k_next)
+        else:
+            for step, step_full, k, k_mid, k_next in zip(
+                    half, full, cols[:-1], mid_cols, cols[1:]):
+                np.matmul(step, k, out=k_mid)
+                np.matmul(step_full, k, out=k_next)
 
-    if not np.isfinite(products[-1]).all() or (
-        derivative and not np.isfinite(dproducts[-1]).all()
-    ):
+    if not np.isfinite(cols[-1]).all():
         raise IntegratorFailure(
             f"propagation produced non-finite entries at N={n_steps}, "
             f"scheme {grid.scheme}; reduce dt or rescale the generator"
@@ -352,10 +419,10 @@ def propagate(spec: CollisionSpec, grid: TimeGrid, x: float,
     return NhTrajectory(
         grid=grid,
         x=x,
-        products=products,
-        mid_products=mid_products,
-        dproducts=dproducts,
-        dmid_products=dmid,
+        products=cols[:, width - d:],
+        mid_products=mid_cols[:, width - d:],
+        dproducts=cols[:, :d] if derivative else None,
+        dmid_products=mid_cols[:, :d] if derivative else None,
     )
 
 
@@ -394,6 +461,25 @@ def _assemble_channel_rows(spec, grid, traj, derivative):
     return tuple(rows)
 
 
+def _given_or_propagated(spec, grid, x, traj, derivative):
+    """``traj`` when it fits this grid and x, else a fresh propagation.
+
+    A given trajectory must come from ``propagate(spec, grid, x)`` with
+    derivatives whenever they are needed; only the grid, x and dimension
+    can be checked here.
+    """
+    if traj is None:
+        return propagate(spec, grid, x, derivative=derivative)
+    if traj.grid != grid or traj.x != x or traj.dim != spec.dim:
+        raise ValueError(
+            "trajectory was propagated on another grid, at another x or "
+            "for another dimension"
+        )
+    if derivative and traj.dproducts is None:
+        raise ValueError("trajectory was propagated without derivatives")
+    return traj
+
+
 def _residual_bound(spec, grid, x) -> float:
     """Generous order-of-magnitude cap on the completeness residual.
 
@@ -402,7 +488,9 @@ def _residual_bound(spec, grid, x) -> float:
     error.
     """
     mids = grid.midpoints()
-    _, rates, h_norm = _hamiltonian_samples(spec, mids, x)
+    h_mid, _ = _hamiltonian_samples(spec, mids, x)
+    h_norm = float(np.linalg.svd(h_mid, compute_uv=False).max(initial=0.0))
+    rates = _rate_samples(spec, mids)
     dt = grid.dt
     if grid.scheme == "euler_paper":
         q = (h_norm * dt) ** 2 * grid.N
@@ -418,18 +506,20 @@ def _residual_bound(spec, grid, x) -> float:
 
 
 def build_discrete_channel(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
-                           x: float) -> MeasurementChannel:
+                           x: float, *, traj: Optional[NhTrajectory] = None
+                           ) -> MeasurementChannel:
     """Explicit Kraus channel: keep every collision's no-jump record.
 
     One retained operator (label ``check``) plus N * len(jumps) discarded
     first-jump branches labeled ``jump<j>@<step>``. The completeness
     residual scales as O(N dt^2) under euler_paper and O(dt^2) under
     expm_step; a residual beyond ten times the predicted cap raises
-    IntegratorFailure.
+    IntegratorFailure. ``traj``, a trajectory of this spec on this grid
+    at this x, is used instead of propagating again.
     """
     if psi.dim != spec.dim:
         raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
-    traj = propagate(spec, grid, x, derivative=False)
+    traj = _given_or_propagated(spec, grid, x, traj, derivative=False)
     rows = _assemble_channel_rows(spec, grid, traj, derivative=False)
     channel = MeasurementChannel(kraus=rows, retained=frozenset({"check"}))
     cap = 10.0 * _residual_bound(spec, grid, x)
@@ -442,11 +532,16 @@ def build_discrete_channel(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
 
 
 def discrete_channel_derivatives(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
-                                 x: float) -> tuple:
-    """x-derivatives of the discrete channel, aligned with its labels."""
+                                 x: float, *, traj: Optional[NhTrajectory] = None
+                                 ) -> tuple:
+    """x-derivatives of the discrete channel, aligned with its labels.
+
+    ``traj``, a trajectory of this spec on this grid at this x propagated
+    with derivatives, is used instead of propagating again.
+    """
     if psi.dim != spec.dim:
         raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
-    traj = propagate(spec, grid, x, derivative=True)
+    traj = _given_or_propagated(spec, grid, x, traj, derivative=True)
     return _assemble_channel_rows(spec, grid, traj, derivative=True)
 
 
@@ -485,16 +580,19 @@ class EfgIntegrals(NamedTuple):
 
 
 def efg_integrals(spec: CollisionSpec, grid: TimeGrid, x: float,
-                  psi: Ket) -> EfgIntegrals:
+                  psi: Ket, *, traj: Optional[NhTrajectory] = None
+                  ) -> EfgIntegrals:
     """End-time statistics plus midpoint-quadrature jump corrections.
 
     The totals add, to the no-jump branch values, the integrals of the
     rate-weighted jump overlaps of the derivative trajectory; both carry
     O(dt^2) quadrature error and feed the total-information formula.
+    ``traj``, a trajectory of this spec on this grid at this x propagated
+    with derivatives, is used instead of propagating again.
     """
     if psi.dim != spec.dim:
         raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
-    traj = propagate(spec, grid, x, derivative=True)
+    traj = _given_or_propagated(spec, grid, x, traj, derivative=True)
     amps = psi.amplitudes
     psi_end = traj.products[-1] @ amps
     dpsi_end = traj.dproducts[-1] @ amps
@@ -528,8 +626,10 @@ def efg_integrals(spec: CollisionSpec, grid: TimeGrid, x: float,
 class Theorem2Verdict:
     """Two-part losslessness test for the no-jump branch.
 
-    ``weight_slope`` is the central-difference sensitivity of the branch
-    weight to the parameter; ``jump_residual`` is the largest
+    ``weight_slope`` is |dE/dx|, the sensitivity of the branch weight
+    E = ||K(T) psi||^2 to the parameter, taken analytically as
+    2 Re<K psi|dK psi> from the derivative trajectory; ``jump_residual``
+    is the largest
     rate-weighted jump amplitude of the gauge-corrected derivative state
     over the grid. Both must stay within tol for a lossless verdict.
     """
@@ -542,18 +642,22 @@ class Theorem2Verdict:
 
 
 def check_theorem2(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
-                   tol: float = 1e-8, fd_step: Optional[float] = None
+                   tol: float = 1e-8, *, traj: Optional[NhTrajectory] = None
                    ) -> Theorem2Verdict:
     """Check that no parameter information leaks into the jump record.
 
-    Condition (a): the no-jump weight must be locally flat in x.
+    Condition (a): the no-jump weight must be locally flat in x; its slope
+    2 Re<K psi|dK psi> is read off the derivative trajectory, so its
+    rounding does not grow with N the way a difference quotient's does.
     Condition (b): every jump operator must annihilate the derivative
     trajectory after removing its phase freedom, where the phase rate is
-    fixed once from the end-time overlap current.
+    fixed once from the end-time overlap current. Both are held to
+    ``tol``. ``traj``, a trajectory of this spec on this grid at this x
+    propagated with derivatives, is used instead of propagating again.
     """
     if psi.dim != spec.dim:
         raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
-    traj = propagate(spec, grid, x, derivative=True)
+    traj = _given_or_propagated(spec, grid, x, traj, derivative=True)
     amps = psi.amplitudes
     psi_end = traj.products[-1] @ amps
     e_check = float(np.vdot(psi_end, psi_end).real)
@@ -578,12 +682,7 @@ def check_theorem2(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
                 jump_residual, float((np.sqrt(rates[j]) * hit).max(initial=0.0))
             )
 
-    h = fd_step if fd_step is not None else 1e-5 * max(1.0, abs(x))
-    lo = propagate(spec, grid, x - h, derivative=False)
-    hi = propagate(spec, grid, x + h, derivative=False)
-    e_lo = float(np.vdot(lo.products[-1] @ amps, lo.products[-1] @ amps).real)
-    e_hi = float(np.vdot(hi.products[-1] @ amps, hi.products[-1] @ amps).real)
-    weight_slope = abs(e_hi - e_lo) / (2.0 * h)
+    weight_slope = abs(2.0 * float(np.vdot(psi_end, dpsi_end).real))
 
     return Theorem2Verdict(
         lossless=(weight_slope <= tol and jump_residual <= tol),
@@ -613,15 +712,24 @@ class NhLossResult:
     i_q_channel: float
 
 
-def nh_loss(spec: CollisionSpec, grid: TimeGrid, x: float,
-            psi: Ket) -> NhLossResult:
-    """Loss fraction, branch weight and conditional information at T."""
-    ints = efg_integrals(spec, grid, x, psi)
+def nh_loss(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, *,
+            traj: Optional[NhTrajectory] = None,
+            baseline: Optional[EfgIntegrals] = None) -> NhLossResult:
+    """Loss fraction, branch weight and conditional information at T.
+
+    ``traj``, a trajectory of this spec on this grid at this x propagated
+    with derivatives, and ``baseline``, the ``efg_integrals`` of
+    ``spec.without_jumps()`` on the same grid, are used instead of
+    propagating again.
+    """
+    ints = efg_integrals(spec, grid, x, psi, traj=traj)
     if ints.e_check <= P_FLOOR:
         raise ValueError(
             f"no-jump weight {ints.e_check:.3e} vanished; loss undefined"
         )
-    base = efg_integrals(spec.without_jumps(), grid, x, psi)
+    base = baseline
+    if base is None:
+        base = efg_integrals(spec.without_jumps(), grid, x, psi)
     i_q_baseline = 4.0 * (base.g_total - base.f_total.real**2)
     i_q_channel = 4.0 * (ints.g_total - ints.f_total.real**2)
     if i_q_baseline <= IQ_FLOOR:

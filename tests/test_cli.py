@@ -433,3 +433,68 @@ class TestBundledConfigs:
         for name in ("configs/fig1b.json", "configs/dephasing.json"):
             with open(name, encoding="utf-8") as fh:
                 jsonschema.validate(json.load(fh), schema)
+
+
+JUMP_BLIND = {
+    "kind": "custom_collision",
+    "parameters": {"x": 0.3, "T": 1.0, "N": 16384, "scheme": "expm_step"},
+    "operators": {"h0": [[[1, 0], [0, 0], [0, 0]],
+                         [[0, 0], [-1, 0], [0, 0]],
+                         [[0, 0], [0, 0], [5, 0]]]},
+    "jumps": [{"op": [[[0, 0], [0, 0], [0, 0]],
+                      [[0, 0], [0, 0], [0, 0]],
+                      [[0, 0], [0, 0], [1, 0]]],
+               "rate": 0.8}],
+    "states": {"psi": [[0.7071067811865476, 0], [0.7071067811865476, 0], [0, 0]]},
+    "expect": {"theorem2": "pass"},
+}
+
+
+class TestCollisionVerdicts:
+    def test_jump_blind_certified_at_production_n(self, tmp_path, capsys):
+        assert main(["run", write_config(tmp_path, JUMP_BLIND)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdicts"]["theorem2"]["status"] == "pass"
+        assert data["metrics"]["kappa"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("tol, status", [(1e-6, "pass"), (1e-8, "fail")])
+    def test_config_tol_reaches_theorem2(self, tmp_path, capsys, tol, status):
+        # a barely lossy model: jump residual about sqrt(gamma) = 1e-7
+        payload = {**CANONICAL_DEPHASING,
+                   "parameters": {**CANONICAL_DEPHASING["parameters"],
+                                  "gamma": 1e-14, "tol": tol}}
+        main(["run", write_config(tmp_path, payload)])
+        verdict = json.loads(capsys.readouterr().out)["verdicts"]["theorem2"]
+        assert 1e-8 < verdict["worst_residual"] < 1e-6
+        assert verdict["status"] == status
+
+    def test_transducer_fd_step_rejected(self, tmp_path):
+        payload = {**CANONICAL_TRANSDUCER,
+                   "parameters": {**CANONICAL_TRANSDUCER["parameters"], "fd_step": 1e-6}}
+        with pytest.raises(ConfigError, match=r"config\.json:\d+: unknown key 'fd_step'"):
+            parse_config(write_config(tmp_path, payload))
+
+    def test_run_propagates_twice(self, tmp_path, capsys, monkeypatch):
+        import qfikit.cli
+        import qfikit.collision
+
+        propagations = []
+        exponentials = []
+        original_propagate = qfikit.collision.propagate
+        original_expm = qfikit.collision.expm
+
+        def counted_propagate(*args, **kwargs):
+            propagations.append(args)
+            return original_propagate(*args, **kwargs)
+
+        def counted_expm(a):
+            exponentials.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+            return original_expm(a)
+
+        for module in (qfikit.collision, qfikit.cli):
+            monkeypatch.setattr(module, "propagate", counted_propagate)
+        monkeypatch.setattr(qfikit.collision, "expm", counted_expm)
+        assert main(["run", write_config(tmp_path, CANONICAL_DEPHASING)]) == 0
+        capsys.readouterr()
+        assert len(propagations) == 2
+        assert sum(exponentials) <= 2

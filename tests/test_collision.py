@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm, expm_frechet
 
 from conftest import PAULI, PLUS_X, random_ket
 from qfikit.collision import (
+    SCHEMES,
     CollisionSpec,
     EfgIntegrals,
     IntegratorFailure,
@@ -594,3 +597,181 @@ class TestDephasingClosedForm:
             dephasing_closed_form(
                 Operator(PAULI["z"]), Operator(-0.5 * np.eye(2)), 1.0, PLUS_X
             )
+
+
+def constant_model(seed, dim, n_jumps):
+    """Matrices of a random non-commuting model with constant generators."""
+    rng = np.random.default_rng(seed)
+
+    def herm():
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return (a + a.conj().T) / 2.0
+
+    gen, control = herm(), 0.4 * herm()
+    jumps = [
+        ((rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) * 0.5,
+         float(rng.uniform(0.2, 0.8)))
+        for _ in range(n_jumps)
+    ]
+    return gen, control, jumps
+
+
+def literal_products(gen, control, jumps, grid, x, derivative):
+    """Step-by-step reference: dense factors, product rule applied by hand.
+
+    Returns (products, mid_products, dproducts, dmid_products) with the
+    derivative arrays None when not asked for.
+    """
+    dim = gen.shape[0]
+    eye = np.eye(dim, dtype=complex)
+    h = x * gen + control - 0.5j * sum(
+        (rate * (op.conj().T @ op) for op, rate in jumps), np.zeros((dim, dim)))
+    dt = grid.dt
+    if grid.scheme == "euler_paper":
+        half, dhalf = eye - 0.5j * dt * h, -0.5j * dt * gen
+        full, dfull = eye - 1j * dt * h, -1j * dt * gen
+    else:
+        half = expm(-0.5j * dt * h)
+        dhalf = expm_frechet(-0.5j * dt * h, -0.5j * dt * gen, compute_expm=False)
+    k, dk = eye, np.zeros((dim, dim), dtype=complex)
+    products, mids, dproducts, dmids = [k], [], [dk], []
+    for _ in range(grid.N):
+        k_mid, dk_mid = half @ k, dhalf @ k + half @ dk
+        mids.append(k_mid)
+        dmids.append(dk_mid)
+        if grid.scheme == "euler_paper":
+            k, dk = full @ k, dfull @ k + full @ dk
+        else:
+            k, dk = half @ k_mid, dhalf @ k_mid + half @ dk_mid
+        products.append(k)
+        dproducts.append(dk)
+    if not derivative:
+        return np.array(products), np.array(mids), None, None
+    return (np.array(products), np.array(mids), np.array(dproducts),
+            np.array(dmids))
+
+
+def relative_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestConstantGenerators:
+    def test_constant_data_keeps_the_callable_interface(self):
+        gen, control, jumps = constant_model(1, 3, 1)
+        spec = CollisionSpec(
+            h0=Operator(gen), h1=Operator(control),
+            jumps=tuple((Operator(op), rate) for op, rate in jumps), dim=3,
+        )
+        assert np.allclose(spec.h0(0.4, 0.7).entries, 0.7 * gen, atol=1e-15)
+        assert np.allclose(spec.dh0(0.4, 0.7).entries, gen, atol=0.0)
+        assert np.allclose(spec.h1(0.4).entries, control, atol=0.0)
+        assert spec.jumps[0][1](0.4) == jumps[0][1]
+        assert spec.without_jumps().dh0(0.0, 0.0) is spec.dh0(0.0, 0.0)
+
+    def test_constant_h0_rejects_separate_derivative(self):
+        with pytest.raises(ValueError, match="derivative"):
+            CollisionSpec(h0=Operator(PAULI["z"]), h1=Operator(PAULI["x"]),
+                          jumps=(), dim=2, dh0=lambda t, x: Operator(PAULI["z"]))
+
+    def test_constant_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="h1 dimension"):
+            CollisionSpec(h0=Operator(PAULI["z"]), h1=Operator(np.eye(3)),
+                          jumps=(), dim=2)
+
+    def test_negative_constant_rate_rejected(self):
+        spec = CollisionSpec(h0=Operator(PAULI["z"]), h1=Operator(np.zeros((2, 2))),
+                             jumps=((Operator(PAULI["z"]), -0.1),), dim=2)
+        with pytest.raises(ValueError, match="negative"):
+            propagate(spec, TimeGrid(T=1.0, N=8), 0.3)
+
+
+class TestKernelEquivalence:
+    """Constant and callable specs against a literal step-by-step product."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.sampled_from([2, 3]),
+        n_jumps=st.integers(0, 2),
+        n_steps=st.sampled_from([1, 2, 2**9, 2**12]),
+        scheme=st.sampled_from(SCHEMES),
+        derivative=st.booleans(),
+        x=st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=24, deadline=None)
+    def test_forms_and_reference_agree(self, seed, dim, n_jumps, n_steps, scheme,
+                                       derivative, x):
+        gen, control, jumps = constant_model(seed, dim, n_jumps)
+        constant = CollisionSpec(
+            h0=Operator(gen), h1=Operator(control),
+            jumps=tuple((Operator(op), rate) for op, rate in jumps), dim=dim,
+        )
+        callable_form = CollisionSpec(
+            h0=lambda t, xx: Operator(xx * gen),
+            h1=lambda t: Operator(control),
+            jumps=tuple((Operator(op), (lambda g: lambda t: g)(rate))
+                        for op, rate in jumps),
+            dim=dim,
+            dh0=lambda t, xx: Operator(gen),
+        )
+        grid = TimeGrid(T=1.0, N=n_steps, scheme=scheme)
+        want = literal_products(gen, control, jumps, grid, x, derivative)
+        for spec in (constant, callable_form):
+            traj = propagate(spec, grid, x, derivative=derivative)
+            got = (traj.products, traj.mid_products, traj.dproducts,
+                   traj.dmid_products)
+            for g, w in zip(got, want):
+                if w is None:
+                    assert g is None
+                else:
+                    assert g.shape == w.shape
+                    assert relative_gap(g, w) <= 1e-13
+
+
+class TestTrajectoryReuse:
+    def test_given_trajectory_reproduces_fresh_results(self):
+        spec = random_spec(31, dim=3, n_jumps=2)
+        grid = TimeGrid(T=1.0, N=128, scheme="expm_step")
+        psi = random_ket(3, np.random.default_rng(8))
+        traj = propagate(spec, grid, 0.4)
+        fresh = check_theorem2(spec, grid, 0.4, psi)
+        reused = check_theorem2(spec, grid, 0.4, psi, traj=traj)
+        assert reused == fresh
+        assert nh_loss(spec, grid, 0.4, psi, traj=traj) == nh_loss(spec, grid, 0.4, psi)
+
+    def test_mismatched_trajectory_rejected(self):
+        spec = random_spec(31, dim=3, n_jumps=2)
+        grid = TimeGrid(T=1.0, N=128, scheme="expm_step")
+        psi = random_ket(3, np.random.default_rng(8))
+        traj = propagate(spec, grid, 0.4, derivative=False)
+        with pytest.raises(ValueError, match="another"):
+            build_discrete_channel(spec, psi, grid, 0.5, traj=traj)
+        with pytest.raises(ValueError, match="without derivatives"):
+            discrete_channel_derivatives(spec, psi, grid, 0.4, traj=traj)
+
+
+class TestTheorem2Slope:
+    def test_analytic_slope_matches_central_difference(self):
+        spec = random_spec(13, dim=3, n_jumps=2)
+        grid = TimeGrid(T=1.0, N=512, scheme="expm_step")
+        psi = random_ket(3, np.random.default_rng(9))
+        x, h = 0.35, 1e-5
+        verdict = check_theorem2(spec, grid, x, psi)
+
+        def weight(at):
+            end = propagate(spec, grid, at, derivative=False).products[-1]
+            amp = end @ psi.amplitudes
+            return float(np.vdot(amp, amp).real)
+
+        central = abs(weight(x + h) - weight(x - h)) / (2.0 * h)
+        assert central > 1e-2
+        assert verdict.weight_slope == pytest.approx(central, rel=1e-6)
+
+    def test_jump_blind_slope_stays_flat_at_production_n(self):
+        gen = np.diag([1.0, -1.0, 5.0]).astype(complex)
+        blind = np.diag([0.0, 0.0, 1.0]).astype(complex)
+        spec = CollisionSpec(h0=Operator(gen), h1=Operator(np.zeros((3, 3))),
+                             jumps=((Operator(blind), 0.8),), dim=3)
+        psi = Ket(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
+        verdict = check_theorem2(spec, TimeGrid(1.0, 16384, "expm_step"), 0.3, psi)
+        assert verdict.lossless
+        assert verdict.weight_slope <= 1e-12
