@@ -30,7 +30,7 @@ from .collision import (
     build_discrete_channel,
     check_integral_completeness,
     check_theorem2,
-    discrete_channel_derivatives,
+    discrete_channel_with_derivatives,
     efg_integrals,
     nh_loss,
     propagate,
@@ -555,8 +555,7 @@ def _collision_run(spec: CollisionSpec, t_total, n_steps, scheme, x, psi, tol):
     traj = propagate(spec, grid, x)
     loss = nh_loss(spec, grid, x, psi, traj=traj, baseline=baseline)
     thm2 = check_theorem2(spec, grid, x, psi, tol=tol, traj=traj)
-    channel = build_discrete_channel(spec, psi, grid, x, traj=traj)
-    derivatives = discrete_channel_derivatives(spec, psi, grid, x, traj=traj)
+    channel, derivatives = discrete_channel_with_derivatives(spec, psi, grid, x, traj=traj)
     del traj  # free its arrays before the verdicts allocate theirs
     metrics = {
         "i_q_baseline": loss.i_q_baseline,

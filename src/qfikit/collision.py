@@ -46,6 +46,7 @@ __all__ = [
     "propagate",
     "build_discrete_channel",
     "discrete_channel_derivatives",
+    "discrete_channel_with_derivatives",
     "check_integral_completeness",
     "EfgIntegrals",
     "efg_integrals",
@@ -446,19 +447,34 @@ def _jump_sampling(spec, grid, traj):
     return times, _rate_samples(spec, times), prefixes, dprefixes
 
 
-def _assemble_channel_rows(spec, grid, traj, derivative):
-    """(label, operator) rows for the no-jump outcome and every first jump."""
-    times, rates, prefixes, dprefixes = _jump_sampling(spec, grid, traj)
-    source = traj.dproducts if derivative else traj.products
-    ref = dprefixes if derivative else prefixes
-    rows = [("check", Operator(source[-1]))]
-    for j, (op, _) in enumerate(spec.jumps):
-        amp = np.sqrt(rates[j] * grid.dt)
-        branch = amp[:, None, None] * (op.entries[None] @ ref)
-        rows.extend(
-            (f"jump{j}@{n + 1}", Operator(branch[n])) for n in range(grid.N)
-        )
-    return tuple(rows)
+def _assemble_channel(spec, grid, traj, derivative):
+    """Labels, Kraus stack and derivative stack of the first-jump channel.
+
+    Row 0 is the no-jump outcome ``check``; row 1 + j*N + n is the first
+    jump of operator j during step n + 1, labeled ``jump<j>@<n+1>``. Both
+    stacks are read-only (M, d, d) arrays filled jump by jump with one
+    matrix product each; the derivative stack is None unless asked for.
+    """
+    _, rates, prefixes, dprefixes = _jump_sampling(spec, grid, traj)
+    n_steps = grid.N
+    labels = ("check",) + tuple(
+        f"jump{j}@{n + 1}" for j in range(len(spec.jumps)) for n in range(n_steps)
+    )
+
+    def stack(end, ref):
+        out = np.empty((len(labels), spec.dim, spec.dim), dtype=complex)
+        out[0] = end
+        for j, (op, _) in enumerate(spec.jumps):
+            amp = np.sqrt(rates[j] * grid.dt)
+            rows = out[1 + j * n_steps:1 + (j + 1) * n_steps]
+            np.matmul(op.entries[None], ref, out=rows)
+            rows *= amp[:, None, None]
+        out.flags.writeable = False
+        return out
+
+    ks = stack(traj.products[-1], prefixes)
+    dks = stack(traj.dproducts[-1], dprefixes) if derivative else None
+    return labels, ks, dks
 
 
 def _given_or_propagated(spec, grid, x, traj, derivative):
@@ -505,23 +521,9 @@ def _residual_bound(spec, grid, x) -> float:
     return bound + 1e3 * np.finfo(float).eps * grid.N
 
 
-def build_discrete_channel(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
-                           x: float, *, traj: Optional[NhTrajectory] = None
-                           ) -> MeasurementChannel:
-    """Explicit Kraus channel: keep every collision's no-jump record.
-
-    One retained operator (label ``check``) plus N * len(jumps) discarded
-    first-jump branches labeled ``jump<j>@<step>``. The completeness
-    residual scales as O(N dt^2) under euler_paper and O(dt^2) under
-    expm_step; a residual beyond ten times the predicted cap raises
-    IntegratorFailure. ``traj``, a trajectory of this spec on this grid
-    at this x, is used instead of propagating again.
-    """
-    if psi.dim != spec.dim:
-        raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
-    traj = _given_or_propagated(spec, grid, x, traj, derivative=False)
-    rows = _assemble_channel_rows(spec, grid, traj, derivative=False)
-    channel = MeasurementChannel(kraus=rows, retained=frozenset({"check"}))
+def _capped_channel(spec, grid, x, labels, ks) -> MeasurementChannel:
+    """The channel over an assembled stack, held to its residual cap."""
+    channel = MeasurementChannel.from_stack(labels, ks, retained=frozenset({"check"}))
     cap = 10.0 * _residual_bound(spec, grid, x)
     if channel.completeness_residual > cap:
         raise IntegratorFailure(
@@ -531,18 +533,60 @@ def build_discrete_channel(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
     return channel
 
 
-def discrete_channel_derivatives(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
-                                 x: float, *, traj: Optional[NhTrajectory] = None
-                                 ) -> tuple:
-    """x-derivatives of the discrete channel, aligned with its labels.
+def discrete_channel_with_derivatives(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
+                                      x: float, *, traj: Optional[NhTrajectory] = None
+                                      ) -> tuple:
+    """The discrete channel and its x-derivatives from one assembly pass.
 
-    ``traj``, a trajectory of this spec on this grid at this x propagated
-    with derivatives, is used instead of propagating again.
+    Returns the channel of ``build_discrete_channel`` and its derivatives
+    as one read-only (M, d, d) array in the channel's label order, the
+    form every ``encoding`` check accepts; no Operator is built. ``traj``,
+    a trajectory of this spec on this grid at this x propagated with
+    derivatives, is used instead of propagating again.
     """
     if psi.dim != spec.dim:
         raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
     traj = _given_or_propagated(spec, grid, x, traj, derivative=True)
-    return _assemble_channel_rows(spec, grid, traj, derivative=True)
+    labels, ks, dks = _assemble_channel(spec, grid, traj, derivative=True)
+    return _capped_channel(spec, grid, x, labels, ks), dks
+
+
+def build_discrete_channel(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
+                           x: float, *, traj: Optional[NhTrajectory] = None
+                           ) -> MeasurementChannel:
+    """Explicit Kraus channel: keep every collision's no-jump record.
+
+    One retained operator (label ``check``) plus N * len(jumps) discarded
+    first-jump branches labeled ``jump<j>@<step>``, assembled in one pass
+    into the channel's (M, d, d) stack. The completeness residual scales
+    as O(N dt^2) under euler_paper and O(dt^2) under expm_step; a residual
+    beyond ten times the predicted cap raises IntegratorFailure. ``traj``,
+    a trajectory of this spec on this grid at this x, is used instead of
+    propagating again.
+    """
+    if psi.dim != spec.dim:
+        raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
+    traj = _given_or_propagated(spec, grid, x, traj, derivative=False)
+    labels, ks, _ = _assemble_channel(spec, grid, traj, derivative=False)
+    return _capped_channel(spec, grid, x, labels, ks)
+
+
+def discrete_channel_derivatives(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
+                                 x: float, *, traj: Optional[NhTrajectory] = None
+                                 ) -> tuple:
+    """x-derivatives of the discrete channel as (label, Operator) pairs.
+
+    Taken from the same assembly pass as the channel, aligned with its
+    labels; ``discrete_channel_with_derivatives`` gives both at once
+    without building Operators. ``traj``, a trajectory of this spec on
+    this grid at this x propagated with derivatives, is used instead of
+    propagating again.
+    """
+    if psi.dim != spec.dim:
+        raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
+    traj = _given_or_propagated(spec, grid, x, traj, derivative=True)
+    labels, _, dks = _assemble_channel(spec, grid, traj, derivative=True)
+    return tuple((label, Operator(m)) for label, m in zip(labels, dks))
 
 
 def check_integral_completeness(spec: CollisionSpec, grid: TimeGrid,

@@ -9,17 +9,29 @@ expectation).  This module computes those statistics, fixes the U(1)
 derivative gauge, decides losslessness of the encoding in both the
 perpendicular and the generic gauge, and evaluates the retained-fraction
 loss kappa together with per-outcome amplification ratios.
+
+Every routine contracts the whole channel at once: the Kraus stack
+(M, d, d) and the derivative stack, aligned with the channel's labels,
+are applied to the probe in one product each, and the statistics are
+arrays over the M outcomes. Derivatives are accepted either as
+(label, Operator) pairs or as an (M, d, d) array in the channel's label
+order; pairs are stacked once, at entry. Sums over outcomes run in row
+order, as a running sum would take them, so large collision channels and
+small exact channels go through the same arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .fisher import DP_FLOOR, P_FLOOR
-from .quantum_core import Ket, MeasurementChannel, Operator
+from .fisher import P_FLOOR
+from .quantum_core import Ket, MeasurementChannel
+
+#: derivatives as (label, Operator) pairs or an (M, d, d) array in label order
+Derivatives = Union[Sequence, np.ndarray]
 
 __all__ = [
     "KAPPA_DENOM_FLOOR",
@@ -137,24 +149,78 @@ class EfgReport:
         return sum(e for label, e, _, _ in self.per_outcome if label in self.retained)
 
 
-def _contract(channel: MeasurementChannel, derivatives, psi: Ket):
-    """Per-outcome (label, e, f, g, m_psi, dm_psi) contractions."""
-    psi.require_normalized()
+class _Contraction(NamedTuple):
+    """A channel and its derivatives applied to one probe, row by outcome."""
+
+    dks: np.ndarray  # (M, d, d) derivative stack in label order
+    m: np.ndarray  # (M, d) branches M_w psi
+    dm: np.ndarray  # (M, d) derivative branches dM_w psi
+    e: np.ndarray  # (M,) weights <M_w'M_w>
+    f: np.ndarray  # (M,) overlap currents i<dM_w'M_w>
+    g: np.ndarray  # (M,) derivative weights <dM_w'dM_w>
+
+
+def _derivative_stack(channel: MeasurementChannel, derivatives) -> np.ndarray:
+    """The derivatives as an (M, d, d) array aligned with channel.labels."""
+    if isinstance(derivatives, np.ndarray):
+        if derivatives.shape != channel.stack.shape:
+            raise ValueError(
+                f"derivative stack shape {derivatives.shape} does not match "
+                f"the channel's {channel.stack.shape}"
+            )
+        return derivatives
     dmap = dict((label, op) for label, op in derivatives)
     if set(dmap) != set(channel.labels) or len(dmap) != len(channel.labels):
         raise ValueError("derivative labels do not match channel labels")
-    rows = []
-    for label, op in channel.kraus:
-        dm = dmap[label]
-        if dm.dim != channel.dim:
+    for label in channel.labels:
+        if dmap[label].dim != channel.dim:
             raise ValueError(f"derivative for {label!r} has wrong dimension")
-        m_psi = op.entries @ psi.amplitudes
-        dm_psi = dm.entries @ psi.amplitudes
-        e = float(np.vdot(m_psi, m_psi).real)
-        f = complex(1j * np.vdot(dm_psi, m_psi))
-        g = float(np.vdot(dm_psi, dm_psi).real)
-        rows.append((label, e, f, g, m_psi, dm_psi))
-    return rows
+    return np.array([dmap[label].entries for label in channel.labels])
+
+
+def _contract(channel: MeasurementChannel, derivatives, psi: Ket) -> _Contraction:
+    """Branches and e/f/g of every outcome, in one stacked product each.
+
+    ``derivatives`` are (label, Operator) pairs or an (M, d, d) array in
+    the channel's label order.
+    """
+    psi.require_normalized()
+    dks = _derivative_stack(channel, derivatives)
+    m = channel.stack @ psi.amplitudes
+    dm = dks @ psi.amplitudes
+    return _Contraction(
+        dks=dks,
+        m=m,
+        dm=dm,
+        e=_rowdot(m, m).real,
+        f=1j * _rowdot(dm, m),
+        g=_rowdot(dm, dm).real,
+    )
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_n|b_n> for every row n, rounded as np.vdot rounds one row."""
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _row_sum(values: np.ndarray, start):
+    """Sum of an array in row order, as a running Python sum takes it."""
+    return sum(values.tolist(), start)
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| per entry, rounded as Python's abs(complex) rounds it."""
+    return np.hypot(z.real, z.imag)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row, rounded as np.linalg.norm of one row."""
+    return np.sqrt(_rowdot(v.real, v.real) + _rowdot(v.imag, v.imag))
+
+
+def _labelled(labels: tuple, rows: np.ndarray, values: np.ndarray) -> tuple:
+    """(label, value) pairs for the given row indices."""
+    return tuple(zip((labels[n] for n in rows), values.tolist()))
 
 
 def _branch_share(e: float, f: complex, g: float) -> float:
@@ -169,37 +235,15 @@ def _branch_share(e: float, f: complex, g: float) -> float:
     return max(val, 0.0)
 
 
-def efg(
-    channel: MeasurementChannel,
-    derivatives: Sequence,
-    psi: Ket,
-    gauge: str = "as_given",
-) -> EfgReport:
-    """Contract the E/F/G operator statistics against the probe state.
+def _shares(c: _Contraction, rows: np.ndarray) -> list:
+    """_branch_share of each given row, in row order."""
+    return [_branch_share(e, f, g) for e, f, g in
+            zip(c.e[rows].tolist(), c.f[rows].tolist(), c.g[rows].tolist())]
 
-    Parameters
-    ----------
-    channel : MeasurementChannel
-        Kraus family at the evaluation point.
-    derivatives : sequence of (label, Operator)
-        Parameter derivatives of the Kraus operators, same labels.
-    psi : Ket
-        Normalized probe state.
-    gauge : str
-        Recorded gauge tag; pass "perpendicular" for derivatives that
-        came out of fix_perpendicular_gauge.
 
-    Returns
-    -------
-    EfgReport
-        With avg_ps_qfi filled and i_q/kappa left as None.
-    """
-    rows6 = _contract(channel, derivatives, psi)
-    per_outcome = tuple((label, e, f, g) for label, e, f, g, _, _ in rows6)
-    avg = 0.0
-    for label, e, f, g in per_outcome:
-        if label in channel.retained and e > P_FLOOR:
-            avg += _branch_share(e, f, g)
+def _report(channel: MeasurementChannel, c: _Contraction, gauge: str) -> EfgReport:
+    live, = np.nonzero(channel.retained_mask & (c.e > P_FLOOR))
+    per_outcome = tuple(zip(channel.labels, c.e.tolist(), c.f.tolist(), c.g.tolist()))
     sums = _aggregate(per_outcome, channel.retained)
     return EfgReport(
         per_outcome=per_outcome,
@@ -214,8 +258,37 @@ def efg(
         g_retained=sums[4],
         f_discarded=sums[5],
         g_discarded=sums[6],
-        avg_ps_qfi=avg,
+        avg_ps_qfi=sum(_shares(c, live), 0.0),
     )
+
+
+def efg(
+    channel: MeasurementChannel,
+    derivatives: Derivatives,
+    psi: Ket,
+    gauge: str = "as_given",
+) -> EfgReport:
+    """Contract the E/F/G operator statistics against the probe state.
+
+    Parameters
+    ----------
+    channel : MeasurementChannel
+        Kraus family at the evaluation point.
+    derivatives : sequence of (label, Operator), or ndarray
+        Parameter derivatives of the Kraus operators: pairs with the
+        channel's labels, or an (M, d, d) array in its label order.
+    psi : Ket
+        Normalized probe state.
+    gauge : str
+        Recorded gauge tag; pass "perpendicular" for derivatives that
+        came out of fix_perpendicular_gauge.
+
+    Returns
+    -------
+    EfgReport
+        With avg_ps_qfi filled and i_q/kappa left as None.
+    """
+    return _report(channel, _contract(channel, derivatives, psi), gauge)
 
 
 def total_qfi(report: EfgReport, allow_approximate: bool = False) -> float:
@@ -240,30 +313,30 @@ def total_qfi(report: EfgReport, allow_approximate: bool = False) -> float:
 
 def fix_perpendicular_gauge(
     channel: MeasurementChannel,
-    derivatives: Sequence,
+    derivatives: Derivatives,
     psi: Ket,
 ):
     """Shift the derivative phases so the total overlap current is real-free.
 
     Adds i * dtheta * M_w to every derivative with dtheta chosen as
     -Re<F_total>/<E_total>, which zeroes Re<F_total> without touching its
-    imaginary part or any gauge-invariant quantity.
+    imaginary part or any gauge-invariant quantity. The shift is one
+    operation on the whole derivative stack.
 
     Returns
     -------
-    (gauged, phase) : (tuple of (label, Operator), GaugePhase)
+    (gauged, phase) : (numpy.ndarray, GaugePhase)
+        The shifted derivatives as an (M, d, d) array in the channel's
+        label order, accepted wherever derivatives are.
     """
     if channel.kind != "exact":
         raise ValueError("gauge fixing expects an exact channel")
-    rows6 = _contract(channel, derivatives, psi)
-    e_total = sum(e for _, e, _, _, _, _ in rows6)
-    f_total = sum((f for _, _, f, _, _, _ in rows6), 0j)
+    c = _contract(channel, derivatives, psi)
+    e_total = _row_sum(c.e, 0.0)
+    f_total = _row_sum(c.f, 0j)
     dtheta = -f_total.real / e_total
-    dmap = dict((label, op) for label, op in derivatives)
-    gauged = tuple(
-        (label, Operator(dmap[label].entries + (1j * dtheta) * op.entries))
-        for label, op in channel.kraus
-    )
+    gauged = c.dks + (1j * dtheta) * channel.stack
+    gauged.flags.writeable = False
     return gauged, GaugePhase(theta=0.0, dtheta=dtheta)
 
 
@@ -274,8 +347,9 @@ class LosslessPerpVerdict:
 
     retained_residuals rows are (label, |<branch|dbranch>|); discarded
     rows are (label, ||dbranch||).  flagged lists retained outcomes whose
-    weight sits at zero while the branch derivative does not, where the
-    stationarity condition is vacuous and the verdict withholds a pass.
+    weight sits at zero while ||dbranch|| exceeds tol, the bound the
+    discarded rows are held to: there the stationarity condition is
+    vacuous and the verdict withholds a pass.
     """
 
     lossless: bool
@@ -292,7 +366,7 @@ class LosslessPerpVerdict:
 
 def check_lossless_perp(
     channel: MeasurementChannel,
-    derivatives: Sequence,
+    derivatives: Derivatives,
     psi: Ket,
     tol: float = 1e-9,
 ) -> LosslessPerpVerdict:
@@ -303,27 +377,20 @@ def check_lossless_perp(
     phase drift.  The conditions here are sufficient only: a channel can
     fail them in this gauge yet lose nothing.
     """
-    rows6 = _contract(channel, derivatives, psi)
-    retained_res = []
-    discarded_res = []
-    flagged = []
-    for label, e, f, g, m_psi, dm_psi in rows6:
-        if label in channel.retained:
-            retained_res.append((label, float(abs(np.vdot(m_psi, dm_psi)))))
-            if e <= P_FLOOR and np.sqrt(max(g, 0.0)) > DP_FLOOR:
-                flagged.append(label)
-        else:
-            discarded_res.append((label, float(np.linalg.norm(dm_psi))))
-    worst = max(
-        [r for _, r in retained_res] + [r for _, r in discarded_res],
-        default=0.0,
-    )
+    c = _contract(channel, derivatives, psi)
+    kept = channel.retained_mask
+    ret, = np.nonzero(kept)
+    dis, = np.nonzero(~kept)
+    overlap = _modulus(_rowdot(c.m[ret], c.dm[ret]))
+    dnorm = _norms(c.dm)
+    dead, = np.nonzero(kept & (c.e <= P_FLOOR) & (dnorm > tol))
+    worst = max(overlap.max(initial=0.0), dnorm[dis].max(initial=0.0))
     return LosslessPerpVerdict(
-        lossless=bool(worst <= tol and not flagged),
+        lossless=bool(worst <= tol and not dead.size),
         tol=tol,
-        retained_residuals=tuple(retained_res),
-        discarded_residuals=tuple(discarded_res),
-        flagged=tuple(flagged),
+        retained_residuals=_labelled(channel.labels, ret, overlap),
+        discarded_residuals=_labelled(channel.labels, dis, dnorm[dis]),
+        flagged=tuple(channel.labels[n] for n in dead),
     )
 
 
@@ -347,7 +414,7 @@ class GenericLosslessVerdict:
 
 def check_lossless_generic(
     channel: MeasurementChannel,
-    derivatives: Sequence,
+    derivatives: Derivatives,
     psi: Ket,
     tol: float = 1e-9,
 ) -> GenericLosslessVerdict:
@@ -358,28 +425,21 @@ def check_lossless_generic(
     weight matching the total-current cross term) characterize lossless
     encodings without requiring a prior gauge fix.
     """
-    rows6 = _contract(channel, derivatives, psi)
-    per = [(label, e, f, g) for label, e, f, g, _, _ in rows6]
-    f_total = sum((f for _, _, f, _ in per), 0j)
-    retained_res = []
-    imag_res = []
-    f_dis = 0j
-    g_dis = 0.0
-    for label, e, f, g in per:
-        if label in channel.retained:
-            retained_res.append((label, float(abs(f - f_total * e))))
-            imag_res.append((label, float(abs(f.imag))))
-        else:
-            f_dis += f
-            g_dis += g
+    c = _contract(channel, derivatives, psi)
+    kept = channel.retained_mask
+    ret, = np.nonzero(kept)
+    f_total = _row_sum(c.f, 0j)
+    retained_res = _modulus(c.f[ret] - f_total * c.e[ret])
+    f_dis = _row_sum(c.f[~kept], 0j)
+    g_dis = _row_sum(c.g[~kept], 0.0)
     discarded_res = float(abs(g_dis - f_total * f_dis.conjugate()))
-    worst = max([r for _, r in retained_res] + [discarded_res], default=0.0)
+    worst = max(float(retained_res.max(initial=0.0)), discarded_res)
     return GenericLosslessVerdict(
         lossless=bool(worst <= tol),
         tol=tol,
-        retained_residuals=tuple(retained_res),
+        retained_residuals=_labelled(channel.labels, ret, retained_res),
         discarded_residual=discarded_res,
-        imag_f_residuals=tuple(imag_res),
+        imag_f_residuals=_labelled(channel.labels, ret, np.abs(c.f[ret].imag)),
     )
 
 
@@ -462,30 +522,27 @@ class AmplificationReport:
 
 def amplification_report(
     channel: MeasurementChannel,
-    derivatives: Sequence,
+    derivatives: Derivatives,
     psi: Ket,
 ) -> AmplificationReport:
     """Compare each outcome's conditional QFI with the total QFI."""
-    report = efg(channel, derivatives, psi)
+    c = _contract(channel, derivatives, psi)
+    report = _report(channel, c, "as_given")
     i_q = total_qfi(report)
     if i_q <= KAPPA_DENOM_FLOOR:
         raise ValueError("total QFI is zero; amplification undefined")
-    rows = []
-    strict = True
-    for label, e, f, g in report.per_outcome:
-        if e <= P_FLOOR:
-            strict = False
-            continue
-        if e >= 1.0 - P_FLOOR:
-            strict = False
-        share = _branch_share(e, f, g)
-        rows.append((label, e, share / e, share / i_q))
-    return AmplificationReport(rows=tuple(rows), i_q=i_q, strict_regime=strict)
+    live, = np.nonzero(c.e > P_FLOOR)
+    strict = live.size == c.e.size and bool((c.e < 1.0 - P_FLOOR).all())
+    rows = tuple(
+        (channel.labels[n], e, share / e, share / i_q)
+        for n, e, share in zip(live, c.e[live].tolist(), _shares(c, live))
+    )
+    return AmplificationReport(rows=rows, i_q=i_q, strict_regime=strict)
 
 
 def complete_report(
     channel: MeasurementChannel,
-    derivatives: Sequence,
+    derivatives: Derivatives,
     psi: Ket,
     gauge: str = "as_given",
     allow_approximate: bool = False,

@@ -1,8 +1,9 @@
 """Dense complex linear algebra and the channel/state data model.
 
 Provides immutable kets and operators (complex128 throughout), labeled
-Kraus measurement channels with a retained/discarded outcome split, and
-differentiable channel families. Residuals are measured in spectral norm.
+Kraus measurement channels with a retained/discarded outcome split, stored
+as one (M, d, d) array of their Kraus matrices, and differentiable channel
+families. Residuals are measured in spectral norm.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 __all__ = [
     "Ket",
     "Operator",
+    "KrausRows",
     "MeasurementChannel",
     "ChannelFamily",
     "tensor",
@@ -137,48 +139,136 @@ class Operator:
         return complex(np.vdot(v, self.entries @ v))
 
 
+class KrausRows:
+    """Read-only (label, Operator) rows over a labeled stack of Kraus matrices.
+
+    Holds the labels and one read-only (M, d, d) complex array. Rows read
+    as (label, Operator) pairs; their Operators are built the first time
+    any row is read, so a channel that is only contracted never builds
+    one. Pairs handed in at construction are kept and returned as is.
+    """
+
+    __slots__ = ("labels", "stack", "_pairs")
+
+    def __init__(self, labels: tuple, stack: np.ndarray, pairs: Optional[tuple] = None):
+        self.labels = labels
+        self.stack = stack
+        self._pairs = pairs
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        return iter(self.pairs())
+
+    def __getitem__(self, index):
+        return self.pairs()[index]
+
+    def __repr__(self) -> str:
+        m, d, _ = self.stack.shape
+        return f"KrausRows({m} rows of {d}x{d})"
+
+    def pairs(self) -> tuple:
+        """The rows as a tuple of (label, Operator), built on first use."""
+        if self._pairs is None:
+            self._pairs = tuple(zip(self.labels, map(Operator, self.stack)))
+        return self._pairs
+
+
+def _rows_from_pairs(pairs) -> KrausRows:
+    pairs = tuple((str(label), op) for label, op in pairs)
+    if not pairs:
+        raise ValueError("channel needs at least one Kraus operator")
+    dims = {op.dim for _, op in pairs}
+    if len(dims) != 1:
+        raise ValueError(f"Kraus operators disagree on dimension: {dims}")
+    stack = np.array([op.entries for _, op in pairs])
+    stack.flags.writeable = False
+    return KrausRows(tuple(label for label, _ in pairs), stack, pairs)
+
+
+def _rows_from_stack(labels, stack) -> KrausRows:
+    arr = np.asarray(stack, dtype=np.complex128)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise ValueError(f"expected an (M, d, d) Kraus stack, got shape {arr.shape}")
+    labels = tuple(str(label) for label in labels)
+    if len(labels) != arr.shape[0]:
+        raise ValueError(f"{len(labels)} labels for {arr.shape[0]} Kraus operators")
+    if not labels:
+        raise ValueError("channel needs at least one Kraus operator")
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return KrausRows(labels, arr)
+
+
 @dataclass(frozen=True)
 class MeasurementChannel:
     """Labeled Kraus set {M_w} with a retained/discarded outcome split.
 
+    ``kraus`` may be given as (label, Operator) pairs or as the ``kraus``
+    of another channel. Either way the channel stores its labels and one
+    read-only (M, d, d) complex array ``stack`` of the operators, and
+    ``kraus`` becomes a KrausRows view whose Operators are built only
+    when a row is read; ``from_stack`` builds a channel from labels and
+    an array without any Operator. ``retained_mask`` marks the retained
+    rows in label order.
+
     The completeness residual ||sum M^+ M - 1|| (spectral norm) is computed
-    at construction. A channel with residual at most 1e-10 is `exact`;
-    collision-model channels carry a residual of order T*dt and are
-    `approximate`.
+    at construction, with the sum taken in row order. A channel with
+    residual at most 1e-10 is `exact`; collision-model channels carry a
+    residual of order T*dt and are `approximate`.
     """
 
-    kraus: tuple
+    kraus: object
     retained: frozenset
     completeness_residual: float = field(default=-1.0)
+    retained_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kraus = tuple((str(label), op) for label, op in self.kraus)
-        if not kraus:
-            raise ValueError("channel needs at least one Kraus operator")
-        labels = [label for label, _ in kraus]
+        rows = self.kraus
+        if not isinstance(rows, KrausRows):
+            rows = _rows_from_pairs(rows)
+        labels = rows.labels
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate outcome labels")
-        dims = {op.dim for _, op in kraus}
-        if len(dims) != 1:
-            raise ValueError(f"Kraus operators disagree on dimension: {dims}")
         retained = frozenset(str(s) for s in self.retained)
         unknown = retained - set(labels)
         if unknown:
             raise ValueError(f"retained labels not in channel: {sorted(unknown)}")
-        object.__setattr__(self, "kraus", kraus)
+        mask = np.fromiter((label in retained for label in labels), bool, len(labels))
+        mask.flags.writeable = False
+        object.__setattr__(self, "kraus", rows)
         object.__setattr__(self, "retained", retained)
+        object.__setattr__(self, "retained_mask", mask)
         if self.completeness_residual < 0:
-            acc = sum(op.entries.conj().T @ op.entries for _, op in kraus)
-            res = spectral_norm(acc - np.eye(kraus[0][1].dim))
+            # a running sum in row order: the residual decides `kind`, and
+            # a reordered sum can move it across EXACT_RESIDUAL_TOL
+            ks = rows.stack
+            acc = np.add.accumulate(ks.conj().transpose(0, 2, 1) @ ks)[-1]
+            res = spectral_norm(acc - np.eye(self.dim))
             object.__setattr__(self, "completeness_residual", res)
+
+    @classmethod
+    def from_stack(cls, labels, stack, retained) -> "MeasurementChannel":
+        """Channel over an (M, d, d) array of Kraus matrices, one per label.
+
+        A writeable array is copied; a read-only one is kept as is.
+        """
+        return cls(kraus=_rows_from_stack(labels, stack), retained=retained)
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The Kraus matrices as one read-only (M, d, d) array, in label order."""
+        return self.kraus.stack
 
     @property
     def dim(self) -> int:
-        return self.kraus[0][1].dim
+        return self.kraus.stack.shape[-1]
 
     @property
     def labels(self) -> tuple:
-        return tuple(label for label, _ in self.kraus)
+        return self.kraus.labels
 
     @property
     def discarded(self) -> frozenset:
@@ -190,10 +280,10 @@ class MeasurementChannel:
         return "exact" if self.completeness_residual <= EXACT_RESIDUAL_TOL else "approximate"
 
     def operator(self, label: str) -> Operator:
-        for cand, op in self.kraus:
-            if cand == label:
-                return op
-        raise KeyError(f"no outcome labeled {label!r}")
+        try:
+            return self.kraus[self.labels.index(label)][1]
+        except ValueError:
+            raise KeyError(f"no outcome labeled {label!r}") from None
 
 
 @dataclass(frozen=True)

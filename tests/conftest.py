@@ -40,6 +40,27 @@ def random_ket(dim: int, rng: np.random.Generator) -> Ket:
     return Ket(v / np.linalg.norm(v))
 
 
+def scaled_model(seed, dim, n_jumps):
+    """Random non-commuting collision model with constant generators.
+
+    Returns (G, control, [(L_j, rate_j)]) scaled to ||G|| = 1,
+    ||control|| = 0.5 and ||L_j|| = 1, with rates in [0.2, 0.8].
+    """
+    rng = np.random.default_rng(seed)
+
+    def herm():
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = (a + a.conj().T) / 2.0
+        return h / np.linalg.norm(h, 2)
+
+    gen, control = herm(), 0.5 * herm()
+    jumps = []
+    for _ in range(n_jumps):
+        op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        jumps.append((op / np.linalg.norm(op, 2), float(rng.uniform(0.2, 0.8))))
+    return gen, control, jumps
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260822)

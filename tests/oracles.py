@@ -70,3 +70,74 @@ def dilated_outcome_share(kraus_mats, deriv_mats, psi: np.ndarray, w: int) -> fl
     dim = kraus_mats[0].shape[0]
     block = dperp[w * dim : (w + 1) * dim]
     return 4.0 * float(np.vdot(block, block).real)
+
+
+
+def rowwise_completeness(kraus_mats) -> float:
+    """||sum M^+ M - 1||, summed with Python's sum one matrix at a time."""
+    acc = sum(m.conj().T @ m for m in kraus_mats)
+    return float(np.linalg.norm(acc - np.eye(acc.shape[0]), 2))
+
+
+def rowwise_efg(kraus_mats, deriv_mats, psi: np.ndarray) -> list:
+    """(e, f, g, M psi, dM psi) per outcome, in a plain loop over the rows."""
+    out = []
+    for m, dm in zip(kraus_mats, deriv_mats):
+        m_psi = m @ psi
+        dm_psi = dm @ psi
+        e = float(np.vdot(m_psi, m_psi).real)
+        f = complex(1j * np.vdot(dm_psi, m_psi))
+        g = float(np.vdot(dm_psi, dm_psi).real)
+        out.append((e, f, g, m_psi, dm_psi))
+    return out
+
+
+def rowwise_gauge_fix(kraus_mats, deriv_mats, psi: np.ndarray) -> list:
+    """dM + i dtheta M per row, with dtheta = -Re<F_total>/<E_total>."""
+    rows = rowwise_efg(kraus_mats, deriv_mats, psi)
+    e_total = sum(e for e, _, _, _, _ in rows)
+    f_total = sum((f for _, f, _, _, _ in rows), 0j)
+    dtheta = -f_total.real / e_total
+    return [dm + 1j * dtheta * m for m, dm in zip(kraus_mats, deriv_mats)]
+
+
+def rowwise_perp(kraus_mats, deriv_mats, psi, kept, tol, dead_floor):
+    """Perpendicular-gauge residuals and verdict, one outcome at a time.
+
+    ``kept`` flags the retained rows. Returns (retained residuals,
+    discarded residuals, flagged row indices, lossless): |<M psi|dM psi>|
+    on retained rows, ||dM psi|| on discarded rows, and the retained rows
+    of weight at most ``dead_floor`` whose ||dM psi|| exceeds tol.
+    """
+    ret, dis, flagged = [], [], []
+    rows = rowwise_efg(kraus_mats, deriv_mats, psi)
+    for n, ((e, _, _, m_psi, dm_psi), keep) in enumerate(zip(rows, kept)):
+        norm = float(np.sqrt(np.vdot(dm_psi, dm_psi).real))
+        if keep:
+            ret.append(float(abs(np.vdot(m_psi, dm_psi))))
+            if e <= dead_floor and norm > tol:
+                flagged.append(n)
+        else:
+            dis.append(norm)
+    worst = max(ret + dis, default=0.0)
+    return ret, dis, flagged, worst <= tol and not flagged
+
+
+def rowwise_generic(kraus_mats, deriv_mats, psi, kept, tol):
+    """Gauge-free residuals and verdict, one outcome at a time.
+
+    Returns (|F_w - F_total E_w| on retained rows,
+    |G_dis - F_total conj(F_dis)|, lossless).
+    """
+    rows = rowwise_efg(kraus_mats, deriv_mats, psi)
+    f_total = sum((f for _, f, _, _, _ in rows), 0j)
+    ret = []
+    f_dis, g_dis = 0j, 0.0
+    for (e, f, g, _, _), keep in zip(rows, kept):
+        if keep:
+            ret.append(abs(f - f_total * e))
+        else:
+            f_dis += f
+            g_dis += g
+    dis = abs(g_dis - f_total * f_dis.conjugate())
+    return ret, dis, max(ret + [dis]) <= tol

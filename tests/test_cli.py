@@ -498,3 +498,35 @@ class TestCollisionVerdicts:
         capsys.readouterr()
         assert len(propagations) == 2
         assert sum(exponentials) <= 2
+
+
+class TestRegressionGuards:
+    def test_operator_count_does_not_grow_with_n(self, tmp_path, capsys, monkeypatch):
+        from qfikit.quantum_core import Operator
+
+        built = []
+        original = Operator.__post_init__
+
+        def counted(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(Operator, "__post_init__", counted)
+        counts = []
+        for n_steps in (512, 4096):
+            payload = {**CANONICAL_DEPHASING,
+                       "parameters": {**CANONICAL_DEPHASING["parameters"], "N": n_steps}}
+            built.clear()
+            assert main(["run", write_config(tmp_path, payload)]) == 0
+            counts.append(len(built))
+        capsys.readouterr()
+        assert counts[0] == counts[1]
+        assert counts[0] < 100
+
+    def test_bundled_dephasing_csv_matches_golden(self, tmp_path, capsys):
+        out = tmp_path / "dephasing.csv"
+        assert main(["run", "configs/dephasing.json", "--format", "csv",
+                     "--output", str(out)]) == 0
+        capsys.readouterr()
+        with open("tests/golden/dephasing.csv", "rb") as fh:
+            assert out.read_bytes() == fh.read()

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, expm_frechet
 
-from conftest import PAULI, PLUS_X, random_ket
+from conftest import PAULI, PLUS_X, random_ket, scaled_model
 from qfikit.collision import (
     SCHEMES,
     CollisionSpec,
@@ -775,3 +775,102 @@ class TestTheorem2Slope:
         verdict = check_theorem2(spec, TimeGrid(1.0, 16384, "expm_step"), 0.3, psi)
         assert verdict.lossless
         assert verdict.weight_slope <= 1e-12
+
+
+def scaled_spec(seed, dim, n_jumps):
+    gen, control, jumps = scaled_model(seed, dim, n_jumps)
+    return CollisionSpec(
+        h0=Operator(gen), h1=Operator(control),
+        jumps=tuple((Operator(op), rate) for op, rate in jumps), dim=dim,
+    )
+
+
+def blind_spec(seed, dim, leak):
+    """Probe subspace span(|0>, |1>) invariant, jumps acting on the rest.
+
+    With leak = 0 the jump operator annihilates the probe subspace, which
+    H_nh never leaves, so the no-jump record is lossless; leak > 0 adds a
+    jump component inside the probe subspace.
+    """
+    gen, control, jumps = scaled_model(seed, dim, 1)
+    block = np.zeros((dim, dim), dtype=bool)
+    block[:2, :2] = block[2:, 2:] = True
+    jump = np.where(block, jumps[0][0], 0.0)
+    jump[:2, :2] *= leak
+    return CollisionSpec(
+        h0=Operator(np.where(block, gen, 0.0)), h1=Operator(np.where(block, control, 0.0)),
+        jumps=((Operator(jump), jumps[0][1]),), dim=dim,
+    )
+
+
+class TestPropertiesAcrossN:
+    """Invariants between grids of N and 2N steps, on random constant specs."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.sampled_from([2, 3, 4]),
+        n_jumps=st.integers(1, 2),
+        n_steps=st.sampled_from([2**6, 2**7, 2**8, 2**9]),
+        scheme=st.sampled_from(SCHEMES),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_completeness_residual_falls_at_scheme_order(self, seed, dim, n_jumps,
+                                                         n_steps, scheme):
+        # O(N dt^2) = O(dt) under euler_paper, O(dt^2) under expm_step
+        spec = scaled_spec(seed, dim, n_jumps)
+        psi = random_ket(dim, np.random.default_rng(seed))
+        coarse, fine = (
+            build_discrete_channel(spec, psi, TimeGrid(1.0, n, scheme), 0.3)
+            .completeness_residual
+            for n in (n_steps, 2 * n_steps)
+        )
+        ratio = coarse / fine
+        if scheme == "euler_paper":
+            assert 1.8 <= ratio <= 2.2
+        else:
+            assert 3.6 <= ratio <= 4.4
+
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.sampled_from([2, 3, 4]),
+        n_jumps=st.integers(1, 2),
+        n_steps=st.sampled_from([2**6, 2**7, 2**8, 2**9]),
+        scheme=st.sampled_from(SCHEMES),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_kappa_agrees_between_n_and_2n(self, seed, dim, n_jumps, n_steps, scheme):
+        spec = scaled_spec(seed, dim, n_jumps)
+        psi = random_ket(dim, np.random.default_rng(seed))
+        try:
+            coarse, fine = (nh_loss(spec, TimeGrid(1.0, n, scheme), 0.3, psi)
+                            for n in (n_steps, 2 * n_steps))
+        except ValueError:
+            # nh_loss rejects a kappa below zero, which some of these
+            # models reach at every N
+            assume(False)
+        dt = 1.0 / n_steps
+        # the scheme's order: 60 N dt^2 = 60 dt at T = 1, or dt^2
+        budget = 60.0 * n_steps * dt**2 if scheme == "euler_paper" else dt**2
+        assert abs(coarse.kappa - fine.kappa) <= budget
+        assert abs(coarse.kappa_channel - fine.kappa_channel) <= budget
+
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.sampled_from([3, 4]),
+        leak=st.sampled_from([0.0, 1e-3, 0.3, 1.0]),
+        n_steps=st.sampled_from([2**6, 2**7, 2**8, 2**9, 2**10]),
+        scheme=st.sampled_from(SCHEMES),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_theorem2_pass_implies_no_loss(self, seed, dim, leak, n_steps, scheme):
+        spec = blind_spec(seed, dim, leak)
+        amps = np.zeros(dim, dtype=complex)
+        amps[:2] = random_ket(2, np.random.default_rng(seed)).amplitudes
+        psi = Ket(amps)
+        grid = TimeGrid(1.0, n_steps, scheme)
+        traj = propagate(spec, grid, 0.3)
+        verdict = check_theorem2(spec, grid, 0.3, psi, traj=traj)
+        if leak == 0.0 and scheme == "expm_step":
+            assert verdict.lossless
+        if verdict.lossless:
+            assert nh_loss(spec, grid, 0.3, psi, traj=traj).kappa <= 1e-6

@@ -416,6 +416,21 @@ class TestLosslessPerp:
         assert verdict.flagged == ("flip",)
         assert not verdict.lossless
 
+    @pytest.mark.parametrize("drift, flagged", [(1e-7, ()), (1e-5, ("dead",))])
+    def test_dead_outcome_flag_is_held_to_tol(self, drift, flagged):
+        # a retained outcome of zero weight whose derivative branch has
+        # norm `drift`: flagged only when that norm exceeds tol
+        chan = MeasurementChannel(
+            kraus=(("u", Operator(np.eye(2))), ("dead", Operator(np.zeros((2, 2))))),
+            retained=frozenset({"u", "dead"}),
+        )
+        derivs = (("u", Operator(np.zeros((2, 2)))),
+                  ("dead", Operator(drift * PAULI["x"])))
+        verdict = check_lossless_perp(chan, derivs, Ket([1, 0]), tol=1e-6)
+        assert verdict.flagged == flagged
+        assert verdict.worst() == 0.0
+        assert verdict.lossless == (not flagged)
+
 
 class TestLosslessGeneric:
     def test_weighted_unitaries_pass_in_any_gauge(self):
