@@ -1,11 +1,14 @@
-"""Batch front-end: scenario configs in, tables and verdicts out.
+"""The `qfi` command line: scenario configs in, tables and verdicts out.
 
-Configs are strict UTF-8 JSON (schema in docs/schema.json): a scenario
-kind, scalar parameters, operators as presets or [re, im] matrices, and
-an output sink. `qfi run` computes one report, `qfi sweep` repeats it
-over a parameter grid, `qfi verify` runs the library's invariant
-suites. Exit codes: 0 success, 1 parse/validation failure, 2 when a
-verdict the config marks `expect: pass` does not pass.
+A front end over the library: it parses configs, runs them through the
+library's builders and checks, and emits reports. Configs are strict
+UTF-8 JSON (schema in docs/schema.json): a scenario kind, scalar
+parameters, operators as presets or [re, im] matrices, and an output
+sink. `qfi run` computes one report, `qfi sweep` repeats it over a
+parameter grid, one point after another, and `qfi verify` runs one of
+the invariant suites of `qfikit.verify`. Exit codes: 0 success, 1
+parse/validation failure, 2 when a verdict the config marks
+`expect: pass` does not pass, or a suite fails.
 """
 
 from __future__ import annotations
@@ -13,11 +16,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -27,8 +28,6 @@ from .collision import (
     CollisionSpec,
     IntegratorFailure,
     TimeGrid,
-    build_discrete_channel,
-    check_integral_completeness,
     check_theorem2,
     discrete_channel_with_derivatives,
     efg_integrals,
@@ -40,42 +39,28 @@ from .encoding import (
     check_lossless_generic,
     check_lossless_perp,
     complete_report,
-    efg,
     fix_perpendicular_gauge,
-    total_qfi,
 )
-from .fisher import sigma_se_qfi, sld
-from .quantum_core import (
-    ChannelFamily,
-    Ket,
-    MeasurementChannel,
-    Operator,
-    mixed_state,
-)
+from .quantum_core import Ket, MeasurementChannel, Operator
 from .scenarios import (
     TransducerSpec,
     build_dephasing,
     build_transducer,
-    fig1b_sweep,
-    random_family,
+    fig1b_row,
 )
+from .verify import SUITES
 
 __all__ = ["ConfigError", "ScenarioConfig", "RunReport", "main"]
 
 KINDS = ("transducer", "dephasing", "custom_channel", "custom_collision")
-SUITES = ("chain", "gauge", "completeness", "theorem-soundness")
 
 #: default tolerance for the lossless-encoding verdict checks
 DEFAULT_TOL = 1e-6
 
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 OPERATOR_PRESETS = {
-    "pauli_x": _PAULI_X,
-    "pauli_y": _PAULI_Y,
-    "pauli_z": _PAULI_Z,
+    "pauli_x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "pauli_y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "pauli_z": np.array([[1, 0], [0, -1]], dtype=complex),
     "identity": np.eye(2, dtype=complex),
 }
 
@@ -151,18 +136,14 @@ def _require_mapping(value, key, anchor, context):
     return value
 
 
-def _number(params: dict, key: str, default, anchor: _Anchor):
-    if key not in params:
-        return default
+def _number(params: dict, key: str, anchor: _Anchor):
     v = params[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         anchor.fail(key, f"parameter {key!r} must be a number")
     return float(v)
 
 
-def _integer(params: dict, key: str, default, anchor: _Anchor):
-    if key not in params:
-        return default
+def _integer(params: dict, key: str, anchor: _Anchor):
     v = params[key]
     if isinstance(v, bool) or not isinstance(v, int):
         anchor.fail(key, f"parameter {key!r} must be an integer")
@@ -237,7 +218,6 @@ class ScenarioConfig:
     expect: dict
     config_hash: str
     path: str
-    raw: str = field(repr=False)
 
     def tol(self, override: Optional[float]) -> float:
         if override is not None:
@@ -293,9 +273,9 @@ def parse_config(path: str) -> ScenarioConfig:
         anchor.fail("scheme", f"unknown scheme {params['scheme']!r}")
     for key in ("x", "T", "eps", "gamma", "tol"):
         if key in params:
-            params = {**params, key: _number(params, key, None, anchor)}
+            params = {**params, key: _number(params, key, anchor)}
     if "N" in params:
-        params = {**params, "N": _integer(params, "N", None, anchor)}
+        params = {**params, "N": _integer(params, "N", anchor)}
 
     operators = {}
     ops = _require_mapping(data.get("operators", {}), "operators", anchor, "operators")
@@ -382,7 +362,6 @@ def parse_config(path: str) -> ScenarioConfig:
         expect=expect,
         config_hash=hashlib.sha256(raw.encode("utf-8")).hexdigest(),
         path=path,
-        raw=raw,
     )
 
 
@@ -407,17 +386,7 @@ class RunReport:
     table: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "version": self.version,
-            "config_hash": self.config_hash,
-            "wall_time_s": self.wall_time_s,
-            "parameters": self.parameters,
-            "metrics": self.metrics,
-            "per_outcome": self.per_outcome,
-            "verdicts": self.verdicts,
-            "table": self.table,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunReport":
@@ -426,13 +395,6 @@ class RunReport:
 
 def _pair(z: complex) -> list:
     return [float(z.real), float(z.imag)]
-
-
-def _echo_parameters(config: ScenarioConfig) -> dict:
-    out = {}
-    for key, value in sorted(config.parameters.items()):
-        out[key] = value
-    return out
 
 
 def _verdict(status: str, residual: Optional[float]) -> dict:
@@ -446,7 +408,21 @@ def _generic_worst(verdict) -> float:
     return max(vals) if vals else 0.0
 
 
+def _efg_metrics(report) -> tuple:
+    """Metrics and per-outcome rows of a ``complete_report``."""
+    metrics = {
+        "avg_ps_qfi": report.avg_ps_qfi,
+        "completeness_residual": report.completeness_residual,
+        "f_total": _pair(report.f_total),
+        "g_total": report.g_total,
+        "i_q": report.i_q,
+        "kappa": report.kappa,
+    }
+    return metrics, [[lbl, e, _pair(f), g] for lbl, e, f, g in report.per_outcome]
+
+
 def _channel_verdicts(channel, derivatives, psi, tol) -> dict:
+    """Both theorem-1 verdicts, with theorem 2 n.a. until a collision run sets it."""
     # the stationarity conditions assume the perpendicular gauge; an
     # approximate channel cannot be regauged, so its derivatives are
     # checked as given
@@ -461,25 +437,21 @@ def _channel_verdicts(channel, derivatives, psi, tol) -> dict:
             "pass" if perp.lossless else "fail", perp.worst()),
         "theorem1_generic": _verdict(
             "pass" if generic.lossless else "fail", _generic_worst(generic)),
+        "theorem2": _verdict("n.a.", None),
     }
 
 
 def _transducer_spec(config: ScenarioConfig, eps: float) -> TransducerSpec:
     p = config.parameters
     return TransducerSpec(
-        h0_env=Operator(config.operators.get("h0_env", _PAULI_Z.copy())),
+        h0_env=Operator(config.operators.get("h0_env", OPERATOR_PRESETS["pauli_z"].copy())),
         env_initial=Ket(config.states.get("env_initial", STATE_PRESETS["plus_x"].copy())),
         sys_initial=Ket(config.states.get("sys_initial", STATE_PRESETS["zero"].copy())),
-        flip=Operator(config.operators.get("flip", _PAULI_X.copy())),
+        flip=Operator(config.operators.get("flip", OPERATOR_PRESETS["pauli_x"].copy())),
         T=p.get("T", 1.0),
         x=p.get("x", 1e-5),
         eps=eps,
     )
-
-
-def _transducer_columns(spec: TransducerSpec) -> list:
-    labels = [str(w + 1) for w in range(spec.env_initial.dim)]
-    return [f"I_sigma_{lbl}" for lbl in labels] + ["avg_total", "sum_total"]
 
 
 def _run_transducer(config: ScenarioConfig, tol: float):
@@ -487,14 +459,15 @@ def _run_transducer(config: ScenarioConfig, tol: float):
     grid = p.get("eps_grid")
     if grid is not None:
         spec = _transducer_spec(config, eps=1.0)
-        rows = fig1b_sweep(spec, eps_grid=grid)
+        rows = []
         worst = 0.0
         all_pass = True
         for eps in grid:
             family, _ = build_transducer(replace(spec, eps=float(eps)))
             channel = family.eval(spec.x)
-            gauged, _ = fix_perpendicular_gauge(
-                channel, family.derivative(spec.x), spec.sys_initial)
+            derivatives = family.derivative(spec.x)
+            rows.append(fig1b_row(eps, channel, derivatives, spec.sys_initial))
+            gauged, _ = fix_perpendicular_gauge(channel, derivatives, spec.sys_initial)
             verdict = check_lossless_perp(channel, gauged, spec.sys_initial, tol=tol)
             worst = max(worst, verdict.worst())
             all_pass = all_pass and verdict.lossless
@@ -514,26 +487,12 @@ def _run_transducer(config: ScenarioConfig, tol: float):
     channel = family.eval(spec.x)
     derivatives = family.derivative(spec.x)
     report = complete_report(channel, derivatives, spec.sys_initial)
-    (row,) = fig1b_sweep(spec, eps_grid=[spec.eps])
-    metrics = {
-        "avg_ps_qfi": report.avg_ps_qfi,
-        "avg_total": row.avg_total,
-        "completeness_residual": report.completeness_residual,
-        "expected_iq": expected_iq,
-        "f_total": _pair(report.f_total),
-        "g_total": report.g_total,
-        "i_q": report.i_q,
-        "kappa": report.kappa,
-        "I_sigma_1": row.i_sigma_1,
-        "I_sigma_2": row.i_sigma_2,
-        "sum_total": row.sum_total,
-    }
-    per_outcome = [
-        [lbl, e, _pair(f), g]
-        for lbl, e, f, g in report.per_outcome
-    ]
+    row = fig1b_row(spec.eps, channel, derivatives, spec.sys_initial)
+    metrics, per_outcome = _efg_metrics(report)
+    metrics.update(avg_total=row.avg_total, expected_iq=expected_iq,
+                   I_sigma_1=row.i_sigma_1, I_sigma_2=row.i_sigma_2,
+                   sum_total=row.sum_total)
     verdicts = _channel_verdicts(channel, derivatives, spec.sys_initial, tol)
-    verdicts["theorem2"] = _verdict("n.a.", None)
     return metrics, per_outcome, verdicts, None
 
 
@@ -583,8 +542,8 @@ def _control(config: ScenarioConfig, dim: int) -> Operator:
 def _run_dephasing(config: ScenarioConfig, tol: float):
     p = config.parameters
     t_total, n_steps, scheme, x, psi = _collision_inputs(config)
-    h0 = Operator(config.operators.get("h0", _PAULI_Z.copy()))
-    jump = Operator(config.operators.get("jump", _PAULI_Z.copy()))
+    h0 = Operator(config.operators.get("h0", OPERATOR_PRESETS["pauli_z"].copy()))
+    jump = Operator(config.operators.get("jump", OPERATOR_PRESETS["pauli_z"].copy()))
     spec = build_dephasing(h0, _control(config, h0.dim), jump, p.get("gamma", 1.0),
                            t_total, psi, x)
     return _collision_run(spec, t_total, n_steps, scheme, x, psi, tol)
@@ -617,21 +576,12 @@ def _run_custom_channel(config: ScenarioConfig, tol: float):
     derivatives = tuple((lbl, Operator(d)) for lbl, _, d in config.outcomes)
     report = complete_report(channel, derivatives, psi,
                              allow_approximate=channel.kind != "exact")
-    metrics = {
-        "avg_ps_qfi": report.avg_ps_qfi,
-        "completeness_residual": report.completeness_residual,
-        "f_total": _pair(report.f_total),
-        "g_total": report.g_total,
-        "i_q": report.i_q,
-        "kappa": report.kappa,
-    }
+    metrics, per_outcome = _efg_metrics(report)
     if report.i_q > 0.0 and channel.kind == "exact":
         amp = amplification_report(channel, derivatives, psi)
         for lbl, _, i_sigma, _ in amp.rows:
             metrics[f"I_sigma_{lbl}"] = i_sigma
-    per_outcome = [[lbl, e, _pair(f), g] for lbl, e, f, g in report.per_outcome]
     verdicts = _channel_verdicts(channel, derivatives, psi, tol)
-    verdicts["theorem2"] = _verdict("n.a.", None)
     return metrics, per_outcome, verdicts, None
 
 
@@ -651,24 +601,27 @@ _SWEEP_COLUMNS = {
 }
 
 
-def execute(config: ScenarioConfig, tol_override: Optional[float] = None) -> RunReport:
-    """Run one scenario and assemble its report."""
-    tol = config.tol(tol_override)
-    start = time.perf_counter()
-    metrics, per_outcome, verdicts, table = _RUNNERS[config.kind](config, tol)
-    metrics = {k: v for k, v in metrics.items() if v is not None}
-    wall = time.perf_counter() - start
+def _report(config: ScenarioConfig, start: float, metrics, per_outcome, verdicts,
+            table) -> RunReport:
+    """A config's report of a computation begun at perf_counter() ``start``."""
     return RunReport(
         kind=config.kind,
         version=__version__,
         config_hash=config.config_hash,
-        wall_time_s=wall,
-        parameters=_echo_parameters(config),
-        metrics=metrics,
+        wall_time_s=time.perf_counter() - start,
+        parameters=dict(sorted(config.parameters.items())),
+        metrics={k: v for k, v in metrics.items() if v is not None},
         per_outcome=per_outcome,
         verdicts=verdicts,
         table=table,
     )
+
+
+def execute(config: ScenarioConfig, tol_override: Optional[float] = None) -> RunReport:
+    """Run one scenario and assemble its report."""
+    tol = config.tol(tol_override)
+    start = time.perf_counter()
+    return _report(config, start, *_RUNNERS[config.kind](config, tol))
 
 
 def _fmt(value) -> str:
@@ -745,25 +698,14 @@ def cmd_sweep(args) -> int:
         raise ConfigError(
             f"{config.path}: sweep parameter {args.param!r} is not a scalar")
     grid = parse_grid(args.grid)
-    jobs = args.jobs or os.cpu_count() or 1
     start = time.perf_counter()
-
-    def at(value):
-        value = int(value) if args.param == "N" else float(value)
-        point = replace(config, parameters={**config.parameters, args.param: value})
-        return execute(point, tol_override=args.tol)
-
-    if jobs == 1:
-        reports = [at(v) for v in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(at, grid))
-    wall = time.perf_counter() - start
-
     columns = [args.param] + list(_SWEEP_COLUMNS[config.kind])
     rows = []
     worst = {name: ("pass", None) for name in _VERDICT_NAMES}
-    for value, point in zip(grid, reports):
+    for value in grid:
+        cast = int(value) if args.param == "N" else float(value)
+        point = execute(replace(config, parameters={**config.parameters, args.param: cast}),
+                        tol_override=args.tol)
         rows.append([float(value)] + [point.metrics.get(c, 0.0) for c in columns[1:]])
         for name in _VERDICT_NAMES:
             verdict = point.verdicts[name]
@@ -775,289 +717,17 @@ def cmd_sweep(args) -> int:
                     status = "fail"
                 residual = max(residual or 0.0, verdict["worst_residual"] or 0.0)
                 worst[name] = (status, residual)
-    report = RunReport(
-        kind=config.kind,
-        version=__version__,
-        config_hash=config.config_hash,
-        wall_time_s=wall,
-        parameters=_echo_parameters(config),
-        metrics={},
-        per_outcome=[],
-        verdicts={name: _verdict(*worst[name]) for name in _VERDICT_NAMES},
-        table={"columns": columns, "rows": rows},
-    )
+    verdicts = {name: _verdict(*worst[name]) for name in _VERDICT_NAMES}
+    report = _report(config, start, {}, [], verdicts, {"columns": columns, "rows": rows})
     _emit(report, config, args)
     return _exit_code(report, config)
 
 
-def _phase_shifted(channel, derivatives, theta, dtheta):
-    """Multiply every branch by e^{i theta}, shifting derivatives too."""
-    phase = np.exp(1j * theta)
-    dmap = dict(derivatives)
-    shifted = MeasurementChannel(
-        kraus=tuple((lbl, Operator(phase * op.entries)) for lbl, op in channel.kraus),
-        retained=channel.retained,
-    )
-    dshift = tuple(
-        (lbl, Operator(phase * (dmap[lbl].entries + 1j * dtheta * op.entries)))
-        for lbl, op in channel.kraus
-    )
-    return shifted, dshift
-
-
-def _seeded_instance(seed: int):
-    """Deterministic family, operating point, and probe for the suites."""
-    meta = np.random.default_rng(10_000 + seed)
-    dim = int(meta.integers(2, 5))
-    n_outcomes = int(meta.integers(1, 5))
-    family = random_family(dim, n_outcomes, seed)
-    x = float(meta.uniform(-0.5, 0.5))
-    v = meta.normal(size=dim) + 1j * meta.normal(size=dim)
-    psi = Ket(v / np.linalg.norm(v))
-    return family, x, psi
-
-
-def _nonempty_subsets(labels):
-    out = []
-    for mask in range(1, 2 ** len(labels)):
-        out.append(frozenset(l for k, l in enumerate(labels) if mask >> k & 1))
-    return out
-
-
-def _mixed_qfi(channel, derivatives, psi) -> float:
-    rho = mixed_state(channel, psi)
-    proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    dmap = dict(derivatives)
-    drho = np.zeros((channel.dim, channel.dim), dtype=complex)
-    for lbl, op in channel.kraus:
-        dm = dmap[lbl].entries
-        drho += dm @ proj @ op.entries.conj().T + op.entries @ proj @ dm.conj().T
-    return sld(rho, Operator(drho)).qfi
-
-
-def _suite_chain() -> tuple:
-    """Monotonicity chain on 100 seeded random families."""
-    slack = 1e-8
-    violations = 0
-    worst = np.inf
-    for seed in range(100):
-        family, x, psi = _seeded_instance(seed)
-        channel = family.eval(x)
-        derivatives = family.derivative(x)
-        i_q = total_qfi(efg(channel, derivatives, psi))
-        i_se = sigma_se_qfi(channel, family, psi, x).total
-        i_rho = _mixed_qfi(channel, derivatives, psi)
-        margins = [i_q - i_se, i_se - i_rho]
-        for subset in _nonempty_subsets(channel.labels):
-            kept = MeasurementChannel(kraus=channel.kraus, retained=subset)
-            margins.append(i_q - efg(kept, derivatives, psi).avg_ps_qfi)
-        worst = min(worst, min(margins))
-        if min(margins) < -slack:
-            violations += 1
-    ok = violations == 0
-    lines = [
-        f"chain: 100 instances, {violations} violations, "
-        f"worst margin {worst:.3e} {'PASS' if ok else 'FAIL'}"
-    ]
-    return ok, lines
-
-
-def _suite_gauge() -> tuple:
-    """Phase-gauge invariance of every reported information quantity."""
-    tol = 1e-8
-    worst = 0.0
-    for seed in range(25):
-        family, x, psi = _seeded_instance(seed)
-        channel = family.eval(x)
-        derivatives = family.derivative(x)
-        if seed % 2 and len(channel.labels) > 1:
-            channel = MeasurementChannel(
-                kraus=channel.kraus, retained=frozenset({channel.labels[0]}))
-        theta, dtheta = 5 * x + x**2, 5 + 2 * x
-        base = complete_report(channel, derivatives, psi)
-        moved = complete_report(
-            *_phase_shifted(channel, derivatives, theta, dtheta), psi)
-        base_amp = amplification_report(channel, derivatives, psi)
-        moved_amp = amplification_report(
-            *_phase_shifted(channel, derivatives, theta, dtheta), psi)
-        pairs = [
-            (base.i_q, moved.i_q),
-            (base.avg_ps_qfi, moved.avg_ps_qfi),
-            (base.kappa or 0.0, moved.kappa or 0.0),
-        ]
-        moved_rows = {lbl: i for lbl, _, i, _ in moved_amp.rows}
-        pairs += [(i, moved_rows[lbl]) for lbl, _, i, _ in base_amp.rows]
-        for a, b in pairs:
-            worst = max(worst, abs(a - b) / max(abs(a), 1.0))
-    ok = worst <= tol
-    lines = [
-        f"gauge: 25 instances, worst relative drift {worst:.3e} "
-        f"{'PASS' if ok else 'FAIL'}"
-    ]
-    return ok, lines
-
-
-def _suite_completeness() -> tuple:
-    """Completeness-residual scaling of both discretization pictures."""
-    sz = Operator(_PAULI_Z.copy())
-    psi = Ket(STATE_PRESETS["plus_x"].copy())
-    zero2 = Operator(np.zeros((2, 2), dtype=complex))
-    spec = build_dephasing(sz, zero2, sz, 1.0, 1.0, psi, 0.0)
-    residuals = []
-    for power in (10, 11, 12, 13, 14):
-        grid = TimeGrid(1.0, 2**power, "euler_paper")
-        chan = build_discrete_channel(spec, psi, grid, 0.0)
-        residuals.append(chan.completeness_residual)
-    ratios = [residuals[k] / residuals[k + 1] for k in range(len(residuals) - 1)]
-    euler_ok = all(1.5 <= r <= 2.5 for r in ratios)
-    lines = [
-        "completeness: euler halving ratios "
-        + ", ".join(f"{r:.2f}" for r in ratios)
-        + f" {'PASS' if euler_ok else 'FAIL'}"
-    ]
-
-    rng = np.random.default_rng(4)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = Operator((g + g.conj().T) / 2)
-    gj = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    jump = Operator((gj + gj.conj().T) / 2)
-    pair_spec = CollisionSpec(
-        h0=h,
-        h1=Operator(np.zeros((4, 4), dtype=complex)),
-        jumps=((jump, 0.5),),
-        dim=4,
-    )
-    ints = [
-        check_integral_completeness(pair_spec, TimeGrid(1.0, n, "expm_step"), 0.2)
-        for n in (256, 512, 1024)
-    ]
-    int_ratios = [ints[k] / ints[k + 1] for k in range(len(ints) - 1)]
-    int_ok = all(3.0 <= r <= 5.0 for r in int_ratios)
-    lines.append(
-        "completeness: integral doubling ratios "
-        + ", ".join(f"{r:.2f}" for r in int_ratios)
-        + f", residual at N=1024 {ints[-1]:.3e} {'PASS' if int_ok else 'FAIL'}"
-    )
-    return euler_ok and int_ok, lines
-
-
-def _lossless_family(dim, n_outcomes, seed) -> ChannelFamily:
-    """Weighted unitaries times a common rotation: a free record."""
-    rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(n_outcomes))
-    us = []
-    for _ in range(n_outcomes):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        q, r = np.linalg.qr(g)
-        us.append(q * (np.diag(r) / np.abs(np.diag(r))))
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = (g + g.conj().T) / 2
-    labels = [str(w) for w in range(n_outcomes)]
-
-    def at(x):
-        from scipy.linalg import expm
-        rot = expm(-1j * x * h)
-        return MeasurementChannel(
-            kraus=tuple(
-                (lbl, Operator(np.sqrt(weights[w]) * us[w] @ rot))
-                for w, lbl in enumerate(labels)),
-            retained=frozenset(labels),
-        )
-
-    def deriv(x):
-        from scipy.linalg import expm
-        der = -1j * h @ expm(-1j * x * h)
-        return tuple(
-            (lbl, Operator(np.sqrt(weights[w]) * us[w] @ der))
-            for w, lbl in enumerate(labels))
-
-    return ChannelFamily(eval=at, derivative=deriv)
-
-
-def _suite_theorem_soundness() -> tuple:
-    """A passing lossless verdict must match a vanishing measured loss."""
-    lines = []
-    ok = True
-
-    certified = 0
-    worst_kappa = 0.0
-    for seed in range(20):
-        meta = np.random.default_rng(20_000 + seed)
-        dim = int(meta.integers(2, 5))
-        n_outcomes = int(meta.integers(1, 5))
-        family = _lossless_family(dim, n_outcomes, seed)
-        x = float(meta.uniform(-0.5, 0.5))
-        v = meta.normal(size=dim) + 1j * meta.normal(size=dim)
-        psi = Ket(v / np.linalg.norm(v))
-        channel = family.eval(x)
-        derivatives = family.derivative(x)
-        gauged, _ = fix_perpendicular_gauge(channel, derivatives, psi)
-        verdict = check_lossless_perp(channel, gauged, psi, tol=1e-9)
-        if not verdict.lossless:
-            continue
-        certified += 1
-        kappa = complete_report(channel, derivatives, psi).kappa or 0.0
-        worst_kappa = max(worst_kappa, kappa)
-    sound = certified > 0 and worst_kappa <= 1e-5
-    ok = ok and sound
-    lines.append(
-        f"theorem-soundness: {certified}/20 certified lossless, "
-        f"worst kappa {worst_kappa:.3e} {'PASS' if sound else 'FAIL'}"
-    )
-
-    # jump operator blind to the evolving subspace: certificate and loss
-    # must both come out clean
-    gen = Operator(np.diag([1.0, -1.0, 5.0]).astype(complex))
-    blind = Operator(np.diag([0.0, 0.0, 1.0]).astype(complex))
-    psi3 = Ket(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
-    spec3 = CollisionSpec(
-        h0=gen,
-        h1=Operator(np.zeros((3, 3), dtype=complex)),
-        jumps=((blind, 0.8),),
-        dim=3,
-    )
-    grid3 = TimeGrid(1.0, 16384, "expm_step")
-    thm2 = check_theorem2(spec3, grid3, 0.3, psi3)
-    kappa3 = nh_loss(spec3, grid3, 0.3, psi3).kappa
-    blind_ok = thm2.lossless and kappa3 <= 1e-5
-    ok = ok and blind_ok
-    lines.append(
-        f"theorem-soundness: jump-blind collision certificate "
-        f"{'passes' if thm2.lossless else 'fails'}, kappa {kappa3:.3e} "
-        f"{'PASS' if blind_ok else 'FAIL'}"
-    )
-
-    sz = Operator(_PAULI_Z.copy())
-    psi = Ket(STATE_PRESETS["plus_x"].copy())
-    zero2 = Operator(np.zeros((2, 2), dtype=complex))
-    spec = build_dephasing(sz, zero2, sz, 1.0, 1.0, psi, 0.0)
-    grid = TimeGrid(1.0, 4096, "expm_step")
-    thm2 = check_theorem2(spec, grid, 0.0, psi)
-    kappa = nh_loss(spec, grid, 0.0, psi).kappa
-    deph_ok = (thm2.weight_slope <= thm2.tol and thm2.jump_residual > thm2.tol
-               and not thm2.lossless and kappa > 0.1)
-    ok = ok and deph_ok
-    lines.append(
-        f"theorem-soundness: dephasing weight slope {thm2.weight_slope:.3e} "
-        f"(flat), jump residual {thm2.jump_residual:.3e} (live), "
-        f"kappa {kappa:.3f} {'PASS' if deph_ok else 'FAIL'}"
-    )
-    return ok, lines
-
-
-_SUITES = {
-    "chain": _suite_chain,
-    "gauge": _suite_gauge,
-    "completeness": _suite_completeness,
-    "theorem-soundness": _suite_theorem_soundness,
-}
-
-
 def cmd_verify(args) -> int:
-    if args.suite not in _SUITES:
+    if args.suite not in SUITES:
         raise ConfigError(
             f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}")
-    ok, lines = _SUITES[args.suite]()
+    ok, lines = SUITES[args.suite]()
     for line in lines:
         print(line)
     return 0 if ok else 2
@@ -1065,8 +735,6 @@ def cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=int, default=None,
-                        help="sweep worker count (default: logical cores)")
     common.add_argument("--tol", type=float, default=None,
                         help="override the verdict tolerance")
     common.add_argument("--output", default=None,
@@ -1105,9 +773,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, IntegratorFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -224,9 +224,6 @@ class NhTrajectory:
     def dim(self) -> int:
         return self.products.shape[-1]
 
-    def final(self) -> Operator:
-        return Operator(self.products[-1])
-
     def final_derivative(self) -> Operator:
         if self.dproducts is None:
             raise ValueError("trajectory was propagated without derivatives")

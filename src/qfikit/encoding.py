@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .fisher import P_FLOOR
-from .quantum_core import Ket, MeasurementChannel
+from .quantum_core import Ket, MeasurementChannel, Operator
 
 #: derivatives as (label, Operator) pairs or an (M, d, d) array in label order
 Derivatives = Union[Sequence, np.ndarray]
@@ -44,6 +44,7 @@ __all__ = [
     "efg",
     "total_qfi",
     "fix_perpendicular_gauge",
+    "gauge_shift",
     "check_lossless_perp",
     "check_lossless_generic",
     "loss_kappa",
@@ -338,6 +339,27 @@ def fix_perpendicular_gauge(
     gauged = c.dks + (1j * dtheta) * channel.stack
     gauged.flags.writeable = False
     return gauged, GaugePhase(theta=0.0, dtheta=dtheta)
+
+
+def gauge_shift(
+    channel: MeasurementChannel,
+    derivatives: Derivatives,
+    theta: float,
+    dtheta: float,
+):
+    """Multiply every branch by exp(i theta(x)) at a point.
+
+    theta is the phase there and dtheta its x-derivative, so each
+    derivative becomes exp(i theta) (dM_w + i dtheta M_w). Returns the
+    shifted channel and its derivatives as (label, Operator) pairs.
+    """
+    phase = np.exp(1j * theta)
+    dks = _derivative_stack(channel, derivatives)
+    shifted = MeasurementChannel.from_stack(
+        channel.labels, phase * channel.stack, channel.retained)
+    dshift = phase * (dks + 1j * dtheta * channel.stack)
+    return shifted, tuple(
+        (label, Operator(d)) for label, d in zip(channel.labels, dshift))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ __all__ = [
     "classical_fi",
     "family_derivative",
     "sigma_se_qfi",
+    "mixed_state_derivative",
     "refined_convexity_check",
 ]
 
@@ -51,13 +52,12 @@ class DerivativeConfig:
     """How to differentiate a channel family over x.
 
     mode is `analytic` or `central_fd`; h of None means the default step
-    1e-5 * max(1, |x|); richardson toggles one step-halving refinement of
-    the central difference.
+    1e-5 * max(1, |x|). The central difference is refined by one step
+    halving.
     """
 
     mode: str = "analytic"
     h: Optional[float] = None
-    richardson: bool = True
 
     def __post_init__(self):
         if self.mode not in ("analytic", "central_fd"):
@@ -230,9 +230,9 @@ def family_derivative(
     """Per-outcome derivatives dM_w/dx of a channel family.
 
     Analytic mode passes the family's own derivative through. Central FD
-    evaluates (M(x+h) - M(x-h)) / 2h and, with richardson enabled,
-    combines steps h and h/2 to cancel the leading truncation term. The
-    reported truncation error is the Richardson-difference estimate.
+    evaluates (M(x+h) - M(x-h)) / 2h and combines steps h and h/2 to
+    cancel the leading truncation term. The reported truncation error is
+    the Richardson-difference estimate.
     """
     if cfg is None:
         cfg = DerivativeConfig(mode="analytic" if family.derivative is not None else "central_fd")
@@ -243,8 +243,6 @@ def family_derivative(
         return FamilyDerivative(terms=terms, mode="analytic", truncation_error=0.0)
 
     h = cfg.step(x)
-    if family.fd_step is not None and cfg.h is None:
-        h = family.fd_step
 
     def central(step):
         plus = family.eval(x + step)
@@ -255,9 +253,6 @@ def family_derivative(
         }
 
     d_h = central(h)
-    if not cfg.richardson:
-        terms = tuple((lbl, Operator(m)) for lbl, m in d_h.items())
-        return FamilyDerivative(terms=terms, mode="central_fd", truncation_error=None)
     d_half = central(h / 2.0)
     combined = {}
     worst_gap = 0.0
@@ -329,6 +324,23 @@ def sigma_se_qfi(
     return SigmaSeResult(total=total, per_outcome=tuple(rows), singular=tuple(singular))
 
 
+def mixed_state_derivative(channel: MeasurementChannel, derivatives,
+                           psi: Ket) -> np.ndarray:
+    """x-derivative of the decohered state, sum_w dM P M^+ + M P dM^+.
+
+    P is the probe projector; derivatives are (label, Operator) pairs or
+    a label-to-Operator mapping. Terms are added in the channel's row
+    order.
+    """
+    proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    dmap = dict(derivatives)
+    drho = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
+    for label, op in channel.kraus:
+        dm = dmap[label].entries
+        drho += dm @ proj @ op.entries.conj().T + op.entries @ proj @ dm.conj().T
+    return drho
+
+
 def refined_convexity_check(
     channel: MeasurementChannel,
     family: ChannelFamily,
@@ -362,11 +374,7 @@ def refined_convexity_check(
 
     derivs = family_derivative(family, x, cfg).as_dict()
     rho = mixed_state(channel, psi)
-    proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    drho = np.zeros((dim, dim), dtype=np.complex128)
-    for label, op in channel.kraus:
-        dm = derivs[label].entries
-        drho += dm @ proj @ op.entries.conj().T + op.entries @ proj @ dm.conj().T
+    drho = mixed_state_derivative(channel, derivs, psi)
     l_rho = sld(rho, Operator(drho)).L.entries
 
     # per-branch block SLDs of the record-resolved state

@@ -116,10 +116,6 @@ class Operator:
             raise ValueError(f"dim {dim} does not match entry grid {mat.shape}")
         object.__setattr__(self, "dim", int(dim))
 
-    @property
-    def dag(self) -> "Operator":
-        return Operator(self.entries.conj().T)
-
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         return spectral_norm(self.entries - self.entries.conj().T) <= tol
 
@@ -298,14 +294,10 @@ class ChannelFamily:
     derivative : callable, optional
         Analytic x -> ((label, dM/dx), ...) aligned with eval's labels.
         When absent, consumers fall back to central finite differences.
-    fd_step : float, optional
-        Preferred finite-difference step; None means the consumer default
-        1e-5 * max(1, |x|).
     """
 
     eval: Callable[[float], MeasurementChannel]
     derivative: Optional[Callable[[float], tuple]] = None
-    fd_step: Optional[float] = None
 
 
 def tensor(a, b):
@@ -457,7 +449,7 @@ def check_family_derivative(family: ChannelFamily, x: float, h: Optional[float] 
     if family.derivative is None:
         raise ValueError("family carries no analytic derivative to check")
     if h is None:
-        h = family.fd_step or 1e-5 * max(1.0, abs(x))
+        h = 1e-5 * max(1.0, abs(x))
     plus = family.eval(x + h)
     minus = family.eval(x - h)
     analytic = dict(family.derivative(x))

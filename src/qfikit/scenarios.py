@@ -34,10 +34,12 @@ __all__ = [
     "build_transducer",
     "Fig1bRow",
     "DEFAULT_EPS_GRID",
+    "fig1b_row",
     "fig1b_sweep",
     "build_dephasing",
     "random_channel",
     "random_family",
+    "lossless_family",
 ]
 
 #: Variance floor below which the environment pointer is undefined.
@@ -234,32 +236,40 @@ class Fig1bRow(NamedTuple):
     sum_total: float
 
 
+def fig1b_row(eps: float, channel: MeasurementChannel, derivatives,
+              psi: Ket) -> Fig1bRow:
+    """The sweep row of one built transducer point at mixing ``eps``.
+
+    ``channel`` and ``derivatives`` are the family and its derivative at
+    the operating point, ``psi`` the probe. The row holds the conditional
+    informations of outcomes "1" and "2" (zero when dead), their
+    probability-weighted total and their plain sum.
+    """
+    amp = amplification_report(channel, derivatives, psi)
+    per = {label: i_sigma for label, _, i_sigma, _ in amp.rows}
+    return Fig1bRow(
+        eps=float(eps),
+        i_sigma_1=per.get("1", 0.0),
+        i_sigma_2=per.get("2", 0.0),
+        avg_total=amp.i_q * amp.ratio_sum(),
+        sum_total=sum(per.values()),
+    )
+
+
 def fig1b_sweep(spec: TransducerSpec, eps_grid=None) -> tuple:
     """Sweep the readout mixing and tabulate the per-outcome information.
 
-    Each row reports the two conditional-state informations, their
-    probability-weighted total, and their plain sum at the spec's
-    operating point. The weighted total stays pinned at the joint value
-    while the mixing hands the signal from one branch to the other.
+    Builds the transducer once per mixing value and takes its row from
+    ``fig1b_row`` at the spec's operating point. The weighted total
+    stays pinned at the joint value while the mixing hands the signal
+    from one branch to the other.
     """
     grid = DEFAULT_EPS_GRID if eps_grid is None else tuple(eps_grid)
     rows = []
     for eps in grid:
         family, _ = build_transducer(replace(spec, eps=float(eps)))
-        chan = family.eval(spec.x)
-        derivs = family.derivative(spec.x)
-        amp = amplification_report(chan, derivs, spec.sys_initial)
-        per = {label: i_sigma for label, _, i_sigma, _ in amp.rows}
-        avg_total = amp.i_q * amp.ratio_sum()
-        rows.append(
-            Fig1bRow(
-                eps=float(eps),
-                i_sigma_1=per.get("1", 0.0),
-                i_sigma_2=per.get("2", 0.0),
-                avg_total=avg_total,
-                sum_total=sum(per.values()),
-            )
-        )
+        rows.append(fig1b_row(eps, family.eval(spec.x), family.derivative(spec.x),
+                              spec.sys_initial))
     return tuple(rows)
 
 
@@ -333,6 +343,37 @@ def random_channel(dim: int, n_outcomes: int, seed: int,
         kraus=kraus,
         retained=frozenset(labels if retained is None else retained),
     )
+
+
+def lossless_family(dim: int, n_outcomes: int, seed: int) -> ChannelFamily:
+    """Exact family whose record costs nothing.
+
+    Each slice is a set of seeded weighted unitaries times one common
+    rotation exp(-i x H), with every outcome retained: no outcome weight
+    depends on x, so the full information survives post-selection.
+    """
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(n_outcomes))
+    us = [_haar_unitary(dim, rng) for _ in range(n_outcomes)]
+    h = _random_hermitian(dim, rng)
+    labels = [str(w) for w in range(n_outcomes)]
+
+    def at(x):
+        rot = expm(-1j * x * h)
+        return MeasurementChannel(
+            kraus=tuple(
+                (lbl, Operator(np.sqrt(weights[w]) * us[w] @ rot))
+                for w, lbl in enumerate(labels)),
+            retained=frozenset(labels),
+        )
+
+    def deriv(x):
+        der = -1j * h @ expm(-1j * x * h)
+        return tuple(
+            (lbl, Operator(np.sqrt(weights[w]) * us[w] @ der))
+            for w, lbl in enumerate(labels))
+
+    return ChannelFamily(eval=at, derivative=deriv)
 
 
 def random_family(dim: int, n_outcomes: int, seed: int,

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from qfikit.encoding import gauge_shift  # noqa: F401
 from qfikit.quantum_core import Ket, MeasurementChannel, Operator
-from qfikit.scenarios import _haar_unitary, _random_hermitian, random_family
+from qfikit.scenarios import (
+    _haar_unitary,
+    _random_hermitian,
+    lossless_family,
+    random_family,
+)
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -19,10 +25,12 @@ PLUS_X = Ket(np.array([1, 1]) / np.sqrt(2))
 MINUS_X = Ket(np.array([1, -1]) / np.sqrt(2))
 
 
-# canonical generator implementations live in qfikit.scenarios; the test
-# suite reuses them so seeded draws stay identical across both
+# canonical generator implementations live in qfikit.scenarios (and the
+# phase shift in qfikit.encoding); the test suite reuses them so seeded
+# draws stay identical across both
 haar_unitary = _haar_unitary
 random_hermitian = _random_hermitian
+lossless_slice_family = lossless_family
 
 
 def haar_channel(dim: int, n_outcomes: int, rng: np.random.Generator, retained=None) -> MeasurementChannel:
@@ -69,53 +77,3 @@ def rng():
 def unitary_slice_family(dim, n_outcomes, seed, retained=None):
     """Exact analytic family: Haar block channel times exp(-i x H)."""
     return random_family(dim, n_outcomes, seed, retained)
-
-
-def lossless_slice_family(dim, n_outcomes, seed):
-    """Exact family whose record costs nothing: weighted unitaries times
-    a common rotation, all outcomes retained."""
-    from scipy.linalg import expm
-
-    from qfikit.quantum_core import ChannelFamily
-
-    rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(n_outcomes))
-    us = [haar_unitary(dim, rng) for _ in range(n_outcomes)]
-    h = random_hermitian(dim, rng)
-    labels = [str(w) for w in range(n_outcomes)]
-
-    def at(x):
-        rot = expm(-1j * x * h)
-        return MeasurementChannel(
-            kraus=tuple(
-                (lbl, Operator(np.sqrt(weights[w]) * us[w] @ rot))
-                for w, lbl in enumerate(labels)
-            ),
-            retained=frozenset(labels),
-        )
-
-    def deriv(x):
-        der = -1j * h @ expm(-1j * x * h)
-        return tuple(
-            (lbl, Operator(np.sqrt(weights[w]) * us[w] @ der))
-            for w, lbl in enumerate(labels)
-        )
-
-    return ChannelFamily(eval=at, derivative=deriv)
-
-
-def gauge_shift(channel, derivatives, theta0, dtheta):
-    """Multiply a channel by exp(i theta(x)) at a point: (theta0, dtheta)."""
-    phase = np.exp(1j * theta0)
-    dmap = dict(derivatives)
-    chan = MeasurementChannel(
-        kraus=tuple(
-            (lbl, Operator(phase * op.entries)) for lbl, op in channel.kraus
-        ),
-        retained=channel.retained,
-    )
-    derivs = tuple(
-        (lbl, Operator(phase * (dmap[lbl].entries + 1j * dtheta * op.entries)))
-        for lbl, op in channel.kraus
-    )
-    return chan, derivs

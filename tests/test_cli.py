@@ -371,7 +371,7 @@ class TestSweepCommand:
     def test_rows_in_grid_order_with_jobs(self, tmp_path, capsys):
         path = write_config(tmp_path, CANONICAL_DEPHASING)
         assert main(["sweep", path, "--param", "gamma", "--grid", "lin:0.2:1:5",
-                     "--format", "csv", "--jobs", "3"]) == 0
+                     "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()[1:]
         gammas = [float(line.split(",")[0]) for line in lines]
         np.testing.assert_allclose(gammas, [0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-12)
@@ -425,6 +425,19 @@ class TestBundledConfigs:
         cfg = parse_config("configs/dephasing.json")
         assert cfg.kind == "dephasing"
         assert cfg.parameters["N"] == 16384
+
+    def test_schema_lists_what_the_parser_accepts(self):
+        from qfikit import cli
+
+        with open("docs/schema.json", encoding="utf-8") as fh:
+            schema = json.load(fh)
+        props = schema["properties"]
+        assert props["kind"]["enum"] == list(cli.KINDS)
+        assert set(props["parameters"]["properties"]) == set().union(*cli._PARAM_KEYS.values())
+        assert set(props) == set().union(*cli._TOP_KEYS.values())
+        assert schema["$defs"]["operator"]["oneOf"][0]["enum"] == list(cli.OPERATOR_PRESETS)
+        assert schema["$defs"]["state"]["oneOf"][0]["enum"] == list(cli.STATE_PRESETS)
+        assert set(props["expect"]["properties"]) == set(cli._VERDICT_NAMES)
 
     def test_configs_validate_against_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
@@ -530,3 +543,19 @@ class TestRegressionGuards:
         capsys.readouterr()
         with open("tests/golden/dephasing.csv", "rb") as fh:
             assert out.read_bytes() == fh.read()
+
+    def test_transducer_builds_each_point_once(self, tmp_path, monkeypatch):
+        import qfikit.cli
+        import qfikit.scenarios
+
+        builds = []
+        original = qfikit.scenarios.build_transducer
+
+        def counted(*args, **kwargs):
+            builds.append(1)
+            return original(*args, **kwargs)
+
+        for module in (qfikit.scenarios, qfikit.cli):
+            monkeypatch.setattr(module, "build_transducer", counted)
+        assert main(["run", "configs/fig1b.json", "--output", str(tmp_path / "fig1b.csv")]) == 0
+        assert len(builds) == 41
