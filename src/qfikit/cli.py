@@ -698,6 +698,14 @@ def cmd_sweep(args) -> int:
         raise ConfigError(
             f"{config.path}: sweep parameter {args.param!r} is not a scalar")
     grid = parse_grid(args.grid)
+    if args.param == "N":
+        # a log grid over powers of two lands within rounding of integers
+        counts = np.rint(grid)
+        off = np.abs(grid - counts) > 1e-9 * np.abs(grid)
+        if off.any():
+            raise ConfigError(
+                f"grid {args.grid!r}: N must be an integer, got {float(grid[off.argmax()])!r}")
+        grid = counts
     start = time.perf_counter()
     columns = [args.param] + list(_SWEEP_COLUMNS[config.kind])
     rows = []

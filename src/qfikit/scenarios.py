@@ -50,12 +50,21 @@ DEFAULT_EPS_GRID = tuple(np.logspace(-3.0, 3.0, 41))
 
 
 @dataclass(frozen=True)
+class _CentredOperator(Operator):
+    """A generator already shifted to zero mean in the state ``about``."""
+
+    about: Optional[Ket] = None
+
+
+@dataclass(frozen=True)
 class TransducerSpec:
     """Inputs of the conditional-flip transducer protocol.
 
     The environment generator is shifted at construction so its mean in
-    the initial environment state vanishes; the flip gate must be
-    unitary and must send the probe state to an orthogonal one.
+    the initial environment state vanishes; a spec derived with
+    ``dataclasses.replace`` keeps the shifted generator bit for bit. The
+    flip gate must be unitary and must send the probe state to an
+    orthogonal one.
 
     Parameters
     ----------
@@ -111,9 +120,14 @@ class TransducerSpec:
             )
         if self.eps < 0.0:
             raise ValueError(f"mixing must be nonnegative, got {self.eps}")
-        mean = self.h0_env.expectation(self.env_initial).real
-        shifted = self.h0_env.entries - mean * np.eye(self.h0_env.dim)
-        object.__setattr__(self, "h0_env", Operator(shifted))
+        env = self.h0_env
+        # a spec derived with dataclasses.replace carries the shifted generator
+        if not (isinstance(env, _CentredOperator)
+                and np.array_equal(env.about.amplitudes, self.env_initial.amplitudes)):
+            mean = env.expectation(self.env_initial).real
+            shifted = env.entries - mean * np.eye(env.dim)
+            object.__setattr__(self, "h0_env",
+                               _CentredOperator(shifted, about=self.env_initial))
 
     def env_variance(self) -> float:
         """Variance of the (shifted) generator in the initial state."""

@@ -368,6 +368,29 @@ class TestSweepCommand:
         assert sweep_lines[0] == run_lines[0]
         assert sweep_lines[1:] == run_lines[1:]
 
+    def test_eps_sweep_matches_grid_run_for_non_centred_environment(self, tmp_path,
+                                                                     capsys):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        h0_env = (a + a.conj().T) / 2.0 + 0.9 * np.eye(3)
+        env = rng.normal(size=3) + 1j * rng.normal(size=3)
+        env /= np.linalg.norm(env)
+        base = {
+            "kind": "transducer",
+            "parameters": {"x": 1e-5, "T": 1.0, "eps": 1.0},
+            "operators": {"h0_env": [[[z.real, z.imag] for z in row] for row in h0_env]},
+            "states": {"env_initial": [[z.real, z.imag] for z in env]},
+        }
+        sweep_cfg = write_config(tmp_path, base, "sweep.json")
+        assert main(["sweep", sweep_cfg, "--param", "eps",
+                     "--grid", "log:1e-3:1e3:7", "--format", "csv"]) == 0
+        sweep_lines = capsys.readouterr().out.splitlines()
+        grid_params = {"x": 1e-5, "T": 1.0, "eps_grid": "log:1e-3:1e3:7"}
+        grid_cfg = write_config(tmp_path, {**base, "parameters": grid_params}, "grid.json")
+        assert main(["run", grid_cfg, "--format", "csv"]) == 0
+        run_lines = capsys.readouterr().out.splitlines()
+        assert sweep_lines[1:] == run_lines[1:]
+
     def test_rows_in_grid_order_with_jobs(self, tmp_path, capsys):
         path = write_config(tmp_path, CANONICAL_DEPHASING)
         assert main(["sweep", path, "--param", "gamma", "--grid", "lin:0.2:1:5",
@@ -375,6 +398,30 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.splitlines()[1:]
         gammas = [float(line.split(",")[0]) for line in lines]
         np.testing.assert_allclose(gammas, [0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-12)
+
+    def test_non_integer_step_grid_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, CANONICAL_DEPHASING)
+        assert main(["sweep", path, "--param", "N", "--grid", "lin:100:300.7:3"]) == 1
+        assert "N must be an integer" in capsys.readouterr().err
+
+    def test_step_grid_rows_carry_the_n_that_ran(self, tmp_path, capsys, monkeypatch):
+        import qfikit.cli
+
+        ran = []
+        original = qfikit.cli.execute
+
+        def recorded(config, **kwargs):
+            ran.append(config.parameters["N"])
+            return original(config, **kwargs)
+
+        monkeypatch.setattr(qfikit.cli, "execute", recorded)
+        path = write_config(tmp_path, CANONICAL_DEPHASING)
+        # logspace puts 64 and 128 just below the integers
+        assert main(["sweep", path, "--param", "N", "--grid", "log:64:1024:5",
+                     "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert ran == [64, 128, 256, 512, 1024]
+        assert [line.split(",")[0] for line in lines] == ["64", "128", "256", "512", "1024"]
 
     def test_unknown_parameter_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, CANONICAL_DEPHASING)
@@ -543,6 +590,25 @@ class TestRegressionGuards:
         capsys.readouterr()
         with open("tests/golden/dephasing.csv", "rb") as fh:
             assert out.read_bytes() == fh.read()
+
+    def test_bundled_dephasing_meets_closed_form_within_rounding(self):
+        # H0 = L = sigma_z at a constant rate: under expm_step the no-jump
+        # product is exact at any N, so the only error left is rounding in
+        # the 2N half-step products, each of which adds at most about eps
+        # relative to a column of norm <= 1.
+        from qfikit.collision import dephasing_closed_form
+        from qfikit.quantum_core import Ket, Operator
+
+        config = parse_config("configs/dephasing.json")
+        p = config.parameters
+        metrics = execute(config).metrics
+        sz = Operator(np.diag([1.0, -1.0]).astype(complex))
+        kappa = dephasing_closed_form(sz, Operator(p["gamma"] * np.eye(2)), p["T"],
+                                      Ket(np.array([1.0, 1.0]) / np.sqrt(2.0)))
+        budget = 2 * p["N"] * np.finfo(float).eps
+        for got, want in ((metrics["kappa"], kappa),
+                          (metrics["p_check"], np.exp(-p["gamma"] * p["T"]))):
+            assert abs(got - want) <= budget * want
 
     def test_transducer_builds_each_point_once(self, tmp_path, monkeypatch):
         import qfikit.cli

@@ -14,6 +14,7 @@ from qfikit.collision import (
     IntegratorFailure,
     NhTrajectory,
     TimeGrid,
+    _step_factors,
     build_discrete_channel,
     check_integral_completeness,
     check_theorem2,
@@ -725,6 +726,76 @@ class TestKernelEquivalence:
                 else:
                     assert g.shape == w.shape
                     assert relative_gap(g, w) <= 1e-13
+
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.sampled_from([2, 3]),
+        n_jumps=st.integers(0, 2),
+        # 1 and 2 are covered by the leading loop alone; the others end on a
+        # partial stride chunk
+        n_steps=st.sampled_from([1, 2, 3, 45, 257, 1000, 4097]),
+        scheme=st.sampled_from(SCHEMES),
+        derivative=st.booleans(),
+        x=st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_strided_constant_matches_loop_and_reference(
+            self, seed, dim, n_jumps, n_steps, scheme, derivative, x):
+        gen, control, jumps = constant_model(seed, dim, n_jumps)
+        constant = CollisionSpec(
+            h0=Operator(gen), h1=Operator(control),
+            jumps=tuple((Operator(op), rate) for op, rate in jumps), dim=dim,
+        )
+        callable_form = CollisionSpec(
+            h0=lambda t, xx: Operator(xx * gen),
+            h1=lambda t: Operator(control),
+            jumps=tuple((Operator(op), (lambda g: lambda t: g)(rate))
+                        for op, rate in jumps),
+            dim=dim,
+            dh0=lambda t, xx: Operator(gen),
+        )
+        grid = TimeGrid(T=1.0, N=n_steps, scheme=scheme)
+        strided = propagate(constant, grid, x, derivative=derivative)
+        looped = propagate(callable_form, grid, x, derivative=derivative)
+        want = literal_products(gen, control, jumps, grid, x, derivative)
+        for got, loop, ref in zip(trajectory_arrays(strided), trajectory_arrays(looped),
+                                  want):
+            if ref is None:
+                assert got is None and loop is None
+                continue
+            assert relative_gap(got, loop) <= 1e-13
+            assert relative_gap(got, ref) <= 1e-13
+        for got, plain in zip(trajectory_arrays(looped),
+                              plain_loop(callable_form, grid, x, derivative)):
+            assert (got is None and plain is None) or np.array_equal(got, plain)
+
+
+def trajectory_arrays(traj):
+    return traj.products, traj.mid_products, traj.dproducts, traj.dmid_products
+
+
+def plain_loop(spec, grid, x, derivative):
+    """One block product per half step over the whole grid, as arrays.
+
+    The step-by-step arithmetic a callable spec runs; propagate must
+    reproduce it bit for bit.
+    """
+    d = spec.dim
+    half, full = _step_factors(spec, grid, x, derivative)
+    width = half.shape[-1]
+    cols = np.empty((grid.N + 1, width, d), dtype=complex)
+    mid_cols = np.empty((grid.N, width, d), dtype=complex)
+    cols[0] = 0.0
+    cols[0, width - d:] = np.eye(d)
+    for n in range(grid.N):
+        np.matmul(half[n], cols[n], out=mid_cols[n])
+        if full is None:
+            np.matmul(half[n], mid_cols[n], out=cols[n + 1])
+        else:
+            np.matmul(full[n], cols[n], out=cols[n + 1])
+    if not derivative:
+        return cols, mid_cols, None, None
+    return cols[:, d:], mid_cols[:, d:], cols[:, :d], mid_cols[:, :d]
 
 
 class TestTrajectoryReuse:

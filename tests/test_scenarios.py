@@ -53,6 +53,22 @@ class TestTransducerSpec:
         again = replace(spec, eps=2.0)
         np.testing.assert_array_equal(again.h0_env.entries, spec.h0_env.entries)
 
+    def test_shift_idempotent_for_non_centred_environment(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        env = rng.normal(size=3) + 1j * rng.normal(size=3)
+        spec = replace(two_qubit_transducer(),
+                       h0_env=Operator((a + a.conj().T) / 2.0 + 0.7 * np.eye(3)),
+                       env_initial=Ket(env / np.linalg.norm(env)))
+        assert spec.h0_env.expectation(spec.env_initial).real == pytest.approx(0.0, abs=1e-14)
+        for eps in (1e-3, 0.5, 40.0):
+            again = replace(spec, eps=eps)
+            np.testing.assert_array_equal(again.h0_env.entries, spec.h0_env.entries)
+
+    def test_shift_redone_for_new_environment_state(self):
+        spec = replace(two_qubit_transducer(), env_initial=Ket([0.6, 0.8]))
+        assert spec.h0_env.expectation(spec.env_initial).real == pytest.approx(0.0, abs=1e-14)
+
     def test_env_variance(self):
         assert two_qubit_transducer().env_variance() == pytest.approx(1.0, rel=1e-14)
 
