@@ -14,7 +14,6 @@ from .quantum_core import (  # noqa: F401
     MeasurementChannel,
     Operator,
     apply_channel_outcome,
-    hermitian_eig,
     kraus_from_dilation,
     mixed_state,
     tensor,

@@ -21,9 +21,15 @@ form whose exponential yields the Frechet derivative of expm (Van Loan
 given as constant data are sampled once per grid and repeat one step
 block, so a whole propagation costs one exponential, about 2*sqrt(N)
 single steps, and then strides of that many steps at once: O(sqrt(N))
-numpy calls in all. Functions that need a trajectory accept one already
-propagated through a ``traj`` keyword, which lets one run share a single
-propagation among all its quantities.
+numpy calls in all. A model given as functions of time exponentiates
+its N step blocks in one batched ``quantum_core.expm`` call. That routine
+forms exp(A) - I before adding I, so each near-identity step keeps the
+digits of A that 2N repeated products would otherwise accumulate as
+drift.
+
+Functions that need a trajectory accept one already propagated through
+a ``traj`` keyword, which lets one run share a single propagation among
+all its quantities.
 """
 
 from __future__ import annotations
@@ -33,10 +39,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .fisher import P_FLOOR
-from .quantum_core import Ket, MeasurementChannel, Operator, spectral_norm
+from .quantum_core import Ket, MeasurementChannel, Operator, expm, spectral_norm
 
 __all__ = [
     "SCHEMES",
@@ -763,7 +768,9 @@ class NhLossResult:
     """Information loss of post-selecting the no-jump record.
 
     ``kappa`` compares the retained share against the dissipation-free
-    run of the same model (the sensing power the rates destroyed);
+    run of the same model (the sensing power the rates destroyed); it
+    is negative when the retained share exceeds that run's total, which
+    happens when the jump terms themselves carry x-information.
     ``kappa_channel`` normalizes by the first-jump channel's own total
     and is the number that matches an operator-statistics report built
     from the explicit discrete channel.
@@ -803,9 +810,11 @@ def nh_loss(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, *,
         )
     share = 4.0 * (ints.g_check - abs(ints.f_check) ** 2 / ints.e_check)
     kappa = 1.0 - share / i_q_baseline
-    if not -1e-6 <= kappa <= 1.0 + 1e-6:
+    # kappa < 0 is a converged value when the jumps carry x-information;
+    # a share below zero can only come from an under-resolved grid
+    if kappa > 1.0 + 1e-6:
         raise ValueError(
-            f"loss fraction {kappa!r} left [0, 1] beyond tolerance; "
+            f"loss fraction {kappa!r} exceeds 1 beyond tolerance; "
             "the grid is too coarse for this model"
         )
     kappa_channel = None

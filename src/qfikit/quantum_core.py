@@ -24,7 +24,7 @@ __all__ = [
     "apply_channel_outcome",
     "outcome_probabilities",
     "mixed_state",
-    "hermitian_eig",
+    "expm",
     "spectral_norm",
     "check_family_derivative",
 ]
@@ -38,7 +38,9 @@ NORMALIZED_TOL = 1e-12
 
 def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value of a matrix (2-norm)."""
-    return float(np.linalg.norm(a, 2))
+    # the SVD that np.linalg.norm(a, 2) runs, without its axis handling;
+    # singular values come back in descending order
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def _as_complex_vector(values) -> np.ndarray:
@@ -420,24 +422,114 @@ def mixed_state(channel: MeasurementChannel, psi: Ket) -> Operator:
     return Operator(rho)
 
 
-def hermitian_eig(a: Operator):
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending.
+#: coefficients b_0, ..., b_m of the [m/m] Pade numerator of exp, by degree m
+_PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
 
-    Returns
-    -------
-    (numpy.ndarray, Operator)
-        Real eigenvalues w (ascending) and the unitary V of column
-        eigenvectors with A = V diag(w) V^+.
+#: the degrees, and the 1-norm bounds theta_m up to which the [m/m]
+#: approximant meets double-precision unit roundoff in backward error
+#: (Higham 2005, Table 2.3)
+_PADE_DEGREES = tuple(_PADE_COEFFS)
+_PADE_THETAS = np.array([1.495585217958292e-2, 2.539398330063230e-1,
+                         9.504178996162932e-1, 2.097847961257068e0,
+                         5.371920351148152e0])
+
+
+def _pade_expm1(a: np.ndarray, m: int, eye: np.ndarray) -> np.ndarray:
+    """[m/m] Pade approximant of exp(A) - I over a stack, as solve(V - U, 2U).
+
+    With U and V the odd and even parts of the numerator, the approximant
+    is (V + U)/(V - U) = I + 2 (V - U)^-1 U; solving for the second term
+    alone keeps the digits that I + ... would round away.
     """
-    herm_dev = spectral_norm(a.entries - a.entries.conj().T)
-    if herm_dev > 1e-10:
-        raise ValueError(f"operator is not Hermitian: ||A - A^+|| = {herm_dev:.3e}")
-    w, v = np.linalg.eigh(a.entries)
-    recon = spectral_norm(v @ np.diag(w) @ v.conj().T - a.entries)
-    scale = spectral_norm(a.entries)
-    if recon > 1e-10 * scale + 1e-30:
-        raise ValueError(f"eigendecomposition reconstruction residual {recon:.3e}")
-    return w, Operator(v)
+    b = _PADE_COEFFS[m]
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        odd = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
+    else:
+        odd, v = b[3] * a2, b[2] * a2
+        power = a2
+        for k in range(2, m // 2 + 1):
+            power = power @ a2
+            odd += b[2 * k + 1] * power
+            v += b[2 * k] * power
+    # U = A (b_1 I + odd), V = b_0 I + v
+    u = a @ odd + b[1] * a
+    v += b[0] * eye
+    return np.linalg.solve(v - u, 2.0 * u)
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of an (n, n) array or of each slice of (..., n, n).
+
+    Scaling and squaring with a Pade approximant (Higham 2005, "The
+    scaling and squaring method for the matrix exponential revisited",
+    SIAM J. Matrix Anal. Appl. 26(4):1179-1193; Al-Mohy and Higham 2009,
+    "A new scaling and squaring algorithm for the matrix exponential",
+    SIAM J. Matrix Anal. Appl. 31(3):970-989). Each slice takes the
+    lowest degree m whose bound theta_m covers its 1-norm:
+
+        m        3          5          7          9          13
+        theta_m  1.496e-2   2.539e-1   9.504e-1   2.098e0    5.372e0
+
+    The approximant is formed as F = exp(A) - I = solve(V - U, 2U) and
+    I is added last, so a small step's exponential keeps the digits of A
+    that I + A would round away: repeated products over a fine grid
+    accumulate them. A slice beyond theta_13 is scaled by 2^-s into it,
+    run at m = 13 and squared s times as E <- E E. Its F is of order one
+    there, so squaring in the F form (F <- F F + 2F) would gain nothing
+    and would cancel every digit of a decaying exponential (F near -I).
+
+    Degree and scaling are chosen per slice, so a stack gives the same
+    bits as one call per slice. A zero matrix gives exactly I.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind not in "fc":
+        a = a.astype(float)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    norms = np.abs(stack).sum(axis=-2).max(axis=-1)
+    pick = np.searchsorted(_PADE_THETAS, norms)
+    lo, hi = pick.min(), pick.max()
+    top = len(_PADE_DEGREES) - 1
+    rounds = 0
+    if hi > top:
+        theta = _PADE_THETAS[top]
+        squarings = np.ceil(np.log2(np.maximum(norms, theta) / theta)).astype(int)
+        rounds = int(squarings.max())
+        # powers of two scale exactly
+        stack = stack * np.exp2(-squarings)[:, None, None]
+        pick = np.minimum(pick, top)
+        lo, hi = min(lo, top), top
+    eye = np.eye(n)
+    if lo == hi:
+        out = _pade_expm1(stack, _PADE_DEGREES[hi], eye)
+    else:
+        out = np.empty_like(stack)
+        for index in range(lo, hi + 1):
+            sel = pick == index
+            if sel.any():
+                out[sel] = _pade_expm1(stack[sel], _PADE_DEGREES[index], eye)
+    out += eye
+    for k in range(rounds):
+        sel = squarings > k
+        part = out[sel]
+        out[sel] = part @ part
+    return out.reshape(a.shape)
 
 
 def check_family_derivative(family: ChannelFamily, x: float, h: Optional[float] = None) -> float:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import expm, null_space
 
 from .collision import CollisionSpec
 from .encoding import amplification_report
@@ -24,6 +23,7 @@ from .quantum_core import (
     Ket,
     MeasurementChannel,
     Operator,
+    expm,
     kraus_from_dilation,
     spectral_norm,
 )
@@ -166,8 +166,11 @@ def _pointer_basis(spec: TransducerSpec):
     v2 = (perp - spec.eps * phi) * norm
     vectors = [v1, v2]
     if spec.env_initial.dim > 2:
-        rest = null_space(np.stack([v1.conj(), v2.conj()]))
-        vectors.extend(rest[:, k] for k in range(rest.shape[1]))
+        # the orthogonal complement: rows of vh past the numerical rank,
+        # counting singular values above eps * dim * the largest
+        _, sv, vh = np.linalg.svd(np.stack([v1.conj(), v2.conj()]))
+        rank = int(np.sum(sv > sv.max() * np.finfo(float).eps * len(phi)))
+        vectors.extend(vh[rank:].conj())
     return phi, perp, var, vectors
 
 

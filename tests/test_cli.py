@@ -560,7 +560,37 @@ class TestCollisionVerdicts:
         assert sum(exponentials) <= 2
 
 
+SCIPY_FREE_RUN = """
+import sys
+from qfikit.cli import main
+for argv in (["run", sys.argv[1], "--output", "dephasing.json"],
+             ["run", sys.argv[2], "--output", "fig1b.csv"],
+             ["verify", "--suite", "chain"],
+             ["verify", "--suite", "completeness"]):
+    assert main(argv) == 0, argv
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
 class TestRegressionGuards:
+    def test_commands_never_import_scipy(self, tmp_path):
+        # importing scipy.linalg costs about 0.2 s of every command's start-up
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import qfikit
+
+        configs = Path("configs").resolve()
+        env = dict(os.environ, PYTHONPATH=str(Path(qfikit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_FREE_RUN, str(configs / "dephasing.json"),
+             str(configs / "fig1b.json")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
     def test_operator_count_does_not_grow_with_n(self, tmp_path, capsys, monkeypatch):
         from qfikit.quantum_core import Operator
 

@@ -537,6 +537,15 @@ class TestNhLoss:
         assert loss.kappa == pytest.approx(want, abs=1e-4)
         assert want == pytest.approx(1.0 - np.exp(-2.0 * gamma), rel=1e-12)
 
+    def test_converged_negative_kappa_is_reported(self):
+        # the retained share beats the dissipation-free total for this
+        # model at every N: a converged value, not a coarse grid
+        spec = scaled_spec(22, 2, 1)
+        psi = random_ket(2, np.random.default_rng(22))
+        kappas = [nh_loss(spec, TimeGrid(1.0, n, "expm_step"), 0.3, psi).kappa
+                  for n in (64, 1024, 16384)]
+        assert kappas == pytest.approx([-0.0276254] * 3, abs=5e-7)
+
     def test_uninformative_model_rejected(self):
         spec = CollisionSpec(
             h0=lambda t, x: Operator(np.zeros((2, 2))),
@@ -915,10 +924,15 @@ class TestPropertiesAcrossN:
         try:
             coarse, fine = (nh_loss(spec, TimeGrid(1.0, n, scheme), 0.3, psi)
                             for n in (n_steps, 2 * n_steps))
-        except ValueError:
-            # nh_loss rejects a kappa below zero, which some of these
-            # models reach at every N
-            assume(False)
+        except ValueError as err:
+            # kappa is undefined where the dissipation-free total vanishes;
+            # a coarse euler_paper grid can push a small one below zero
+            assume("dissipation-free total information is zero" not in str(err))
+            raise
+        # a negative kappa divides by a small dissipation-free total, which
+        # a first-order grid resolves poorly (seen: -12.7 at N = 128 and
+        # -7.1 at N = 256); under expm_step it is converged at every N
+        assume(scheme == "expm_step" or min(coarse.kappa, fine.kappa) >= -1e-6)
         dt = 1.0 / n_steps
         # the scheme's order: 60 N dt^2 = 60 dt at T = 1, or dt^2
         budget = 60.0 * n_steps * dt**2 if scheme == "euler_paper" else dt**2
