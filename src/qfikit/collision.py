@@ -123,8 +123,8 @@ class CollisionSpec:
         Hilbert-space dimension.
     dh0 : callable, optional
         (t, x) -> Operator giving the analytic x-derivative of a callable
-        h0. When absent a central difference over x is used per step,
-        which is exact for families linear in x. Not accepted with a
+        h0. Without it such a spec propagates only without derivatives;
+        asking it for derivatives raises ValueError. Not accepted with a
         constant h0, which carries its own derivative.
     """
 
@@ -234,21 +234,6 @@ class NhTrajectory:
     def dim(self) -> int:
         return self.products.shape[-1]
 
-    def final_derivative(self) -> Operator:
-        if self.dproducts is None:
-            raise ValueError("trajectory was propagated without derivatives")
-        return Operator(self.dproducts[-1])
-
-    def states(self, psi: Ket) -> np.ndarray:
-        """Unnormalized conditional states at t_0..t_N, shape (N+1, dim)."""
-        return np.einsum("nij,j->ni", self.products, psi.amplitudes)
-
-    def mid_states(self, psi: Ket) -> np.ndarray:
-        return np.einsum("nij,j->ni", self.mid_products, psi.amplitudes)
-
-    def norm_history(self, psi: Ket) -> np.ndarray:
-        return np.linalg.norm(self.states(psi), axis=1)
-
 
 def _sample_times(spec: CollisionSpec, times: np.ndarray) -> np.ndarray:
     """The times a spec must be sampled at to cover ``times``.
@@ -285,8 +270,9 @@ def _hamiltonian_samples(spec: CollisionSpec, times: np.ndarray, x: float,
 
     Both stacks have a time axis of length 1 when the spec is constant
     (see _sample_times) and len(times) otherwise; the derivative is None
-    unless asked for. Hermiticity of h0 and h1 is enforced per sample via
-    the Frobenius norm of A - A^+ (an upper bound on the spectral defect).
+    unless asked for, and asking for it needs ``spec.dh0``. Hermiticity
+    of h0 and h1 is enforced per sample via the Frobenius norm of A - A^+
+    (an upper bound on the spectral defect).
     """
     sampled = _sample_times(spec, times)
     d = spec.dim
@@ -308,14 +294,13 @@ def _hamiltonian_samples(spec: CollisionSpec, times: np.ndarray, x: float,
         total = total - 0.5j * np.einsum("jn,jab->nab", rates, damp)
     if not derivative:
         return total, None
+    if spec.dh0 is None:
+        raise ValueError(
+            "derivatives of a callable h0 need its analytic x-derivative; pass dh0"
+        )
     dh = np.empty((sampled.size, d, d), dtype=complex)
-    if spec.dh0 is not None:
-        for n, t in enumerate(sampled):
-            dh[n] = spec.dh0(t, x).entries
-        return total, dh
-    h = 1e-6 * max(1.0, abs(x))
     for n, t in enumerate(sampled):
-        dh[n] = (spec.h0(t, x + h).entries - spec.h0(t, x - h).entries) / (2.0 * h)
+        dh[n] = spec.dh0(t, x).entries
     return total, dh
 
 
@@ -635,6 +620,32 @@ def check_integral_completeness(spec: CollisionSpec, grid: TimeGrid,
     return spectral_norm(acc - np.eye(spec.dim))
 
 
+def _probe_reduction(spec, grid, x, psi, traj):
+    """The derivative trajectory reduced to the probe psi.
+
+    Returns (K psi, dK psi, e_check, f_check, mids) at the end time, with
+    the no-jump weight e_check = ||K psi||^2 and overlap current
+    f_check = i <dK psi, K psi>. ``mids`` is None for a spec without jumps
+    and otherwise (rates, K psi, dK psi) at the grid midpoints. Every
+    statistic here is quadratic in psi, so psi must be normalized.
+    """
+    if psi.dim != spec.dim:
+        raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
+    psi.require_normalized()
+    traj = _given_or_propagated(spec, grid, x, traj, derivative=True)
+    amps = psi.amplitudes
+    psi_end = traj.products[-1] @ amps
+    dpsi_end = traj.dproducts[-1] @ amps
+    e_check = float(np.vdot(psi_end, psi_end).real)
+    f_check = 1j * np.vdot(dpsi_end, psi_end)
+    mids = None
+    if spec.jumps:
+        mids = (_rate_samples(spec, grid.midpoints()),
+                np.einsum("nij,j->ni", traj.mid_products, amps),
+                np.einsum("nij,j->ni", traj.dmid_products, amps))
+    return psi_end, dpsi_end, e_check, f_check, mids
+
+
 class EfgIntegrals(NamedTuple):
     """Aggregate operator statistics of the first-jump channel.
 
@@ -657,26 +668,17 @@ def efg_integrals(spec: CollisionSpec, grid: TimeGrid, x: float,
     The totals add, to the no-jump branch values, the integrals of the
     rate-weighted jump overlaps of the derivative trajectory; both carry
     O(dt^2) quadrature error and feed the total-information formula.
+    ``psi`` must be normalized.
     ``traj``, a trajectory of this spec on this grid at this x propagated
     with derivatives, is used instead of propagating again.
     """
-    if psi.dim != spec.dim:
-        raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
-    traj = _given_or_propagated(spec, grid, x, traj, derivative=True)
-    amps = psi.amplitudes
-    psi_end = traj.products[-1] @ amps
-    dpsi_end = traj.dproducts[-1] @ amps
-    e_check = float(np.vdot(psi_end, psi_end).real)
-    f_check = 1j * np.vdot(dpsi_end, psi_end)
+    _, dpsi_end, e_check, f_check, mids = _probe_reduction(spec, grid, x, psi, traj)
     g_check = float(np.vdot(dpsi_end, dpsi_end).real)
 
     g_int = 0.0
     f_int = 0.0j
-    if spec.jumps:
-        mids = grid.midpoints()
-        rates = _rate_samples(spec, mids)
-        psi_mid = traj.mid_states(psi)
-        dpsi_mid = np.einsum("nij,j->ni", traj.dmid_products, amps)
+    if mids is not None:
+        rates, psi_mid, dpsi_mid = mids
         for j, (op, _) in enumerate(spec.jumps):
             w = rates[j] * grid.dt
             jumped = psi_mid @ op.entries.T
@@ -722,29 +724,20 @@ def check_theorem2(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
     Condition (b): every jump operator must annihilate the derivative
     trajectory after removing its phase freedom, where the phase rate is
     fixed once from the end-time overlap current. Both are held to
-    ``tol``. ``traj``, a trajectory of this spec on this grid at this x
-    propagated with derivatives, is used instead of propagating again.
+    ``tol``, and ``psi`` must be normalized. ``traj``, a trajectory of
+    this spec on this grid at this x propagated with derivatives, is used
+    instead of propagating again.
     """
-    if psi.dim != spec.dim:
-        raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
-    traj = _given_or_propagated(spec, grid, x, traj, derivative=True)
-    amps = psi.amplitudes
-    psi_end = traj.products[-1] @ amps
-    e_check = float(np.vdot(psi_end, psi_end).real)
+    psi_end, dpsi_end, e_check, f_check, mids = _probe_reduction(spec, grid, x, psi, traj)
     if e_check <= P_FLOOR:
         raise ValueError(
             f"no-jump weight {e_check:.3e} vanished; verdict undefined"
         )
-    dpsi_end = traj.dproducts[-1] @ amps
-    f_check = 1j * np.vdot(dpsi_end, psi_end)
     dtheta = -f_check.real / e_check
 
     jump_residual = 0.0
-    if spec.jumps:
-        mids = grid.midpoints()
-        rates = _rate_samples(spec, mids)
-        psi_mid = traj.mid_states(psi)
-        dpsi_mid = np.einsum("nij,j->ni", traj.dmid_products, amps)
+    if mids is not None:
+        rates, psi_mid, dpsi_mid = mids
         xi = dpsi_mid + 1j * dtheta * psi_mid
         for j, (op, _) in enumerate(spec.jumps):
             hit = np.linalg.norm(xi @ op.entries.T, axis=1)

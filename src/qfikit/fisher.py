@@ -2,19 +2,22 @@
 
 Pure-state QFI, mixed-state QFI via the symmetric logarithmic derivative,
 classical Fisher information of outcome distributions, the measured-pair
-(system plus record) QFI decomposition, the derivative engine for channel
-families, and the refined convexity inequality check.
+(system plus record) QFI decomposition, and the refined convexity
+inequality check.
+
+Every channel-level function takes a channel M_w(x) together with its
+derivatives dM_w/dx, given as (label, Operator) pairs or a label-to-Operator
+mapping; none of them differentiates a channel family itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .quantum_core import (
-    ChannelFamily,
     Ket,
     MeasurementChannel,
     Operator,
@@ -25,16 +28,13 @@ from .quantum_core import (
 __all__ = [
     "P_FLOOR",
     "DP_FLOOR",
-    "DerivativeConfig",
     "SldResult",
-    "FamilyDerivative",
     "OutcomeQfi",
     "SigmaSeResult",
     "RefinedConvexityReport",
     "pure_qfi",
     "sld",
     "classical_fi",
-    "family_derivative",
     "sigma_se_qfi",
     "mixed_state_derivative",
     "refined_convexity_check",
@@ -48,46 +48,12 @@ DP_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
-class DerivativeConfig:
-    """How to differentiate a channel family over x.
-
-    mode is `analytic` or `central_fd`; h of None means the default step
-    1e-5 * max(1, |x|). The central difference is refined by one step
-    halving.
-    """
-
-    mode: str = "analytic"
-    h: Optional[float] = None
-
-    def __post_init__(self):
-        if self.mode not in ("analytic", "central_fd"):
-            raise ValueError(f"unknown derivative mode {self.mode!r}")
-        if self.h is not None and not self.h > 0:
-            raise ValueError("finite-difference step must be positive")
-
-    def step(self, x: float) -> float:
-        return self.h if self.h is not None else 1e-5 * max(1.0, abs(x))
-
-
-@dataclass(frozen=True)
 class SldResult:
     """Symmetric logarithmic derivative and the QFI it certifies."""
 
     L: Operator
     support_cutoff: float
     qfi: float
-
-
-@dataclass(frozen=True)
-class FamilyDerivative:
-    """Per-outcome x-derivatives plus a truncation-error estimate."""
-
-    terms: tuple
-    mode: str
-    truncation_error: Optional[float] = None
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
 
 
 @dataclass(frozen=True)
@@ -126,17 +92,14 @@ class RefinedConvexityReport:
     the summed identity sum_mu J_rho = QFI(rho) <= QFI(sigma_SE) =
     sum_mu J_sigma_se.  The per-element middle link J_rho <= J_sigma_se
     is only guaranteed at a measurement saturating the classical bound
-    (there J_cl = J_rho) and fails for generic POVM elements, so ok()
-    can legitimately return False on valid inputs.
+    (there J_cl = J_rho) and fails for generic POVM elements, so
+    worst_upper_margin can be negative on valid inputs.
     """
 
     rows: tuple
     worst_lower_margin: float
     worst_upper_margin: float
     worst_outer_margin: float
-
-    def ok(self, slack: float = 1e-8) -> bool:
-        return self.worst_lower_margin >= -slack and self.worst_upper_margin >= -slack
 
     def outer_ok(self, slack: float = 1e-8) -> bool:
         """Check only the two universally valid J_cl-anchored links."""
@@ -224,46 +187,6 @@ def classical_fi(p: float, dp: float) -> float:
     return dp * dp / p
 
 
-def family_derivative(
-    family: ChannelFamily, x: float, cfg: Optional[DerivativeConfig] = None
-) -> FamilyDerivative:
-    """Per-outcome derivatives dM_w/dx of a channel family.
-
-    Analytic mode passes the family's own derivative through. Central FD
-    evaluates (M(x+h) - M(x-h)) / 2h and combines steps h and h/2 to
-    cancel the leading truncation term. The reported truncation error is
-    the Richardson-difference estimate.
-    """
-    if cfg is None:
-        cfg = DerivativeConfig(mode="analytic" if family.derivative is not None else "central_fd")
-    if cfg.mode == "analytic":
-        if family.derivative is None:
-            raise ValueError("family carries no analytic derivative")
-        terms = tuple((str(lbl), op) for lbl, op in family.derivative(x))
-        return FamilyDerivative(terms=terms, mode="analytic", truncation_error=0.0)
-
-    h = cfg.step(x)
-
-    def central(step):
-        plus = family.eval(x + step)
-        minus = family.eval(x - step)
-        return {
-            lbl: (plus.operator(lbl).entries - minus.operator(lbl).entries) / (2.0 * step)
-            for lbl in plus.labels
-        }
-
-    d_h = central(h)
-    d_half = central(h / 2.0)
-    combined = {}
-    worst_gap = 0.0
-    for lbl, coarse in d_h.items():
-        fine = d_half[lbl]
-        combined[lbl] = (4.0 * fine - coarse) / 3.0
-        worst_gap = max(worst_gap, float(np.max(np.abs(fine - coarse))))
-    terms = tuple((lbl, Operator(m)) for lbl, m in combined.items())
-    return FamilyDerivative(terms=terms, mode="central_fd", truncation_error=worst_gap / 3.0)
-
-
 def _conditional_state_and_derivative(m: np.ndarray, dm: np.ndarray, psi: np.ndarray):
     """Normalized conditional state, its derivative, p, dp, and ||d tilde||.
 
@@ -282,19 +205,14 @@ def _conditional_state_and_derivative(m: np.ndarray, dm: np.ndarray, psi: np.nda
     return s, ds, p, dp, float(np.linalg.norm(dtilde))
 
 
-def sigma_se_qfi(
-    channel: MeasurementChannel,
-    family: ChannelFamily,
-    psi: Ket,
-    x: float,
-    cfg: Optional[DerivativeConfig] = None,
-) -> SigmaSeResult:
+def sigma_se_qfi(channel: MeasurementChannel, derivatives, psi: Ket) -> SigmaSeResult:
     """QFI of the measured system-record pair, outcome by outcome.
 
-    Per outcome this lists (p, I(sigma), I_cl, joint share); the total is
-    the sum of p * I(sigma) + I_cl over live outcomes. Dead outcomes with
-    live derivative norm are excluded from the total and reported in
-    `singular` instead.
+    derivatives are the channel's dM_w/dx as (label, Operator) pairs or a
+    label-to-Operator mapping. Per outcome this lists (p, I(sigma), I_cl,
+    joint share); the total is the sum of p * I(sigma) + I_cl over live
+    outcomes. Dead outcomes with live derivative norm are excluded from
+    the total and reported in `singular` instead.
     """
     psi.require_normalized()
     if channel.kind != "exact":
@@ -302,7 +220,7 @@ def sigma_se_qfi(
             f"channel is approximate (residual {channel.completeness_residual:.3e}); "
             "the decomposition needs an exact outcome resolution"
         )
-    derivs = family_derivative(family, x, cfg).as_dict()
+    derivs = dict(derivatives)
     rows = []
     singular = []
     total = 0.0
@@ -341,20 +259,15 @@ def mixed_state_derivative(channel: MeasurementChannel, derivatives,
     return drho
 
 
-def refined_convexity_check(
-    channel: MeasurementChannel,
-    family: ChannelFamily,
-    psi: Ket,
-    x: float,
-    povm: Sequence[Operator],
-    cfg: Optional[DerivativeConfig] = None,
-) -> RefinedConvexityReport:
+def refined_convexity_check(channel: MeasurementChannel, derivatives, psi: Ket,
+                            povm: Sequence[Operator]) -> RefinedConvexityReport:
     """Check J_cl(E) <= J_rho(E) <= J_sigmaSE(E) for each POVM element.
 
-    J_cl is the classical information of the element's weight, J_rho the
-    SLD-sandwich Tr(rho L E L), and J_sigmaSE its refinement over the
-    record-resolved pair, using the block SLD (dp/p) I + 2 dsigma of each
-    pure conditional branch.
+    derivatives are the channel's dM_w/dx as (label, Operator) pairs or a
+    label-to-Operator mapping. J_cl is the classical information of the
+    element's weight, J_rho the SLD-sandwich Tr(rho L E L), and J_sigmaSE
+    its refinement over the record-resolved pair, using the block SLD
+    (dp/p) I + 2 dsigma of each pure conditional branch.
 
     Raises
     ------
@@ -372,7 +285,7 @@ def refined_convexity_check(
     if spectral_norm(acc - np.eye(dim)) > 1e-10:
         raise ValueError("POVM does not resolve the identity within 1e-10")
 
-    derivs = family_derivative(family, x, cfg).as_dict()
+    derivs = dict(derivatives)
     rho = mixed_state(channel, psi)
     drho = mixed_state_derivative(channel, derivs, psi)
     l_rho = sld(rho, Operator(drho)).L.entries

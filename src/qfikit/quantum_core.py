@@ -26,7 +26,6 @@ __all__ = [
     "mixed_state",
     "expm",
     "spectral_norm",
-    "check_family_derivative",
 ]
 
 #: spectral-norm residual below which a channel counts as exact
@@ -293,13 +292,14 @@ class ChannelFamily:
     eval : callable
         Maps a real x to the channel at x. Labels and the retained set
         must not change across x.
-    derivative : callable, optional
-        Analytic x -> ((label, dM/dx), ...) aligned with eval's labels.
-        When absent, consumers fall back to central finite differences.
+    derivative : callable
+        Analytic x -> ((label, dM/dx), ...) aligned with eval's labels,
+        the form every channel-level function of ``fisher`` and
+        ``encoding`` takes beside the channel.
     """
 
     eval: Callable[[float], MeasurementChannel]
-    derivative: Optional[Callable[[float], tuple]] = None
+    derivative: Callable[[float], tuple]
 
 
 def tensor(a, b):
@@ -531,23 +531,3 @@ def expm(a) -> np.ndarray:
         out[sel] = part @ part
     return out.reshape(a.shape)
 
-
-def check_family_derivative(family: ChannelFamily, x: float, h: Optional[float] = None) -> float:
-    """Worst entrywise gap between the analytic derivative and central FD.
-
-    Used as the spot check that an analytic derivative is trustworthy:
-    the gap should stay below max(1e-6, 1e3 * h^2).
-    """
-    if family.derivative is None:
-        raise ValueError("family carries no analytic derivative to check")
-    if h is None:
-        h = 1e-5 * max(1.0, abs(x))
-    plus = family.eval(x + h)
-    minus = family.eval(x - h)
-    analytic = dict(family.derivative(x))
-    worst = 0.0
-    for label, op_plus in plus.kraus:
-        fd = (op_plus.entries - minus.operator(label).entries) / (2.0 * h)
-        gap = np.max(np.abs(fd - analytic[label].entries))
-        worst = max(worst, float(gap))
-    return worst

@@ -92,7 +92,7 @@ def _suite_chain() -> tuple:
         channel = family.eval(x)
         derivatives = family.derivative(x)
         i_q = total_qfi(efg(channel, derivatives, psi))
-        i_se = sigma_se_qfi(channel, family, psi, x).total
+        i_se = sigma_se_qfi(channel, derivatives, psi).total
         drho = mixed_state_derivative(channel, derivatives, psi)
         i_rho = sld(mixed_state(channel, psi), Operator(drho)).qfi
         margins = [i_q - i_se, i_se - i_rho]

@@ -164,6 +164,7 @@ class TestPropagate:
             h1=zero_control(2),
             jumps=(),
             dim=2,
+            dh0=lambda t, x: Operator(np.zeros((2, 2))),
         )
         for scheme in ("euler_paper", "expm_step"):
             traj = propagate(spec, TimeGrid(T=1.0, N=16, scheme=scheme), 0.5)
@@ -226,7 +227,7 @@ class TestPropagate:
         grid = TimeGrid(T=2.0, N=128, scheme="expm_step")
         traj = propagate(spec, grid, 0.8)
         psi = random_ket(3, np.random.default_rng(1))
-        norms = traj.norm_history(psi)
+        norms = np.linalg.norm(traj.products @ psi.amplitudes, axis=1)
         assert np.all(np.diff(norms) <= 1e-10)
         assert norms[-1] < norms[0]
 
@@ -245,8 +246,20 @@ class TestPropagate:
         spec = dephasing_spec(0.5)
         traj = propagate(spec, TimeGrid(T=1.0, N=8), 0.3, derivative=False)
         assert traj.dproducts is None
-        with pytest.raises(ValueError, match="derivative"):
-            traj.final_derivative()
+
+    def test_callable_h0_without_dh0_propagates_only_without_derivatives(self):
+        spec = CollisionSpec(
+            h0=lambda t, x: Operator(x * PAULI["z"]),
+            h1=zero_control(2),
+            jumps=(),
+            dim=2,
+        )
+        grid = TimeGrid(T=1.0, N=16)
+        with pytest.raises(ValueError, match="dh0"):
+            propagate(spec, grid, 0.3)
+        traj = propagate(spec, grid, 0.3, derivative=False)
+        assert traj.dproducts is None
+        assert np.allclose(traj.products[-1], expm(-0.3j * PAULI["z"]), atol=1e-14)
 
 
 class TestBuildDiscreteChannel:
@@ -563,6 +576,15 @@ class TestNhLoss:
         grid = TimeGrid(T=1.0, N=64, scheme="expm_step")
         with pytest.raises(ValueError, match="vanished"):
             nh_loss(spec, grid, 1.0, PLUS_X)
+
+    @pytest.mark.parametrize("statistic", [nh_loss, efg_integrals, check_theorem2])
+    def test_unnormalized_probe_rejected(self, statistic):
+        # every statistic is quadratic in psi: Ket([1, 1]) would double
+        # p_check and i_q_baseline and scale theorem 2's jump residual
+        spec = dephasing_spec(1.0)
+        grid = TimeGrid(T=1.0, N=256)
+        with pytest.raises(ValueError, match="normalized"):
+            statistic(spec, grid, 0.0, Ket([1.0, 1.0]))
 
 
 class TestDephasingClosedForm:

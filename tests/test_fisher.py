@@ -23,16 +23,13 @@ from oracles import (
     fidelity_pure_qfi,
 )
 from qfikit.fisher import (
-    DerivativeConfig,
     classical_fi,
-    family_derivative,
     pure_qfi,
     refined_convexity_check,
     sigma_se_qfi,
     sld,
 )
 from qfikit.quantum_core import (
-    ChannelFamily,
     Ket,
     MeasurementChannel,
     Operator,
@@ -158,59 +155,13 @@ class TestClassicalFi:
         assert total == pytest.approx(bernoulli_fi(x), rel=1e-12)
 
 
-class TestFamilyDerivative:
-    def test_fd_phase_rotation(self):
-        sz = PAULI["z"]
-
-        def at(x):
-            return MeasurementChannel(
-                kraus=(("u", Operator(expm(-1j * x * sz))),), retained=frozenset({"u"})
-            )
-
-        fam = ChannelFamily(eval=at)
-        got = family_derivative(fam, 0.0, DerivativeConfig(mode="central_fd"))
-        npt.assert_allclose(got.as_dict()["u"].entries, -1j * sz, atol=1e-10)
-        assert got.truncation_error is not None
-
-    def test_linear_family_exact(self):
-        def at(x):
-            return MeasurementChannel(
-                kraus=(("m", Operator(x * np.eye(2))),), retained=frozenset({"m"})
-            )
-
-        got = family_derivative(ChannelFamily(eval=at), 0.7, DerivativeConfig(mode="central_fd"))
-        npt.assert_allclose(got.as_dict()["m"].entries, np.eye(2), atol=1e-11)
-
-    def test_analytic_passthrough(self):
-        fam = unitary_slice_family(2, 2, seed=5)
-        got = family_derivative(fam, 0.1)
-        assert got.mode == "analytic"
-        fd = family_derivative(fam, 0.1, DerivativeConfig(mode="central_fd"))
-        for lbl, op in got.terms:
-            npt.assert_allclose(op.entries, fd.as_dict()[lbl].entries, atol=1e-8)
-
-    def test_missing_analytic_rejected(self):
-        def at(x):
-            return MeasurementChannel(
-                kraus=(("m", Operator(np.eye(2))),), retained=frozenset({"m"})
-            )
-
-        with pytest.raises(ValueError):
-            family_derivative(ChannelFamily(eval=at), 0.0, DerivativeConfig(mode="analytic"))
-
-    def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            DerivativeConfig(mode="forward")
-        with pytest.raises(ValueError):
-            DerivativeConfig(h=-1e-5)
-
-
 class TestSigmaSeQfi:
     def test_single_unitary_outcome(self):
         fam = unitary_slice_family(3, 1, seed=11)
         x = 0.2
         chan = fam.eval(x)
-        res = sigma_se_qfi(chan, fam, PLUS := random_ket(3, np.random.default_rng(3)), x)
+        PLUS = random_ket(3, np.random.default_rng(3))
+        res = sigma_se_qfi(chan, fam.derivative(x), PLUS)
         m = chan.kraus[0][1].entries
         dm = dict(fam.derivative(x))["0"].entries
         want = pure_qfi(Ket(m @ PLUS.amplitudes), Ket(dm @ PLUS.amplitudes))
@@ -224,7 +175,7 @@ class TestSigmaSeQfi:
         psi = random_ket(2, rng)
         x = 0.15
         chan = fam.eval(x)
-        res = sigma_se_qfi(chan, fam, psi, x)
+        res = sigma_se_qfi(chan, fam.derivative(x), psi)
         mats = [op.entries for _, op in chan.kraus]
         dmats = [op.entries for _, op in fam.derivative(x)]
         iq = dilated_pure_qfi(mats, dmats, psi.amplitudes)
@@ -239,7 +190,7 @@ class TestSigmaSeQfi:
         psi = random_ket(2, rng)
         x = 0.3
         chan = fam.eval(x)
-        res = sigma_se_qfi(chan, fam, psi, x)
+        res = sigma_se_qfi(chan, fam.derivative(x), psi)
         mats = [op.entries for _, op in chan.kraus]
         dmats = [op.entries for _, op in fam.derivative(x)]
         iq = dilated_pure_qfi(mats, dmats, psi.amplitudes)
@@ -261,7 +212,7 @@ class TestSigmaSeQfi:
         psi = random_ket(2, rng)
         x = 0.05
         chan = fam.eval(x)
-        res = sigma_se_qfi(chan, fam, psi, x)
+        res = sigma_se_qfi(chan, fam.derivative(x), psi)
         mats = [op.entries for _, op in chan.kraus]
         dmats = [op.entries for _, op in fam.derivative(x)]
         for w, row in enumerate(res.per_outcome):
@@ -272,9 +223,9 @@ class TestSigmaSeQfi:
         lossy = MeasurementChannel(
             kraus=(("m", Operator(np.eye(2) * 0.9)),), retained=frozenset({"m"})
         )
-        fam = ChannelFamily(eval=lambda x: lossy)
+        derivatives = (("m", Operator(np.zeros((2, 2)))),)
         with pytest.raises(ValueError, match="approximate"):
-            sigma_se_qfi(lossy, fam, PLUS_X, 0.0)
+            sigma_se_qfi(lossy, derivatives, PLUS_X)
 
 
 class TestRefinedConvexity:
@@ -283,10 +234,11 @@ class TestRefinedConvexity:
         x = 0.1
         chan = fam.eval(x)
         psi = random_ket(2, np.random.default_rng(4))
-        report = refined_convexity_check(chan, fam, psi, x, [Operator(np.eye(2))])
+        report = refined_convexity_check(chan, fam.derivative(x), psi, [Operator(np.eye(2))])
         (mu, j_cl, j_rho, j_sigma) = report.rows[0]
         assert j_cl == pytest.approx(0.0, abs=1e-16)
-        assert report.ok()
+        assert report.outer_ok()
+        assert report.worst_upper_margin >= -1e-8
 
     def test_sld_sandwich_telescopes_to_mixed_qfi(self):
         # any identity-resolving POVM sums the middle layer to Tr(rho L^2)
@@ -298,7 +250,7 @@ class TestRefinedConvexity:
         minus_v = np.array([1, -1]) / np.sqrt(2)
         minus = np.outer(minus_v, minus_v.conj())
         report = refined_convexity_check(
-            chan, fam, psi, x, [Operator(plus), Operator(minus)]
+            chan, fam.derivative(x), psi, [Operator(plus), Operator(minus)]
         )
         mats = [op.entries for _, op in chan.kraus]
         dmats = [op.entries for _, op in fam.derivative(x)]
@@ -325,7 +277,7 @@ class TestRefinedConvexity:
         chan = fam.eval(x)
         v = haar_unitary(2, rng)
         povm = [Operator(np.outer(v[:, k], v[:, k].conj())) for k in range(2)]
-        report = refined_convexity_check(chan, fam, psi, x, povm)
+        report = refined_convexity_check(chan, fam.derivative(x), psi, povm)
         assert report.outer_ok()
         sum_rho = sum(row[2] for row in report.rows)
         sum_sigma = sum(row[3] for row in report.rows)
@@ -343,9 +295,8 @@ class TestRefinedConvexity:
         chan = fam.eval(x)
         v = haar_unitary(2, rng)
         povm = [Operator(np.outer(v[:, k], v[:, k].conj())) for k in range(2)]
-        report = refined_convexity_check(chan, fam, psi, x, povm)
+        report = refined_convexity_check(chan, fam.derivative(x), psi, povm)
         assert report.worst_upper_margin < -0.02
-        assert not report.ok()
         assert report.outer_ok()
         sum_rho = sum(row[2] for row in report.rows)
         sum_sigma = sum(row[3] for row in report.rows)
@@ -355,4 +306,5 @@ class TestRefinedConvexity:
         fam = unitary_slice_family(2, 2, seed=23)
         chan = fam.eval(0.0)
         with pytest.raises(ValueError, match="identity"):
-            refined_convexity_check(chan, fam, PLUS_X, 0.0, [Operator(np.eye(2) * 0.5)])
+            refined_convexity_check(chan, fam.derivative(0.0), PLUS_X,
+                                    [Operator(np.eye(2) * 0.5)])

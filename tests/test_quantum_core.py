@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import KET_0, PAULI, PLUS_X, haar_channel, haar_unitary, random_ket
 from qfikit.quantum_core import (
-    ChannelFamily,
     Ket,
     MeasurementChannel,
     Operator,
     apply_channel_outcome,
-    check_family_derivative,
     expm,
     kraus_from_dilation,
     mixed_state,
@@ -347,24 +345,3 @@ class TestExpm:
         with pytest.raises(ValueError):
             expm(np.zeros(shape))
 
-
-class TestChannelFamily:
-    def test_analytic_matches_fd(self):
-        sz = PAULI["z"]
-
-        def at(x):
-            from scipy.linalg import expm
-
-            return MeasurementChannel(
-                kraus=(("u", Operator(expm(-1j * x * sz))),), retained=frozenset({"u"})
-            )
-
-        def deriv(x):
-            from scipy.linalg import expm
-
-            return (("u", Operator(-1j * sz @ expm(-1j * x * sz))),)
-
-        fam = ChannelFamily(eval=at, derivative=deriv)
-        h = 1e-5
-        gap = check_family_derivative(fam, 0.3, h=h)
-        assert gap <= max(1e-6, 1e3 * h * h)
