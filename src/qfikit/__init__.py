@@ -9,7 +9,6 @@ scenarios, and the command-line interface.
 __version__ = "0.1.0"
 
 from .quantum_core import (  # noqa: F401
-    ChannelFamily,
     Ket,
     MeasurementChannel,
     Operator,

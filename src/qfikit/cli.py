@@ -464,8 +464,7 @@ def _run_transducer(config: ScenarioConfig, tol: float):
         all_pass = True
         for eps in grid:
             family, _ = build_transducer(replace(spec, eps=float(eps)))
-            channel = family.eval(spec.x)
-            derivatives = family.derivative(spec.x)
+            channel, derivatives = family(spec.x)
             rows.append(fig1b_row(eps, channel, derivatives, spec.sys_initial))
             gauged, _ = fix_perpendicular_gauge(channel, derivatives, spec.sys_initial)
             verdict = check_lossless_perp(channel, gauged, spec.sys_initial, tol=tol)
@@ -484,8 +483,7 @@ def _run_transducer(config: ScenarioConfig, tol: float):
 
     spec = _transducer_spec(config, eps=p.get("eps", 1.0))
     family, expected_iq = build_transducer(spec)
-    channel = family.eval(spec.x)
-    derivatives = family.derivative(spec.x)
+    channel, derivatives = family(spec.x)
     report = complete_report(channel, derivatives, spec.sys_initial)
     row = fig1b_row(spec.eps, channel, derivatives, spec.sys_initial)
     metrics, per_outcome = _efg_metrics(report)
@@ -625,6 +623,8 @@ def execute(config: ScenarioConfig, tol_override: Optional[float] = None) -> Run
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, str):
         return value
     return f"{float(value):.17g}"
@@ -640,7 +640,8 @@ def report_csv(report: RunReport) -> str:
     """Deterministic CSV: the sweep table, or one sorted metrics row.
 
     Complex metrics expand to <name>_re and <name>_im columns; floats
-    print with 17 significant digits; lines end with LF.
+    print with 17 significant digits; a sweep metric a point left
+    undefined prints as an empty cell; lines end with LF.
     """
     if report.table is not None:
         return _csv_text(report.table["columns"], report.table["rows"])
@@ -714,7 +715,8 @@ def cmd_sweep(args) -> int:
         cast = int(value) if args.param == "N" else float(value)
         point = execute(replace(config, parameters={**config.parameters, args.param: cast}),
                         tol_override=args.tol)
-        rows.append([float(value)] + [point.metrics.get(c, 0.0) for c in columns[1:]])
+        # a metric the point left undefined stays empty (JSON null), not 0
+        rows.append([float(value)] + [point.metrics.get(c) for c in columns[1:]])
         for name in _VERDICT_NAMES:
             verdict = point.verdicts[name]
             status, residual = worst[name]

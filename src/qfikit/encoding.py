@@ -13,25 +13,24 @@ loss kappa together with per-outcome amplification ratios.
 Every routine contracts the whole channel at once: the Kraus stack
 (M, d, d) and the derivative stack, aligned with the channel's labels,
 are applied to the probe in one product each, and the statistics are
-arrays over the M outcomes. Derivatives are accepted either as
-(label, Operator) pairs or as an (M, d, d) array in the channel's label
-order; pairs are stacked once, at entry. Sums over outcomes run in row
-order, as a running sum would take them, so large collision channels and
-small exact channels go through the same arithmetic.
+arrays over the M outcomes. Derivatives are read once, at entry, by
+``quantum_core.derivative_stack``: (label, Operator) pairs or an
+(M, d, d) array in the channel's label order; every routine that hands
+derivatives back (``fix_perpendicular_gauge``, ``gauge_shift``) returns
+such an array. Sums over outcomes run in row order, as a running sum
+would take them, so large collision channels and small exact channels go
+through the same arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .fisher import P_FLOOR
-from .quantum_core import Ket, MeasurementChannel, Operator
-
-#: derivatives as (label, Operator) pairs or an (M, d, d) array in label order
-Derivatives = Union[Sequence, np.ndarray]
+from .quantum_core import Derivatives, Ket, MeasurementChannel, derivative_stack
 
 __all__ = [
     "KAPPA_DENOM_FLOOR",
@@ -161,24 +160,6 @@ class _Contraction(NamedTuple):
     g: np.ndarray  # (M,) derivative weights <dM_w'dM_w>
 
 
-def _derivative_stack(channel: MeasurementChannel, derivatives) -> np.ndarray:
-    """The derivatives as an (M, d, d) array aligned with channel.labels."""
-    if isinstance(derivatives, np.ndarray):
-        if derivatives.shape != channel.stack.shape:
-            raise ValueError(
-                f"derivative stack shape {derivatives.shape} does not match "
-                f"the channel's {channel.stack.shape}"
-            )
-        return derivatives
-    dmap = dict((label, op) for label, op in derivatives)
-    if set(dmap) != set(channel.labels) or len(dmap) != len(channel.labels):
-        raise ValueError("derivative labels do not match channel labels")
-    for label in channel.labels:
-        if dmap[label].dim != channel.dim:
-            raise ValueError(f"derivative for {label!r} has wrong dimension")
-    return np.array([dmap[label].entries for label in channel.labels])
-
-
 def _contract(channel: MeasurementChannel, derivatives, psi: Ket) -> _Contraction:
     """Branches and e/f/g of every outcome, in one stacked product each.
 
@@ -186,7 +167,7 @@ def _contract(channel: MeasurementChannel, derivatives, psi: Ket) -> _Contractio
     the channel's label order.
     """
     psi.require_normalized()
-    dks = _derivative_stack(channel, derivatives)
+    dks = derivative_stack(channel, derivatives)
     m = channel.stack @ psi.amplitudes
     dm = dks @ psi.amplitudes
     return _Contraction(
@@ -351,15 +332,16 @@ def gauge_shift(
 
     theta is the phase there and dtheta its x-derivative, so each
     derivative becomes exp(i theta) (dM_w + i dtheta M_w). Returns the
-    shifted channel and its derivatives as (label, Operator) pairs.
+    shifted channel and its derivatives as an (M, d, d) array in the
+    channel's label order.
     """
     phase = np.exp(1j * theta)
-    dks = _derivative_stack(channel, derivatives)
+    dks = derivative_stack(channel, derivatives)
     shifted = MeasurementChannel.from_stack(
         channel.labels, phase * channel.stack, channel.retained)
     dshift = phase * (dks + 1j * dtheta * channel.stack)
-    return shifted, tuple(
-        (label, Operator(d)) for label, d in zip(channel.labels, dshift))
+    dshift.flags.writeable = False
+    return shifted, dshift
 
 
 @dataclass(frozen=True)

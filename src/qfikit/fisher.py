@@ -6,8 +6,10 @@ classical Fisher information of outcome distributions, the measured-pair
 inequality check.
 
 Every channel-level function takes a channel M_w(x) together with its
-derivatives dM_w/dx, given as (label, Operator) pairs or a label-to-Operator
-mapping; none of them differentiates a channel family itself.
+derivatives dM_w/dx, as (label, Operator) pairs or an (M, d, d) array in
+the channel's label order, read by ``quantum_core.derivative_stack`` as
+``encoding`` reads them; none of them differentiates a channel family
+itself.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .quantum_core import (
+    Derivatives,
     Ket,
     MeasurementChannel,
     Operator,
+    derivative_stack,
     mixed_state,
     spectral_norm,
 )
@@ -205,11 +209,12 @@ def _conditional_state_and_derivative(m: np.ndarray, dm: np.ndarray, psi: np.nda
     return s, ds, p, dp, float(np.linalg.norm(dtilde))
 
 
-def sigma_se_qfi(channel: MeasurementChannel, derivatives, psi: Ket) -> SigmaSeResult:
+def sigma_se_qfi(channel: MeasurementChannel, derivatives: Derivatives,
+                 psi: Ket) -> SigmaSeResult:
     """QFI of the measured system-record pair, outcome by outcome.
 
-    derivatives are the channel's dM_w/dx as (label, Operator) pairs or a
-    label-to-Operator mapping. Per outcome this lists (p, I(sigma), I_cl,
+    derivatives are the channel's dM_w/dx as (label, Operator) pairs or an
+    (M, d, d) array in label order. Per outcome this lists (p, I(sigma), I_cl,
     joint share); the total is the sum of p * I(sigma) + I_cl over live
     outcomes. Dead outcomes with live derivative norm are excluded from
     the total and reported in `singular` instead.
@@ -220,13 +225,13 @@ def sigma_se_qfi(channel: MeasurementChannel, derivatives, psi: Ket) -> SigmaSeR
             f"channel is approximate (residual {channel.completeness_residual:.3e}); "
             "the decomposition needs an exact outcome resolution"
         )
-    derivs = dict(derivatives)
+    dks = derivative_stack(channel, derivatives)
     rows = []
     singular = []
     total = 0.0
-    for label, op in channel.kraus:
+    for label, m, dm in zip(channel.labels, channel.stack, dks):
         s, ds, p, dp, dtilde_norm = _conditional_state_and_derivative(
-            op.entries, derivs[label].entries, psi.amplitudes
+            m, dm, psi.amplitudes
         )
         if s is None:
             if dtilde_norm > DP_FLOOR:
@@ -242,29 +247,27 @@ def sigma_se_qfi(channel: MeasurementChannel, derivatives, psi: Ket) -> SigmaSeR
     return SigmaSeResult(total=total, per_outcome=tuple(rows), singular=tuple(singular))
 
 
-def mixed_state_derivative(channel: MeasurementChannel, derivatives,
+def mixed_state_derivative(channel: MeasurementChannel, derivatives: Derivatives,
                            psi: Ket) -> np.ndarray:
     """x-derivative of the decohered state, sum_w dM P M^+ + M P dM^+.
 
     P is the probe projector; derivatives are (label, Operator) pairs or
-    a label-to-Operator mapping. Terms are added in the channel's row
-    order.
+    an (M, d, d) array in label order. Terms are added in the channel's
+    row order.
     """
     proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    dmap = dict(derivatives)
     drho = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
-    for label, op in channel.kraus:
-        dm = dmap[label].entries
-        drho += dm @ proj @ op.entries.conj().T + op.entries @ proj @ dm.conj().T
+    for m, dm in zip(channel.stack, derivative_stack(channel, derivatives)):
+        drho += dm @ proj @ m.conj().T + m @ proj @ dm.conj().T
     return drho
 
 
-def refined_convexity_check(channel: MeasurementChannel, derivatives, psi: Ket,
-                            povm: Sequence[Operator]) -> RefinedConvexityReport:
+def refined_convexity_check(channel: MeasurementChannel, derivatives: Derivatives,
+                            psi: Ket, povm: Sequence[Operator]) -> RefinedConvexityReport:
     """Check J_cl(E) <= J_rho(E) <= J_sigmaSE(E) for each POVM element.
 
-    derivatives are the channel's dM_w/dx as (label, Operator) pairs or a
-    label-to-Operator mapping. J_cl is the classical information of the
+    derivatives are the channel's dM_w/dx as (label, Operator) pairs or an
+    (M, d, d) array in label order. J_cl is the classical information of the
     element's weight, J_rho the SLD-sandwich Tr(rho L E L), and J_sigmaSE
     its refinement over the record-resolved pair, using the block SLD
     (dp/p) I + 2 dsigma of each pure conditional branch.
@@ -285,16 +288,16 @@ def refined_convexity_check(channel: MeasurementChannel, derivatives, psi: Ket,
     if spectral_norm(acc - np.eye(dim)) > 1e-10:
         raise ValueError("POVM does not resolve the identity within 1e-10")
 
-    derivs = dict(derivatives)
+    dks = derivative_stack(channel, derivatives)
     rho = mixed_state(channel, psi)
-    drho = mixed_state_derivative(channel, derivs, psi)
+    drho = mixed_state_derivative(channel, dks, psi)
     l_rho = sld(rho, Operator(drho)).L.entries
 
     # per-branch block SLDs of the record-resolved state
     branch_terms = []
-    for label, op in channel.kraus:
+    for label, m, dm in zip(channel.labels, channel.stack, dks):
         s, ds, p, dp, dtilde_norm = _conditional_state_and_derivative(
-            op.entries, derivs[label].entries, psi.amplitudes
+            m, dm, psi.amplitudes
         )
         if s is None:
             if dtilde_norm > DP_FLOOR:

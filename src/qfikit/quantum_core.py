@@ -1,15 +1,19 @@
 """Dense complex linear algebra and the channel/state data model.
 
-Provides immutable kets and operators (complex128 throughout), labeled
+Provides immutable kets and operators (complex128 throughout) and labeled
 Kraus measurement channels with a retained/discarded outcome split, stored
-as one (M, d, d) array of their Kraus matrices, and differentiable channel
-families. Residuals are measured in spectral norm.
+as one (M, d, d) array of their Kraus matrices. Residuals are measured in
+spectral norm.
+
+A channel's x-derivatives dM_w/dx travel beside it, as (label, Operator)
+pairs or an (M, d, d) array in its label order; ``derivative_stack`` is
+the one reader of that argument for ``fisher`` and ``encoding`` alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -18,7 +22,8 @@ __all__ = [
     "Operator",
     "KrausRows",
     "MeasurementChannel",
-    "ChannelFamily",
+    "Derivatives",
+    "derivative_stack",
     "tensor",
     "kraus_from_dilation",
     "apply_channel_outcome",
@@ -212,9 +217,12 @@ class MeasurementChannel:
     rows in label order.
 
     The completeness residual ||sum M^+ M - 1|| (spectral norm) is computed
-    at construction, with the sum taken in row order. A channel with
-    residual at most 1e-10 is `exact`; collision-model channels carry a
-    residual of order T*dt and are `approximate`.
+    at construction, with the sum taken in row order. ``kind`` follows the
+    residual alone: at most 1e-10 is `exact`, anything above is
+    `approximate`. A collision-model channel's residual shrinks with the
+    step, so its kind depends on the grid: the bundled dephasing run is
+    `exact` at N=16384 (residual 9.8e-11) and `approximate` at N=4096
+    (1.6e-9).
     """
 
     kraus: object
@@ -283,23 +291,31 @@ class MeasurementChannel:
             raise KeyError(f"no outcome labeled {label!r}") from None
 
 
-@dataclass(frozen=True)
-class ChannelFamily:
-    """Differentiable map x -> MeasurementChannel with stable labels.
+#: derivatives as (label, Operator) pairs or an (M, d, d) array in label order
+Derivatives = Union[Sequence, np.ndarray]
 
-    Parameters
-    ----------
-    eval : callable
-        Maps a real x to the channel at x. Labels and the retained set
-        must not change across x.
-    derivative : callable
-        Analytic x -> ((label, dM/dx), ...) aligned with eval's labels,
-        the form every channel-level function of ``fisher`` and
-        ``encoding`` takes beside the channel.
+
+def derivative_stack(channel: MeasurementChannel, derivatives: Derivatives) -> np.ndarray:
+    """The derivatives as an (M, d, d) array aligned with channel.labels.
+
+    An array is checked for shape and returned as is; (label, Operator)
+    pairs must name each of the channel's labels once and are stacked in
+    its label order.
     """
-
-    eval: Callable[[float], MeasurementChannel]
-    derivative: Callable[[float], tuple]
+    if isinstance(derivatives, np.ndarray):
+        if derivatives.shape != channel.stack.shape:
+            raise ValueError(
+                f"derivative stack shape {derivatives.shape} does not match "
+                f"the channel's {channel.stack.shape}"
+            )
+        return derivatives
+    dmap = dict((label, op) for label, op in derivatives)
+    if set(dmap) != set(channel.labels) or len(dmap) != len(channel.labels):
+        raise ValueError("derivative labels do not match channel labels")
+    for label in channel.labels:
+        if dmap[label].dim != channel.dim:
+            raise ValueError(f"derivative for {label!r} has wrong dimension")
+    return np.array([dmap[label].entries for label in channel.labels])
 
 
 def tensor(a, b):
@@ -368,9 +384,8 @@ def kraus_from_dilation(
         labels = [str(i) for i in range(dim_e)]
     elif len(labels) != dim_e:
         raise ValueError("label count must match basis size")
-    kraus = tuple((str(lbl), Operator(m)) for lbl, m in zip(labels, mats))
-    channel = MeasurementChannel(
-        kraus=kraus,
+    channel = MeasurementChannel.from_stack(
+        labels, mats,
         retained=frozenset(str(lbl) for lbl in labels) if retained is None else frozenset(retained),
     )
     if u_se.is_unitary(1e-10) and channel.completeness_residual > 1e-9:
@@ -412,8 +427,8 @@ def mixed_state(channel: MeasurementChannel, psi: Ket) -> Operator:
     if channel.dim != psi.dim:
         raise ValueError("channel and state dimension mismatch")
     rho = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
-    for _, op in channel.kraus:
-        branch = op.entries @ psi.amplitudes
+    for k in channel.stack:
+        branch = k @ psi.amplitudes
         rho += np.outer(branch, branch.conj())
     trace_err = abs(rho.trace().real - 1.0)
     budget = channel.completeness_residual + 1e-10

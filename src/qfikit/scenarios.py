@@ -7,19 +7,22 @@ moves the signal between the two outcome branches without changing the
 post-selected average. The dephasing builder wires a commuting jump
 model into the collision machinery. The random generators supply exact
 channels and differentiable families for property suites.
+
+A family is a plain function x -> (channel, derivatives) that
+exponentiates its generator once per call; the derivatives come as a
+read-only (M, d, d) array in the channel's label order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .collision import CollisionSpec
 from .encoding import amplification_report
 from .quantum_core import (
-    ChannelFamily,
     Ket,
     MeasurementChannel,
     Operator,
@@ -47,6 +50,12 @@ VAR_FLOOR = 1e-14
 
 #: Default mixing grid for the two-outcome sweep.
 DEFAULT_EPS_GRID = tuple(np.logspace(-3.0, 3.0, 41))
+
+def _frozen(stack: np.ndarray) -> np.ndarray:
+    """A read-only C-ordered (M, d, d) array with the entries of ``stack``."""
+    out = np.ascontiguousarray(stack)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -205,7 +214,9 @@ def build_transducer(spec: TransducerSpec, retained=None):
     """Differentiable channel family of the transducer readout.
 
     Returns the family together with the total information the exact
-    joint evolution carries, 4 T^2 times the generator variance. Outcome
+    joint evolution carries, 4 T^2 times the generator variance. The
+    family maps x to the dilation channel at x and the derivative stack
+    of its Kraus operators, both from one exp(-i x T H). Outcome
     labels count from "1"; with an environment larger than two levels
     the readout basis is completed orthonormally past the two pointer
     mixtures. By default every outcome is retained.
@@ -222,24 +233,16 @@ def build_transducer(spec: TransducerSpec, retained=None):
     h_env = spec.h0_env.entries
     t_total = spec.T
 
-    def joint(x):
+    def family(x):
         rot = expm(-1j * x * t_total * h_env)
-        return u_int @ np.kron(np.eye(dim_s), rot)
-
-    def at(x):
-        return kraus_from_dilation(
-            Operator(joint(x)), spec.env_initial, basis_kets,
-            retained=keep, labels=labels,
+        channel = kraus_from_dilation(
+            Operator(u_int @ np.kron(np.eye(dim_s), rot)), spec.env_initial,
+            basis_kets, retained=keep, labels=labels,
         )
-
-    def deriv(x):
-        rot = expm(-1j * x * t_total * h_env)
         du = u_int @ np.kron(np.eye(dim_s), -1j * t_total * h_env @ rot)
         du4 = du.reshape(dim_s, dim_e, dim_s, dim_e)
-        mats = np.einsum("we,aebf,f->wab", basis.conj(), du4, phi)
-        return tuple((lbl, Operator(m)) for lbl, m in zip(labels, mats))
+        return channel, _frozen(np.einsum("we,aebf,f->wab", basis.conj(), du4, phi))
 
-    family = ChannelFamily(eval=at, derivative=deriv)
     return family, 4.0 * t_total**2 * var
 
 
@@ -257,8 +260,8 @@ def fig1b_row(eps: float, channel: MeasurementChannel, derivatives,
               psi: Ket) -> Fig1bRow:
     """The sweep row of one built transducer point at mixing ``eps``.
 
-    ``channel`` and ``derivatives`` are the family and its derivative at
-    the operating point, ``psi`` the probe. The row holds the conditional
+    ``channel`` and ``derivatives`` are what the family returns at the
+    operating point, ``psi`` the probe. The row holds the conditional
     informations of outcomes "1" and "2" (zero when dead), their
     probability-weighted total and their plain sum.
     """
@@ -285,8 +288,7 @@ def fig1b_sweep(spec: TransducerSpec, eps_grid=None) -> tuple:
     rows = []
     for eps in grid:
         family, _ = build_transducer(replace(spec, eps=float(eps)))
-        rows.append(fig1b_row(eps, family.eval(spec.x), family.derivative(spec.x),
-                              spec.sys_initial))
+        rows.append(fig1b_row(eps, *family(spec.x), spec.sys_initial))
     return tuple(rows)
 
 
@@ -342,6 +344,11 @@ def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
+def _row_blocks(u: np.ndarray, n_outcomes: int, dim: int) -> np.ndarray:
+    """The first dim columns of each of the n_outcomes row blocks of u."""
+    return u[:, :dim].reshape(n_outcomes, dim, dim)
+
+
 def random_channel(dim: int, n_outcomes: int, seed: int,
                    retained=None) -> MeasurementChannel:
     """Exact channel from the row blocks of a seeded Haar unitary."""
@@ -351,23 +358,20 @@ def random_channel(dim: int, n_outcomes: int, seed: int,
         )
     rng = np.random.default_rng(seed)
     u = _haar_unitary(dim * n_outcomes, rng)
-    kraus = tuple(
-        (str(w), Operator(u[w * dim:(w + 1) * dim, :dim]))
-        for w in range(n_outcomes)
-    )
-    labels = [lbl for lbl, _ in kraus]
-    return MeasurementChannel(
-        kraus=kraus,
-        retained=frozenset(labels if retained is None else retained),
-    )
+    labels = [str(w) for w in range(n_outcomes)]
+    return MeasurementChannel.from_stack(
+        labels, _row_blocks(u, n_outcomes, dim),
+        frozenset(labels if retained is None else retained))
 
 
-def lossless_family(dim: int, n_outcomes: int, seed: int) -> ChannelFamily:
+def lossless_family(dim: int, n_outcomes: int, seed: int) -> Callable[[float], tuple]:
     """Exact family whose record costs nothing.
 
     Each slice is a set of seeded weighted unitaries times one common
     rotation exp(-i x H), with every outcome retained: no outcome weight
-    depends on x, so the full information survives post-selection.
+    depends on x, so the full information survives post-selection. The
+    family maps x to the channel and its derivative stack, both from one
+    exp(-i x H).
     """
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(n_outcomes))
@@ -375,31 +379,26 @@ def lossless_family(dim: int, n_outcomes: int, seed: int) -> ChannelFamily:
     h = _random_hermitian(dim, rng)
     labels = [str(w) for w in range(n_outcomes)]
 
-    def at(x):
+    def family(x):
         rot = expm(-1j * x * h)
-        return MeasurementChannel(
-            kraus=tuple(
-                (lbl, Operator(np.sqrt(weights[w]) * us[w] @ rot))
-                for w, lbl in enumerate(labels)),
-            retained=frozenset(labels),
-        )
+        der = -1j * h @ rot
+        channel = MeasurementChannel.from_stack(
+            labels, [np.sqrt(weights[w]) * us[w] @ rot for w in range(n_outcomes)],
+            frozenset(labels))
+        return channel, _frozen([np.sqrt(weights[w]) * us[w] @ der
+                                 for w in range(n_outcomes)])
 
-    def deriv(x):
-        der = -1j * h @ expm(-1j * x * h)
-        return tuple(
-            (lbl, Operator(np.sqrt(weights[w]) * us[w] @ der))
-            for w, lbl in enumerate(labels))
-
-    return ChannelFamily(eval=at, derivative=deriv)
+    return family
 
 
 def random_family(dim: int, n_outcomes: int, seed: int,
-                  retained=None) -> ChannelFamily:
+                  retained=None) -> Callable[[float], tuple]:
     """Differentiable exact family: Haar mixer times a random rotation.
 
     The generator acts before the mixer, so each slice is the seed
     channel's block times exp(-i x H) and the channel stays exact at
-    every x; the analytic derivative is supplied alongside.
+    every x. The family maps x to the channel and its analytic
+    derivative stack, both from one exp(-i x H).
     """
     if dim < 2 or n_outcomes < 1:
         raise ValueError(
@@ -411,21 +410,12 @@ def random_family(dim: int, n_outcomes: int, seed: int,
     labels = [str(w) for w in range(n_outcomes)]
     keep = frozenset(labels if retained is None else retained)
 
-    def at(x):
-        core = u0 @ np.kron(np.eye(n_outcomes), expm(-1j * x * h))
-        return MeasurementChannel(
-            kraus=tuple(
-                (lbl, Operator(core[w * dim:(w + 1) * dim, :dim]))
-                for w, lbl in enumerate(labels)
-            ),
-            retained=keep,
-        )
+    def family(x):
+        rot = expm(-1j * x * h)
+        core = u0 @ np.kron(np.eye(n_outcomes), rot)
+        dcore = u0 @ np.kron(np.eye(n_outcomes), -1j * h @ rot)
+        channel = MeasurementChannel.from_stack(
+            labels, _row_blocks(core, n_outcomes, dim), keep)
+        return channel, _frozen(_row_blocks(dcore, n_outcomes, dim))
 
-    def deriv(x):
-        core = u0 @ np.kron(np.eye(n_outcomes), -1j * h @ expm(-1j * x * h))
-        return tuple(
-            (lbl, Operator(core[w * dim:(w + 1) * dim, :dim]))
-            for w, lbl in enumerate(labels)
-        )
-
-    return ChannelFamily(eval=at, derivative=deriv)
+    return family

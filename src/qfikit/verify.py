@@ -89,8 +89,7 @@ def _suite_chain() -> tuple:
     worst = np.inf
     for seed in range(100):
         family, x, psi = _seeded_instance(seed)
-        channel = family.eval(x)
-        derivatives = family.derivative(x)
+        channel, derivatives = family(x)
         i_q = total_qfi(efg(channel, derivatives, psi))
         i_se = sigma_se_qfi(channel, derivatives, psi).total
         drho = mixed_state_derivative(channel, derivatives, psi)
@@ -116,8 +115,7 @@ def _suite_gauge() -> tuple:
     worst = 0.0
     for seed in range(25):
         family, x, psi = _seeded_instance(seed)
-        channel = family.eval(x)
-        derivatives = family.derivative(x)
+        channel, derivatives = family(x)
         if seed % 2 and len(channel.labels) > 1:
             channel = replace(channel, retained=frozenset({channel.labels[0]}))
         theta, dtheta = 5 * x + x**2, 5 + 2 * x
@@ -205,8 +203,7 @@ def _suite_theorem_soundness() -> tuple:
     worst_kappa = 0.0
     for seed in range(20):
         family, x, psi = _seeded_instance(seed, 20_000, lossless_family)
-        channel = family.eval(x)
-        derivatives = family.derivative(x)
+        channel, derivatives = family(x)
         gauged, _ = fix_perpendicular_gauge(channel, derivatives, psi)
         verdict = check_lossless_perp(channel, gauged, psi, tol=1e-9)
         if not verdict.lossless:

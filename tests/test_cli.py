@@ -423,6 +423,30 @@ class TestSweepCommand:
         assert ran == [64, 128, 256, 512, 1024]
         assert [line.split(",")[0] for line in lines] == ["64", "128", "256", "512", "1024"]
 
+    def test_metric_a_point_omits_is_left_empty(self, tmp_path, capsys):
+        # a flat identity channel carries no information, so kappa is
+        # undefined at every point; a 0 would read as "nothing lost"
+        payload = {
+            "kind": "custom_channel",
+            "parameters": {"x": 0.0},
+            "states": {"psi": "zero"},
+            "outcomes": [{"label": "u",
+                          "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                          "derivative": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}],
+        }
+        path = write_config(tmp_path, payload)
+        assert main(["run", path]) == 0
+        assert "kappa" not in json.loads(capsys.readouterr().out)["metrics"]
+        sweep = ["sweep", path, "--param", "x", "--grid", "lin:0:1:3"]
+        assert main(sweep + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "x,i_q,avg_ps_qfi,kappa"
+        assert [line.split(",")[3] for line in lines[1:]] == ["", "", ""]
+        assert main(sweep + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["table"]["rows"]
+        assert [row[3] for row in rows] == [None, None, None]
+        assert [row[1] for row in rows] == [0.0, 0.0, 0.0]
+
     def test_unknown_parameter_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, CANONICAL_DEPHASING)
         assert main(["sweep", path, "--param", "eps", "--grid", "lin:0:1:3"]) == 1
@@ -619,6 +643,15 @@ class TestRegressionGuards:
                      "--output", str(out)]) == 0
         capsys.readouterr()
         with open("tests/golden/dephasing.csv", "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
+    def test_bundled_fig1b_csv_matches_golden(self, tmp_path, capsys):
+        # the exact-channel path: 41 transducer points, each one family call
+        out = tmp_path / "fig1b.csv"
+        assert main(["run", "configs/fig1b.json", "--format", "csv",
+                     "--output", str(out)]) == 0
+        capsys.readouterr()
+        with open("tests/golden/fig1b.csv", "rb") as fh:
             assert out.read_bytes() == fh.read()
 
     def test_bundled_dephasing_meets_closed_form_within_rounding(self):

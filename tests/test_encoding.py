@@ -101,10 +101,6 @@ def trig_weight_channel(x):
     return chan, derivs
 
 
-def family_at(family, x):
-    return family.eval(x), family.derivative(x)
-
-
 class TestEfgReportValidation:
     def _rows_report(self, **overrides):
         per = (("a", 1.0, 0j, 0.5),)
@@ -209,12 +205,12 @@ class TestEfg:
     def test_dilated_overlaps_match_sums(self, seed):
         fam = unitary_slice_family(3, 2, seed=seed)
         x = 0.3
-        chan, derivs = family_at(fam, x)
+        chan, derivs = fam(x)
         psi = random_ket(3, np.random.default_rng(seed + 1))
         rep = efg(chan, derivs, psi)
         joint, djoint = dilated_state(
             [op.entries for _, op in chan.kraus],
-            [op.entries for _, op in derivs],
+            list(derivs),
             psi.amplitudes,
         )
         assert abs(np.vdot(djoint, djoint).real - rep.g_total) < 1e-10
@@ -244,10 +240,10 @@ class TestEfg:
         keep = [str(w) for w in range(n_out) if rng.random() < 0.6] or ["0"]
         fam = unitary_slice_family(dim, n_out, seed=seed, retained=keep)
         x = 0.2
-        chan, derivs = family_at(fam, x)
+        chan, derivs = fam(x)
         psi = random_ket(dim, rng)
         rep = efg(chan, derivs, psi)
-        dmap = dict(derivs)
+        dmap = dict(zip(chan.labels, derivs))
         direct = 0.0
         for label, op in chan.kraus:
             if label not in chan.retained:
@@ -256,7 +252,7 @@ class TestEfg:
             p = float(np.vdot(branch, branch).real)
             if p <= 1e-12:
                 continue
-            dbranch = dmap[label].entries @ psi.amplitudes
+            dbranch = dmap[label] @ psi.amplitudes
             s = branch / np.sqrt(p)
             dp = 2.0 * np.vdot(branch, dbranch).real
             ds = dbranch / np.sqrt(p) - branch * dp / (2.0 * p**1.5)
@@ -270,12 +266,12 @@ class TestTotalQfi:
     def test_matches_dilated_pure_qfi(self, seed):
         fam = unitary_slice_family(2, 3, seed=seed)
         x = 0.4
-        chan, derivs = family_at(fam, x)
+        chan, derivs = fam(x)
         psi = random_ket(2, np.random.default_rng(seed + 2))
         rep = efg(chan, derivs, psi)
         want = dilated_pure_qfi(
             [op.entries for _, op in chan.kraus],
-            [op.entries for _, op in derivs],
+            list(derivs),
             psi.amplitudes,
         )
         assert total_qfi(rep) == pytest.approx(want, rel=1e-8, abs=1e-8)
@@ -329,7 +325,7 @@ class TestTotalQfi:
     def test_perpendicular_gauge_reduces_to_derivative_weight(self):
         fam = unitary_slice_family(2, 2, seed=31)
         x = 0.25
-        chan, derivs = family_at(fam, x)
+        chan, derivs = fam(x)
         psi = random_ket(2, np.random.default_rng(8))
         gauged, _ = fix_perpendicular_gauge(chan, derivs, psi)
         rep = efg(chan, gauged, psi, gauge="perpendicular")
@@ -351,7 +347,7 @@ class TestPerpendicularGauge:
     def test_constant_phase_rate_recovered(self):
         fam = unitary_slice_family(3, 2, seed=44)
         x = 0.15
-        chan, derivs = family_at(fam, x)
+        chan, derivs = fam(x)
         psi = random_ket(3, np.random.default_rng(12))
         _, base = fix_perpendicular_gauge(chan, derivs, psi)
         shifted_chan, shifted_derivs = gauge_shift(chan, derivs, 0.37, 5.0)
@@ -361,7 +357,7 @@ class TestPerpendicularGauge:
     def test_postconditions(self):
         fam = unitary_slice_family(2, 3, seed=45)
         x = 0.3
-        chan, derivs = family_at(fam, x)
+        chan, derivs = fam(x)
         psi = random_ket(2, np.random.default_rng(13))
         before = efg(chan, derivs, psi)
         gauged, _ = fix_perpendicular_gauge(chan, derivs, psi)
@@ -436,7 +432,7 @@ class TestLosslessGeneric:
     def test_weighted_unitaries_pass_in_any_gauge(self):
         fam = lossless_slice_family(3, 3, seed=50)
         x = 0.2
-        chan, derivs = family_at(fam, x)
+        chan, derivs = fam(x)
         psi = random_ket(3, np.random.default_rng(14))
         shifted_chan, shifted_derivs = gauge_shift(
             chan, derivs, 5 * x + x * x, 5 + 2 * x
@@ -510,7 +506,7 @@ class TestLossKappa:
     def test_lossless_family_loses_nothing(self):
         fam = lossless_slice_family(2, 3, seed=51)
         x = 0.3
-        chan, derivs = family_at(fam, x)
+        chan, derivs = fam(x)
         psi = random_ket(2, np.random.default_rng(16))
         res = loss_kappa(efg(chan, derivs, psi))
         assert res.kappa == pytest.approx(0.0, abs=1e-8)
@@ -552,7 +548,7 @@ class TestLossKappa:
         keep = [str(w) for w in range(n_out) if rng.random() < 0.6] or ["0"]
         fam = unitary_slice_family(2, n_out, seed=seed, retained=keep)
         x = 0.2
-        chan, derivs = family_at(fam, x)
+        chan, derivs = fam(x)
         psi = random_ket(2, rng)
         rep = complete_report(chan, derivs, psi)
         assume(rep.i_q is not None and rep.i_q > 1e-3)
@@ -591,7 +587,7 @@ class TestAmplification:
     def test_ratio_sum_never_exceeds_one(self, seed):
         fam = unitary_slice_family(2, 3, seed=seed)
         x = 0.3
-        chan, derivs = family_at(fam, x)
+        chan, derivs = fam(x)
         psi = random_ket(2, np.random.default_rng(seed + 3))
         rep = amplification_report(chan, derivs, psi)
         assert rep.ratio_sum() <= 1.0 + 1e-8
@@ -612,7 +608,7 @@ class TestGaugeInvariance:
         keep = [str(w) for w in range(n_out) if rng.random() < 0.6] or ["0"]
         fam = unitary_slice_family(2, n_out, seed=seed, retained=keep)
         x = 0.3
-        chan, derivs = family_at(fam, x)
+        chan, derivs = fam(x)
         psi = random_ket(2, rng)
         rep = complete_report(chan, derivs, psi)
         assume(rep.i_q is not None and rep.i_q > 1e-3)
@@ -633,12 +629,12 @@ class TestGaugeInvariance:
             assert row2[2] == pytest.approx(row[2], rel=1e-8, abs=1e-10)
 
         def rho_pair(c, d):
-            dmap = dict(d)
+            dmap = dict(zip(c.labels, d))
             proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
             rho = mixed_state(c, psi)
             drho = np.zeros((2, 2), dtype=complex)
             for lbl, op in c.kraus:
-                dm = dmap[lbl].entries
+                dm = dmap[lbl]
                 drho += dm @ proj @ op.entries.conj().T
                 drho += op.entries @ proj @ dm.conj().T
             return rho, Operator(drho)
@@ -657,7 +653,7 @@ class TestTheoremOneSoundness:
         n_out = int(rng.integers(2, 5))
         fam = lossless_slice_family(dim, n_out, seed=seed)
         x = 0.25
-        chan, derivs = family_at(fam, x)
+        chan, derivs = fam(x)
         psi = random_ket(dim, rng)
         gauged, _ = fix_perpendicular_gauge(chan, derivs, psi)
         verdict = check_lossless_perp(chan, gauged, psi, tol=1e-9)
@@ -678,7 +674,7 @@ class TestTheoremOneSoundness:
             keep = [str(w) for w in range(n_out) if rng.random() < 0.5] or ["0"]
             fam = unitary_slice_family(dim, n_out, seed=seed, retained=keep)
             x = 0.2
-            chan, derivs = family_at(fam, x)
+            chan, derivs = fam(x)
             psi = random_ket(dim, rng)
             rep = efg(chan, derivs, psi)
             assert rep.avg_ps_qfi <= total_qfi(rep) + 1e-8

@@ -24,6 +24,7 @@ from oracles import (
 )
 from qfikit.fisher import (
     classical_fi,
+    mixed_state_derivative,
     pure_qfi,
     refined_convexity_check,
     sigma_se_qfi,
@@ -159,11 +160,11 @@ class TestSigmaSeQfi:
     def test_single_unitary_outcome(self):
         fam = unitary_slice_family(3, 1, seed=11)
         x = 0.2
-        chan = fam.eval(x)
+        chan, derivs = fam(x)
         PLUS = random_ket(3, np.random.default_rng(3))
-        res = sigma_se_qfi(chan, fam.derivative(x), PLUS)
+        res = sigma_se_qfi(chan, derivs, PLUS)
         m = chan.kraus[0][1].entries
-        dm = dict(fam.derivative(x))["0"].entries
+        dm = derivs[0]
         want = pure_qfi(Ket(m @ PLUS.amplitudes), Ket(dm @ PLUS.amplitudes))
         assert res.total == pytest.approx(want, rel=1e-10)
 
@@ -174,10 +175,10 @@ class TestSigmaSeQfi:
         rng = np.random.default_rng(seed + 1)
         psi = random_ket(2, rng)
         x = 0.15
-        chan = fam.eval(x)
-        res = sigma_se_qfi(chan, fam.derivative(x), psi)
+        chan, derivs = fam(x)
+        res = sigma_se_qfi(chan, derivs, psi)
         mats = [op.entries for _, op in chan.kraus]
-        dmats = [op.entries for _, op in fam.derivative(x)]
+        dmats = list(derivs)
         iq = dilated_pure_qfi(mats, dmats, psi.amplitudes)
         assert res.total <= iq + 1e-8
 
@@ -189,10 +190,10 @@ class TestSigmaSeQfi:
         rng = np.random.default_rng(seed + 2)
         psi = random_ket(2, rng)
         x = 0.3
-        chan = fam.eval(x)
-        res = sigma_se_qfi(chan, fam.derivative(x), psi)
+        chan, derivs = fam(x)
+        res = sigma_se_qfi(chan, derivs, psi)
         mats = [op.entries for _, op in chan.kraus]
-        dmats = [op.entries for _, op in fam.derivative(x)]
+        dmats = list(derivs)
         iq = dilated_pure_qfi(mats, dmats, psi.amplitudes)
         rho = mixed_state(chan, psi)
         proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
@@ -211,10 +212,10 @@ class TestSigmaSeQfi:
         rng = np.random.default_rng(seed + 3)
         psi = random_ket(2, rng)
         x = 0.05
-        chan = fam.eval(x)
-        res = sigma_se_qfi(chan, fam.derivative(x), psi)
+        chan, derivs = fam(x)
+        res = sigma_se_qfi(chan, derivs, psi)
         mats = [op.entries for _, op in chan.kraus]
-        dmats = [op.entries for _, op in fam.derivative(x)]
+        dmats = list(derivs)
         for w, row in enumerate(res.per_outcome):
             share = dilated_outcome_share(mats, dmats, psi.amplitudes, w)
             assert share >= row.i_joint - 1e-8
@@ -228,13 +229,36 @@ class TestSigmaSeQfi:
             sigma_se_qfi(lossy, derivatives, PLUS_X)
 
 
+class TestDerivativeForms:
+    def test_stack_reads_as_its_pairs_bit_for_bit(self):
+        # an exact channel sqrt(w_k) U_k exp(-i x H) with its derivative
+        # handed over as the (M, d, d) array every encoding function takes
+        rng = np.random.default_rng(19)
+        x, h = 0.3, PAULI["x"] + 0.4 * PAULI["z"]
+        rot = expm(-1j * x * h)
+        scales = np.sqrt([0.3, 0.7])
+        us = [haar_unitary(2, rng) for _ in scales]
+        chan = MeasurementChannel.from_stack(
+            ("a", "b"), [s * u @ rot for s, u in zip(scales, us)], {"a"})
+        dks = np.array([s * u @ (-1j * h @ rot) for s, u in zip(scales, us)])
+        pairs = tuple(zip(chan.labels, map(Operator, dks)))
+        psi = random_ket(2, rng)
+        assert chan.kind == "exact"
+        npt.assert_array_equal(mixed_state_derivative(chan, dks, psi),
+                               mixed_state_derivative(chan, pairs, psi))
+        assert sigma_se_qfi(chan, dks, psi) == sigma_se_qfi(chan, pairs, psi)
+        povm = [Operator(np.diag([1.0, 0.0])), Operator(np.diag([0.0, 1.0]))]
+        assert (refined_convexity_check(chan, dks, psi, povm)
+                == refined_convexity_check(chan, pairs, psi, povm))
+
+
 class TestRefinedConvexity:
     def test_trivial_povm(self):
         fam = unitary_slice_family(2, 2, seed=21)
         x = 0.1
-        chan = fam.eval(x)
+        chan, derivs = fam(x)
         psi = random_ket(2, np.random.default_rng(4))
-        report = refined_convexity_check(chan, fam.derivative(x), psi, [Operator(np.eye(2))])
+        report = refined_convexity_check(chan, derivs, psi, [Operator(np.eye(2))])
         (mu, j_cl, j_rho, j_sigma) = report.rows[0]
         assert j_cl == pytest.approx(0.0, abs=1e-16)
         assert report.outer_ok()
@@ -244,16 +268,16 @@ class TestRefinedConvexity:
         # any identity-resolving POVM sums the middle layer to Tr(rho L^2)
         fam = unitary_slice_family(2, 2, seed=22)
         x = 0.2
-        chan = fam.eval(x)
+        chan, derivs = fam(x)
         psi = PLUS_X
         plus = np.outer(PLUS_X.amplitudes, PLUS_X.amplitudes.conj())
         minus_v = np.array([1, -1]) / np.sqrt(2)
         minus = np.outer(minus_v, minus_v.conj())
         report = refined_convexity_check(
-            chan, fam.derivative(x), psi, [Operator(plus), Operator(minus)]
+            chan, derivs, psi, [Operator(plus), Operator(minus)]
         )
         mats = [op.entries for _, op in chan.kraus]
-        dmats = [op.entries for _, op in fam.derivative(x)]
+        dmats = list(derivs)
         proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
         rho = mixed_state(chan, psi)
         drho = sum(
@@ -274,10 +298,10 @@ class TestRefinedConvexity:
         rng = np.random.default_rng(seed + 9)
         psi = random_ket(2, rng)
         x = 0.12
-        chan = fam.eval(x)
+        chan, derivs = fam(x)
         v = haar_unitary(2, rng)
         povm = [Operator(np.outer(v[:, k], v[:, k].conj())) for k in range(2)]
-        report = refined_convexity_check(chan, fam.derivative(x), psi, povm)
+        report = refined_convexity_check(chan, derivs, psi, povm)
         assert report.outer_ok()
         sum_rho = sum(row[2] for row in report.rows)
         sum_sigma = sum(row[3] for row in report.rows)
@@ -292,10 +316,10 @@ class TestRefinedConvexity:
         rng = np.random.default_rng(seed + 9)
         psi = random_ket(2, rng)
         x = 0.12
-        chan = fam.eval(x)
+        chan, derivs = fam(x)
         v = haar_unitary(2, rng)
         povm = [Operator(np.outer(v[:, k], v[:, k].conj())) for k in range(2)]
-        report = refined_convexity_check(chan, fam.derivative(x), psi, povm)
+        report = refined_convexity_check(chan, derivs, psi, povm)
         assert report.worst_upper_margin < -0.02
         assert report.outer_ok()
         sum_rho = sum(row[2] for row in report.rows)
@@ -304,7 +328,7 @@ class TestRefinedConvexity:
 
     def test_bad_povm_rejected(self):
         fam = unitary_slice_family(2, 2, seed=23)
-        chan = fam.eval(0.0)
+        chan, derivs = fam(0.0)
         with pytest.raises(ValueError, match="identity"):
-            refined_convexity_check(chan, fam.derivative(0.0), PLUS_X,
+            refined_convexity_check(chan, derivs, PLUS_X,
                                     [Operator(np.eye(2) * 0.5)])

@@ -20,6 +20,7 @@ from qfikit.scenarios import (
     build_dephasing,
     build_transducer,
     fig1b_sweep,
+    lossless_family,
     random_channel,
     random_family,
     two_qubit_transducer,
@@ -103,7 +104,7 @@ class TestBuildTransducer:
     def test_kraus_match_hand_algebra(self, eps):
         spec = two_qubit_transducer(eps=eps)
         family, _ = build_transducer(spec)
-        chan = family.eval(spec.x)
+        chan, _ = family(spec.x)
         m1, m2 = hand_kraus(eps, spec.x, spec.T)
         np.testing.assert_allclose(chan.operator("1").entries, m1, atol=1e-13)
         np.testing.assert_allclose(chan.operator("2").entries, m2, atol=1e-13)
@@ -112,19 +113,19 @@ class TestBuildTransducer:
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
     def test_pointer_weights_at_zero_signal(self, eps):
         family, _ = build_transducer(two_qubit_transducer(x=0.0, eps=eps))
-        probs = dict(outcome_probabilities(family.eval(0.0), Ket([1.0, 0.0])))
+        probs = dict(outcome_probabilities(family(0.0)[0], Ket([1.0, 0.0])))
         assert probs["1"] == pytest.approx(1 / (1 + eps**2), rel=1e-12)
         assert probs["2"] == pytest.approx(eps**2 / (1 + eps**2), rel=1e-12)
 
     def test_zero_mixing_darkens_second_outcome(self):
         family, _ = build_transducer(two_qubit_transducer(x=0.0, eps=0.0))
-        probs = dict(outcome_probabilities(family.eval(0.0), Ket([1.0, 0.0])))
+        probs = dict(outcome_probabilities(family(0.0)[0], Ket([1.0, 0.0])))
         assert probs["2"] == 0.0
 
     def test_total_information_matches_joint_value(self):
         spec = two_qubit_transducer()
         family, iq = build_transducer(spec)
-        report = complete_report(family.eval(spec.x), family.derivative(spec.x), spec.sys_initial)
+        report = complete_report(*family(spec.x), spec.sys_initial)
         assert report.i_q == pytest.approx(iq, rel=1e-10)
         assert report.kappa == pytest.approx(0.0, abs=1e-8)
 
@@ -132,11 +133,12 @@ class TestBuildTransducer:
         spec = two_qubit_transducer()
         family, _ = build_transducer(spec)
         x, h = spec.x, 1e-6
-        analytic = dict(family.derivative(x))
+        chan, dks = family(x)
+        analytic = dict(zip(chan.labels, dks))
         for lbl in ("1", "2"):
-            fd = (family.eval(x + h).operator(lbl).entries
-                  - family.eval(x - h).operator(lbl).entries) / (2 * h)
-            assert np.abs(fd - analytic[lbl].entries).max() < 1e-9
+            fd = (family(x + h)[0].operator(lbl).entries
+                  - family(x - h)[0].operator(lbl).entries) / (2 * h)
+            assert np.abs(fd - analytic[lbl]).max() < 1e-9
 
     def test_three_level_environment_completes_basis(self):
         spec = replace(
@@ -145,11 +147,11 @@ class TestBuildTransducer:
             env_initial=Ket(np.ones(3) / np.sqrt(3)),
         )
         family, iq = build_transducer(spec)
-        chan = family.eval(spec.x)
+        chan, derivs = family(spec.x)
         assert chan.labels == ("1", "2", "3")
         assert chan.kind == "exact"
         assert iq == pytest.approx(4 * (2 / 3), rel=1e-12)
-        verdict = check_lossless_perp(chan, family.derivative(spec.x), spec.sys_initial)
+        verdict = check_lossless_perp(chan, derivs, spec.sys_initial)
         assert verdict.worst() < 1e-10
 
     def test_three_level_environment_lossy_at_large_signal(self):
@@ -161,7 +163,7 @@ class TestBuildTransducer:
             env_initial=Ket(np.ones(3) / np.sqrt(3)),
         )
         family, _ = build_transducer(spec)
-        verdict = check_lossless_generic(family.eval(0.3), family.derivative(0.3), spec.sys_initial)
+        verdict = check_lossless_generic(*family(0.3), spec.sys_initial)
         assert not verdict.lossless
 
     def test_zero_variance_rejected(self):
@@ -171,7 +173,7 @@ class TestBuildTransducer:
 
     def test_retained_subset_passthrough(self):
         family, _ = build_transducer(two_qubit_transducer(), retained={"1"})
-        chan = family.eval(1e-5)
+        chan, _ = family(1e-5)
         assert chan.retained == frozenset({"1"})
         assert chan.discarded == frozenset({"2"})
 
@@ -182,7 +184,7 @@ class TestBuildTransducer:
         spec = two_qubit_transducer(x=x)
         for eps in np.logspace(-4, 4, 9):
             family, _ = build_transducer(replace(spec, eps=float(eps)))
-            verdict = check_lossless_perp(family.eval(x), family.derivative(x), spec.sys_initial)
+            verdict = check_lossless_perp(*family(x), spec.sys_initial)
             assert verdict.worst() < tol
 
 
@@ -230,7 +232,7 @@ class TestFig1bSweep:
     def test_small_mixing_branch_carries_inverse_weight(self, rows):
         spec = two_qubit_transducer(eps=1e-3)
         family, _ = build_transducer(spec)
-        probs = dict(outcome_probabilities(family.eval(spec.x), spec.sys_initial))
+        probs = dict(outcome_probabilities(family(spec.x)[0], spec.sys_initial))
         assert rows[0].i_sigma_2 == pytest.approx(4.0 / probs["2"], rel=0.01)
 
     def test_custom_grid(self):
@@ -295,6 +297,26 @@ class TestBuildDephasing:
             build_dephasing(SZ, self.zero_control(), big, 1.0, 1.0, PLUS_X, 0.0)
 
 
+class TestFamilies:
+    def test_one_exponential_per_point(self, monkeypatch):
+        import qfikit.scenarios
+
+        calls = []
+        original = qfikit.scenarios.expm
+
+        def counted(a):
+            calls.append(1)
+            return original(a)
+
+        monkeypatch.setattr(qfikit.scenarios, "expm", counted)
+        transducer, _ = build_transducer(two_qubit_transducer())
+        for family in (random_family(3, 2, 7), lossless_family(3, 2, 7), transducer):
+            calls.clear()
+            channel, dks = family(0.3)
+            assert len(calls) == 1
+            assert dks.shape == channel.stack.shape
+
+
 class TestRandomGenerators:
     def test_channel_deterministic(self):
         a = random_channel(3, 2, 7)
@@ -328,23 +350,23 @@ class TestRandomGenerators:
     @pytest.mark.parametrize("x", [-0.9, 0.0, 0.7])
     def test_family_exact_everywhere(self, x):
         family = random_family(2, 3, 5)
-        assert family.eval(x).kind == "exact"
+        assert family(x)[0].kind == "exact"
 
     def test_family_deterministic(self):
-        a = random_family(3, 2, 13).eval(0.4)
-        b = random_family(3, 2, 13).eval(0.4)
+        a, _ = random_family(3, 2, 13)(0.4)
+        b, _ = random_family(3, 2, 13)(0.4)
         for (_, ma), (_, mb) in zip(a.kraus, b.kraus):
             np.testing.assert_array_equal(ma.entries, mb.entries)
 
     def test_family_derivative_matches_finite_difference(self):
         family = random_family(2, 3, 5)
         x, h = 0.7, 1e-6
-        analytic = dict(family.derivative(x))
-        chan = family.eval(x)
+        chan, dks = family(x)
+        analytic = dict(zip(chan.labels, dks))
         for lbl in chan.labels:
-            fd = (family.eval(x + h).operator(lbl).entries
-                  - family.eval(x - h).operator(lbl).entries) / (2 * h)
-            assert np.abs(fd - analytic[lbl].entries).max() < 1e-7
+            fd = (family(x + h)[0].operator(lbl).entries
+                  - family(x - h)[0].operator(lbl).entries) / (2 * h)
+            assert np.abs(fd - analytic[lbl]).max() < 1e-7
 
     def test_rejects_degenerate_shapes(self):
         with pytest.raises(ValueError, match="dim"):

@@ -128,9 +128,8 @@ class TestExactChannelsMatchOracle:
                                                  x, log_tol):
         labels = [str(w) for w in range(n_outcomes)]
         retained = [lbl for w, lbl in enumerate(labels) if mask >> w & 1] or labels
-        family = random_family(dim, n_outcomes, seed, retained)
-        channel = family.eval(x)
-        pairs = family.derivative(x)
+        channel, dks = random_family(dim, n_outcomes, seed, retained)(x)
+        pairs = tuple(zip(channel.labels, map(Operator, dks)))
         psi = random_ket(dim, np.random.default_rng(seed))
         mats = [op.entries for _, op in channel.kraus]
         dmats = [op.entries for _, op in pairs]
