@@ -29,17 +29,16 @@ from .collision import (
     IntegratorFailure,
     TimeGrid,
     check_theorem2,
-    discrete_channel_with_derivatives,
     efg_integrals,
     nh_loss,
     propagate,
+    trajectory_columns,
 )
 from .encoding import (
     amplification_report,
-    check_lossless_generic,
-    check_lossless_perp,
     complete_report,
-    fix_perpendicular_gauge,
+    probe_columns,
+    theorem1_residuals,
 )
 from .quantum_core import Ket, MeasurementChannel, Operator
 from .scenarios import (
@@ -401,13 +400,6 @@ def _verdict(status: str, residual: Optional[float]) -> dict:
     return {"status": status, "worst_residual": residual}
 
 
-def _generic_worst(verdict) -> float:
-    vals = [r for _, r in verdict.retained_residuals]
-    vals += [r for _, r in verdict.imag_f_residuals]
-    vals.append(verdict.discarded_residual)
-    return max(vals) if vals else 0.0
-
-
 def _efg_metrics(report) -> tuple:
     """Metrics and per-outcome rows of a ``complete_report``."""
     metrics = {
@@ -421,22 +413,17 @@ def _efg_metrics(report) -> tuple:
     return metrics, [[lbl, e, _pair(f), g] for lbl, e, f, g in report.per_outcome]
 
 
-def _channel_verdicts(channel, derivatives, psi, tol) -> dict:
-    """Both theorem-1 verdicts, with theorem 2 n.a. until a collision run sets it."""
-    # the stationarity conditions assume the perpendicular gauge; an
-    # approximate channel cannot be regauged, so its derivatives are
-    # checked as given
-    if channel.kind == "exact":
-        gauged, _ = fix_perpendicular_gauge(channel, derivatives, psi)
-    else:
-        gauged = derivatives
-    perp = check_lossless_perp(channel, gauged, psi, tol=tol)
-    generic = check_lossless_generic(channel, derivatives, psi, tol=tol)
+def _channel_verdicts(columns, tol) -> dict:
+    """Both theorem-1 verdicts of a channel's probe columns, with theorem 2
+    n.a. until a collision run sets it."""
+    # the stationarity conditions assume the perpendicular gauge, which
+    # theorem1_residuals fixes for an exact channel; an approximate one
+    # cannot be regauged, so its derivatives are checked as given
+    t1 = theorem1_residuals(columns, tol=tol)
     return {
-        "theorem1_perp": _verdict(
-            "pass" if perp.lossless else "fail", perp.worst()),
-        "theorem1_generic": _verdict(
-            "pass" if generic.lossless else "fail", _generic_worst(generic)),
+        "theorem1_perp": _verdict("pass" if t1.perp_lossless else "fail", t1.perp),
+        "theorem1_generic": _verdict("pass" if t1.generic_lossless else "fail",
+                                     max(t1.generic, t1.imag_f)),
         "theorem2": _verdict("n.a.", None),
     }
 
@@ -466,10 +453,10 @@ def _run_transducer(config: ScenarioConfig, tol: float):
             family, _ = build_transducer(replace(spec, eps=float(eps)))
             channel, derivatives = family(spec.x)
             rows.append(fig1b_row(eps, channel, derivatives, spec.sys_initial))
-            gauged, _ = fix_perpendicular_gauge(channel, derivatives, spec.sys_initial)
-            verdict = check_lossless_perp(channel, gauged, spec.sys_initial, tol=tol)
-            worst = max(worst, verdict.worst())
-            all_pass = all_pass and verdict.lossless
+            t1 = theorem1_residuals(
+                probe_columns(channel, derivatives, spec.sys_initial), tol=tol)
+            worst = max(worst, t1.perp)
+            all_pass = all_pass and t1.perp_lossless
         table = {
             "columns": ["eps", "I_sigma_1", "I_sigma_2", "avg_total", "sum_total"],
             "rows": [list(row) for row in rows],
@@ -490,7 +477,7 @@ def _run_transducer(config: ScenarioConfig, tol: float):
     metrics.update(avg_total=row.avg_total, expected_iq=expected_iq,
                    I_sigma_1=row.i_sigma_1, I_sigma_2=row.i_sigma_2,
                    sum_total=row.sum_total)
-    verdicts = _channel_verdicts(channel, derivatives, spec.sys_initial, tol)
+    verdicts = _channel_verdicts(probe_columns(channel, derivatives, spec.sys_initial), tol)
     return metrics, per_outcome, verdicts, None
 
 
@@ -507,13 +494,14 @@ def _collision_inputs(config: ScenarioConfig):
 def _collision_run(spec: CollisionSpec, t_total, n_steps, scheme, x, psi, tol):
     grid = TimeGrid(t_total, n_steps, scheme)
     # two propagations serve the whole run: the jump-free baseline, kept
-    # only as its end-time statistics, then the full derivative trajectory
+    # only as its end-time statistics, then the full derivative trajectory,
+    # whose probe columns carry the theorem-1 verdicts; they come first so
+    # that a blown-up integration is reported by its residual cap
     baseline = efg_integrals(spec.without_jumps(), grid, x, psi)
     traj = propagate(spec, grid, x)
+    columns = trajectory_columns(spec, grid, x, psi, traj=traj)
     loss = nh_loss(spec, grid, x, psi, traj=traj, baseline=baseline)
     thm2 = check_theorem2(spec, grid, x, psi, tol=tol, traj=traj)
-    channel, derivatives = discrete_channel_with_derivatives(spec, psi, grid, x, traj=traj)
-    del traj  # free its arrays before the verdicts allocate theirs
     metrics = {
         "i_q_baseline": loss.i_q_baseline,
         "i_sigma": loss.i_sigma,
@@ -523,7 +511,7 @@ def _collision_run(spec: CollisionSpec, t_total, n_steps, scheme, x, psi, tol):
     if loss.kappa_channel is not None:
         metrics["kappa_channel"] = loss.kappa_channel
         metrics["i_q_channel"] = loss.i_q_channel
-    verdicts = _channel_verdicts(channel, derivatives, psi, tol)
+    verdicts = _channel_verdicts(columns, tol)
     verdicts["theorem2"] = _verdict(
         "pass" if thm2.lossless else "fail",
         max(thm2.weight_slope, thm2.jump_residual),
@@ -579,7 +567,7 @@ def _run_custom_channel(config: ScenarioConfig, tol: float):
         amp = amplification_report(channel, derivatives, psi)
         for lbl, _, i_sigma, _ in amp.rows:
             metrics[f"I_sigma_{lbl}"] = i_sigma
-    verdicts = _channel_verdicts(channel, derivatives, psi, tol)
+    verdicts = _channel_verdicts(probe_columns(channel, derivatives, psi), tol)
     return metrics, per_outcome, verdicts, None
 
 

@@ -4,7 +4,7 @@ The probe couples to a fresh environment unit per time step. Keeping the
 no-jump record at every collision conditions the state on an effective
 non-Hermitian generator; each possible first jump becomes a discarded
 measurement branch. This module builds that picture on a finite grid:
-time-ordered propagation, the explicit Kraus channel of outcomes, the
+time-ordered propagation, the first-jump channel of outcomes, the
 completeness and E/F/G integrals of the continuum limit, a two-part
 losslessness check for the no-jump branch, and the resulting
 information-loss fraction.
@@ -27,6 +27,14 @@ forms exp(A) - I before adding I, so each near-identity step keeps the
 digits of A that 2N repeated products would otherwise accumulate as
 drift.
 
+Runs use columns, not stacks: every statistic and verdict is an
+expectation in the probe, so ``trajectory_columns`` reads the channel's
+branches M_w psi and dM_w psi, (M, d) arrays in its row order, and its
+completeness residual straight off a trajectory, never building the
+2N+1 Kraus matrices that ``build_discrete_channel`` returns (the action
+of operators on a vector rather than the operators; Al-Mohy & Higham
+2011).
+
 Functions that need a trajectory accept one already propagated through
 a ``traj`` keyword, which lets one run share a single propagation among
 all its quantities.
@@ -40,6 +48,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
+from .encoding import ProbeColumns
 from .fisher import P_FLOOR
 from .quantum_core import Ket, MeasurementChannel, Operator, expm, spectral_norm
 
@@ -54,6 +63,8 @@ __all__ = [
     "build_discrete_channel",
     "discrete_channel_derivatives",
     "discrete_channel_with_derivatives",
+    "trajectory_residual",
+    "trajectory_columns",
     "check_integral_completeness",
     "EfgIntegrals",
     "efg_integrals",
@@ -458,33 +469,40 @@ def _jump_sampling(spec, grid, traj):
     return times, _rate_samples(spec, times), prefixes, dprefixes
 
 
-def _assemble_channel(spec, grid, traj, derivative):
+def _first_jump_rows(spec, grid, rates, end, split):
+    """Rows of the first-jump channel, as a read-only array.
+
+    Row 0 is ``end``, the no-jump outcome ``check``; row 1 + j*N + n is
+    sqrt(rates[j, n] dt) L_j split[n], the first jump of operator j during
+    step n + 1. Rows are (d, d) matrices or (d, 1) probe columns, as given.
+    """
+    n_steps = grid.N
+    out = np.empty((1 + len(spec.jumps) * n_steps,) + end.shape, dtype=complex)
+    out[0] = end
+    for j, (op, _) in enumerate(spec.jumps):
+        rows = out[1 + j * n_steps:1 + (j + 1) * n_steps]
+        np.matmul(op.entries[None], split, out=rows)
+        rows *= np.sqrt(rates[j] * grid.dt)[:, None, None]
+    out.flags.writeable = False
+    return out
+
+
+def _assemble_channel(spec, psi, grid, x, traj, derivative):
     """Labels, Kraus stack and derivative stack of the first-jump channel.
 
-    Row 0 is the no-jump outcome ``check``; row 1 + j*N + n is the first
-    jump of operator j during step n + 1, labeled ``jump<j>@<n+1>``. Both
-    stacks are read-only (M, d, d) arrays filled jump by jump with one
-    matrix product each; the derivative stack is None unless asked for.
+    Rows follow ``_first_jump_rows``, labeled ``check`` and
+    ``jump<j>@<n+1>``; the derivative stack is None unless asked for.
     """
+    if psi.dim != spec.dim:
+        raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
+    traj = _given_or_propagated(spec, grid, x, traj, derivative)
     _, rates, prefixes, dprefixes = _jump_sampling(spec, grid, traj)
-    n_steps = grid.N
     labels = ("check",) + tuple(
-        f"jump{j}@{n + 1}" for j in range(len(spec.jumps)) for n in range(n_steps)
+        f"jump{j}@{n + 1}" for j in range(len(spec.jumps)) for n in range(grid.N)
     )
-
-    def stack(end, ref):
-        out = np.empty((len(labels), spec.dim, spec.dim), dtype=complex)
-        out[0] = end
-        for j, (op, _) in enumerate(spec.jumps):
-            amp = np.sqrt(rates[j] * grid.dt)
-            rows = out[1 + j * n_steps:1 + (j + 1) * n_steps]
-            np.matmul(op.entries[None], ref, out=rows)
-            rows *= amp[:, None, None]
-        out.flags.writeable = False
-        return out
-
-    ks = stack(traj.products[-1], prefixes)
-    dks = stack(traj.dproducts[-1], dprefixes) if derivative else None
+    ks = _first_jump_rows(spec, grid, rates, traj.products[-1], prefixes)
+    dks = (_first_jump_rows(spec, grid, rates, traj.dproducts[-1], dprefixes)
+           if derivative else None)
     return labels, ks, dks
 
 
@@ -507,12 +525,20 @@ def _given_or_propagated(spec, grid, x, traj, derivative):
     return traj
 
 
-def _residual_bound(spec, grid, x) -> float:
-    """Generous order-of-magnitude cap on the completeness residual.
+def _probe_trajectory(spec, grid, x, psi, traj):
+    """The derivative trajectory for a normalized probe of this spec."""
+    if psi.dim != spec.dim:
+        raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
+    psi.require_normalized()
+    return _given_or_propagated(spec, grid, x, traj, derivative=True)
 
-    Exceeding ten times this value signals a broken integration (norm
-    blow-up, grossly under-resolved grid), not ordinary discretization
-    error.
+
+def _held_to_cap(spec, grid, x, residual: float) -> float:
+    """A completeness residual, checked against a generous bound.
+
+    Exceeding ten times the bound, an order-of-magnitude estimate, raises
+    IntegratorFailure: it signals a broken integration (norm blow-up,
+    grossly under-resolved grid), not ordinary discretization error.
     """
     mids = grid.midpoints()
     h_mid, _ = _hamiltonian_samples(spec, mids, x)
@@ -529,18 +555,19 @@ def _residual_bound(spec, grid, x) -> float:
             l2 = spectral_norm(op.entries.conj().T @ op.entries)
             damp_norm += l2 * float(rates[j].max(initial=0.0))
         bound = grid.T * dt * (1.0 + damp_norm) * (1.0 + h_norm) ** 2
-    return bound + 1e3 * np.finfo(float).eps * grid.N
+    cap = 10.0 * (bound + 1e3 * np.finfo(float).eps * grid.N)
+    if residual > cap:
+        raise IntegratorFailure(
+            f"completeness residual {residual:.3e} exceeds "
+            f"10x the predicted bound {cap / 10.0:.3e} for scheme {grid.scheme}"
+        )
+    return residual
 
 
 def _capped_channel(spec, grid, x, labels, ks) -> MeasurementChannel:
     """The channel over an assembled stack, held to its residual cap."""
     channel = MeasurementChannel.from_stack(labels, ks, retained=frozenset({"check"}))
-    cap = 10.0 * _residual_bound(spec, grid, x)
-    if channel.completeness_residual > cap:
-        raise IntegratorFailure(
-            f"completeness residual {channel.completeness_residual:.3e} exceeds "
-            f"10x the predicted bound {cap / 10.0:.3e} for scheme {grid.scheme}"
-        )
+    _held_to_cap(spec, grid, x, channel.completeness_residual)
     return channel
 
 
@@ -555,10 +582,7 @@ def discrete_channel_with_derivatives(spec: CollisionSpec, psi: Ket, grid: TimeG
     a trajectory of this spec on this grid at this x propagated with
     derivatives, is used instead of propagating again.
     """
-    if psi.dim != spec.dim:
-        raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
-    traj = _given_or_propagated(spec, grid, x, traj, derivative=True)
-    labels, ks, dks = _assemble_channel(spec, grid, traj, derivative=True)
+    labels, ks, dks = _assemble_channel(spec, psi, grid, x, traj, derivative=True)
     return _capped_channel(spec, grid, x, labels, ks), dks
 
 
@@ -575,10 +599,7 @@ def build_discrete_channel(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
     a trajectory of this spec on this grid at this x, is used instead of
     propagating again.
     """
-    if psi.dim != spec.dim:
-        raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
-    traj = _given_or_propagated(spec, grid, x, traj, derivative=False)
-    labels, ks, _ = _assemble_channel(spec, grid, traj, derivative=False)
+    labels, ks, _ = _assemble_channel(spec, psi, grid, x, traj, derivative=False)
     return _capped_channel(spec, grid, x, labels, ks)
 
 
@@ -593,11 +614,67 @@ def discrete_channel_derivatives(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
     this grid at this x propagated with derivatives, is used instead of
     propagating again.
     """
-    if psi.dim != spec.dim:
-        raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
-    traj = _given_or_propagated(spec, grid, x, traj, derivative=True)
-    labels, _, dks = _assemble_channel(spec, grid, traj, derivative=True)
+    labels, _, dks = _assemble_channel(spec, psi, grid, x, traj, derivative=True)
     return tuple((label, Operator(m)) for label, m in zip(labels, dks))
+
+
+def _completeness_residual(spec, grid, end, prefixes, rates) -> float:
+    """|| K_T^+ K_T + sum_n K_n^+ (sum_j w_jn L_j^+ L_j) K_n - 1 || (spectral norm).
+
+    ``end`` is K_T, ``prefixes`` the (N, d, d) products K_n the jumps
+    split from and ``rates`` their (n_jumps, N) rates, weighted as
+    w_jn = rates * dt. The prefixes are laid side by side as one (d, N*d)
+    array, so each jump costs two matrix products: its damping L^+ L
+    applied to all of them, and the sum over n and rows.
+    """
+    d = spec.dim
+    acc = end.conj().T @ end
+    if spec.jumps:
+        side = prefixes.transpose(1, 0, 2).reshape(d, -1)
+        rows = side.reshape(-1, d).conj().T
+        for j, (op, _) in enumerate(spec.jumps):
+            damp = op.entries.conj().T @ op.entries
+            hit = (damp @ side).reshape(d, -1, d) * (rates[j] * grid.dt)[:, None]
+            acc = acc + rows @ hit.reshape(-1, d)
+    return spectral_norm(acc - np.eye(d))
+
+
+def trajectory_residual(spec: CollisionSpec, grid: TimeGrid, x: float, *,
+                        traj: Optional[NhTrajectory] = None) -> float:
+    """Completeness residual of the discrete channel, without building it.
+
+    Its sum_w M_w^+ M_w is K_T^+ K_T + sum_n K_n^+ (sum_j w_jn L_j^+ L_j) K_n,
+    taken with one matrix product per jump; the result matches the
+    explicit channel's ``completeness_residual`` to rounding (2e-15 at
+    N = 16384). A residual beyond ten times the predicted cap raises
+    IntegratorFailure. ``traj``, a trajectory of this spec on this grid
+    at this x, is used instead of propagating again.
+    """
+    traj = _given_or_propagated(spec, grid, x, traj, derivative=False)
+    _, rates, prefixes, _ = _jump_sampling(spec, grid, traj)
+    residual = _completeness_residual(spec, grid, traj.products[-1], prefixes, rates)
+    return _held_to_cap(spec, grid, x, residual)
+
+
+def trajectory_columns(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, *,
+                       traj: Optional[NhTrajectory] = None) -> ProbeColumns:
+    """The discrete channel and its x-derivatives applied to the probe.
+
+    The rows M_w psi and dM_w psi of ``discrete_channel_with_derivatives``
+    in its row order, and its completeness residual as
+    ``trajectory_residual`` takes and caps it, with no Kraus
+    matrix, label or MeasurementChannel built. ``psi`` must be normalized.
+    ``traj``, a trajectory of this spec on this grid at this x propagated
+    with derivatives, is used instead of propagating again.
+    """
+    traj = _probe_trajectory(spec, grid, x, psi, traj)
+    _, rates, prefixes, dprefixes = _jump_sampling(spec, grid, traj)
+    col = psi.amplitudes[:, None]
+    m = _first_jump_rows(spec, grid, rates, traj.products[-1] @ col, prefixes @ col)
+    dm = _first_jump_rows(spec, grid, rates, traj.dproducts[-1] @ col, dprefixes @ col)
+    residual = _completeness_residual(spec, grid, traj.products[-1], prefixes, rates)
+    return ProbeColumns(m=m[..., 0], dm=dm[..., 0], retained_mask=np.arange(len(m)) == 0,
+                        completeness_residual=_held_to_cap(spec, grid, x, residual))
 
 
 def check_integral_completeness(spec: CollisionSpec, grid: TimeGrid,
@@ -605,19 +682,13 @@ def check_integral_completeness(spec: CollisionSpec, grid: TimeGrid,
     """Residual of the continuum completeness identity on this grid.
 
     Evaluates || integral of M^+(t) L2(t) M(t) dt + M^+(T) M(T) - 1 ||
-    (spectral norm) with a midpoint rule; for smooth integrands under
-    expm_step the residual falls as O(dt^2).
+    (spectral norm) with a midpoint rule, the sum ``trajectory_residual``
+    takes with the scheme's own jump sampling; for smooth integrands
+    under expm_step the residual falls as O(dt^2).
     """
     traj = propagate(spec, grid, x, derivative=False)
-    mids = grid.midpoints()
-    rates = _rate_samples(spec, mids)
-    acc = traj.products[-1].conj().T @ traj.products[-1]
-    for j, (op, _) in enumerate(spec.jumps):
-        branch = op.entries[None] @ traj.mid_products
-        acc = acc + np.einsum(
-            "n,nji,njk->ik", rates[j] * grid.dt, branch.conj(), branch
-        )
-    return spectral_norm(acc - np.eye(spec.dim))
+    rates = _rate_samples(spec, grid.midpoints())
+    return _completeness_residual(spec, grid, traj.products[-1], traj.mid_products, rates)
 
 
 def _probe_reduction(spec, grid, x, psi, traj):
@@ -629,10 +700,7 @@ def _probe_reduction(spec, grid, x, psi, traj):
     and otherwise (rates, K psi, dK psi) at the grid midpoints. Every
     statistic here is quadratic in psi, so psi must be normalized.
     """
-    if psi.dim != spec.dim:
-        raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
-    psi.require_normalized()
-    traj = _given_or_propagated(spec, grid, x, traj, derivative=True)
+    traj = _probe_trajectory(spec, grid, x, psi, traj)
     amps = psi.amplitudes
     psi_end = traj.products[-1] @ amps
     dpsi_end = traj.dproducts[-1] @ amps

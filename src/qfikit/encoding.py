@@ -10,16 +10,20 @@ derivative gauge, decides losslessness of the encoding in both the
 perpendicular and the generic gauge, and evaluates the retained-fraction
 loss kappa together with per-outcome amplification ratios.
 
-Every routine contracts the whole channel at once: the Kraus stack
-(M, d, d) and the derivative stack, aligned with the channel's labels,
-are applied to the probe in one product each, and the statistics are
-arrays over the M outcomes. Derivatives are read once, at entry, by
-``quantum_core.derivative_stack``: (label, Operator) pairs or an
-(M, d, d) array in the channel's label order; every routine that hands
-derivatives back (``fix_perpendicular_gauge``, ``gauge_shift``) returns
-such an array. Sums over outcomes run in row order, as a running sum
-would take them, so large collision channels and small exact channels go
-through the same arithmetic.
+Every statistic is an expectation in the probe, so a channel is read
+through one contraction: its branches M_w psi and dM_w psi, (M, d)
+columns in label order (``ProbeColumns``), taken from the Kraus and
+derivative stacks in one product each, or, for a collision run, straight
+off the trajectory without building the stacks. ``theorem1_residuals``
+takes both theorem-1 checks, gauge fix included, from one set of columns;
+``fix_perpendicular_gauge``, ``check_lossless_perp`` and
+``check_lossless_generic`` wrap the same arithmetic. Derivatives are read
+once, at entry, by ``quantum_core.derivative_stack``: (label, Operator)
+pairs or an (M, d, d) array in the channel's label order; every routine
+that hands derivatives back (``fix_perpendicular_gauge``,
+``gauge_shift``) returns such an array. Sums over outcomes run in row
+order, as a running sum would take them, so large collision channels and
+small exact channels go through the same arithmetic.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .fisher import P_FLOOR
-from .quantum_core import Derivatives, Ket, MeasurementChannel, derivative_stack
+from .quantum_core import (Derivatives, Ket, MeasurementChannel, channel_kind,
+                           derivative_stack)
 
 __all__ = [
     "KAPPA_DENOM_FLOOR",
@@ -40,6 +45,10 @@ __all__ = [
     "GenericLosslessVerdict",
     "KappaResult",
     "AmplificationReport",
+    "ProbeColumns",
+    "Theorem1Residuals",
+    "probe_columns",
+    "theorem1_residuals",
     "efg",
     "total_qfi",
     "fix_perpendicular_gauge",
@@ -149,6 +158,24 @@ class EfgReport:
         return sum(e for label, e, _, _ in self.per_outcome if label in self.retained)
 
 
+class ProbeColumns(NamedTuple):
+    """A channel and its derivatives applied to one probe.
+
+    ``m[w] = M_w psi`` and ``dm[w] = dM_w psi`` are (M, d) arrays in the
+    channel's label order, ``retained_mask`` marks the retained rows, and
+    ``completeness_residual`` is the channel's ||sum_w M_w^+ M_w - 1||.
+    """
+
+    m: np.ndarray
+    dm: np.ndarray
+    retained_mask: np.ndarray
+    completeness_residual: float
+
+    @property
+    def kind(self) -> str:
+        return channel_kind(self.completeness_residual)
+
+
 class _Contraction(NamedTuple):
     """A channel and its derivatives applied to one probe, row by outcome."""
 
@@ -170,14 +197,20 @@ def _contract(channel: MeasurementChannel, derivatives, psi: Ket) -> _Contractio
     dks = derivative_stack(channel, derivatives)
     m = channel.stack @ psi.amplitudes
     dm = dks @ psi.amplitudes
-    return _Contraction(
-        dks=dks,
-        m=m,
-        dm=dm,
-        e=_rowdot(m, m).real,
-        f=1j * _rowdot(dm, m),
-        g=_rowdot(dm, dm).real,
-    )
+    return _Contraction(dks, m, dm, *_efg_rows(m, dm))
+
+
+def _efg_rows(m: np.ndarray, dm: np.ndarray) -> tuple:
+    """e, f, g of every row of the branches m and derivative branches dm."""
+    return _rowdot(m, m).real, 1j * _rowdot(dm, m), _rowdot(dm, dm).real
+
+
+def probe_columns(channel: MeasurementChannel, derivatives: Derivatives,
+                  psi: Ket) -> ProbeColumns:
+    """The channel's branches on a normalized probe, one product per stack."""
+    c = _contract(channel, derivatives, psi)
+    return ProbeColumns(m=c.m, dm=c.dm, retained_mask=channel.retained_mask,
+                        completeness_residual=channel.completeness_residual)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -314,9 +347,7 @@ def fix_perpendicular_gauge(
     if channel.kind != "exact":
         raise ValueError("gauge fixing expects an exact channel")
     c = _contract(channel, derivatives, psi)
-    e_total = _row_sum(c.e, 0.0)
-    f_total = _row_sum(c.f, 0j)
-    dtheta = -f_total.real / e_total
+    dtheta = _gauge_rate(c.e, c.f)
     gauged = c.dks + (1j * dtheta) * channel.stack
     gauged.flags.writeable = False
     return gauged, GaugePhase(theta=0.0, dtheta=dtheta)
@@ -385,9 +416,7 @@ def check_lossless_perp(
     kept = channel.retained_mask
     ret, = np.nonzero(kept)
     dis, = np.nonzero(~kept)
-    overlap = _modulus(_rowdot(c.m[ret], c.dm[ret]))
-    dnorm = _norms(c.dm)
-    dead, = np.nonzero(kept & (c.e <= P_FLOOR) & (dnorm > tol))
+    overlap, dnorm, dead = _perp_residuals(c.m, c.dm, c.e, kept, tol)
     worst = max(overlap.max(initial=0.0), dnorm[dis].max(initial=0.0))
     return LosslessPerpVerdict(
         lossless=bool(worst <= tol and not dead.size),
@@ -430,20 +459,88 @@ def check_lossless_generic(
     encodings without requiring a prior gauge fix.
     """
     c = _contract(channel, derivatives, psi)
-    kept = channel.retained_mask
-    ret, = np.nonzero(kept)
-    f_total = _row_sum(c.f, 0j)
-    retained_res = _modulus(c.f[ret] - f_total * c.e[ret])
-    f_dis = _row_sum(c.f[~kept], 0j)
-    g_dis = _row_sum(c.g[~kept], 0.0)
-    discarded_res = float(abs(g_dis - f_total * f_dis.conjugate()))
+    ret, = np.nonzero(channel.retained_mask)
+    retained_res, discarded_res, imag_f = _generic_residuals(
+        c.e, c.f, c.g, channel.retained_mask)
     worst = max(float(retained_res.max(initial=0.0)), discarded_res)
     return GenericLosslessVerdict(
         lossless=bool(worst <= tol),
         tol=tol,
         retained_residuals=_labelled(channel.labels, ret, retained_res),
         discarded_residual=discarded_res,
-        imag_f_residuals=_labelled(channel.labels, ret, np.abs(c.f[ret].imag)),
+        imag_f_residuals=_labelled(channel.labels, ret, imag_f),
+    )
+
+
+def _gauge_rate(e: np.ndarray, f: np.ndarray) -> float:
+    """dtheta = -Re<F_total>/<E_total>, the perpendicular gauge's phase rate."""
+    return -_row_sum(f, 0j).real / _row_sum(e, 0.0)
+
+
+def _perp_residuals(m, dm, e, kept, tol) -> tuple:
+    """|<m_w|dm_w>| over retained rows, ||dm_w|| over all, and the dead rows:
+    retained, at zero weight, with ||dm_w|| above tol."""
+    overlap = _modulus(_rowdot(m[kept], dm[kept]))
+    dnorm = _norms(dm)
+    dead, = np.nonzero(kept & (e <= P_FLOOR) & (dnorm > tol))
+    return overlap, dnorm, dead
+
+
+def _generic_residuals(e, f, g, kept) -> tuple:
+    """|<F_w> - <F_total><E_w>| over retained rows, the discarded residual
+    |<G_dis> - <F_total> conj(<F_dis>)|, and |Im<F_w>| over retained rows."""
+    f_total = _row_sum(f, 0j)
+    retained_res = _modulus(f[kept] - f_total * e[kept])
+    f_dis = _row_sum(f[~kept], 0j)
+    g_dis = _row_sum(g[~kept], 0.0)
+    discarded_res = float(abs(g_dis - f_total * f_dis.conjugate()))
+    return retained_res, discarded_res, np.abs(f[kept].imag)
+
+
+class Theorem1Residuals(NamedTuple):
+    """Worst residuals of both theorem-1 checks at one tolerance.
+
+    ``perp`` is LosslessPerpVerdict.worst() and ``dead`` whether any
+    outcome is flagged; ``generic`` is the residual GenericLosslessVerdict
+    holds to tol, and ``imag_f`` the worst |Im<F_w>| over retained rows.
+    """
+
+    tol: float
+    perp: float
+    dead: bool
+    generic: float
+    imag_f: float
+
+    @property
+    def perp_lossless(self) -> bool:
+        return self.perp <= self.tol and not self.dead
+
+    @property
+    def generic_lossless(self) -> bool:
+        return self.generic <= self.tol
+
+
+def theorem1_residuals(columns: ProbeColumns, tol: float = 1e-9) -> Theorem1Residuals:
+    """Both theorem-1 checks from one set of probe columns.
+
+    For an exact channel the perpendicular check reads dm + i dtheta m,
+    the branches of ``fix_perpendicular_gauge``'s derivatives; an
+    approximate channel cannot be regauged and is checked as given, as
+    the generic check always is. The residuals match those of
+    ``check_lossless_perp`` and ``check_lossless_generic`` to rounding.
+    """
+    m, dm, kept = columns.m, columns.dm, columns.retained_mask
+    e, f, g = _efg_rows(m, dm)
+    retained_res, discarded_res, imag_f = _generic_residuals(e, f, g, kept)
+    if columns.kind == "exact":
+        dm = dm + (1j * _gauge_rate(e, f)) * m
+    overlap, dnorm, dead = _perp_residuals(m, dm, e, kept, tol)
+    return Theorem1Residuals(
+        tol=tol,
+        perp=float(max(overlap.max(initial=0.0), dnorm[~kept].max(initial=0.0))),
+        dead=bool(dead.size),
+        generic=max(float(retained_res.max(initial=0.0)), discarded_res),
+        imag_f=float(imag_f.max(initial=0.0)),
     )
 
 

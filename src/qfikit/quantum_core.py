@@ -22,6 +22,7 @@ __all__ = [
     "Operator",
     "KrausRows",
     "MeasurementChannel",
+    "channel_kind",
     "Derivatives",
     "derivative_stack",
     "tensor",
@@ -221,7 +222,7 @@ class MeasurementChannel:
     residual alone: at most 1e-10 is `exact`, anything above is
     `approximate`. A collision-model channel's residual shrinks with the
     step, so its kind depends on the grid: the bundled dephasing run is
-    `exact` at N=16384 (residual 9.8e-11) and `approximate` at N=4096
+    `exact` at N=16384 (residual 9.66e-11) and `approximate` at N=4096
     (1.6e-9).
     """
 
@@ -282,13 +283,18 @@ class MeasurementChannel:
     @property
     def kind(self) -> str:
         """Either `exact` or `approximate`, from the completeness residual."""
-        return "exact" if self.completeness_residual <= EXACT_RESIDUAL_TOL else "approximate"
+        return channel_kind(self.completeness_residual)
 
     def operator(self, label: str) -> Operator:
         try:
             return self.kraus[self.labels.index(label)][1]
         except ValueError:
             raise KeyError(f"no outcome labeled {label!r}") from None
+
+
+def channel_kind(completeness_residual: float) -> str:
+    """`exact` for a residual of at most EXACT_RESIDUAL_TOL, else `approximate`."""
+    return "exact" if completeness_residual <= EXACT_RESIDUAL_TOL else "approximate"
 
 
 #: derivatives as (label, Operator) pairs or an (M, d, d) array in label order

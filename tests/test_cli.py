@@ -688,3 +688,66 @@ class TestRegressionGuards:
             monkeypatch.setattr(module, "build_transducer", counted)
         assert main(["run", "configs/fig1b.json", "--output", str(tmp_path / "fig1b.csv")]) == 0
         assert len(builds) == 41
+
+
+CUSTOM_COLLISION = {
+    "kind": "custom_collision",
+    "parameters": {"x": 0.3, "T": 1.0, "N": 512, "scheme": "euler_paper"},
+    "operators": {"h0": "pauli_x", "control": "pauli_z"},
+    "states": {"psi": "plus_x"},
+    "jumps": [{"op": "pauli_z", "rate": 0.5}, {"op": "pauli_y", "rate": 0.2}],
+}
+
+
+class TestColumnRuns:
+    """Collision runs take their verdicts from probe columns, not channels."""
+
+    @pytest.mark.parametrize("payload", [CANONICAL_DEPHASING, CUSTOM_COLLISION],
+                             ids=["dephasing", "custom_collision"])
+    def test_collision_run_builds_no_channel(self, tmp_path, monkeypatch, payload):
+        import qfikit.collision
+        from qfikit.quantum_core import MeasurementChannel
+
+        built, assembled = [], []
+        original = MeasurementChannel.__post_init__
+
+        def counting(self):
+            built.append(1)
+            original(self)
+
+        def counted_assembly(*args, **kwargs):
+            assembled.append(1)
+
+        monkeypatch.setattr(MeasurementChannel, "__post_init__", counting)
+        monkeypatch.setattr(qfikit.collision, "_assemble_channel", counted_assembly)
+        report = execute(parse_config(write_config(tmp_path, payload)))
+        assert not built and not assembled
+        for name in ("theorem1_perp", "theorem1_generic", "theorem2"):
+            assert report.verdicts[name]["status"] in ("pass", "fail")
+
+    def test_blowup_exits_one_with_residual_error(self, tmp_path, capsys):
+        # the euler_paper blow-up of the library's integrator-failure test:
+        # H0 = x sigma_z at x = 500 on 32 steps
+        payload = {
+            "kind": "custom_collision",
+            "parameters": {"x": 500.0, "T": 1.0, "N": 32, "scheme": "euler_paper"},
+            "operators": {"h0": "pauli_z"},
+            "states": {"psi": "plus_x"},
+        }
+        assert main(["run", write_config(tmp_path, payload)]) == 1
+        err = capsys.readouterr().err
+        assert "completeness residual" in err and "predicted bound" in err
+
+    def test_bundled_dephasing_verdicts_match_golden(self, tmp_path, capsys):
+        out = tmp_path / "dephasing.json"
+        assert main(["run", "configs/dephasing.json", "--format", "json",
+                     "--output", str(out)]) == 0
+        capsys.readouterr()
+        got = json.loads(out.read_text(encoding="utf-8"))["verdicts"]
+        with open("tests/golden/dephasing_verdicts.json", encoding="utf-8") as fh:
+            want = json.load(fh)["verdicts"]
+        assert got.keys() == want.keys()
+        for name, verdict in want.items():
+            assert got[name]["status"] == verdict["status"]
+            assert got[name]["worst_residual"] == pytest.approx(
+                verdict["worst_residual"], rel=1e-12, abs=0.0)

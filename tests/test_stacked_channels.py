@@ -19,6 +19,8 @@ from qfikit.collision import (
     TimeGrid,
     discrete_channel_derivatives,
     discrete_channel_with_derivatives,
+    propagate,
+    trajectory_columns,
 )
 from qfikit.encoding import (
     amplification_report,
@@ -26,10 +28,11 @@ from qfikit.encoding import (
     check_lossless_perp,
     efg,
     fix_perpendicular_gauge,
+    theorem1_residuals,
     total_qfi,
 )
 from qfikit.fisher import P_FLOOR
-from qfikit.quantum_core import MeasurementChannel, Operator
+from qfikit.quantum_core import EXACT_RESIDUAL_TOL, MeasurementChannel, Operator
 from qfikit.scenarios import random_family
 
 
@@ -143,6 +146,66 @@ class TestExactChannelsMatchOracle:
             got = amplification_report(channel, stacked, psi)
             want = amplification_report(channel, pairs, psi)
             assert got == want
+
+
+class TestTrajectoryColumnsMatchStacks:
+    """A run's probe columns against the explicit channel and its public checks."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.sampled_from([2, 3, 4]),
+        n_jumps=st.integers(1, 2),
+        n_steps=st.sampled_from([2**6, 2**7, 2**8, 2**9, 2**10]),
+        scheme=st.sampled_from(SCHEMES),
+        jump_free=st.booleans(),
+        callable_h0=st.booleans(),
+        log_tol=st.floats(-12.0, -1.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_verdicts_match_stack_path(self, seed, dim, n_jumps, n_steps, scheme,
+                                       jump_free, callable_h0, log_tol):
+        gen, control, jumps = scaled_model(seed, dim, n_jumps)
+        # zero rates leave a unitary no-jump branch under expm_step, so
+        # those draws give exact channels and exercise the gauge fix
+        scale = 0.0 if jump_free else 1.0
+        h0, dh0 = Operator(gen), None
+        if callable_h0:
+            # time-dependent, so every step is sampled and exponentiated
+            def h0(t, x):
+                return Operator(x * (1.0 + 0.5 * t) * gen)
+
+            def dh0(t, x):
+                return Operator((1.0 + 0.5 * t) * gen)
+        spec = CollisionSpec(
+            h0=h0, h1=Operator(control), dh0=dh0, dim=dim,
+            jumps=tuple((Operator(op), scale * rate) for op, rate in jumps),
+        )
+        grid = TimeGrid(T=1.0, N=n_steps, scheme=scheme)
+        psi = random_ket(dim, np.random.default_rng(seed))
+        tol = 10.0**log_tol
+        traj = propagate(spec, grid, 0.3)
+        channel, dks = discrete_channel_with_derivatives(spec, psi, grid, 0.3, traj=traj)
+        columns = trajectory_columns(spec, grid, 0.3, psi, traj=traj)
+
+        residual = channel.completeness_residual
+        assert abs(columns.completeness_residual - residual) <= 1e-13
+        if abs(residual - EXACT_RESIDUAL_TOL) > 1e-13:
+            assert columns.kind == channel.kind
+        assert columns.retained_mask.tolist() == channel.retained_mask.tolist()
+
+        gauged = dks
+        if channel.kind == "exact":
+            gauged, _ = fix_perpendicular_gauge(channel, dks, psi)
+        perp = check_lossless_perp(channel, gauged, psi, tol=tol)
+        generic = check_lossless_generic(channel, dks, psi, tol=tol)
+        got = theorem1_residuals(columns, tol=tol)
+        assert got.perp_lossless == perp.lossless
+        assert got.generic_lossless == generic.lossless
+        assert close(got.perp, perp.worst())
+        assert got.dead == bool(perp.flagged)
+        retained = [r for _, r in generic.retained_residuals]
+        assert close(got.generic, max(retained + [generic.discarded_residual]))
+        assert close(got.imag_f, max(r for _, r in generic.imag_f_residuals))
 
 
 class TestKrausRows:
