@@ -46,6 +46,7 @@ from .scenarios import (
     build_dephasing,
     build_transducer,
     fig1b_row,
+    transducer_points,
 )
 from .verify import SUITES
 
@@ -446,27 +447,16 @@ def _run_transducer(config: ScenarioConfig, tol: float):
     grid = p.get("eps_grid")
     if grid is not None:
         spec = _transducer_spec(config, eps=1.0)
-        rows = []
-        worst = 0.0
-        all_pass = True
-        for eps in grid:
-            family, _ = build_transducer(replace(spec, eps=float(eps)))
-            channel, derivatives = family(spec.x)
-            rows.append(fig1b_row(eps, channel, derivatives, spec.sys_initial))
-            t1 = theorem1_residuals(
-                probe_columns(channel, derivatives, spec.sys_initial), tol=tol)
-            worst = max(worst, t1.perp)
-            all_pass = all_pass and t1.perp_lossless
-        table = {
-            "columns": ["eps", "I_sigma_1", "I_sigma_2", "avg_total", "sum_total"],
-            "rows": [list(row) for row in rows],
-        }
-        verdicts = {
-            "theorem1_perp": _verdict("pass" if all_pass else "fail", worst),
-            "theorem1_generic": _verdict("n.a.", None),
-            "theorem2": _verdict("n.a.", None),
-        }
-        return {}, [], verdicts, table
+        psi = spec.sys_initial
+        rows, worst, all_pass = [], 0.0, True
+        for eps, (channel, derivatives) in zip(grid, transducer_points(spec, grid)):
+            rows.append(list(fig1b_row(eps, channel, derivatives, psi)))
+            t1 = theorem1_residuals(probe_columns(channel, derivatives, psi), tol=tol)
+            worst, all_pass = max(worst, t1.perp), all_pass and t1.perp_lossless
+        verdicts = {name: _verdict("n.a.", None) for name in _VERDICT_NAMES}
+        verdicts["theorem1_perp"] = _verdict("pass" if all_pass else "fail", worst)
+        columns = ["eps", "I_sigma_1", "I_sigma_2", "avg_total", "sum_total"]
+        return {}, [], verdicts, {"columns": columns, "rows": rows}
 
     spec = _transducer_spec(config, eps=p.get("eps", 1.0))
     family, expected_iq = build_transducer(spec)

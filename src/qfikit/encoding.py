@@ -50,6 +50,7 @@ __all__ = [
     "probe_columns",
     "theorem1_residuals",
     "efg",
+    "retained_average",
     "total_qfi",
     "fix_perpendicular_gauge",
     "gauge_shift",
@@ -66,16 +67,20 @@ KAPPA_DENOM_FLOOR = 1e-14
 _GAUGES = ("as_given", "perpendicular")
 
 
-def _aggregate(per_outcome, retained):
-    """Sum per-outcome rows in row order; shared by builder and validator."""
-    e_total = sum((row[1] for row in per_outcome), 0.0)
-    f_total = sum((row[2] for row in per_outcome), 0j)
-    g_total = sum((row[3] for row in per_outcome), 0.0)
-    f_ret = sum((row[2] for row in per_outcome if row[0] in retained), 0j)
-    g_ret = sum((row[3] for row in per_outcome if row[0] in retained), 0.0)
-    f_dis = sum((row[2] for row in per_outcome if row[0] not in retained), 0j)
-    g_dis = sum((row[3] for row in per_outcome if row[0] not in retained), 0.0)
-    return e_total, f_total, g_total, f_ret, g_ret, f_dis, g_dis
+def _aggregate(per_outcome, retained) -> dict:
+    """The report's aggregate fields, each a row-order sum of the rows;
+    shared by builder and validator."""
+    ret = [row for row in per_outcome if row[0] in retained]
+    dis = [row for row in per_outcome if row[0] not in retained]
+    return dict(
+        e_total=sum((row[1] for row in per_outcome), 0.0),
+        f_total=sum((row[2] for row in per_outcome), 0j),
+        g_total=sum((row[3] for row in per_outcome), 0.0),
+        f_retained=sum((row[2] for row in ret), 0j),
+        g_retained=sum((row[3] for row in ret), 0.0),
+        f_discarded=sum((row[2] for row in dis), 0j),
+        g_discarded=sum((row[3] for row in dis), 0.0),
+    )
 
 
 @dataclass(frozen=True)
@@ -134,16 +139,7 @@ class EfgReport:
                 f"got imaginary part {self.f_total.imag}"
             )
         sums = _aggregate(self.per_outcome, self.retained)
-        stored = (
-            self.e_total,
-            self.f_total,
-            self.g_total,
-            self.f_retained,
-            self.g_retained,
-            self.f_discarded,
-            self.g_discarded,
-        )
-        if any(a != b for a, b in zip(stored, sums)):
+        if any(getattr(self, name) != value for name, value in sums.items()):
             raise ValueError("aggregate fields do not equal per-outcome sums")
         if self.kappa is not None and not -1e-8 <= self.kappa <= 1.0 + 1e-8:
             raise ValueError(f"kappa {self.kappa} outside [0, 1]")
@@ -250,30 +246,26 @@ def _branch_share(e: float, f: complex, g: float) -> float:
     return max(val, 0.0)
 
 
-def _shares(c: _Contraction, rows: np.ndarray) -> list:
-    """_branch_share of each given row, in row order."""
-    return [_branch_share(e, f, g) for e, f, g in
-            zip(c.e[rows].tolist(), c.f[rows].tolist(), c.g[rows].tolist())]
+def retained_average(per_outcome: tuple, retained) -> float:
+    """Post-selected average information of the ``retained`` outcomes: the
+    row-order sum of 4(g - |f|^2/e) over the report rows (label, e, f, g)
+    retained and above the dead-outcome floor. ``avg_ps_qfi`` is this sum
+    over the report's own retained set, so one report's rows give every
+    retained subset's average, bit for bit, without a new contraction."""
+    return sum((_branch_share(e, f, g) for label, e, f, g in per_outcome
+                if label in retained and e > P_FLOOR), 0.0)
 
 
 def _report(channel: MeasurementChannel, c: _Contraction, gauge: str) -> EfgReport:
-    live, = np.nonzero(channel.retained_mask & (c.e > P_FLOOR))
     per_outcome = tuple(zip(channel.labels, c.e.tolist(), c.f.tolist(), c.g.tolist()))
-    sums = _aggregate(per_outcome, channel.retained)
     return EfgReport(
         per_outcome=per_outcome,
         retained=channel.retained,
         gauge=gauge,
         channel_kind=channel.kind,
         completeness_residual=channel.completeness_residual,
-        e_total=sums[0],
-        f_total=sums[1],
-        g_total=sums[2],
-        f_retained=sums[3],
-        g_retained=sums[4],
-        f_discarded=sums[5],
-        g_discarded=sums[6],
-        avg_ps_qfi=sum(_shares(c, live), 0.0),
+        avg_ps_qfi=retained_average(per_outcome, channel.retained),
+        **_aggregate(per_outcome, channel.retained),
     )
 
 
@@ -627,18 +619,17 @@ def amplification_report(
     psi: Ket,
 ) -> AmplificationReport:
     """Compare each outcome's conditional QFI with the total QFI."""
-    c = _contract(channel, derivatives, psi)
-    report = _report(channel, c, "as_given")
+    report = _report(channel, _contract(channel, derivatives, psi), "as_given")
     i_q = total_qfi(report)
     if i_q <= KAPPA_DENOM_FLOOR:
         raise ValueError("total QFI is zero; amplification undefined")
-    live, = np.nonzero(c.e > P_FLOOR)
-    strict = live.size == c.e.size and bool((c.e < 1.0 - P_FLOOR).all())
-    rows = tuple(
-        (channel.labels[n], e, share / e, share / i_q)
-        for n, e, share in zip(live, c.e[live].tolist(), _shares(c, live))
-    )
-    return AmplificationReport(rows=rows, i_q=i_q, strict_regime=strict)
+    rows = []
+    for label, e, f, g in report.per_outcome:
+        if e > P_FLOOR:
+            share = _branch_share(e, f, g)
+            rows.append((label, e, share / e, share / i_q))
+    strict = all(P_FLOOR < e < 1.0 - P_FLOOR for _, e, _, _ in report.per_outcome)
+    return AmplificationReport(rows=tuple(rows), i_q=i_q, strict_regime=strict)
 
 
 def complete_report(

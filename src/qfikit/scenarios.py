@@ -4,9 +4,11 @@ The flip-transducer protocol freezes the probe's own dynamics and lets a
 two-level section of the environment steer a conditional flip on the
 probe; reading the environment in a mixed basis parameterized by eps
 moves the signal between the two outcome branches without changing the
-post-selected average. The dephasing builder wires a commuting jump
-model into the collision machinery. The random generators supply exact
-channels and differentiable families for property suites.
+post-selected average. Only the readout basis depends on eps, so a grid
+of mixings exponentiates the generator once and rebuilds just the basis
+per eps. The dephasing builder wires a commuting jump model into the
+collision machinery. The random generators supply exact channels and
+differentiable families for property suites.
 
 A family is a plain function x -> (channel, derivatives) that
 exponentiates its generator once per call; the derivatives come as a
@@ -15,7 +17,7 @@ read-only (M, d, d) array in the channel's label order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -35,6 +37,7 @@ __all__ = [
     "TransducerSpec",
     "two_qubit_transducer",
     "build_transducer",
+    "transducer_points",
     "Fig1bRow",
     "DEFAULT_EPS_GRID",
     "fig1b_row",
@@ -160,54 +163,76 @@ def two_qubit_transducer(T: float = 1.0, x: float = 1e-5,
     )
 
 
-def _pointer_basis(spec: TransducerSpec):
-    """Initial state, conjugate pointer, and the full readout basis."""
-    phi = spec.env_initial.amplitudes
-    var = spec.env_variance()
-    if var <= VAR_FLOOR:
-        raise ValueError(
-            "environment generator variance vanishes; the conjugate pointer "
-            "state is undefined"
-        )
-    perp = (spec.h0_env.entries @ phi) / np.sqrt(var)
-    norm = 1.0 / np.sqrt(1.0 + spec.eps**2)
-    v1 = (phi + spec.eps * perp) * norm
-    v2 = (perp - spec.eps * phi) * norm
-    vectors = [v1, v2]
-    if spec.env_initial.dim > 2:
-        # the orthogonal complement: rows of vh past the numerical rank,
-        # counting singular values above eps * dim * the largest
-        _, sv, vh = np.linalg.svd(np.stack([v1.conj(), v2.conj()]))
-        rank = int(np.sum(sv > sv.max() * np.finfo(float).eps * len(phi)))
-        vectors.extend(vh[rank:].conj())
-    return phi, perp, var, vectors
+class _Dilation:
+    """The transducer of one spec, with the readout mixing left open.
 
-
-def _interaction_unitary(spec: TransducerSpec, perp: np.ndarray) -> np.ndarray:
-    dim_s, dim_e = spec.sys_initial.dim, spec.env_initial.dim
-    perp_proj = np.outer(perp, perp.conj())
-    return np.kron(np.eye(dim_s), np.eye(dim_e) - perp_proj) + np.kron(
-        spec.flip.entries, perp_proj
-    )
-
-
-def _check_weak_signal_condition(spec, u_int, phi, perp, vectors):
-    """The readout must not couple the pointer states through the probe.
-
-    For every outcome the matrix element between the evolved (psi, phi)
-    and (psi, perp) branches has to vanish; this is what makes the
-    interaction transduce only the signal-rotated component.
+    Holds what no mixing changes: the pointer states phi and
+    perp = H phi / sqrt(var), the conditional flip U_int, the evolved
+    (psi, phi) and (psi, perp) branches the weak-signal check reads, and
+    the outcome labels with the retained ones.
     """
-    dim_s, dim_e = spec.sys_initial.dim, spec.env_initial.dim
-    a = (u_int @ np.kron(spec.sys_initial.amplitudes, phi)).reshape(dim_s, dim_e)
-    b = (u_int @ np.kron(spec.sys_initial.amplitudes, perp)).reshape(dim_s, dim_e)
-    for w, v in enumerate(vectors):
-        val = np.vdot(a @ v.conj(), b @ v.conj())
-        if abs(val) > 1e-10:
-            raise ValueError(
-                f"readout outcome {w + 1} couples the pointer states: "
-                f"matrix element {abs(val):.3e}"
-            )
+
+    def __init__(self, spec: TransducerSpec, retained):
+        self.spec, self.phi, self.var = spec, spec.env_initial.amplitudes, spec.env_variance()
+        if self.var <= VAR_FLOOR:
+            raise ValueError("environment generator variance vanishes; the conjugate "
+                             "pointer state is undefined")
+        self.perp = perp = (spec.h0_env.entries @ self.phi) / np.sqrt(self.var)
+        self.dims = dim_s, dim_e = spec.sys_initial.dim, spec.env_initial.dim
+        perp_proj = np.outer(perp, perp.conj())
+        self.u_int = (np.kron(np.eye(dim_s), np.eye(dim_e) - perp_proj)
+                      + np.kron(spec.flip.entries, perp_proj))
+        self.branches = [(self.u_int @ np.kron(spec.sys_initial.amplitudes, v)).reshape(
+            dim_s, dim_e) for v in (self.phi, perp)]
+        self.labels = [str(w + 1) for w in range(dim_e)]
+        self.keep = frozenset(self.labels if retained is None else retained)
+
+    def unitary(self, x: float) -> tuple:
+        """U(x) = U_int (1 (x) exp(-i x T H)) as an Operator, and dU/dx as a
+        (d_S, d_E, d_S, d_E) array."""
+        dim_s, dim_e = self.dims
+        h_env, t_total = self.spec.h0_env.entries, self.spec.T
+        rot = expm(-1j * x * t_total * h_env)
+        du = self.u_int @ np.kron(np.eye(dim_s), -1j * t_total * h_env @ rot)
+        return (Operator(self.u_int @ np.kron(np.eye(dim_s), rot)),
+                du.reshape(dim_s, dim_e, dim_s, dim_e))
+
+    def readout(self, eps: float) -> list:
+        """The two pointer mixtures at ``eps``, completed orthonormally past
+        two environment levels.
+
+        The readout must not couple the pointer states through the probe:
+        for every outcome the matrix element between the evolved (psi, phi)
+        and (psi, perp) branches has to vanish; this is what makes the
+        interaction transduce only the signal-rotated component.
+        """
+        if eps < 0.0:
+            raise ValueError(f"mixing must be nonnegative, got {eps}")
+        phi, perp = self.phi, self.perp
+        norm = 1.0 / np.sqrt(1.0 + eps**2)
+        v1 = (phi + eps * perp) * norm
+        v2 = (perp - eps * phi) * norm
+        vectors = [v1, v2]
+        if len(phi) > 2:
+            # the orthogonal complement: rows of vh past the numerical rank,
+            # counting singular values above eps * dim * the largest
+            _, sv, vh = np.linalg.svd(np.stack([v1.conj(), v2.conj()]))
+            rank = int(np.sum(sv > sv.max() * np.finfo(float).eps * len(phi)))
+            vectors.extend(vh[rank:].conj())
+        a, b = self.branches
+        for w, v in enumerate(vectors):
+            val = np.vdot(a @ v.conj(), b @ v.conj())
+            if abs(val) > 1e-10:
+                raise ValueError(f"readout outcome {w + 1} couples the pointer states: "
+                                 f"matrix element {abs(val):.3e}")
+        return vectors
+
+    def point(self, u: Operator, du4: np.ndarray, vectors: list) -> tuple:
+        """Channel and derivative stack of U and dU/dx read out in ``vectors``."""
+        channel = kraus_from_dilation(u, self.spec.env_initial, [Ket(v) for v in vectors],
+                                      retained=self.keep, labels=self.labels)
+        basis = np.stack(vectors)
+        return channel, _frozen(np.einsum("we,aebf,f->wab", basis.conj(), du4, self.phi))
 
 
 def build_transducer(spec: TransducerSpec, retained=None):
@@ -219,31 +244,28 @@ def build_transducer(spec: TransducerSpec, retained=None):
     of its Kraus operators, both from one exp(-i x T H). Outcome
     labels count from "1"; with an environment larger than two levels
     the readout basis is completed orthonormally past the two pointer
-    mixtures. By default every outcome is retained.
+    mixtures. By default every outcome is retained. A grid of mixings
+    goes through ``transducer_points``, which exponentiates the generator
+    once and rebuilds only the readout basis per eps.
     """
-    phi, perp, var, vectors = _pointer_basis(spec)
-    u_int = _interaction_unitary(spec, perp)
-    _check_weak_signal_condition(spec, u_int, phi, perp, vectors)
+    dil = _Dilation(spec, retained)
+    vectors = dil.readout(spec.eps)
+    return (lambda x: dil.point(*dil.unitary(x), vectors)), 4.0 * spec.T**2 * dil.var
 
-    dim_s, dim_e = spec.sys_initial.dim, spec.env_initial.dim
-    labels = [str(w + 1) for w in range(dim_e)]
-    keep = frozenset(labels if retained is None else retained)
-    basis_kets = [Ket(v) for v in vectors]
-    basis = np.stack(vectors)
-    h_env = spec.h0_env.entries
-    t_total = spec.T
 
-    def family(x):
-        rot = expm(-1j * x * t_total * h_env)
-        channel = kraus_from_dilation(
-            Operator(u_int @ np.kron(np.eye(dim_s), rot)), spec.env_initial,
-            basis_kets, retained=keep, labels=labels,
-        )
-        du = u_int @ np.kron(np.eye(dim_s), -1j * t_total * h_env @ rot)
-        du4 = du.reshape(dim_s, dim_e, dim_s, dim_e)
-        return channel, _frozen(np.einsum("we,aebf,f->wab", basis.conj(), du4, phi))
+def transducer_points(spec: TransducerSpec, eps_grid, retained=None):
+    """Yield (channel, derivatives) at ``spec.x`` for each mixing of a grid.
 
-    return family, 4.0 * t_total**2 * var
+    The spec's own eps is ignored. The dilation U(x) and its x-derivative
+    do not depend on the mixing, so the grid exponentiates the generator
+    once; only the readout basis is rebuilt and checked per eps. Each
+    point equals ``build_transducer`` of the spec at that eps bit for
+    bit, and a negative eps raises at its point.
+    """
+    dil = _Dilation(spec, retained)
+    unitary = dil.unitary(spec.x)
+    for eps in eps_grid:
+        yield dil.point(*unitary, dil.readout(float(eps)))
 
 
 class Fig1bRow(NamedTuple):
@@ -279,17 +301,15 @@ def fig1b_row(eps: float, channel: MeasurementChannel, derivatives,
 def fig1b_sweep(spec: TransducerSpec, eps_grid=None) -> tuple:
     """Sweep the readout mixing and tabulate the per-outcome information.
 
-    Builds the transducer once per mixing value and takes its row from
-    ``fig1b_row`` at the spec's operating point. The weighted total
-    stays pinned at the joint value while the mixing hands the signal
-    from one branch to the other.
+    Takes each row from ``fig1b_row`` at the spec's operating point. The
+    points come from ``transducer_points``: one exp(-i x T H) for the
+    whole grid, and only the readout basis rebuilt per mixing. The
+    weighted total stays pinned at the joint value while the mixing hands
+    the signal from one branch to the other.
     """
     grid = DEFAULT_EPS_GRID if eps_grid is None else tuple(eps_grid)
-    rows = []
-    for eps in grid:
-        family, _ = build_transducer(replace(spec, eps=float(eps)))
-        rows.append(fig1b_row(eps, *family(spec.x), spec.sys_initial))
-    return tuple(rows)
+    return tuple(fig1b_row(eps, *point, spec.sys_initial)
+                 for eps, point in zip(grid, transducer_points(spec, grid)))
 
 
 def build_dephasing(H0: Operator, H1, L: Operator, gamma: float, T: float,
@@ -349,19 +369,22 @@ def _row_blocks(u: np.ndarray, n_outcomes: int, dim: int) -> np.ndarray:
     return u[:, :dim].reshape(n_outcomes, dim, dim)
 
 
-def random_channel(dim: int, n_outcomes: int, seed: int,
-                   retained=None) -> MeasurementChannel:
-    """Exact channel from the row blocks of a seeded Haar unitary."""
+def _seeded_mixer(dim: int, n_outcomes: int, seed: int, retained) -> tuple:
+    """A seeded Haar unitary on dim * n_outcomes levels, the stream that
+    drew it, the outcome labels "0", "1", ... and the retained ones."""
     if dim < 2 or n_outcomes < 1:
-        raise ValueError(
-            f"need dim >= 2 and n_outcomes >= 1, got {dim}, {n_outcomes}"
-        )
+        raise ValueError(f"need dim >= 2 and n_outcomes >= 1, got {dim}, {n_outcomes}")
     rng = np.random.default_rng(seed)
     u = _haar_unitary(dim * n_outcomes, rng)
     labels = [str(w) for w in range(n_outcomes)]
-    return MeasurementChannel.from_stack(
-        labels, _row_blocks(u, n_outcomes, dim),
-        frozenset(labels if retained is None else retained))
+    return u, rng, labels, frozenset(labels if retained is None else retained)
+
+
+def random_channel(dim: int, n_outcomes: int, seed: int,
+                   retained=None) -> MeasurementChannel:
+    """Exact channel from the row blocks of a seeded Haar unitary."""
+    u, _, labels, keep = _seeded_mixer(dim, n_outcomes, seed, retained)
+    return MeasurementChannel.from_stack(labels, _row_blocks(u, n_outcomes, dim), keep)
 
 
 def lossless_family(dim: int, n_outcomes: int, seed: int) -> Callable[[float], tuple]:
@@ -400,15 +423,8 @@ def random_family(dim: int, n_outcomes: int, seed: int,
     every x. The family maps x to the channel and its analytic
     derivative stack, both from one exp(-i x H).
     """
-    if dim < 2 or n_outcomes < 1:
-        raise ValueError(
-            f"need dim >= 2 and n_outcomes >= 1, got {dim}, {n_outcomes}"
-        )
-    rng = np.random.default_rng(seed)
-    u0 = _haar_unitary(dim * n_outcomes, rng)
+    u0, rng, labels, keep = _seeded_mixer(dim, n_outcomes, seed, retained)
     h = _random_hermitian(dim, rng)
-    labels = [str(w) for w in range(n_outcomes)]
-    keep = frozenset(labels if retained is None else retained)
 
     def family(x):
         rot = expm(-1j * x * h)

@@ -41,6 +41,7 @@ from .encoding import (
     efg,
     fix_perpendicular_gauge,
     gauge_shift,
+    retained_average,
     total_qfi,
 )
 from .fisher import mixed_state_derivative, sigma_se_qfi, sld
@@ -83,21 +84,22 @@ def _nonempty_subsets(labels):
 
 
 def _suite_chain() -> tuple:
-    """Monotonicity chain on 100 seeded random families."""
+    """Monotonicity chain on 100 seeded random families, one contraction
+    each: every retained subset's average comes from that report's rows."""
     slack = 1e-8
     violations = 0
     worst = np.inf
     for seed in range(100):
         family, x, psi = _seeded_instance(seed)
         channel, derivatives = family(x)
-        i_q = total_qfi(efg(channel, derivatives, psi))
+        report = efg(channel, derivatives, psi)
+        i_q = total_qfi(report)
         i_se = sigma_se_qfi(channel, derivatives, psi).total
         drho = mixed_state_derivative(channel, derivatives, psi)
         i_rho = sld(mixed_state(channel, psi), Operator(drho)).qfi
         margins = [i_q - i_se, i_se - i_rho]
-        for subset in _nonempty_subsets(channel.labels):
-            kept = replace(channel, retained=subset)
-            margins.append(i_q - efg(kept, derivatives, psi).avg_ps_qfi)
+        margins += [i_q - retained_average(report.per_outcome, subset)
+                    for subset in _nonempty_subsets(channel.labels)]
         worst = min(worst, min(margins))
         if min(margins) < -slack:
             violations += 1

@@ -254,6 +254,17 @@ class TestRunCommand:
         avg = [float(line.split(",")[3]) for line in lines[1:]]
         assert max(abs(v - 4.0) for v in avg) < 1e-3
 
+    @pytest.mark.parametrize("grid", [[0.5, -1.0, 2.0], "lin:-1:1:3"],
+                             ids=["array", "grid_string"])
+    def test_negative_mixing_in_grid_exits_one(self, tmp_path, capsys, grid):
+        # the spec is validated once; each grid point still checks its own eps
+        payload = {"kind": "transducer",
+                   "parameters": {"x": 1e-5, "T": 1.0, "eps_grid": grid}}
+        out = tmp_path / "table.csv"
+        assert main(["run", write_config(tmp_path, payload), "--output", str(out)]) == 1
+        assert "mixing must be nonnegative, got -1.0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dephasing_kappa(self, tmp_path, capsys):
         payload = {**CANONICAL_DEPHASING,
                    "parameters": {**CANONICAL_DEPHASING["parameters"], "N": 1024}}
@@ -674,20 +685,24 @@ class TestRegressionGuards:
             assert abs(got - want) <= budget * want
 
     def test_transducer_builds_each_point_once(self, tmp_path, monkeypatch):
-        import qfikit.cli
+        # an eps grid exponentiates the generator once and reads the one
+        # dilation out in a new basis per point
         import qfikit.scenarios
 
-        builds = []
-        original = qfikit.scenarios.build_transducer
+        calls = {"expm": 0, "kraus_from_dilation": 0}
 
-        def counted(*args, **kwargs):
-            builds.append(1)
-            return original(*args, **kwargs)
+        def counted(name):
+            original = getattr(qfikit.scenarios, name)
 
-        for module in (qfikit.scenarios, qfikit.cli):
-            monkeypatch.setattr(module, "build_transducer", counted)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(qfikit.scenarios, name, counted(name))
         assert main(["run", "configs/fig1b.json", "--output", str(tmp_path / "fig1b.csv")]) == 0
-        assert len(builds) == 41
+        assert calls == {"expm": 1, "kraus_from_dilation": 41}
 
 
 CUSTOM_COLLISION = {

@@ -1,5 +1,7 @@
 """E/F/G statistics, gauge fixing, losslessness verdicts, and kappa."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +28,7 @@ from qfikit.encoding import (
     efg,
     fix_perpendicular_gauge,
     loss_kappa,
+    retained_average,
     total_qfi,
 )
 from qfikit.fisher import pure_qfi, sld
@@ -35,6 +38,7 @@ from qfikit.quantum_core import (
     Operator,
     mixed_state,
 )
+from qfikit.verify import _nonempty_subsets, _seeded_instance
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
 
@@ -258,6 +262,30 @@ class TestEfg:
             ds = dbranch / np.sqrt(p) - branch * dp / (2.0 * p**1.5)
             direct += p * pure_qfi(Ket(s), Ket(ds, dim=dim))
         assert rep.avg_ps_qfi == pytest.approx(direct, abs=1e-7, rel=1e-7)
+
+
+class TestRetainedAverage:
+    """Subset averages from one report's rows, as the chain suite takes them."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_subset_average_equals_recontraction(self, seed):
+        family, x, psi = _seeded_instance(seed)
+        channel, derivatives = family(x)
+        report = efg(channel, derivatives, psi)
+        assert retained_average(report.per_outcome, channel.retained) == report.avg_ps_qfi
+        for subset in _nonempty_subsets(channel.labels):
+            kept = efg(replace(channel, retained=subset), derivatives, psi)
+            assert retained_average(report.per_outcome, subset) == kept.avg_ps_qfi
+
+    def test_negative_share_raises(self):
+        rows = (("a", 0.5, 0.1 + 0j, 0.3), ("b", 0.5, 1.0 + 0j, 0.1))
+        assert retained_average(rows, {"a"}) == pytest.approx(4 * (0.3 - 0.02))
+        with pytest.raises(ValueError, match="below zero"):
+            retained_average(rows, {"a", "b"})
+
+    def test_dead_and_discarded_rows_skipped(self):
+        rows = (("a", 0.0, 0j, 0.0), ("b", 0.5, 0.1 + 0j, 0.3), ("c", 0.5, 1.0 + 0j, 0.1))
+        assert retained_average(rows, {"a", "b"}) == retained_average(rows, {"b"})
 
 
 class TestTotalQfi:

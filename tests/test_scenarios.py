@@ -5,12 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import PAULI, PLUS_X, haar_channel
+from conftest import PAULI, PLUS_X, haar_channel, random_hermitian, random_ket
 from qfikit.collision import CollisionSpec, TimeGrid, nh_loss
 from qfikit.encoding import (
     check_lossless_generic,
     check_lossless_perp,
     complete_report,
+    probe_columns,
+    theorem1_residuals,
 )
 from qfikit.quantum_core import Ket, Operator, outcome_probabilities
 from qfikit.scenarios import (
@@ -19,10 +21,12 @@ from qfikit.scenarios import (
     TransducerSpec,
     build_dephasing,
     build_transducer,
+    fig1b_row,
     fig1b_sweep,
     lossless_family,
     random_channel,
     random_family,
+    transducer_points,
     two_qubit_transducer,
 )
 
@@ -240,6 +244,58 @@ class TestFig1bSweep:
         assert len(rows) == 2
         assert rows[0].eps == 0.5
         assert rows[0].i_sigma_1 == pytest.approx(rows[1].i_sigma_2, rel=1e-9)
+
+
+def seeded_three_level_transducer(seed: int = 7):
+    rng = np.random.default_rng(seed)
+    return replace(two_qubit_transducer(T=1.3, x=2e-4),
+                   h0_env=Operator(random_hermitian(3, rng)),
+                   env_initial=random_ket(3, rng))
+
+
+class TestTransducerPoints:
+    """One dilation per grid gives the per-point builds bit for bit."""
+
+    GRID = (0.0, 1e-3, 0.37, 1.0, 1e3)
+
+    @staticmethod
+    def same_bits(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("spec", [two_qubit_transducer(), seeded_three_level_transducer()],
+                             ids=["qubit_env", "qutrit_env"])
+    def test_grid_matches_per_point_build(self, spec):
+        psi = spec.sys_initial
+        points = list(transducer_points(spec, self.GRID))
+        assert len(points) == len(self.GRID)
+        for eps, (channel, derivatives) in zip(self.GRID, points):
+            family, _ = build_transducer(replace(spec, eps=eps))
+            want_channel, want_derivatives = family(spec.x)
+            assert channel.labels == want_channel.labels
+            assert channel.retained == want_channel.retained
+            assert channel.completeness_residual == want_channel.completeness_residual
+            assert self.same_bits(channel.stack, want_channel.stack)
+            assert self.same_bits(derivatives, want_derivatives)
+            assert (fig1b_row(eps, channel, derivatives, psi)
+                    == fig1b_row(eps, want_channel, want_derivatives, psi))
+            got = theorem1_residuals(probe_columns(channel, derivatives, psi), tol=1e-6)
+            want = theorem1_residuals(
+                probe_columns(want_channel, want_derivatives, psi), tol=1e-6)
+            assert got.perp == want.perp
+
+    def test_sweep_rows_match_per_point_build(self):
+        spec = seeded_three_level_transducer()
+        want = []
+        for eps in self.GRID:
+            family, _ = build_transducer(replace(spec, eps=eps))
+            want.append(fig1b_row(eps, *family(spec.x), spec.sys_initial))
+        assert fig1b_sweep(spec, self.GRID) == tuple(want)
+
+    def test_negative_mixing_raises_at_its_point(self):
+        points = transducer_points(two_qubit_transducer(), [0.5, -1.0, 2.0])
+        next(points)
+        with pytest.raises(ValueError, match="mixing must be nonnegative, got -1.0"):
+            next(points)
 
 
 class TestBuildDephasing:
