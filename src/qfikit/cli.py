@@ -18,7 +18,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -27,6 +27,7 @@ from . import __version__
 from .collision import (
     CollisionSpec,
     IntegratorFailure,
+    SCHEMES,
     TimeGrid,
     check_theorem2,
     efg_integrals,
@@ -34,18 +35,13 @@ from .collision import (
     propagate,
     trajectory_columns,
 )
-from .encoding import (
-    amplification_report,
-    complete_report,
-    probe_columns,
-    theorem1_residuals,
-)
+from .encoding import amplification, complete_report, efg, theorem1_residuals
 from .quantum_core import Ket, MeasurementChannel, Operator
 from .scenarios import (
     TransducerSpec,
     build_dephasing,
     build_transducer,
-    fig1b_row,
+    fig1b_row_from,
     transducer_points,
 )
 from .verify import SUITES
@@ -269,7 +265,7 @@ def parse_config(path: str) -> ScenarioConfig:
             params = {**params, "eps_grid": [float(v) for v in grid]}
         else:
             anchor.fail("eps_grid", "eps_grid must be a grid string or number array")
-    if "scheme" in params and params["scheme"] not in ("euler_paper", "expm_step"):
+    if "scheme" in params and params["scheme"] not in SCHEMES:
         anchor.fail("scheme", f"unknown scheme {params['scheme']!r}")
     for key in ("x", "T", "eps", "gamma", "tol"):
         if key in params:
@@ -386,7 +382,7 @@ class RunReport:
     table: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunReport":
@@ -450,8 +446,9 @@ def _run_transducer(config: ScenarioConfig, tol: float):
         psi = spec.sys_initial
         rows, worst, all_pass = [], 0.0, True
         for eps, (channel, derivatives) in zip(grid, transducer_points(spec, grid)):
-            rows.append(list(fig1b_row(eps, channel, derivatives, psi)))
-            t1 = theorem1_residuals(probe_columns(channel, derivatives, psi), tol=tol)
+            report = efg(channel, derivatives, psi)
+            rows.append(list(fig1b_row_from(eps, amplification(report))))
+            t1 = theorem1_residuals(report.columns, tol=tol)
             worst, all_pass = max(worst, t1.perp), all_pass and t1.perp_lossless
         verdicts = {name: _verdict("n.a.", None) for name in _VERDICT_NAMES}
         verdicts["theorem1_perp"] = _verdict("pass" if all_pass else "fail", worst)
@@ -462,13 +459,12 @@ def _run_transducer(config: ScenarioConfig, tol: float):
     family, expected_iq = build_transducer(spec)
     channel, derivatives = family(spec.x)
     report = complete_report(channel, derivatives, spec.sys_initial)
-    row = fig1b_row(spec.eps, channel, derivatives, spec.sys_initial)
+    row = fig1b_row_from(spec.eps, amplification(report))
     metrics, per_outcome = _efg_metrics(report)
     metrics.update(avg_total=row.avg_total, expected_iq=expected_iq,
                    I_sigma_1=row.i_sigma_1, I_sigma_2=row.i_sigma_2,
                    sum_total=row.sum_total)
-    verdicts = _channel_verdicts(probe_columns(channel, derivatives, spec.sys_initial), tol)
-    return metrics, per_outcome, verdicts, None
+    return metrics, per_outcome, _channel_verdicts(report.columns, tol), None
 
 
 def _collision_inputs(config: ScenarioConfig):
@@ -554,11 +550,9 @@ def _run_custom_channel(config: ScenarioConfig, tol: float):
                              allow_approximate=channel.kind != "exact")
     metrics, per_outcome = _efg_metrics(report)
     if report.i_q > 0.0 and channel.kind == "exact":
-        amp = amplification_report(channel, derivatives, psi)
-        for lbl, _, i_sigma, _ in amp.rows:
+        for lbl, _, i_sigma, _ in amplification(report).rows:
             metrics[f"I_sigma_{lbl}"] = i_sigma
-    verdicts = _channel_verdicts(probe_columns(channel, derivatives, psi), tol)
-    return metrics, per_outcome, verdicts, None
+    return metrics, per_outcome, _channel_verdicts(report.columns, tol), None
 
 
 _RUNNERS = {

@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .encoding import ProbeColumns
+from .encoding import KAPPA_DENOM_FLOOR, ProbeColumns
 from .fisher import P_FLOOR
 from .quantum_core import Ket, MeasurementChannel, Operator, expm, spectral_norm
 
@@ -79,9 +79,6 @@ SCHEMES = ("euler_paper", "expm_step")
 
 #: Hermiticity budget for sampled Hamiltonians.
 HERMITIAN_TOL = 1e-10
-
-#: Total-information floor below which a loss fraction is undefined.
-IQ_FLOOR = 1e-14
 
 
 class IntegratorFailure(RuntimeError):
@@ -865,7 +862,7 @@ def nh_loss(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, *,
         base = efg_integrals(spec.without_jumps(), grid, x, psi)
     i_q_baseline = 4.0 * (base.g_total - base.f_total.real**2)
     i_q_channel = 4.0 * (ints.g_total - ints.f_total.real**2)
-    if i_q_baseline <= IQ_FLOOR:
+    if i_q_baseline <= KAPPA_DENOM_FLOOR:
         raise ValueError(
             "dissipation-free total information is zero; loss fraction undefined"
         )
@@ -879,7 +876,7 @@ def nh_loss(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, *,
             "the grid is too coarse for this model"
         )
     kappa_channel = None
-    if i_q_channel > IQ_FLOOR:
+    if i_q_channel > KAPPA_DENOM_FLOOR:
         kappa_channel = 1.0 - share / i_q_channel
     return NhLossResult(
         kappa=float(kappa),
@@ -921,7 +918,7 @@ def dephasing_closed_form(h0: Operator, l2: Operator, T: float,
     mean = float(np.vdot(amps, h_amp).real)
     square = float(np.vdot(h_amp, h_amp).real)
     var = square - mean**2
-    if var <= IQ_FLOOR:
+    if var <= KAPPA_DENOM_FLOOR:
         raise ValueError("generator variance vanishes; loss fraction undefined")
 
     weight = float(np.vdot(amps, decay @ amps).real)

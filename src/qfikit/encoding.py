@@ -10,25 +10,25 @@ derivative gauge, decides losslessness of the encoding in both the
 perpendicular and the generic gauge, and evaluates the retained-fraction
 loss kappa together with per-outcome amplification ratios.
 
-Every statistic is an expectation in the probe, so a channel is read
-through one contraction: its branches M_w psi and dM_w psi, (M, d)
-columns in label order (``ProbeColumns``), taken from the Kraus and
-derivative stacks in one product each, or, for a collision run, straight
-off the trajectory without building the stacks. ``theorem1_residuals``
-takes both theorem-1 checks, gauge fix included, from one set of columns;
-``fix_perpendicular_gauge``, ``check_lossless_perp`` and
-``check_lossless_generic`` wrap the same arithmetic. Derivatives are read
+Every statistic is an expectation in the probe, so a channel point is
+contracted once, by ``probe_columns``: its branches M_w psi and dM_w psi,
+(M, d) columns in label order, taken from the Kraus and derivative stacks
+in one product each (a collision run takes them straight off the
+trajectory), with their e/f/g rows (``ProbeColumns``). ``efg`` keeps the
+columns on its report (``EfgReport.columns``), so one contraction serves
+the report, the amplification rows (``amplification``) and both theorem-1
+checks (``theorem1_residuals``, gauge fix included). Derivatives are read
 once, at entry, by ``quantum_core.derivative_stack``: (label, Operator)
-pairs or an (M, d, d) array in the channel's label order; every routine
-that hands derivatives back (``fix_perpendicular_gauge``,
-``gauge_shift``) returns such an array. Sums over outcomes run in row
-order, as a running sum would take them, so large collision channels and
-small exact channels go through the same arithmetic.
+pairs or an (M, d, d) array in the channel's label order;
+``fix_perpendicular_gauge`` and ``gauge_shift`` hand back such an array.
+Sums over outcomes run in row order, as a running sum would take them, so
+large collision channels and small exact channels go through the same
+arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -58,6 +58,7 @@ __all__ = [
     "check_lossless_generic",
     "loss_kappa",
     "amplification_report",
+    "amplification",
     "complete_report",
 ]
 
@@ -105,7 +106,8 @@ class EfgReport:
     rows (total, retained-only, discarded-only), recomputed and checked
     for exact equality on construction.  avg_ps_qfi is the retained sum
     of 4(g - |f|^2/e) over outcomes with weight above the dead-outcome
-    floor; i_q and kappa stay None until filled by total_qfi/loss_kappa.
+    floor; i_q and kappa stay None until filled by total_qfi/loss_kappa,
+    and columns holds the probe columns of a report ``efg`` built.
     """
 
     per_outcome: tuple
@@ -123,6 +125,7 @@ class EfgReport:
     avg_ps_qfi: float
     i_q: Optional[float] = None
     kappa: Optional[float] = None
+    columns: Optional[ProbeColumns] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.gauge not in _GAUGES:
@@ -154,46 +157,31 @@ class EfgReport:
         return sum(e for label, e, _, _ in self.per_outcome if label in self.retained)
 
 
-class ProbeColumns(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class ProbeColumns:
     """A channel and its derivatives applied to one probe.
 
     ``m[w] = M_w psi`` and ``dm[w] = dM_w psi`` are (M, d) arrays in the
     channel's label order, ``retained_mask`` marks the retained rows, and
-    ``completeness_residual`` is the channel's ||sum_w M_w^+ M_w - 1||.
+    ``completeness_residual`` is the channel's ||sum_w M_w^+ M_w - 1||;
+    the e/f/g rows ``e``, ``f``, ``g`` are formed once, on construction.
     """
 
     m: np.ndarray
     dm: np.ndarray
     retained_mask: np.ndarray
     completeness_residual: float
+    e: np.ndarray = field(init=False, repr=False)
+    f: np.ndarray = field(init=False, repr=False)
+    g: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name, rows in zip("efg", _efg_rows(self.m, self.dm)):
+            object.__setattr__(self, name, rows)
 
     @property
     def kind(self) -> str:
         return channel_kind(self.completeness_residual)
-
-
-class _Contraction(NamedTuple):
-    """A channel and its derivatives applied to one probe, row by outcome."""
-
-    dks: np.ndarray  # (M, d, d) derivative stack in label order
-    m: np.ndarray  # (M, d) branches M_w psi
-    dm: np.ndarray  # (M, d) derivative branches dM_w psi
-    e: np.ndarray  # (M,) weights <M_w'M_w>
-    f: np.ndarray  # (M,) overlap currents i<dM_w'M_w>
-    g: np.ndarray  # (M,) derivative weights <dM_w'dM_w>
-
-
-def _contract(channel: MeasurementChannel, derivatives, psi: Ket) -> _Contraction:
-    """Branches and e/f/g of every outcome, in one stacked product each.
-
-    ``derivatives`` are (label, Operator) pairs or an (M, d, d) array in
-    the channel's label order.
-    """
-    psi.require_normalized()
-    dks = derivative_stack(channel, derivatives)
-    m = channel.stack @ psi.amplitudes
-    dm = dks @ psi.amplitudes
-    return _Contraction(dks, m, dm, *_efg_rows(m, dm))
 
 
 def _efg_rows(m: np.ndarray, dm: np.ndarray) -> tuple:
@@ -204,8 +192,10 @@ def _efg_rows(m: np.ndarray, dm: np.ndarray) -> tuple:
 def probe_columns(channel: MeasurementChannel, derivatives: Derivatives,
                   psi: Ket) -> ProbeColumns:
     """The channel's branches on a normalized probe, one product per stack."""
-    c = _contract(channel, derivatives, psi)
-    return ProbeColumns(m=c.m, dm=c.dm, retained_mask=channel.retained_mask,
+    psi.require_normalized()
+    dks = derivative_stack(channel, derivatives)
+    return ProbeColumns(m=channel.stack @ psi.amplitudes, dm=dks @ psi.amplitudes,
+                        retained_mask=channel.retained_mask,
                         completeness_residual=channel.completeness_residual)
 
 
@@ -256,7 +246,7 @@ def retained_average(per_outcome: tuple, retained) -> float:
                 if label in retained and e > P_FLOOR), 0.0)
 
 
-def _report(channel: MeasurementChannel, c: _Contraction, gauge: str) -> EfgReport:
+def _report(channel: MeasurementChannel, c: ProbeColumns, gauge: str) -> EfgReport:
     per_outcome = tuple(zip(channel.labels, c.e.tolist(), c.f.tolist(), c.g.tolist()))
     return EfgReport(
         per_outcome=per_outcome,
@@ -265,6 +255,7 @@ def _report(channel: MeasurementChannel, c: _Contraction, gauge: str) -> EfgRepo
         channel_kind=channel.kind,
         completeness_residual=channel.completeness_residual,
         avg_ps_qfi=retained_average(per_outcome, channel.retained),
+        columns=c,
         **_aggregate(per_outcome, channel.retained),
     )
 
@@ -293,9 +284,9 @@ def efg(
     Returns
     -------
     EfgReport
-        With avg_ps_qfi filled and i_q/kappa left as None.
+        With avg_ps_qfi and columns filled and i_q/kappa left as None.
     """
-    return _report(channel, _contract(channel, derivatives, psi), gauge)
+    return _report(channel, probe_columns(channel, derivatives, psi), gauge)
 
 
 def total_qfi(report: EfgReport, allow_approximate: bool = False) -> float:
@@ -338,9 +329,10 @@ def fix_perpendicular_gauge(
     """
     if channel.kind != "exact":
         raise ValueError("gauge fixing expects an exact channel")
-    c = _contract(channel, derivatives, psi)
+    dks = derivative_stack(channel, derivatives)
+    c = probe_columns(channel, dks, psi)
     dtheta = _gauge_rate(c.e, c.f)
-    gauged = c.dks + (1j * dtheta) * channel.stack
+    gauged = dks + (1j * dtheta) * channel.stack
     gauged.flags.writeable = False
     return gauged, GaugePhase(theta=0.0, dtheta=dtheta)
 
@@ -404,7 +396,7 @@ def check_lossless_perp(
     phase drift.  The conditions here are sufficient only: a channel can
     fail them in this gauge yet lose nothing.
     """
-    c = _contract(channel, derivatives, psi)
+    c = probe_columns(channel, derivatives, psi)
     kept = channel.retained_mask
     ret, = np.nonzero(kept)
     dis, = np.nonzero(~kept)
@@ -450,7 +442,7 @@ def check_lossless_generic(
     weight matching the total-current cross term) characterize lossless
     encodings without requiring a prior gauge fix.
     """
-    c = _contract(channel, derivatives, psi)
+    c = probe_columns(channel, derivatives, psi)
     ret, = np.nonzero(channel.retained_mask)
     retained_res, discarded_res, imag_f = _generic_residuals(
         c.e, c.f, c.g, channel.retained_mask)
@@ -522,7 +514,7 @@ def theorem1_residuals(columns: ProbeColumns, tol: float = 1e-9) -> Theorem1Resi
     ``check_lossless_perp`` and ``check_lossless_generic`` to rounding.
     """
     m, dm, kept = columns.m, columns.dm, columns.retained_mask
-    e, f, g = _efg_rows(m, dm)
+    e, f, g = columns.e, columns.f, columns.g
     retained_res, discarded_res, imag_f = _generic_residuals(e, f, g, kept)
     if columns.kind == "exact":
         dm = dm + (1j * _gauge_rate(e, f)) * m
@@ -619,7 +611,11 @@ def amplification_report(
     psi: Ket,
 ) -> AmplificationReport:
     """Compare each outcome's conditional QFI with the total QFI."""
-    report = _report(channel, _contract(channel, derivatives, psi), "as_given")
+    return amplification(efg(channel, derivatives, psi))
+
+
+def amplification(report: EfgReport) -> AmplificationReport:
+    """``amplification_report`` read off an exact channel's E/F/G report."""
     i_q = total_qfi(report)
     if i_q <= KAPPA_DENOM_FLOOR:
         raise ValueError("total QFI is zero; amplification undefined")
@@ -644,6 +640,5 @@ def complete_report(
     i_q = total_qfi(report, allow_approximate=allow_approximate)
     kappa = None
     if i_q > KAPPA_DENOM_FLOOR:
-        filled = replace(report, i_q=i_q)
-        kappa = loss_kappa(filled, allow_approximate=allow_approximate).kappa
+        kappa = loss_kappa(report, allow_approximate=allow_approximate).kappa
     return replace(report, i_q=i_q, kappa=kappa)

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .collision import CollisionSpec
-from .encoding import amplification_report
+from .encoding import AmplificationReport, amplification_report
 from .quantum_core import (
     Ket,
     MeasurementChannel,
@@ -41,6 +41,7 @@ __all__ = [
     "Fig1bRow",
     "DEFAULT_EPS_GRID",
     "fig1b_row",
+    "fig1b_row_from",
     "fig1b_sweep",
     "build_dephasing",
     "random_channel",
@@ -283,11 +284,15 @@ def fig1b_row(eps: float, channel: MeasurementChannel, derivatives,
     """The sweep row of one built transducer point at mixing ``eps``.
 
     ``channel`` and ``derivatives`` are what the family returns at the
-    operating point, ``psi`` the probe. The row holds the conditional
-    informations of outcomes "1" and "2" (zero when dead), their
-    probability-weighted total and their plain sum.
+    operating point, ``psi`` the probe.
     """
-    amp = amplification_report(channel, derivatives, psi)
+    return fig1b_row_from(eps, amplification_report(channel, derivatives, psi))
+
+
+def fig1b_row_from(eps: float, amp: AmplificationReport) -> Fig1bRow:
+    """The sweep row at mixing ``eps`` read off the point's amplification
+    report: the conditional informations of outcomes "1" and "2" (zero
+    when dead), their probability-weighted total and their plain sum."""
     per = {label: i_sigma for label, _, i_sigma, _ in amp.rows}
     return Fig1bRow(
         eps=float(eps),

@@ -704,6 +704,29 @@ class TestRegressionGuards:
         assert main(["run", "configs/fig1b.json", "--output", str(tmp_path / "fig1b.csv")]) == 0
         assert calls == {"expm": 1, "kraus_from_dilation": 41}
 
+    @pytest.mark.parametrize("name, reads", [("fig1b", 41), ("custom_channel", 1),
+                                             ("transducer", 1)])
+    def test_one_contraction_per_channel_point(self, tmp_path, monkeypatch, name, reads):
+        # the report, its amplification rows and the theorem-1 verdicts of
+        # an exact-channel point all read one set of probe columns
+        import qfikit.encoding
+
+        original = qfikit.encoding.derivative_stack
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(qfikit.encoding, "derivative_stack", counted)
+        payloads = {"custom_channel": _qutrit_channel_payload(),
+                    "transducer": CANONICAL_TRANSDUCER}
+        path = "configs/fig1b.json"
+        if name in payloads:
+            path = write_config(tmp_path, payloads[name])
+        execute(parse_config(path))
+        assert len(calls) == reads
+
 
 CUSTOM_COLLISION = {
     "kind": "custom_collision",
@@ -760,6 +783,59 @@ class TestColumnRuns:
         capsys.readouterr()
         got = json.loads(out.read_text(encoding="utf-8"))["verdicts"]
         with open("tests/golden/dephasing_verdicts.json", encoding="utf-8") as fh:
+            want = json.load(fh)["verdicts"]
+        assert got.keys() == want.keys()
+        for name, verdict in want.items():
+            assert got[name]["status"] == verdict["status"]
+            assert got[name]["worst_residual"] == pytest.approx(
+                verdict["worst_residual"], rel=1e-12, abs=0.0)
+
+
+def _qutrit_channel_payload() -> dict:
+    """A fixed 3-outcome qutrit channel M_w = A_w exp(-i x H) at x = 0.
+
+    The diagonal A_w share each level's weight as 0.6^2 + 0.8^2, so the
+    channel is complete; the derivatives are dM_w = -i A_w H. Outcome
+    "3" is discarded.
+    """
+    a = [np.diag([0.6, 0.8, 0.0]), np.diag([0.8, 0.0, 0.6]), np.diag([0.0, 0.6, 0.8])]
+    h = np.array([[1.0, 0.5, 0.2j], [0.5, -1.0, 0.3], [-0.2j, 0.3, 0.5]])
+
+    def cells(mat):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+
+    return {
+        "kind": "custom_channel",
+        "parameters": {"x": 0.0},
+        "states": {"psi": [[0.6, 0.0], [0.0, 0.48], [0.64, 0.0]]},
+        "outcomes": [{"label": str(n + 1), "matrix": cells(aw.astype(complex)),
+                      "derivative": cells(-1j * aw @ h)}
+                     for n, aw in enumerate(a)],
+        "retained": ["1", "2"],
+    }
+
+
+class TestCustomChannelGolden:
+    """Byte-level goldens of the exact custom-channel runner."""
+
+    def _run(self, tmp_path, capsys, fmt):
+        out = tmp_path / f"qutrit.{fmt}"
+        path = write_config(tmp_path, _qutrit_channel_payload())
+        assert main(["run", path, "--format", fmt, "--output", str(out)]) == 0
+        capsys.readouterr()
+        return out
+
+    def test_csv_matches_golden(self, tmp_path, capsys):
+        out = self._run(tmp_path, capsys, "csv")
+        header = out.read_text(encoding="utf-8").splitlines()[0].split(",")
+        assert {"I_sigma_1", "I_sigma_2", "I_sigma_3", "kappa"} <= set(header)
+        with open("tests/golden/custom_channel.csv", "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
+    def test_verdicts_match_golden(self, tmp_path, capsys):
+        got = json.loads(self._run(tmp_path, capsys, "json").read_text(
+            encoding="utf-8"))["verdicts"]
+        with open("tests/golden/custom_channel_verdicts.json", encoding="utf-8") as fh:
             want = json.load(fh)["verdicts"]
         assert got.keys() == want.keys()
         for name, verdict in want.items():

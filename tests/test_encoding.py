@@ -20,7 +20,9 @@ from conftest import (
 )
 from oracles import dilated_pure_qfi, dilated_state
 from qfikit.encoding import (
+    KAPPA_DENOM_FLOOR,
     EfgReport,
+    amplification,
     amplification_report,
     check_lossless_generic,
     check_lossless_perp,
@@ -28,7 +30,9 @@ from qfikit.encoding import (
     efg,
     fix_perpendicular_gauge,
     loss_kappa,
+    probe_columns,
     retained_average,
+    theorem1_residuals,
     total_qfi,
 )
 from qfikit.fisher import pure_qfi, sld
@@ -286,6 +290,53 @@ class TestRetainedAverage:
     def test_dead_and_discarded_rows_skipped(self):
         rows = (("a", 0.0, 0j, 0.0), ("b", 0.5, 0.1 + 0j, 0.3), ("c", 0.5, 1.0 + 0j, 0.1))
         assert retained_average(rows, {"a", "b"}) == retained_average(rows, {"b"})
+
+    def test_chain_suite_looks_families_up_per_call(self, monkeypatch):
+        # a wrapper bound to verify.random_family reaches the suites
+        import qfikit.verify
+
+        original = qfikit.verify.random_family
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(qfikit.verify, "random_family", counted)
+        ok, _ = qfikit.verify._suite_chain()
+        assert ok and len(calls) == 100
+
+
+class TestOneContraction:
+    """A report keeps the probe columns it was read from, and its readers
+    give what a fresh contraction gives."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_report_columns_are_the_contraction(self, seed):
+        family, x, psi = _seeded_instance(seed)
+        channel, derivatives = family(x)
+        report = efg(channel, derivatives, psi)
+        columns = probe_columns(channel, derivatives, psi)
+        for name in ("m", "dm", "e", "f", "g"):
+            got, want = getattr(report.columns, name), getattr(columns, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert theorem1_residuals(report.columns) == theorem1_residuals(columns)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_amplification_reads_a_complete_report(self, seed):
+        family, x, psi = _seeded_instance(seed)
+        channel, derivatives = family(x)
+        report = complete_report(channel, derivatives, psi)
+        if report.i_q <= KAPPA_DENOM_FLOOR:
+            pytest.skip("no information to amplify")
+        assert amplification(report) == amplification_report(channel, derivatives, psi)
+
+    def test_columns_stay_out_of_equality_and_repr(self):
+        chan, derivs = polar_jump_channel(0.4, 1.0)
+        report = efg(chan, derivs, PLUS_X)
+        assert report.columns is not None
+        assert replace(report, columns=None) == report
+        assert "columns" not in repr(report)
 
 
 class TestTotalQfi:
