@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import re
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -29,11 +31,7 @@ from .collision import (
     IntegratorFailure,
     SCHEMES,
     TimeGrid,
-    check_theorem2,
-    efg_integrals,
-    nh_loss,
-    propagate,
-    trajectory_columns,
+    run,
 )
 from .encoding import amplification, complete_report, efg, theorem1_residuals
 from .quantum_core import Ket, MeasurementChannel, Operator
@@ -107,6 +105,18 @@ class ConfigError(ValueError):
 def _key_line(raw: str, key: str) -> int:
     pos = raw.find(f'"{key}"')
     return raw.count("\n", 0, pos) + 1 if pos >= 0 else 1
+
+
+#: a JSON string, skipped, or a bare number token, NaN and Infinity included
+_NUMBER_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|(-?(?:Infinity|NaN|\d[\d.eE+-]*))')
+
+
+def _non_finite_line(raw: str) -> int:
+    """Line of the first number outside strings that is not finite."""
+    for match in _NUMBER_TOKEN.finditer(raw):
+        if match.group(1) and not math.isfinite(float(match.group(1))):
+            return raw.count("\n", 0, match.start()) + 1
+    return 1
 
 
 class _Anchor:
@@ -227,16 +237,26 @@ def parse_config(path: str) -> ScenarioConfig:
     Raises
     ------
     ConfigError
-        Unreadable file, JSON syntax error, unknown or ill-typed key;
-        the message is anchored to the offending line.
+        Unreadable file, JSON syntax error, non-finite number (NaN,
+        Infinity, or a literal beyond the float range), unknown or
+        ill-typed key; the message is anchored to the offending line.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc.strerror}") from exc
+
+    def finite(token: str, number=float):
+        # float() reads NaN, Infinity and out-of-range literals as non-finite
+        if not math.isfinite(float(token)):
+            raise ConfigError(f"{path}:{_non_finite_line(raw)}: number {token} is not "
+                              "finite; configs are strict JSON")
+        return number(token)
+
     try:
-        data = json.loads(raw)
+        data = json.loads(raw, parse_constant=finite, parse_float=finite,
+                          parse_int=lambda token: finite(token, int))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     anchor = _Anchor(path, raw)
@@ -469,25 +489,13 @@ def _run_transducer(config: ScenarioConfig, tol: float):
 
 def _collision_inputs(config: ScenarioConfig):
     p = config.parameters
-    t_total = p.get("T", 1.0)
-    n_steps = p.get("N", 16384)
-    scheme = p.get("scheme", "expm_step")
-    x = p.get("x", 0.0)
+    grid = TimeGrid(p.get("T", 1.0), p.get("N", 16384), p.get("scheme", "expm_step"))
     psi = Ket(config.states.get("psi", STATE_PRESETS["plus_x"].copy()))
-    return t_total, n_steps, scheme, x, psi
+    return grid, p.get("x", 0.0), psi
 
 
-def _collision_run(spec: CollisionSpec, t_total, n_steps, scheme, x, psi, tol):
-    grid = TimeGrid(t_total, n_steps, scheme)
-    # two propagations serve the whole run: the jump-free baseline, kept
-    # only as its end-time statistics, then the full derivative trajectory,
-    # whose probe columns carry the theorem-1 verdicts; they come first so
-    # that a blown-up integration is reported by its residual cap
-    baseline = efg_integrals(spec.without_jumps(), grid, x, psi)
-    traj = propagate(spec, grid, x)
-    columns = trajectory_columns(spec, grid, x, psi, traj=traj)
-    loss = nh_loss(spec, grid, x, psi, traj=traj, baseline=baseline)
-    thm2 = check_theorem2(spec, grid, x, psi, tol=tol, traj=traj)
+def _collision_run(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, tol: float):
+    loss, thm2, columns = run(spec, grid, x, psi, tol)
     metrics = {
         "i_q_baseline": loss.i_q_baseline,
         "i_sigma": loss.i_sigma,
@@ -513,16 +521,16 @@ def _control(config: ScenarioConfig, dim: int) -> Operator:
 
 def _run_dephasing(config: ScenarioConfig, tol: float):
     p = config.parameters
-    t_total, n_steps, scheme, x, psi = _collision_inputs(config)
+    grid, x, psi = _collision_inputs(config)
     h0 = Operator(config.operators.get("h0", OPERATOR_PRESETS["pauli_z"].copy()))
     jump = Operator(config.operators.get("jump", OPERATOR_PRESETS["pauli_z"].copy()))
     spec = build_dephasing(h0, _control(config, h0.dim), jump, p.get("gamma", 1.0),
-                           t_total, psi, x)
-    return _collision_run(spec, t_total, n_steps, scheme, x, psi, tol)
+                           grid.T, psi, x)
+    return _collision_run(spec, grid, x, psi, tol)
 
 
 def _run_custom_collision(config: ScenarioConfig, tol: float):
-    t_total, n_steps, scheme, x, psi = _collision_inputs(config)
+    grid, x, psi = _collision_inputs(config)
     if "h0" not in config.operators:
         raise ConfigError(f"{config.path}: custom_collision needs operators.h0")
     h0 = Operator(config.operators["h0"])
@@ -532,7 +540,7 @@ def _run_custom_collision(config: ScenarioConfig, tol: float):
         jumps=tuple((Operator(op), rate) for op, rate in config.jumps),
         dim=h0.dim,
     )
-    return _collision_run(spec, t_total, n_steps, scheme, x, psi, tol)
+    return _collision_run(spec, grid, x, psi, tol)
 
 
 def _run_custom_channel(config: ScenarioConfig, tol: float):
@@ -549,7 +557,7 @@ def _run_custom_channel(config: ScenarioConfig, tol: float):
     report = complete_report(channel, derivatives, psi,
                              allow_approximate=channel.kind != "exact")
     metrics, per_outcome = _efg_metrics(report)
-    if report.i_q > 0.0 and channel.kind == "exact":
+    if report.kappa is not None and channel.kind == "exact":
         for lbl, _, i_sigma, _ in amplification(report).rows:
             metrics[f"I_sigma_{lbl}"] = i_sigma
     return metrics, per_outcome, _channel_verdicts(report.columns, tol), None
@@ -754,6 +762,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.tol is not None and not math.isfinite(args.tol):
+            raise ConfigError(f"--tol must be a finite number, got {args.tol!r}")
         return args.func(args)
     except (ValueError, IntegratorFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,14 +35,14 @@ completeness residual straight off a trajectory, never building the
 of operators on a vector rather than the operators; Al-Mohy & Higham
 2011).
 
-Functions that need a trajectory accept one already propagated through
-a ``traj`` keyword, which lets one run share a single propagation among
-all its quantities.
+``run`` is the recipe of ``qfi run``: the jump-free baseline, then one
+propagation reduced to the probe once, which every result reads.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -72,6 +72,8 @@ __all__ = [
     "check_theorem2",
     "NhLossResult",
     "nh_loss",
+    "CollisionRun",
+    "run",
     "dephasing_closed_form",
 ]
 
@@ -447,7 +449,7 @@ def propagate(spec: CollisionSpec, grid: TimeGrid, x: float,
 
 
 def _jump_sampling(spec, grid, traj):
-    """Times, rates and prefix products from which jump branches split.
+    """Rates and prefix products from which jump branches split.
 
     euler_paper follows the first-order construction: a jump during step
     n carries the right-edge rate and the prefix of n-1 whole steps.
@@ -456,14 +458,9 @@ def _jump_sampling(spec, grid, traj):
     integrals.
     """
     if grid.scheme == "euler_paper":
-        times = grid.right_edges()
-        prefixes = traj.products[:-1]
         dprefixes = None if traj.dproducts is None else traj.dproducts[:-1]
-    else:
-        times = grid.midpoints()
-        prefixes = traj.mid_products
-        dprefixes = traj.dmid_products
-    return times, _rate_samples(spec, times), prefixes, dprefixes
+        return _rate_samples(spec, grid.right_edges()), traj.products[:-1], dprefixes
+    return _rate_samples(spec, grid.midpoints()), traj.mid_products, traj.dmid_products
 
 
 def _first_jump_rows(spec, grid, rates, end, split):
@@ -493,7 +490,7 @@ def _assemble_channel(spec, psi, grid, x, traj, derivative):
     if psi.dim != spec.dim:
         raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
     traj = _given_or_propagated(spec, grid, x, traj, derivative)
-    _, rates, prefixes, dprefixes = _jump_sampling(spec, grid, traj)
+    rates, prefixes, dprefixes = _jump_sampling(spec, grid, traj)
     labels = ("check",) + tuple(
         f"jump{j}@{n + 1}" for j in range(len(spec.jumps)) for n in range(grid.N)
     )
@@ -522,12 +519,32 @@ def _given_or_propagated(spec, grid, x, traj, derivative):
     return traj
 
 
-def _probe_trajectory(spec, grid, x, psi, traj):
-    """The derivative trajectory for a normalized probe of this spec."""
+_Reduction = namedtuple("_Reduction", "traj psi_end dpsi_end e_check f_check mids")
+
+
+def _probe_reduction(spec, grid, x, psi, traj) -> _Reduction:
+    """The derivative trajectory, given or propagated, reduced to psi once.
+
+    It holds K psi and dK psi at the end time, the no-jump weight
+    e_check = ||K psi||^2, the overlap current f_check = i <dK psi, K psi>
+    and ``mids``: None without jumps, else (rates, K psi, dK psi) at the
+    grid midpoints. Each reader's statistic is quadratic in psi, so psi
+    must be normalized.
+    """
     if psi.dim != spec.dim:
         raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
     psi.require_normalized()
-    return _given_or_propagated(spec, grid, x, traj, derivative=True)
+    traj = _given_or_propagated(spec, grid, x, traj, derivative=True)
+    amps = psi.amplitudes
+    psi_end = traj.products[-1] @ amps
+    dpsi_end = traj.dproducts[-1] @ amps
+    mids = None
+    if spec.jumps:
+        mids = (_rate_samples(spec, grid.midpoints()),
+                np.einsum("nij,j->ni", traj.mid_products, amps),
+                np.einsum("nij,j->ni", traj.dmid_products, amps))
+    return _Reduction(traj, psi_end, dpsi_end, float(np.vdot(psi_end, psi_end).real),
+                      1j * np.vdot(dpsi_end, psi_end), mids)
 
 
 def _held_to_cap(spec, grid, x, residual: float) -> float:
@@ -648,7 +665,7 @@ def trajectory_residual(spec: CollisionSpec, grid: TimeGrid, x: float, *,
     at this x, is used instead of propagating again.
     """
     traj = _given_or_propagated(spec, grid, x, traj, derivative=False)
-    _, rates, prefixes, _ = _jump_sampling(spec, grid, traj)
+    rates, prefixes, _ = _jump_sampling(spec, grid, traj)
     residual = _completeness_residual(spec, grid, traj.products[-1], prefixes, rates)
     return _held_to_cap(spec, grid, x, residual)
 
@@ -664,11 +681,21 @@ def trajectory_columns(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, 
     ``traj``, a trajectory of this spec on this grid at this x propagated
     with derivatives, is used instead of propagating again.
     """
-    traj = _probe_trajectory(spec, grid, x, psi, traj)
-    _, rates, prefixes, dprefixes = _jump_sampling(spec, grid, traj)
-    col = psi.amplitudes[:, None]
-    m = _first_jump_rows(spec, grid, rates, traj.products[-1] @ col, prefixes @ col)
-    dm = _first_jump_rows(spec, grid, rates, traj.dproducts[-1] @ col, dprefixes @ col)
+    return _columns(spec, grid, x, psi, _probe_reduction(spec, grid, x, psi, traj))
+
+
+def _columns(spec, grid, x, psi, red) -> ProbeColumns:
+    traj = red.traj
+    if grid.scheme == "expm_step" and red.mids is not None:
+        rates, psi_mid, dpsi_mid = red.mids
+        prefixes, split, dsplit = traj.mid_products, psi_mid[..., None], dpsi_mid[..., None]
+    else:
+        # euler_paper's jumps split at step edges, so its prefixes meet psi here
+        rates, prefixes, dprefixes = _jump_sampling(spec, grid, traj)
+        col = psi.amplitudes[:, None]
+        split, dsplit = prefixes @ col, dprefixes @ col
+    m = _first_jump_rows(spec, grid, rates, red.psi_end[:, None], split)
+    dm = _first_jump_rows(spec, grid, rates, red.dpsi_end[:, None], dsplit)
     residual = _completeness_residual(spec, grid, traj.products[-1], prefixes, rates)
     return ProbeColumns(m=m[..., 0], dm=dm[..., 0], retained_mask=np.arange(len(m)) == 0,
                         completeness_residual=_held_to_cap(spec, grid, x, residual))
@@ -686,29 +713,6 @@ def check_integral_completeness(spec: CollisionSpec, grid: TimeGrid,
     traj = propagate(spec, grid, x, derivative=False)
     rates = _rate_samples(spec, grid.midpoints())
     return _completeness_residual(spec, grid, traj.products[-1], traj.mid_products, rates)
-
-
-def _probe_reduction(spec, grid, x, psi, traj):
-    """The derivative trajectory reduced to the probe psi.
-
-    Returns (K psi, dK psi, e_check, f_check, mids) at the end time, with
-    the no-jump weight e_check = ||K psi||^2 and overlap current
-    f_check = i <dK psi, K psi>. ``mids`` is None for a spec without jumps
-    and otherwise (rates, K psi, dK psi) at the grid midpoints. Every
-    statistic here is quadratic in psi, so psi must be normalized.
-    """
-    traj = _probe_trajectory(spec, grid, x, psi, traj)
-    amps = psi.amplitudes
-    psi_end = traj.products[-1] @ amps
-    dpsi_end = traj.dproducts[-1] @ amps
-    e_check = float(np.vdot(psi_end, psi_end).real)
-    f_check = 1j * np.vdot(dpsi_end, psi_end)
-    mids = None
-    if spec.jumps:
-        mids = (_rate_samples(spec, grid.midpoints()),
-                np.einsum("nij,j->ni", traj.mid_products, amps),
-                np.einsum("nij,j->ni", traj.dmid_products, amps))
-    return psi_end, dpsi_end, e_check, f_check, mids
 
 
 class EfgIntegrals(NamedTuple):
@@ -737,13 +741,16 @@ def efg_integrals(spec: CollisionSpec, grid: TimeGrid, x: float,
     ``traj``, a trajectory of this spec on this grid at this x propagated
     with derivatives, is used instead of propagating again.
     """
-    _, dpsi_end, e_check, f_check, mids = _probe_reduction(spec, grid, x, psi, traj)
-    g_check = float(np.vdot(dpsi_end, dpsi_end).real)
+    return _efg(spec, grid, _probe_reduction(spec, grid, x, psi, traj))
+
+
+def _efg(spec, grid, red) -> EfgIntegrals:
+    g_check = float(np.vdot(red.dpsi_end, red.dpsi_end).real)
 
     g_int = 0.0
     f_int = 0.0j
-    if mids is not None:
-        rates, psi_mid, dpsi_mid = mids
+    if red.mids is not None:
+        rates, psi_mid, dpsi_mid = red.mids
         for j, (op, _) in enumerate(spec.jumps):
             w = rates[j] * grid.dt
             jumped = psi_mid @ op.entries.T
@@ -752,9 +759,9 @@ def efg_integrals(spec: CollisionSpec, grid: TimeGrid, x: float,
             f_int += 1j * (w * (djumped.conj() * jumped).sum(axis=1)).sum()
     return EfgIntegrals(
         g_total=g_check + g_int,
-        f_total=complex(f_check + f_int),
-        e_check=e_check,
-        f_check=complex(f_check),
+        f_total=complex(red.f_check + f_int),
+        e_check=red.e_check,
+        f_check=complex(red.f_check),
         g_check=g_check,
     )
 
@@ -793,7 +800,11 @@ def check_theorem2(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
     this spec on this grid at this x propagated with derivatives, is used
     instead of propagating again.
     """
-    psi_end, dpsi_end, e_check, f_check, mids = _probe_reduction(spec, grid, x, psi, traj)
+    return _theorem2(spec, _probe_reduction(spec, grid, x, psi, traj), tol)
+
+
+def _theorem2(spec, red, tol) -> Theorem2Verdict:
+    psi_end, dpsi_end, e_check, f_check, mids = red[1:]
     if e_check <= P_FLOOR:
         raise ValueError(
             f"no-jump weight {e_check:.3e} vanished; verdict undefined"
@@ -829,9 +840,13 @@ class NhLossResult:
     run of the same model (the sensing power the rates destroyed); it
     is negative when the retained share exceeds that run's total, which
     happens when the jump terms themselves carry x-information.
-    ``kappa_channel`` normalizes by the first-jump channel's own total
-    and is the number that matches an operator-statistics report built
-    from the explicit discrete channel.
+    ``kappa_channel`` normalizes the same share by ``i_q_channel``, the
+    first-jump channel's own total taken by the midpoint quadrature of
+    ``efg_integrals`` under either scheme. Under expm_step the explicit
+    discrete channel splits its jumps at those midpoints, so an
+    operator-statistics report built from it matches both to rounding;
+    the euler_paper channel splits them at step edges with right-edge
+    rates, and the two differ at first order in dt.
     """
 
     kappa: float
@@ -853,13 +868,16 @@ def nh_loss(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, *,
     propagating again.
     """
     ints = efg_integrals(spec, grid, x, psi, traj=traj)
+    if baseline is None:
+        baseline = efg_integrals(spec.without_jumps(), grid, x, psi)
+    return _loss(ints, baseline)
+
+
+def _loss(ints, base) -> NhLossResult:
     if ints.e_check <= P_FLOOR:
         raise ValueError(
             f"no-jump weight {ints.e_check:.3e} vanished; loss undefined"
         )
-    base = baseline
-    if base is None:
-        base = efg_integrals(spec.without_jumps(), grid, x, psi)
     i_q_baseline = 4.0 * (base.g_total - base.f_total.real**2)
     i_q_channel = 4.0 * (ints.g_total - ints.f_total.real**2)
     if i_q_baseline <= KAPPA_DENOM_FLOOR:
@@ -886,6 +904,26 @@ def nh_loss(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, *,
         i_q_baseline=float(i_q_baseline),
         i_q_channel=float(i_q_channel),
     )
+
+
+class CollisionRun(NamedTuple):
+    """Everything ``qfi run`` reads off one collision model."""
+
+    loss: NhLossResult
+    theorem2: Theorem2Verdict
+    columns: ProbeColumns
+
+
+def run(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
+        tol: float = 1e-8) -> CollisionRun:
+    """``nh_loss``, ``check_theorem2`` and ``trajectory_columns`` from one
+    reduction to ``psi``; the columns come first, so a blown-up
+    integration raises IntegratorFailure from its residual cap."""
+    baseline = efg_integrals(spec.without_jumps(), grid, x, psi)
+    red = _probe_reduction(spec, grid, x, psi, propagate(spec, grid, x))
+    columns = _columns(spec, grid, x, psi, red)
+    loss = _loss(_efg(spec, grid, red), baseline)
+    return CollisionRun(loss, _theorem2(spec, red, tol), columns)
 
 
 def dephasing_closed_form(h0: Operator, l2: Operator, T: float,

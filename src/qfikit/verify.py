@@ -181,9 +181,9 @@ def _suite_completeness() -> tuple:
 def _theorem2_and_kappa(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket):
     """Theorem-2 verdict and loss fraction from one derivative trajectory.
 
-    The jump-free baseline is reduced to its end-time statistics before
-    the trajectory is propagated, so only one trajectory is alive at a
-    time.
+    The baseline is reduced before the trajectory is propagated, as in
+    ``collision.run``, but through the public functions on purpose: an
+    independent route to ``run``'s results that builds no probe columns.
     """
     baseline = efg_integrals(spec.without_jumps(), grid, x, psi)
     traj = propagate(spec, grid, x)

@@ -87,6 +87,36 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"broken\.json:3"):
             parse_config(str(path))
 
+    @pytest.mark.parametrize("key, value, line", [("gamma", "NaN", 7),
+                                                  ("tol", "-Infinity", 8),
+                                                  ("T", "1e999", 5)])
+    def test_non_finite_number_anchored(self, tmp_path, key, value, line):
+        # json.loads reads NaN and Infinity and overflows 1e999 to inf; a
+        # config is strict JSON, so each is refused at its own line
+        params = {"x": 0.0, "T": 1.0, "N": 256, "gamma": 1.0, "tol": 1e-6}
+        text = json.dumps({**CANONICAL_DEPHASING, "parameters": params}, indent=2)
+        text = text.replace(f'"{key}": {json.dumps(params[key])}', f'"{key}": {value}')
+        path = tmp_path / "config.json"
+        path.write_text(text + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"config\.json:{line}: number {value} is not finite"):
+            parse_config(str(path))
+
+    def test_non_finite_number_in_a_matrix_anchored(self, tmp_path):
+        # a string that reads NaN is a label, not a number
+        path = tmp_path / "config.json"
+        path.write_text('{"kind": "custom_channel", "states": {"psi": "zero"},\n'
+                        ' "outcomes": [{"label": "NaN", "matrix": "identity",\n'
+                        '   "derivative": [[[0, Infinity], [0, 0]], [[0, 0], [0, 0]]]}]}\n',
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"config\.json:3: number Infinity is not finite"):
+            parse_config(str(path))
+
+    def test_finite_numbers_parse_unchanged(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, {**CANONICAL_DEPHASING, "parameters": {
+            **CANONICAL_DEPHASING["parameters"], "x": 0.1, "tol": 1e-300}}))
+        assert cfg.parameters["x"] == 0.1 and cfg.parameters["tol"] == 1e-300
+        assert cfg.parameters["N"] == 256 and isinstance(cfg.parameters["N"], int)
+
     def test_bad_kind(self, tmp_path):
         with pytest.raises(ConfigError, match="kind must be one of"):
             parse_config(write_config(tmp_path, {"kind": "qubit"}))
@@ -317,6 +347,35 @@ class TestRunCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["metrics"]["i_q"] == pytest.approx(0.0, abs=1e-12)
         assert data["verdicts"]["theorem1_perp"]["status"] == "pass"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_exits_one(self, tmp_path, capsys, tol):
+        assert main(["run", write_config(tmp_path, CANONICAL_DEPHASING), f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert "--tol must be a finite number" in captured.err
+        assert captured.out == ""
+
+    def test_custom_channel_with_tiny_information(self, tmp_path, capsys):
+        # total I_Q = 4e-16 is nonzero but below the floor that leaves
+        # kappa undefined; the run reports it like a zero-information one
+        def diag(a, b):
+            return [[[a.real, a.imag], [0, 0]], [[0, 0], [b.real, b.imag]]]
+
+        payload = {
+            "kind": "custom_channel",
+            "parameters": {"x": 0.0},
+            "states": {"psi": "plus_x"},
+            "outcomes": [
+                {"label": "a", "matrix": diag(0.6, 0.6), "derivative": diag(-6e-9j, 6e-9j)},
+                {"label": "b", "matrix": diag(0.8, 0.8), "derivative": diag(-8e-9j, 8e-9j)},
+            ],
+            "retained": ["a"],
+        }
+        assert main(["run", write_config(tmp_path, payload)]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert metrics["i_q"] == pytest.approx(4e-16, rel=1e-9)
+        assert "kappa" not in metrics
+        assert not [name for name in metrics if name.startswith("I_sigma_")]
 
     def test_custom_collision_run(self, tmp_path, capsys):
         payload = {
@@ -570,7 +629,6 @@ class TestCollisionVerdicts:
             parse_config(write_config(tmp_path, payload))
 
     def test_run_propagates_twice(self, tmp_path, capsys, monkeypatch):
-        import qfikit.cli
         import qfikit.collision
 
         propagations = []
@@ -586,13 +644,30 @@ class TestCollisionVerdicts:
             exponentials.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
             return original_expm(a)
 
-        for module in (qfikit.collision, qfikit.cli):
-            monkeypatch.setattr(module, "propagate", counted_propagate)
+        monkeypatch.setattr(qfikit.collision, "propagate", counted_propagate)
         monkeypatch.setattr(qfikit.collision, "expm", counted_expm)
         assert main(["run", write_config(tmp_path, CANONICAL_DEPHASING)]) == 0
         capsys.readouterr()
         assert len(propagations) == 2
         assert sum(exponentials) <= 2
+
+    def test_run_reduces_each_trajectory_once(self, tmp_path, monkeypatch):
+        # the jump-free baseline and the full trajectory are each reduced
+        # to the probe once; loss, theorem 2 and the columns share the second
+        import qfikit.collision
+
+        original = qfikit.collision._probe_reduction
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].jumps)
+            return original(*args)
+
+        monkeypatch.setattr(qfikit.collision, "_probe_reduction", counted)
+        out = str(tmp_path / "dephasing.json")
+        assert main(["run", "configs/dephasing.json", "--output", out]) == 0
+        assert len(calls) == 2
+        assert [bool(jumps) for jumps in calls] == [False, True]
 
 
 SCIPY_FREE_RUN = """
