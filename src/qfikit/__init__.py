@@ -12,8 +12,6 @@ from .quantum_core import (  # noqa: F401
     Ket,
     MeasurementChannel,
     Operator,
-    apply_channel_outcome,
     kraus_from_dilation,
     mixed_state,
-    tensor,
 )

@@ -21,7 +21,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -102,9 +102,12 @@ class ConfigError(ValueError):
     """Config file rejected; the message carries a file:line anchor."""
 
 
-def _key_line(raw: str, key: str) -> int:
-    pos = raw.find(f'"{key}"')
-    return raw.count("\n", 0, pos) + 1 if pos >= 0 else 1
+def _key_line(raw: str, key: str, after: Optional[str] = None, nth: int = 0) -> int:
+    """Line of the (nth + 1)-th "key" from the first "after" on, or of the
+    last one when there are fewer; line 1 when there is none."""
+    start = max(raw.find(f'"{after}"'), 0) if after else 0
+    hits = [m.start() for m in re.finditer(re.escape(f'"{key}"'), raw[start:])]
+    return raw.count("\n", 0, start + hits[min(nth, len(hits) - 1)]) + 1 if hits else 1
 
 
 #: a JSON string, skipped, or a bare number token, NaN and Infinity included
@@ -119,15 +122,19 @@ def _non_finite_line(raw: str) -> int:
     return 1
 
 
-class _Anchor:
-    """Formats file:line-prefixed messages for config complaints."""
+class _Anchor(NamedTuple):
+    """Formats file:line-prefixed messages for config complaints; within
+    entry ``nth`` of the array under key ``after``, a key every entry
+    carries is found at its (nth + 1)-th occurrence past the array's key."""
 
-    def __init__(self, path: str, raw: str):
-        self.path = path
-        self.raw = raw
+    path: str
+    raw: str
+    after: Optional[str] = None
+    nth: int = 0
 
     def fail(self, key: str, message: str):
-        raise ConfigError(f"{self.path}:{_key_line(self.raw, key)}: {message}")
+        line = _key_line(self.raw, key, self.after, self.nth)
+        raise ConfigError(f"{self.path}:{line}: {message}")
 
 
 def _reject_unknown(obj: dict, allowed: set, anchor: _Anchor, context: str):
@@ -239,7 +246,8 @@ def parse_config(path: str) -> ScenarioConfig:
     ConfigError
         Unreadable file, JSON syntax error, non-finite number (NaN,
         Infinity, or a literal beyond the float range), unknown or
-        ill-typed key; the message is anchored to the offending line.
+        ill-typed key, non-positive tol; the message is anchored to the
+        offending line, within an array at the offending entry's.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -290,6 +298,8 @@ def parse_config(path: str) -> ScenarioConfig:
     for key in ("x", "T", "eps", "gamma", "tol"):
         if key in params:
             params = {**params, key: _number(params, key, anchor)}
+    if params.get("tol", DEFAULT_TOL) <= 0.0:
+        anchor.fail("tol", f"parameter 'tol' must be positive, got {params['tol']!r}")
     if "N" in params:
         params = {**params, "N": _integer(params, "N", anchor)}
 
@@ -310,33 +320,34 @@ def parse_config(path: str) -> ScenarioConfig:
         rows = data.get("outcomes")
         if not isinstance(rows, list) or not rows:
             anchor.fail("kind", "custom_channel needs a nonempty outcomes array")
-        for entry in rows:
-            entry = _require_mapping(entry, "outcomes", anchor, "outcomes entry")
-            _reject_unknown(entry, {"label", "matrix", "derivative"}, anchor,
-                            "outcomes entry")
+        for index, entry in enumerate(rows):
+            at = anchor._replace(after="outcomes", nth=index)
+            entry = _require_mapping(entry, "outcomes", at, "outcomes entry")
+            _reject_unknown(entry, {"label", "matrix", "derivative"}, at, "outcomes entry")
             for need in ("label", "matrix", "derivative"):
                 if need not in entry:
-                    anchor.fail("outcomes", f"outcome entry is missing {need!r}")
+                    at.fail("outcomes", f"outcome entry is missing {need!r}")
             label = entry["label"]
             if not isinstance(label, str):
-                anchor.fail("label", "outcome label must be a string")
+                at.fail("label", "outcome label must be a string")
             outcomes.append((
                 label,
-                _parse_operator(entry["matrix"], "matrix", anchor),
-                _parse_operator(entry["derivative"], "derivative", anchor),
+                _parse_operator(entry["matrix"], "matrix", at),
+                _parse_operator(entry["derivative"], "derivative", at),
             ))
 
     jumps = []
     if kind == "custom_collision":
-        for entry in data.get("jumps", []):
-            entry = _require_mapping(entry, "jumps", anchor, "jumps entry")
-            _reject_unknown(entry, {"op", "rate"}, anchor, "jumps entry")
+        for index, entry in enumerate(data.get("jumps", [])):
+            at = anchor._replace(after="jumps", nth=index)
+            entry = _require_mapping(entry, "jumps", at, "jumps entry")
+            _reject_unknown(entry, {"op", "rate"}, at, "jumps entry")
             if "op" not in entry or "rate" not in entry:
-                anchor.fail("jumps", "jump entry needs op and rate")
+                at.fail("jumps", "jump entry needs op and rate")
             rate = entry["rate"]
             if isinstance(rate, bool) or not isinstance(rate, (int, float)) or rate < 0:
-                anchor.fail("rate", "jump rate must be a nonnegative number")
-            jumps.append((_parse_operator(entry["op"], "op", anchor), float(rate)))
+                at.fail("rate", "jump rate must be a nonnegative number")
+            jumps.append((_parse_operator(entry["op"], "op", at), float(rate)))
 
     retained = None
     if "retained" in data:
@@ -764,6 +775,8 @@ def main(argv=None) -> int:
     try:
         if args.tol is not None and not math.isfinite(args.tol):
             raise ConfigError(f"--tol must be a finite number, got {args.tol!r}")
+        if args.tol is not None and args.tol <= 0.0:
+            raise ConfigError(f"--tol must be positive, got {args.tol!r}")
         return args.func(args)
     except (ValueError, IntegratorFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)

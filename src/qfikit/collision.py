@@ -58,11 +58,9 @@ __all__ = [
     "TimeGrid",
     "NhTrajectory",
     "IntegratorFailure",
-    "h_nh",
     "propagate",
     "build_discrete_channel",
     "discrete_channel_derivatives",
-    "discrete_channel_with_derivatives",
     "trajectory_residual",
     "trajectory_columns",
     "check_integral_completeness",
@@ -215,7 +213,8 @@ class NhTrajectory:
     state at t_n. ``mid_products[n]`` extends ``products[n]`` by half a
     step under the scheme's local rule and supplies the midpoint samples
     used by every quadrature here. The derivative arrays follow the same
-    indexing and are None when propagation skipped them.
+    indexing and are None when propagation skipped them. ``h_mid`` stacks
+    the midpoint H_nh samples behind the factors, one for a constant spec.
 
     Storage is dense, N+1 matrices of size dim x dim per array; at the
     N <= 2**14 scales this package targets that is a few tens of MB. With
@@ -237,6 +236,7 @@ class NhTrajectory:
     x: float
     products: np.ndarray
     mid_products: np.ndarray
+    h_mid: np.ndarray
     dproducts: Optional[np.ndarray] = None
     dmid_products: Optional[np.ndarray] = None
 
@@ -314,26 +314,6 @@ def _hamiltonian_samples(spec: CollisionSpec, times: np.ndarray, x: float,
     return total, dh
 
 
-def h_nh(spec: CollisionSpec, t: float, x: float) -> Operator:
-    """Effective generator H0(t,x) + H1(t) - (i/2) sum_j gamma_j L_j^+ L_j.
-
-    The anti-Hermitian part is exactly the damping term; with all rates
-    zero the result is Hermitian.
-    """
-    h0 = spec.h0(t, x)
-    h1 = spec.h1(t)
-    for name, op in (("estimation", h0), ("control", h1)):
-        if not op.is_hermitian(HERMITIAN_TOL):
-            raise ValueError(f"{name} Hamiltonian is not Hermitian at t={t:.6g}")
-    total = h0.entries + h1.entries
-    for j, (op, rate) in enumerate(spec.jumps):
-        g = float(rate(t))
-        if g < 0.0:
-            raise ValueError(f"negative jump rate {g:.3e} for jump {j} at t={t:.6g}")
-        total = total - 0.5j * g * (op.entries.conj().T @ op.entries)
-    return Operator(total)
-
-
 def _step_block(factor, dfactor):
     """[[S, dS], [0, S]] per step, or S alone when dS is None.
 
@@ -351,7 +331,8 @@ def _step_block(factor, dfactor):
 
 
 def _step_factors(spec, grid, x, derivative):
-    """Half-step and full-step blocks for the grid's scheme, one per step.
+    """Half-step and full-step blocks for the grid's scheme, one per step,
+    and the midpoint H_nh samples they were built from.
 
     Each block is [[S, dS], [0, S]] with derivatives, S alone without.
     A constant spec yields one block, returned as a broadcast view over
@@ -372,14 +353,14 @@ def _step_factors(spec, grid, x, derivative):
                            None if dh_right is None else -1j * dt * dh_right)
         width = full.shape[-1]
         return (np.broadcast_to(half, (n_steps, width, width)),
-                np.broadcast_to(full, (n_steps, width, width)))
+                np.broadcast_to(full, (n_steps, width, width)), h_mid)
 
     # expm([[A, E], [0, A]]) holds expm(A) on its diagonal blocks and the
     # derivative of expm(A) along E in its upper-right block
     half = expm(_step_block(-0.5j * dt * h_mid,
                             None if dh_mid is None else -0.5j * dt * dh_mid))
     width = half.shape[-1]
-    return np.broadcast_to(half, (n_steps, width, width)), None
+    return np.broadcast_to(half, (n_steps, width, width)), None, h_mid
 
 
 def propagate(spec: CollisionSpec, grid: TimeGrid, x: float,
@@ -401,7 +382,7 @@ def propagate(spec: CollisionSpec, grid: TimeGrid, x: float,
     """
     d = spec.dim
     n_steps = grid.N
-    half, full = _step_factors(spec, grid, x, derivative)
+    half, full, h_mid = _step_factors(spec, grid, x, derivative)
     width = half.shape[-1]
     # a constant spec's blocks are one broadcast view, of stride 0
     lead = n_steps if half.strides[0] else min(n_steps, 2 * math.isqrt(n_steps))
@@ -443,6 +424,7 @@ def propagate(spec: CollisionSpec, grid: TimeGrid, x: float,
         x=x,
         products=cols[:, width - d:],
         mid_products=mid_cols[:, width - d:],
+        h_mid=h_mid,
         dproducts=cols[:, :d] if derivative else None,
         dmid_products=mid_cols[:, :d] if derivative else None,
     )
@@ -482,10 +464,12 @@ def _first_jump_rows(spec, grid, rates, end, split):
 
 
 def _assemble_channel(spec, psi, grid, x, traj, derivative):
-    """Labels, Kraus stack and derivative stack of the first-jump channel.
+    """Labels and one stack of the first-jump channel, with the trajectory
+    and the jump rates the stack was taken from.
 
     Rows follow ``_first_jump_rows``, labeled ``check`` and
-    ``jump<j>@<n+1>``; the derivative stack is None unless asked for.
+    ``jump<j>@<n+1>``; the stack holds the Kraus matrices, or their
+    x-derivatives when ``derivative`` is set.
     """
     if psi.dim != spec.dim:
         raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
@@ -494,10 +478,9 @@ def _assemble_channel(spec, psi, grid, x, traj, derivative):
     labels = ("check",) + tuple(
         f"jump{j}@{n + 1}" for j in range(len(spec.jumps)) for n in range(grid.N)
     )
-    ks = _first_jump_rows(spec, grid, rates, traj.products[-1], prefixes)
-    dks = (_first_jump_rows(spec, grid, rates, traj.dproducts[-1], dprefixes)
-           if derivative else None)
-    return labels, ks, dks
+    end, split = ((traj.dproducts[-1], dprefixes) if derivative
+                  else (traj.products[-1], prefixes))
+    return labels, _first_jump_rows(spec, grid, rates, end, split), traj, rates
 
 
 def _given_or_propagated(spec, grid, x, traj, derivative):
@@ -547,17 +530,16 @@ def _probe_reduction(spec, grid, x, psi, traj) -> _Reduction:
                       1j * np.vdot(dpsi_end, psi_end), mids)
 
 
-def _held_to_cap(spec, grid, x, residual: float) -> float:
+def _held_to_cap(spec, grid, traj, rates, residual: float) -> float:
     """A completeness residual, checked against a generous bound.
 
-    Exceeding ten times the bound, an order-of-magnitude estimate, raises
-    IntegratorFailure: it signals a broken integration (norm blow-up,
-    grossly under-resolved grid), not ordinary discretization error.
+    The bound reads the H_nh samples ``traj`` holds and, under expm_step,
+    the jumps' midpoint ``rates``. Exceeding ten times the bound, an
+    order-of-magnitude estimate, raises IntegratorFailure: it signals a
+    broken integration (norm blow-up, grossly under-resolved grid), not
+    ordinary discretization error.
     """
-    mids = grid.midpoints()
-    h_mid, _ = _hamiltonian_samples(spec, mids, x)
-    h_norm = float(np.linalg.svd(h_mid, compute_uv=False).max(initial=0.0))
-    rates = _rate_samples(spec, mids)
+    h_norm = float(np.linalg.svd(traj.h_mid, compute_uv=False).max(initial=0.0))
     dt = grid.dt
     if grid.scheme == "euler_paper":
         q = (h_norm * dt) ** 2 * grid.N
@@ -578,28 +560,6 @@ def _held_to_cap(spec, grid, x, residual: float) -> float:
     return residual
 
 
-def _capped_channel(spec, grid, x, labels, ks) -> MeasurementChannel:
-    """The channel over an assembled stack, held to its residual cap."""
-    channel = MeasurementChannel.from_stack(labels, ks, retained=frozenset({"check"}))
-    _held_to_cap(spec, grid, x, channel.completeness_residual)
-    return channel
-
-
-def discrete_channel_with_derivatives(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
-                                      x: float, *, traj: Optional[NhTrajectory] = None
-                                      ) -> tuple:
-    """The discrete channel and its x-derivatives from one assembly pass.
-
-    Returns the channel of ``build_discrete_channel`` and its derivatives
-    as one read-only (M, d, d) array in the channel's label order, the
-    form every ``encoding`` check accepts; no Operator is built. ``traj``,
-    a trajectory of this spec on this grid at this x propagated with
-    derivatives, is used instead of propagating again.
-    """
-    labels, ks, dks = _assemble_channel(spec, psi, grid, x, traj, derivative=True)
-    return _capped_channel(spec, grid, x, labels, ks), dks
-
-
 def build_discrete_channel(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
                            x: float, *, traj: Optional[NhTrajectory] = None
                            ) -> MeasurementChannel:
@@ -613,8 +573,10 @@ def build_discrete_channel(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
     a trajectory of this spec on this grid at this x, is used instead of
     propagating again.
     """
-    labels, ks, _ = _assemble_channel(spec, psi, grid, x, traj, derivative=False)
-    return _capped_channel(spec, grid, x, labels, ks)
+    labels, ks, traj, rates = _assemble_channel(spec, psi, grid, x, traj, derivative=False)
+    channel = MeasurementChannel.from_stack(labels, ks, retained=frozenset({"check"}))
+    _held_to_cap(spec, grid, traj, rates, channel.completeness_residual)
+    return channel
 
 
 def discrete_channel_derivatives(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
@@ -622,13 +584,12 @@ def discrete_channel_derivatives(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
                                  ) -> tuple:
     """x-derivatives of the discrete channel as (label, Operator) pairs.
 
-    Taken from the same assembly pass as the channel, aligned with its
-    labels; ``discrete_channel_with_derivatives`` gives both at once
-    without building Operators. ``traj``, a trajectory of this spec on
-    this grid at this x propagated with derivatives, is used instead of
-    propagating again.
+    Aligned with the labels of ``build_discrete_channel``; given the same
+    ``traj``, a trajectory of this spec on this grid at this x propagated
+    with derivatives, both read the same products, which is what keeps
+    the pair consistent bit for bit. Without it, it propagates again.
     """
-    labels, _, dks = _assemble_channel(spec, psi, grid, x, traj, derivative=True)
+    labels, dks, _, _ = _assemble_channel(spec, psi, grid, x, traj, derivative=True)
     return tuple((label, Operator(m)) for label, m in zip(labels, dks))
 
 
@@ -667,24 +628,25 @@ def trajectory_residual(spec: CollisionSpec, grid: TimeGrid, x: float, *,
     traj = _given_or_propagated(spec, grid, x, traj, derivative=False)
     rates, prefixes, _ = _jump_sampling(spec, grid, traj)
     residual = _completeness_residual(spec, grid, traj.products[-1], prefixes, rates)
-    return _held_to_cap(spec, grid, x, residual)
+    return _held_to_cap(spec, grid, traj, rates, residual)
 
 
 def trajectory_columns(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, *,
                        traj: Optional[NhTrajectory] = None) -> ProbeColumns:
     """The discrete channel and its x-derivatives applied to the probe.
 
-    The rows M_w psi and dM_w psi of ``discrete_channel_with_derivatives``
-    in its row order, and its completeness residual as
-    ``trajectory_residual`` takes and caps it, with no Kraus
-    matrix, label or MeasurementChannel built. ``psi`` must be normalized.
-    ``traj``, a trajectory of this spec on this grid at this x propagated
-    with derivatives, is used instead of propagating again.
+    The rows M_w psi and dM_w psi of ``build_discrete_channel`` and
+    ``discrete_channel_derivatives`` in their row order, and the
+    completeness residual as ``trajectory_residual`` takes and caps it,
+    with no Kraus matrix, label or MeasurementChannel built. ``psi`` must
+    be normalized. ``traj``, a trajectory of this spec on this grid at
+    this x propagated with derivatives, is used instead of propagating
+    again.
     """
-    return _columns(spec, grid, x, psi, _probe_reduction(spec, grid, x, psi, traj))
+    return _columns(spec, grid, psi, _probe_reduction(spec, grid, x, psi, traj))
 
 
-def _columns(spec, grid, x, psi, red) -> ProbeColumns:
+def _columns(spec, grid, psi, red) -> ProbeColumns:
     traj = red.traj
     if grid.scheme == "expm_step" and red.mids is not None:
         rates, psi_mid, dpsi_mid = red.mids
@@ -697,8 +659,9 @@ def _columns(spec, grid, x, psi, red) -> ProbeColumns:
     m = _first_jump_rows(spec, grid, rates, red.psi_end[:, None], split)
     dm = _first_jump_rows(spec, grid, rates, red.dpsi_end[:, None], dsplit)
     residual = _completeness_residual(spec, grid, traj.products[-1], prefixes, rates)
+    residual = _held_to_cap(spec, grid, traj, rates, residual)
     return ProbeColumns(m=m[..., 0], dm=dm[..., 0], retained_mask=np.arange(len(m)) == 0,
-                        completeness_residual=_held_to_cap(spec, grid, x, residual))
+                        completeness_residual=residual)
 
 
 def check_integral_completeness(spec: CollisionSpec, grid: TimeGrid,
@@ -921,7 +884,7 @@ def run(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
     integration raises IntegratorFailure from its residual cap."""
     baseline = efg_integrals(spec.without_jumps(), grid, x, psi)
     red = _probe_reduction(spec, grid, x, psi, propagate(spec, grid, x))
-    columns = _columns(spec, grid, x, psi, red)
+    columns = _columns(spec, grid, psi, red)
     loss = _loss(_efg(spec, grid, red), baseline)
     return CollisionRun(loss, _theorem2(spec, red, tol), columns)
 

@@ -181,6 +181,10 @@ class ProbeColumns:
 
     @property
     def kind(self) -> str:
+        """`exact` or `approximate`, from the completeness residual, which
+        for a collision run shrinks with the step: the bundled dephasing run
+        is `exact` at N=16384 (residual 9.66e-11), `approximate` at N=4096
+        (1.57e-9)."""
         return channel_kind(self.completeness_residual)
 
 

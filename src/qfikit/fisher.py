@@ -2,8 +2,8 @@
 
 Pure-state QFI, mixed-state QFI via the symmetric logarithmic derivative,
 classical Fisher information of outcome distributions, the measured-pair
-(system plus record) QFI decomposition, and the refined convexity
-inequality check.
+(system plus record) QFI decomposition, and the derivative of the
+decohered state.
 
 Every channel-level function takes a channel M_w(x) together with its
 derivatives dM_w/dx, as (label, Operator) pairs or an (M, d, d) array in
@@ -15,7 +15,7 @@ itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .quantum_core import (
     MeasurementChannel,
     Operator,
     derivative_stack,
-    mixed_state,
     spectral_norm,
 )
 
@@ -35,13 +34,11 @@ __all__ = [
     "SldResult",
     "OutcomeQfi",
     "SigmaSeResult",
-    "RefinedConvexityReport",
     "pure_qfi",
     "sld",
     "classical_fi",
     "sigma_se_qfi",
     "mixed_state_derivative",
-    "refined_convexity_check",
 ]
 
 #: below this probability an outcome is treated as dead
@@ -81,33 +78,6 @@ class SigmaSeResult:
     total: float
     per_outcome: tuple
     singular: tuple
-
-
-@dataclass(frozen=True)
-class RefinedConvexityReport:
-    """Per-POVM-element chain J_cl <= J(rho) <= J(sigma_SE).
-
-    rows holds (index, J_cl, J_rho, J_sigma_se) per POVM element.
-    worst_lower_margin is min(J_rho - J_cl), worst_upper_margin is
-    min(J_sigma_se - J_rho), worst_outer_margin is min(J_sigma_se - J_cl).
-
-    Caution: only the two J_cl-anchored links are guaranteed for every
-    PSD element (each follows from a Cauchy-Schwarz bound), together with
-    the summed identity sum_mu J_rho = QFI(rho) <= QFI(sigma_SE) =
-    sum_mu J_sigma_se.  The per-element middle link J_rho <= J_sigma_se
-    is only guaranteed at a measurement saturating the classical bound
-    (there J_cl = J_rho) and fails for generic POVM elements, so
-    worst_upper_margin can be negative on valid inputs.
-    """
-
-    rows: tuple
-    worst_lower_margin: float
-    worst_upper_margin: float
-    worst_outer_margin: float
-
-    def outer_ok(self, slack: float = 1e-8) -> bool:
-        """Check only the two universally valid J_cl-anchored links."""
-        return self.worst_lower_margin >= -slack and self.worst_outer_margin >= -slack
 
 
 def pure_qfi(psi: Ket, dpsi: Ket) -> float:
@@ -260,74 +230,3 @@ def mixed_state_derivative(channel: MeasurementChannel, derivatives: Derivatives
     for m, dm in zip(channel.stack, derivative_stack(channel, derivatives)):
         drho += dm @ proj @ m.conj().T + m @ proj @ dm.conj().T
     return drho
-
-
-def refined_convexity_check(channel: MeasurementChannel, derivatives: Derivatives,
-                            psi: Ket, povm: Sequence[Operator]) -> RefinedConvexityReport:
-    """Check J_cl(E) <= J_rho(E) <= J_sigmaSE(E) for each POVM element.
-
-    derivatives are the channel's dM_w/dx as (label, Operator) pairs or an
-    (M, d, d) array in label order. J_cl is the classical information of the
-    element's weight, J_rho the SLD-sandwich Tr(rho L E L), and J_sigmaSE
-    its refinement over the record-resolved pair, using the block SLD
-    (dp/p) I + 2 dsigma of each pure conditional branch.
-
-    Raises
-    ------
-    ValueError
-        POVM elements that are not PSD or do not resolve the identity
-        within 1e-10.
-    """
-    psi.require_normalized()
-    dim = channel.dim
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for e in povm:
-        if not e.is_psd(1e-10):
-            raise ValueError("POVM element is not positive semidefinite")
-        acc += e.entries
-    if spectral_norm(acc - np.eye(dim)) > 1e-10:
-        raise ValueError("POVM does not resolve the identity within 1e-10")
-
-    dks = derivative_stack(channel, derivatives)
-    rho = mixed_state(channel, psi)
-    drho = mixed_state_derivative(channel, dks, psi)
-    l_rho = sld(rho, Operator(drho)).L.entries
-
-    # per-branch block SLDs of the record-resolved state
-    branch_terms = []
-    for label, m, dm in zip(channel.labels, channel.stack, dks):
-        s, ds, p, dp, dtilde_norm = _conditional_state_and_derivative(
-            m, dm, psi.amplitudes
-        )
-        if s is None:
-            if dtilde_norm > DP_FLOOR:
-                raise ValueError(f"outcome {label!r} is singular; chain undefined")
-            continue
-        sigma = np.outer(s, s.conj())
-        dsigma = np.outer(ds, s.conj()) + np.outer(s, ds.conj())
-        l_block = (dp / p) * np.eye(dim) + 2.0 * dsigma
-        branch_terms.append((p, sigma, l_block))
-
-    rows = []
-    worst_lower = np.inf
-    worst_upper = np.inf
-    worst_outer = np.inf
-    for mu, e in enumerate(povm):
-        p_mu = float(np.trace(rho.entries @ e.entries).real)
-        dp_mu = float(np.trace(drho @ e.entries).real)
-        j_cl = classical_fi(min(max(p_mu, 0.0), 1.0), dp_mu)
-        j_rho = float(np.trace(rho.entries @ l_rho @ e.entries @ l_rho).real)
-        j_sigma = sum(
-            p * float(np.trace(sigma @ lb @ e.entries @ lb).real)
-            for p, sigma, lb in branch_terms
-        )
-        rows.append((mu, j_cl, j_rho, j_sigma))
-        worst_lower = min(worst_lower, j_rho - j_cl)
-        worst_upper = min(worst_upper, j_sigma - j_rho)
-        worst_outer = min(worst_outer, j_sigma - j_cl)
-    return RefinedConvexityReport(
-        rows=tuple(rows),
-        worst_lower_margin=float(worst_lower),
-        worst_upper_margin=float(worst_upper),
-        worst_outer_margin=float(worst_outer),
-    )

@@ -25,10 +25,7 @@ __all__ = [
     "channel_kind",
     "Derivatives",
     "derivative_stack",
-    "tensor",
     "kraus_from_dilation",
-    "apply_channel_outcome",
-    "outcome_probabilities",
     "mixed_state",
     "expm",
     "spectral_norm",
@@ -220,10 +217,7 @@ class MeasurementChannel:
     The completeness residual ||sum M^+ M - 1|| (spectral norm) is computed
     at construction, with the sum taken in row order. ``kind`` follows the
     residual alone: at most 1e-10 is `exact`, anything above is
-    `approximate`. A collision-model channel's residual shrinks with the
-    step, so its kind depends on the grid: the bundled dephasing run is
-    `exact` at N=16384 (residual 9.66e-11) and `approximate` at N=4096
-    (1.6e-9).
+    `approximate`.
     """
 
     kraus: object
@@ -324,21 +318,6 @@ def derivative_stack(channel: MeasurementChannel, derivatives: Derivatives) -> n
     return np.array([dmap[label].entries for label in channel.labels])
 
 
-def tensor(a, b):
-    """Kronecker product of two kets or two operators.
-
-    Raises
-    ------
-    TypeError
-        When the operands are not both kets or both operators.
-    """
-    if isinstance(a, Ket) and isinstance(b, Ket):
-        return Ket(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(np.kron(a.entries, b.entries))
-    raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-
-
 def kraus_from_dilation(
     u_se: Operator,
     env_initial: Ket,
@@ -399,29 +378,6 @@ def kraus_from_dilation(
             f"unitary dilation produced completeness residual {channel.completeness_residual:.3e} > 1e-9"
         )
     return channel
-
-
-def apply_channel_outcome(m: Operator, psi: Ket):
-    """Unnormalized conditional state and outcome probability.
-
-    Returns
-    -------
-    (Ket, float)
-        tilde_psi = M|psi> (unnormalized) and p = ||tilde_psi||^2. For an
-        exact channel the probabilities over all outcomes sum to one; an
-        approximate channel inflates them by its completeness residual.
-    """
-    psi.require_normalized()
-    if m.dim != psi.dim:
-        raise ValueError(f"operator dim {m.dim} does not match ket dim {psi.dim}")
-    tilde = m.entries @ psi.amplitudes
-    p = float(np.vdot(tilde, tilde).real)
-    return Ket(tilde), p
-
-
-def outcome_probabilities(channel: MeasurementChannel, psi: Ket):
-    """All (label, probability) pairs of a channel applied to psi."""
-    return [(label, apply_channel_outcome(op, psi)[1]) for label, op in channel.kraus]
 
 
 def mixed_state(channel: MeasurementChannel, psi: Ket) -> Operator:

@@ -1,4 +1,4 @@
-"""Canonical worked examples and seeded random-instance generators.
+"""Worked-example builders and seeded random-instance generators.
 
 The flip-transducer protocol freezes the probe's own dynamics and lets a
 two-level section of the environment steer a conditional flip on the
@@ -7,8 +7,8 @@ moves the signal between the two outcome branches without changing the
 post-selected average. Only the readout basis depends on eps, so a grid
 of mixings exponentiates the generator once and rebuilds just the basis
 per eps. The dephasing builder wires a commuting jump model into the
-collision machinery. The random generators supply exact channels and
-differentiable families for property suites.
+collision machinery. The random generators supply differentiable exact
+families for property suites; a family at x = 0 is its seed channel.
 
 A family is a plain function x -> (channel, derivatives) that
 exponentiates its generator once per call; the derivatives come as a
@@ -35,16 +35,13 @@ from .quantum_core import (
 
 __all__ = [
     "TransducerSpec",
-    "two_qubit_transducer",
     "build_transducer",
     "transducer_points",
     "Fig1bRow",
     "DEFAULT_EPS_GRID",
-    "fig1b_row",
     "fig1b_row_from",
     "fig1b_sweep",
     "build_dephasing",
-    "random_channel",
     "random_family",
     "lossless_family",
 ]
@@ -146,22 +143,6 @@ class TransducerSpec:
         """Variance of the (shifted) generator in the initial state."""
         hit = self.h0_env.entries @ self.env_initial.amplitudes
         return float(np.vdot(hit, hit).real)
-
-
-def two_qubit_transducer(T: float = 1.0, x: float = 1e-5,
-                         eps: float = 1.0) -> TransducerSpec:
-    """The minimal instance: qubit environment, qubit probe, X flip."""
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return TransducerSpec(
-        h0_env=Operator(sz),
-        env_initial=Ket(np.array([1.0, 1.0]) / np.sqrt(2.0)),
-        sys_initial=Ket([1.0, 0.0]),
-        flip=Operator(sx),
-        T=T,
-        x=x,
-        eps=eps,
-    )
 
 
 class _Dilation:
@@ -279,16 +260,6 @@ class Fig1bRow(NamedTuple):
     sum_total: float
 
 
-def fig1b_row(eps: float, channel: MeasurementChannel, derivatives,
-              psi: Ket) -> Fig1bRow:
-    """The sweep row of one built transducer point at mixing ``eps``.
-
-    ``channel`` and ``derivatives`` are what the family returns at the
-    operating point, ``psi`` the probe.
-    """
-    return fig1b_row_from(eps, amplification_report(channel, derivatives, psi))
-
-
 def fig1b_row_from(eps: float, amp: AmplificationReport) -> Fig1bRow:
     """The sweep row at mixing ``eps`` read off the point's amplification
     report: the conditional informations of outcomes "1" and "2" (zero
@@ -306,14 +277,14 @@ def fig1b_row_from(eps: float, amp: AmplificationReport) -> Fig1bRow:
 def fig1b_sweep(spec: TransducerSpec, eps_grid=None) -> tuple:
     """Sweep the readout mixing and tabulate the per-outcome information.
 
-    Takes each row from ``fig1b_row`` at the spec's operating point. The
-    points come from ``transducer_points``: one exp(-i x T H) for the
-    whole grid, and only the readout basis rebuilt per mixing. The
-    weighted total stays pinned at the joint value while the mixing hands
-    the signal from one branch to the other.
+    Reads each row off the amplification report of one point at the
+    spec's operating point. The points come from ``transducer_points``:
+    one exp(-i x T H) for the whole grid, and only the readout basis
+    rebuilt per mixing. The weighted total stays pinned at the joint
+    value while the mixing hands the signal from one branch to the other.
     """
     grid = DEFAULT_EPS_GRID if eps_grid is None else tuple(eps_grid)
-    return tuple(fig1b_row(eps, *point, spec.sys_initial)
+    return tuple(fig1b_row_from(eps, amplification_report(*point, spec.sys_initial))
                  for eps, point in zip(grid, transducer_points(spec, grid)))
 
 
@@ -383,13 +354,6 @@ def _seeded_mixer(dim: int, n_outcomes: int, seed: int, retained) -> tuple:
     u = _haar_unitary(dim * n_outcomes, rng)
     labels = [str(w) for w in range(n_outcomes)]
     return u, rng, labels, frozenset(labels if retained is None else retained)
-
-
-def random_channel(dim: int, n_outcomes: int, seed: int,
-                   retained=None) -> MeasurementChannel:
-    """Exact channel from the row blocks of a seeded Haar unitary."""
-    u, _, labels, keep = _seeded_mixer(dim, n_outcomes, seed, retained)
-    return MeasurementChannel.from_stack(labels, _row_blocks(u, n_outcomes, dim), keep)
 
 
 def lossless_family(dim: int, n_outcomes: int, seed: int) -> Callable[[float], tuple]:

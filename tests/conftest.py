@@ -6,6 +6,7 @@ import pytest
 from qfikit.encoding import gauge_shift  # noqa: F401
 from qfikit.quantum_core import Ket, MeasurementChannel, Operator
 from qfikit.scenarios import (
+    TransducerSpec,
     _haar_unitary,
     _random_hermitian,
     lossless_family,
@@ -41,6 +42,20 @@ def haar_channel(dim: int, n_outcomes: int, rng: np.random.Generator, retained=N
     )
     labels = [lbl for lbl, _ in kraus]
     return MeasurementChannel(kraus=kraus, retained=frozenset(labels if retained is None else retained))
+
+
+def two_qubit_transducer(T: float = 1.0, x: float = 1e-5,
+                         eps: float = 1.0) -> TransducerSpec:
+    """The minimal transducer: qubit environment, qubit probe, X flip."""
+    return TransducerSpec(
+        h0_env=Operator(PAULI["z"]),
+        env_initial=PLUS_X,
+        sys_initial=KET_0,
+        flip=Operator(PAULI["x"]),
+        T=T,
+        x=x,
+        eps=eps,
+    )
 
 
 def random_ket(dim: int, rng: np.random.Generator) -> Ket:

@@ -2,10 +2,32 @@
 
 Each oracle takes a different route than the code under test: fidelity
 finite differences for QFI, explicit dilation vectors for channel
-aggregates, closed-form classical results.
+aggregates, closed-form classical results, the effective generator
+built one time at a time for literal Euler products, and the
+per-POVM-element information chain checked element by element.
 """
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
+
+from qfikit.fisher import (
+    DP_FLOOR,
+    _conditional_state_and_derivative,
+    classical_fi,
+    mixed_state_derivative,
+    sld,
+)
+from qfikit.quantum_core import (
+    Derivatives,
+    Ket,
+    MeasurementChannel,
+    Operator,
+    derivative_stack,
+    mixed_state,
+    spectral_norm,
+)
 
 
 def fidelity_pure_qfi(psi_at, x: float, delta: float = 1e-4) -> float:
@@ -70,7 +92,6 @@ def dilated_outcome_share(kraus_mats, deriv_mats, psi: np.ndarray, w: int) -> fl
     dim = kraus_mats[0].shape[0]
     block = dperp[w * dim : (w + 1) * dim]
     return 4.0 * float(np.vdot(block, block).real)
-
 
 
 def rowwise_completeness(kraus_mats) -> float:
@@ -141,3 +162,113 @@ def rowwise_generic(kraus_mats, deriv_mats, psi, kept, tol):
             g_dis += g
     dis = abs(g_dis - f_total * f_dis.conjugate())
     return ret, dis, max(ret + [dis]) <= tol
+
+
+def h_nh(spec, t: float, x: float) -> np.ndarray:
+    """Effective generator H0(t,x) + H1(t) - (i/2) sum_j gamma_j(t) L_j^+ L_j.
+
+    Built from the spec's callables at the one time t, the factor behind
+    a literal Euler product prod_n (1 - i dt H_nh(t_n)).
+    """
+    total = spec.h0(t, x).entries + spec.h1(t).entries
+    for op, rate in spec.jumps:
+        total = total - 0.5j * float(rate(t)) * (op.entries.conj().T @ op.entries)
+    return total
+
+
+@dataclass(frozen=True)
+class RefinedConvexityReport:
+    """Per-POVM-element chain J_cl <= J(rho) <= J(sigma_SE).
+
+    rows holds (index, J_cl, J_rho, J_sigma_se) per POVM element.
+    worst_lower_margin is min(J_rho - J_cl), worst_upper_margin is
+    min(J_sigma_se - J_rho), worst_outer_margin is min(J_sigma_se - J_cl).
+
+    Caution: only the two J_cl-anchored links are guaranteed for every
+    PSD element (each follows from a Cauchy-Schwarz bound), together with
+    the summed identity sum_mu J_rho = QFI(rho) <= QFI(sigma_SE) =
+    sum_mu J_sigma_se.  The per-element middle link J_rho <= J_sigma_se
+    is only guaranteed at a measurement saturating the classical bound
+    (there J_cl = J_rho) and fails for generic POVM elements, so
+    worst_upper_margin can be negative on valid inputs.
+    """
+
+    rows: tuple
+    worst_lower_margin: float
+    worst_upper_margin: float
+    worst_outer_margin: float
+
+    def outer_ok(self, slack: float = 1e-8) -> bool:
+        """Check only the two universally valid J_cl-anchored links."""
+        return self.worst_lower_margin >= -slack and self.worst_outer_margin >= -slack
+
+
+def refined_convexity_check(channel: MeasurementChannel, derivatives: Derivatives,
+                            psi: Ket, povm: Sequence[Operator]) -> RefinedConvexityReport:
+    """Check J_cl(E) <= J_rho(E) <= J_sigmaSE(E) for each POVM element.
+
+    derivatives are the channel's dM_w/dx as (label, Operator) pairs or an
+    (M, d, d) array in label order. J_cl is the classical information of the
+    element's weight, J_rho the SLD-sandwich Tr(rho L E L), and J_sigmaSE
+    its refinement over the record-resolved pair, using the block SLD
+    (dp/p) I + 2 dsigma of each pure conditional branch.
+
+    Raises
+    ------
+    ValueError
+        POVM elements that are not PSD or do not resolve the identity
+        within 1e-10.
+    """
+    psi.require_normalized()
+    dim = channel.dim
+    acc = np.zeros((dim, dim), dtype=np.complex128)
+    for e in povm:
+        if not e.is_psd(1e-10):
+            raise ValueError("POVM element is not positive semidefinite")
+        acc += e.entries
+    if spectral_norm(acc - np.eye(dim)) > 1e-10:
+        raise ValueError("POVM does not resolve the identity within 1e-10")
+
+    dks = derivative_stack(channel, derivatives)
+    rho = mixed_state(channel, psi)
+    drho = mixed_state_derivative(channel, dks, psi)
+    l_rho = sld(rho, Operator(drho)).L.entries
+
+    # per-branch block SLDs of the record-resolved state
+    branch_terms = []
+    for label, m, dm in zip(channel.labels, channel.stack, dks):
+        s, ds, p, dp, dtilde_norm = _conditional_state_and_derivative(
+            m, dm, psi.amplitudes
+        )
+        if s is None:
+            if dtilde_norm > DP_FLOOR:
+                raise ValueError(f"outcome {label!r} is singular; chain undefined")
+            continue
+        sigma = np.outer(s, s.conj())
+        dsigma = np.outer(ds, s.conj()) + np.outer(s, ds.conj())
+        l_block = (dp / p) * np.eye(dim) + 2.0 * dsigma
+        branch_terms.append((p, sigma, l_block))
+
+    rows = []
+    worst_lower = np.inf
+    worst_upper = np.inf
+    worst_outer = np.inf
+    for mu, e in enumerate(povm):
+        p_mu = float(np.trace(rho.entries @ e.entries).real)
+        dp_mu = float(np.trace(drho @ e.entries).real)
+        j_cl = classical_fi(min(max(p_mu, 0.0), 1.0), dp_mu)
+        j_rho = float(np.trace(rho.entries @ l_rho @ e.entries @ l_rho).real)
+        j_sigma = sum(
+            p * float(np.trace(sigma @ lb @ e.entries @ lb).real)
+            for p, sigma, lb in branch_terms
+        )
+        rows.append((mu, j_cl, j_rho, j_sigma))
+        worst_lower = min(worst_lower, j_rho - j_cl)
+        worst_upper = min(worst_upper, j_sigma - j_rho)
+        worst_outer = min(worst_outer, j_sigma - j_cl)
+    return RefinedConvexityReport(
+        rows=tuple(rows),
+        worst_lower_margin=float(worst_lower),
+        worst_upper_margin=float(worst_upper),
+        worst_outer_margin=float(worst_outer),
+    )

@@ -218,6 +218,36 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="rate must be a nonnegative"):
             parse_config(write_config(tmp_path, payload))
 
+    @pytest.mark.parametrize("tol", [0, 0.0, -1.0])
+    def test_non_positive_tol_anchored(self, tmp_path, tol):
+        # every verdict compares a residual against tol, so tol <= 0 fails
+        # them all without saying why
+        payload = {**CANONICAL_DEPHASING,
+                   "parameters": {**CANONICAL_DEPHASING["parameters"], "tol": tol}}
+        path = write_config(tmp_path, payload)
+        text = (tmp_path / "config.json").read_text(encoding="utf-8").splitlines()
+        line = next(n for n, row in enumerate(text, 1) if '"tol"' in row)
+        with pytest.raises(ConfigError,
+                           match=rf"config\.json:{line}: parameter 'tol' must be positive"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("key, payload", [
+        ("rate", {"kind": "custom_collision", "operators": {"h0": "pauli_z"},
+                  "jumps": [{"op": "pauli_z", "rate": 0.5},
+                            {"op": "pauli_x", "rate": -1.0}]}),
+        ("matrix", {"kind": "custom_channel", "states": {"psi": "zero"},
+                    "outcomes": [{"label": "a", "matrix": "identity", "derivative": "identity"},
+                                 {"label": "b", "matrix": [[[1, 0]], [[0, 0], [1, 0]]],
+                                  "derivative": "identity"}]}),
+    ], ids=["jumps", "outcomes"])
+    def test_second_entry_anchored_at_its_line(self, tmp_path, key, payload):
+        path = write_config(tmp_path, payload)
+        text = (tmp_path / "config.json").read_text(encoding="utf-8").splitlines()
+        lines = [n for n, row in enumerate(text, 1) if f'"{key}"' in row]
+        assert len(lines) == 2
+        with pytest.raises(ConfigError, match=rf"config\.json:{lines[1]}: "):
+            parse_config(path)
+
 
 class TestRunReport:
     def test_json_round_trip(self, tmp_path):
@@ -353,6 +383,13 @@ class TestRunCommand:
         assert main(["run", write_config(tmp_path, CANONICAL_DEPHASING), f"--tol={tol}"]) == 1
         captured = capsys.readouterr()
         assert "--tol must be a finite number" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("tol", ["0", "-0.5"])
+    def test_non_positive_tol_exits_one(self, tmp_path, capsys, tol):
+        assert main(["run", write_config(tmp_path, CANONICAL_DEPHASING), f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert "--tol must be positive" in captured.err
         assert captured.out == ""
 
     def test_custom_channel_with_tiny_information(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, expm_frechet
 
 from conftest import PAULI, PLUS_X, random_ket, scaled_model
+from oracles import h_nh
 from qfikit.collision import (
     SCHEMES,
     CollisionSpec,
@@ -16,15 +17,14 @@ from qfikit.collision import (
     IntegratorFailure,
     NhTrajectory,
     TimeGrid,
+    _hamiltonian_samples,
     _step_factors,
     build_discrete_channel,
     check_integral_completeness,
     check_theorem2,
     dephasing_closed_form,
     discrete_channel_derivatives,
-    discrete_channel_with_derivatives,
     efg_integrals,
-    h_nh,
     nh_loss,
     propagate,
     run,
@@ -114,22 +114,27 @@ class TestTimeGrid:
             TimeGrid(T=1.0, N=4, scheme="leapfrog")
 
 
+def sampled_h_nh(spec, t, x):
+    """The effective generator as propagation samples it, at one time."""
+    return _hamiltonian_samples(spec, np.array([t]), x)[0][0]
+
+
 class TestHnh:
     def test_zero_rates_give_hermitian_generator(self):
         spec = random_spec(0, n_jumps=0)
-        assert h_nh(spec, 0.3, 0.7).is_hermitian(1e-12)
+        assert Operator(sampled_h_nh(spec, 0.3, 0.7)).is_hermitian(1e-12)
 
     def test_dephasing_form(self):
         gamma, x = 0.8, 0.5
         spec = dephasing_spec(gamma)
-        got = h_nh(spec, 0.2, x).entries
+        got = sampled_h_nh(spec, 0.2, x)
         want = x * PAULI["z"] - 0.5j * gamma * np.eye(2)
         assert np.allclose(got, want, atol=1e-14)
 
     def test_hermitian_antihermitian_split(self):
         spec = random_spec(3)
         t, x = 0.4, 0.9
-        h = h_nh(spec, t, x).entries
+        h = sampled_h_nh(spec, t, x)
         herm = (h + h.conj().T) / 2.0
         anti = (h - h.conj().T) / 2.0
         want_herm = spec.h0(t, x).entries + spec.h1(t).entries
@@ -149,7 +154,7 @@ class TestHnh:
             dim=2,
         )
         with pytest.raises(ValueError, match="negative"):
-            h_nh(spec, 0.0, 1.0)
+            sampled_h_nh(spec, 0.0, 1.0)
 
     def test_non_hermitian_estimation_rejected(self):
         spec = CollisionSpec(
@@ -159,7 +164,7 @@ class TestHnh:
             dim=2,
         )
         with pytest.raises(ValueError, match="Hermitian"):
-            h_nh(spec, 0.0, 1.0)
+            sampled_h_nh(spec, 0.0, 1.0)
 
 
 class TestPropagate:
@@ -206,7 +211,7 @@ class TestPropagate:
         traj = propagate(spec, grid, x)
         acc = np.eye(3, dtype=complex)
         for t in grid.right_edges():
-            acc = (np.eye(3) - 1j * grid.dt * h_nh(spec, t, x).entries) @ acc
+            acc = (np.eye(3) - 1j * grid.dt * h_nh(spec, t, x)) @ acc
         assert np.allclose(traj.products[-1], acc, atol=1e-14)
 
     def test_derivative_matches_finite_difference(self):
@@ -285,7 +290,7 @@ class TestBuildDiscreteChannel:
         dt = grid.dt
         prefix = np.eye(2, dtype=complex)
         ts = grid.right_edges()
-        step1 = np.eye(2) - 1j * dt * h_nh(spec, ts[0], x).entries
+        step1 = np.eye(2) - 1j * dt * h_nh(spec, ts[0], x)
         want = np.sqrt(gamma * dt) * PAULI["z"] @ step1
         assert np.allclose(chan.operator("jump0@2").entries, want, atol=1e-14)
         want_first = np.sqrt(gamma * dt) * PAULI["z"] @ prefix
@@ -547,7 +552,9 @@ class TestNhLoss:
             for n_steps in (256, 1024, 4096):
                 grid = TimeGrid(1.0, n_steps, scheme)
                 loss = nh_loss(spec, grid, 0.3, psi)
-                chan, derivs = discrete_channel_with_derivatives(spec, psi, grid, 0.3)
+                traj = propagate(spec, grid, 0.3)
+                chan = build_discrete_channel(spec, psi, grid, 0.3, traj=traj)
+                derivs = discrete_channel_derivatives(spec, psi, grid, 0.3, traj=traj)
                 rep = complete_report(chan, derivs, psi, allow_approximate=True)
                 gaps[scheme].append((abs(loss.kappa_channel / rep.kappa - 1.0),
                                      abs(loss.i_q_channel / rep.i_q - 1.0)))
@@ -838,7 +845,7 @@ def plain_loop(spec, grid, x, derivative):
     reproduce it bit for bit.
     """
     d = spec.dim
-    half, full = _step_factors(spec, grid, x, derivative)
+    half, full, _ = _step_factors(spec, grid, x, derivative)
     width = half.shape[-1]
     cols = np.empty((grid.N + 1, width, d), dtype=complex)
     mid_cols = np.empty((grid.N, width, d), dtype=complex)
@@ -1060,3 +1067,22 @@ class TestRun:
         for name in ("m", "dm", "retained_mask", "e", "f", "g"):
             assert np.array_equal(getattr(got.columns, name), getattr(columns, name))
         assert got.columns.completeness_residual == columns.completeness_residual
+
+    @pytest.mark.parametrize("scheme, samplings", [("euler_paper", 4), ("expm_step", 2)])
+    def test_run_samples_each_propagation_once(self, monkeypatch, scheme, samplings):
+        # the baseline and the main propagation sample H_nh at the
+        # midpoints, and euler_paper at the right edges too; the residual
+        # cap reads the main propagation's midpoint samples
+        import qfikit.collision
+
+        calls = []
+        original = qfikit.collision._hamiltonian_samples
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(qfikit.collision, "_hamiltonian_samples", counted)
+        spec = timed_spec(5, 3, 2)
+        run(spec, TimeGrid(1.0, 256, scheme), 0.3, random_ket(3, np.random.default_rng(5)))
+        assert len(calls) == samplings

@@ -21,12 +21,12 @@ from oracles import (
     dilated_outcome_share,
     dilated_pure_qfi,
     fidelity_pure_qfi,
+    refined_convexity_check,
 )
 from qfikit.fisher import (
     classical_fi,
     mixed_state_derivative,
     pure_qfi,
-    refined_convexity_check,
     sigma_se_qfi,
     sld,
 )

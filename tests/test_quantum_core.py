@@ -11,13 +11,10 @@ from qfikit.quantum_core import (
     Ket,
     MeasurementChannel,
     Operator,
-    apply_channel_outcome,
     expm,
     kraus_from_dilation,
     mixed_state,
-    outcome_probabilities,
     spectral_norm,
-    tensor,
 )
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
@@ -63,50 +60,6 @@ class TestOperator:
         assert abs(val) < 1e-15
 
 
-class TestTensor:
-    def test_basis_kets(self):
-        npt.assert_array_equal(tensor(KET_0, KET_0).amplitudes, [1, 0, 0, 0])
-
-    def test_identity_operators(self):
-        out = tensor(Operator(PAULI["i"]), Operator(PAULI["i"]))
-        npt.assert_array_equal(out.entries, np.eye(4))
-
-    def test_plus_x_pair(self):
-        # hand expansion: (1,1)/sqrt2 (x) (1,1)/sqrt2 = (1,1,1,1)/2
-        out = tensor(PLUS_X, PLUS_X)
-        npt.assert_allclose(out.amplitudes, np.full(4, 0.5), atol=1e-15)
-
-    def test_kind_mismatch(self):
-        with pytest.raises(TypeError):
-            tensor(KET_0, Operator(PAULI["i"]))
-
-    @given(SEEDS)
-    @settings(max_examples=25, deadline=None)
-    def test_associative_on_dyadic_entries(self, seed):
-        # entries drawn from exactly representable dyadics, where float
-        # multiplication does not round, so associativity is bitwise
-        rng = np.random.default_rng(seed)
-        pool = np.array([0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 0.25])
-        mats = [
-            Operator(rng.choice(pool, (2, 2)) + 1j * rng.choice(pool, (2, 2)))
-            for _ in range(3)
-        ]
-        a, b, c = mats
-        left = tensor(tensor(a, b), c).entries
-        right = tensor(a, tensor(b, c)).entries
-        npt.assert_array_equal(left, right)
-
-    @given(SEEDS)
-    @settings(max_examples=25, deadline=None)
-    def test_associative_generic(self, seed):
-        rng = np.random.default_rng(seed)
-        kets = [random_ket(2, rng) for _ in range(3)]
-        a, b, c = kets
-        left = tensor(tensor(a, b), c).amplitudes
-        right = tensor(a, tensor(b, c)).amplitudes
-        npt.assert_allclose(left, right, rtol=1e-15, atol=1e-300)
-
-
 class TestChannel:
     def test_duplicate_labels_rejected(self):
         op = Operator(PAULI["i"] / np.sqrt(2))
@@ -136,7 +89,7 @@ class TestChannel:
         rng = np.random.default_rng(seed)
         chan = haar_channel(dim, n_outcomes, rng)
         psi = random_ket(dim, rng)
-        total = sum(p for _, p in outcome_probabilities(chan, psi))
+        total = sum(float(np.vdot(b, b).real) for b in chan.stack @ psi.amplitudes)
         assert abs(total - 1.0) <= chan.completeness_residual + 1e-10
 
 
@@ -182,37 +135,6 @@ class TestKrausFromDilation:
         u = Operator(np.eye(6))
         with pytest.raises(ValueError):
             kraus_from_dilation(u, Ket([1, 0, 0, 0]), [Ket([1, 0, 0, 0])] * 4)
-
-
-class TestApplyOutcome:
-    def test_identity(self):
-        tilde, p = apply_channel_outcome(Operator(PAULI["i"]), PLUS_X)
-        assert p == pytest.approx(1.0, abs=1e-15)
-        npt.assert_allclose(tilde.amplitudes, PLUS_X.amplitudes)
-
-    def test_no_jump_survival_probability(self):
-        # e^{-i x sz T} e^{-T/2} on |+x>, unit rate: survival e^{-T}
-        T, x = 1.0, 0.3
-        m = Operator(
-            np.diag(np.exp(-1j * x * np.array([1.0, -1.0]) * T)) * np.exp(-T / 2.0)
-        )
-        _, p = apply_channel_outcome(m, PLUS_X)
-        assert p == pytest.approx(np.exp(-T), rel=1e-12)
-
-    @given(SEEDS)
-    @settings(max_examples=30, deadline=None)
-    def test_trace_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        m = Operator(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        psi = random_ket(3, rng)
-        _, p = apply_channel_outcome(m, psi)
-        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
-        expected = np.trace(m.entries.conj().T @ m.entries @ rho).real
-        assert p == pytest.approx(expected, abs=1e-12)
-
-    def test_unnormalized_input_rejected(self):
-        with pytest.raises(ValueError):
-            apply_channel_outcome(Operator(PAULI["i"]), Ket([1, 1]))
 
 
 class TestMixedState:

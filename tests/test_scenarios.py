@@ -5,33 +5,45 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import PAULI, PLUS_X, haar_channel, random_hermitian, random_ket
+from conftest import (
+    PAULI,
+    PLUS_X,
+    haar_channel,
+    random_hermitian,
+    random_ket,
+    two_qubit_transducer,
+)
 from qfikit.collision import CollisionSpec, TimeGrid, nh_loss
 from qfikit.encoding import (
+    amplification_report,
     check_lossless_generic,
     check_lossless_perp,
     complete_report,
     probe_columns,
     theorem1_residuals,
 )
-from qfikit.quantum_core import Ket, Operator, outcome_probabilities
+from qfikit.quantum_core import Ket, Operator
 from qfikit.scenarios import (
     DEFAULT_EPS_GRID,
     Fig1bRow,
     TransducerSpec,
     build_dephasing,
     build_transducer,
-    fig1b_row,
+    fig1b_row_from,
     fig1b_sweep,
     lossless_family,
-    random_channel,
     random_family,
     transducer_points,
-    two_qubit_transducer,
 )
 
 SZ = Operator(PAULI["z"])
 SX = Operator(PAULI["x"])
+
+
+def outcome_weights(channel, psi):
+    """||M_w psi||^2 by outcome label."""
+    return {label: float(np.vdot(b, b).real)
+            for label, b in zip(channel.labels, channel.stack @ psi.amplitudes)}
 
 
 def hand_kraus(eps, x, t_total):
@@ -117,13 +129,13 @@ class TestBuildTransducer:
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
     def test_pointer_weights_at_zero_signal(self, eps):
         family, _ = build_transducer(two_qubit_transducer(x=0.0, eps=eps))
-        probs = dict(outcome_probabilities(family(0.0)[0], Ket([1.0, 0.0])))
+        probs = outcome_weights(family(0.0)[0], Ket([1.0, 0.0]))
         assert probs["1"] == pytest.approx(1 / (1 + eps**2), rel=1e-12)
         assert probs["2"] == pytest.approx(eps**2 / (1 + eps**2), rel=1e-12)
 
     def test_zero_mixing_darkens_second_outcome(self):
         family, _ = build_transducer(two_qubit_transducer(x=0.0, eps=0.0))
-        probs = dict(outcome_probabilities(family(0.0)[0], Ket([1.0, 0.0])))
+        probs = outcome_weights(family(0.0)[0], Ket([1.0, 0.0]))
         assert probs["2"] == 0.0
 
     def test_total_information_matches_joint_value(self):
@@ -236,7 +248,7 @@ class TestFig1bSweep:
     def test_small_mixing_branch_carries_inverse_weight(self, rows):
         spec = two_qubit_transducer(eps=1e-3)
         family, _ = build_transducer(spec)
-        probs = dict(outcome_probabilities(family(spec.x)[0], spec.sys_initial))
+        probs = outcome_weights(family(spec.x)[0], spec.sys_initial)
         assert rows[0].i_sigma_2 == pytest.approx(4.0 / probs["2"], rel=0.01)
 
     def test_custom_grid(self):
@@ -276,8 +288,9 @@ class TestTransducerPoints:
             assert channel.completeness_residual == want_channel.completeness_residual
             assert self.same_bits(channel.stack, want_channel.stack)
             assert self.same_bits(derivatives, want_derivatives)
-            assert (fig1b_row(eps, channel, derivatives, psi)
-                    == fig1b_row(eps, want_channel, want_derivatives, psi))
+            assert (fig1b_row_from(eps, amplification_report(channel, derivatives, psi))
+                    == fig1b_row_from(eps, amplification_report(want_channel,
+                                                                want_derivatives, psi)))
             got = theorem1_residuals(probe_columns(channel, derivatives, psi), tol=1e-6)
             want = theorem1_residuals(
                 probe_columns(want_channel, want_derivatives, psi), tol=1e-6)
@@ -288,7 +301,8 @@ class TestTransducerPoints:
         want = []
         for eps in self.GRID:
             family, _ = build_transducer(replace(spec, eps=eps))
-            want.append(fig1b_row(eps, *family(spec.x), spec.sys_initial))
+            want.append(fig1b_row_from(
+                eps, amplification_report(*family(spec.x), spec.sys_initial)))
         assert fig1b_sweep(spec, self.GRID) == tuple(want)
 
     def test_negative_mixing_raises_at_its_point(self):
@@ -375,30 +389,30 @@ class TestFamilies:
 
 class TestRandomGenerators:
     def test_channel_deterministic(self):
-        a = random_channel(3, 2, 7)
-        b = random_channel(3, 2, 7)
+        a = random_family(3, 2, 7)(0.0)[0]
+        b = random_family(3, 2, 7)(0.0)[0]
         for (_, ma), (_, mb) in zip(a.kraus, b.kraus):
             np.testing.assert_array_equal(ma.entries, mb.entries)
 
     def test_channel_exact_and_labeled(self):
-        chan = random_channel(2, 3, 11)
+        chan = random_family(2, 3, 11)(0.0)[0]
         assert chan.kind == "exact"
         assert chan.labels == ("0", "1", "2")
         assert chan.completeness_residual < 1e-12
 
     def test_single_outcome_is_unitary(self):
-        chan = random_channel(3, 1, 5)
+        chan = random_family(3, 1, 5)(0.0)[0]
         assert chan.operator("0").is_unitary(1e-10)
 
     def test_retained_subset(self):
-        chan = random_channel(2, 3, 9, retained={"0", "2"})
+        chan = random_family(2, 3, 9, retained={"0", "2"})(0.0)[0]
         assert chan.retained == frozenset({"0", "2"})
         assert chan.discarded == frozenset({"1"})
 
     def test_matches_test_suite_stream(self):
         # the conftest builder draws from the same canonical generator,
         # so an identical seed must give identical matrices
-        mine = random_channel(3, 2, 42)
+        mine = random_family(3, 2, 42)(0.0)[0]
         theirs = haar_channel(3, 2, np.random.default_rng(42))
         for (_, ma), (_, mb) in zip(mine.kraus, theirs.kraus):
             np.testing.assert_array_equal(ma.entries, mb.entries)
@@ -426,6 +440,6 @@ class TestRandomGenerators:
 
     def test_rejects_degenerate_shapes(self):
         with pytest.raises(ValueError, match="dim"):
-            random_channel(1, 2, 0)
+            random_family(1, 2, 0)
         with pytest.raises(ValueError, match="dim"):
             random_family(2, 0, 0)

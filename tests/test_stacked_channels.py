@@ -17,8 +17,8 @@ from qfikit.collision import (
     SCHEMES,
     CollisionSpec,
     TimeGrid,
+    build_discrete_channel,
     discrete_channel_derivatives,
-    discrete_channel_with_derivatives,
     propagate,
     trajectory_columns,
 )
@@ -32,7 +32,8 @@ from qfikit.encoding import (
     total_qfi,
 )
 from qfikit.fisher import P_FLOOR
-from qfikit.quantum_core import EXACT_RESIDUAL_TOL, MeasurementChannel, Operator
+from qfikit.quantum_core import (EXACT_RESIDUAL_TOL, MeasurementChannel, Operator,
+                                 derivative_stack)
 from qfikit.scenarios import random_family
 
 
@@ -103,8 +104,10 @@ class TestCollisionChannelsMatchOracle:
         )
         grid = TimeGrid(T=1.0, N=n_steps, scheme=scheme)
         psi = random_ket(dim, np.random.default_rng(seed))
-        channel, dks = discrete_channel_with_derivatives(spec, psi, grid, 0.3)
-        pairs = discrete_channel_derivatives(spec, psi, grid, 0.3)
+        traj = propagate(spec, grid, 0.3)
+        channel = build_discrete_channel(spec, psi, grid, 0.3, traj=traj)
+        pairs = discrete_channel_derivatives(spec, psi, grid, 0.3, traj=traj)
+        dks = derivative_stack(channel, pairs)
         assert channel.kind == ("exact" if jump_free and scheme == "expm_step"
                                 else "approximate")
         mats = [op.entries for _, op in channel.kraus]
@@ -184,7 +187,9 @@ class TestTrajectoryColumnsMatchStacks:
         psi = random_ket(dim, np.random.default_rng(seed))
         tol = 10.0**log_tol
         traj = propagate(spec, grid, 0.3)
-        channel, dks = discrete_channel_with_derivatives(spec, psi, grid, 0.3, traj=traj)
+        channel = build_discrete_channel(spec, psi, grid, 0.3, traj=traj)
+        dks = derivative_stack(
+            channel, discrete_channel_derivatives(spec, psi, grid, 0.3, traj=traj))
         columns = trajectory_columns(spec, grid, 0.3, psi, traj=traj)
 
         residual = channel.completeness_residual
