@@ -81,6 +81,24 @@ _PARAM_KEYS = {
     "custom_collision": {"x", "T", "N", "scheme", "tol"},
 }
 
+#: the lower bound of each bounded scalar parameter, as docs/schema.json
+#: states it: (test, what the value must be)
+_BOUNDS = {
+    "T": (lambda v: v > 0, "positive"),
+    "N": (lambda v: v >= 1, "at least 1"),
+    "eps": (lambda v: v >= 0, "nonnegative"),
+    "gamma": (lambda v: v >= 0, "nonnegative"),
+    "tol": (lambda v: v > 0, "positive"),
+}
+
+
+def _out_of_bounds(key: str, value) -> Optional[str]:
+    """Why ``value`` is outside the schema bound of parameter ``key``, or None."""
+    if key in _BOUNDS and not _BOUNDS[key][0](value):
+        return f"parameter {key!r} must be {_BOUNDS[key][1]}, got {value!r}"
+    return None
+
+
 _OPERATOR_KEYS = {
     "transducer": {"h0_env", "flip"},
     "dephasing": {"h0", "jump", "control"},
@@ -246,8 +264,10 @@ def parse_config(path: str) -> ScenarioConfig:
     ConfigError
         Unreadable file, JSON syntax error, non-finite number (NaN,
         Infinity, or a literal beyond the float range), unknown or
-        ill-typed key, non-positive tol; the message is anchored to the
-        offending line, within an array at the offending entry's.
+        ill-typed key, a parameter outside its schema bound (T and tol
+        positive, N at least 1, eps and gamma nonnegative); the message is
+        anchored to the offending line, within an array at the offending
+        entry's.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -298,10 +318,12 @@ def parse_config(path: str) -> ScenarioConfig:
     for key in ("x", "T", "eps", "gamma", "tol"):
         if key in params:
             params = {**params, key: _number(params, key, anchor)}
-    if params.get("tol", DEFAULT_TOL) <= 0.0:
-        anchor.fail("tol", f"parameter 'tol' must be positive, got {params['tol']!r}")
     if "N" in params:
         params = {**params, "N": _integer(params, "N", anchor)}
+    for key, value in params.items():
+        complaint = _out_of_bounds(key, value)
+        if complaint:
+            anchor.fail(key, complaint)
 
     operators = {}
     ops = _require_mapping(data.get("operators", {}), "operators", anchor, "operators")
@@ -698,13 +720,17 @@ def cmd_sweep(args) -> int:
             raise ConfigError(
                 f"grid {args.grid!r}: N must be an integer, got {float(grid[off.argmax()])!r}")
         grid = counts
+    values = [int(value) if args.param == "N" else float(value) for value in grid]
+    for value in values:
+        complaint = _out_of_bounds(args.param, value)
+        if complaint:
+            raise ConfigError(f"grid {args.grid!r}: {complaint}")
     start = time.perf_counter()
     columns = [args.param] + list(_SWEEP_COLUMNS[config.kind])
     rows = []
     worst = {name: ("pass", None) for name in _VERDICT_NAMES}
-    for value in grid:
-        cast = int(value) if args.param == "N" else float(value)
-        point = execute(replace(config, parameters={**config.parameters, args.param: cast}),
+    for value in values:
+        point = execute(replace(config, parameters={**config.parameters, args.param: value}),
                         tol_override=args.tol)
         # a metric the point left undefined stays empty (JSON null), not 0
         rows.append([float(value)] + [point.metrics.get(c) for c in columns[1:]])

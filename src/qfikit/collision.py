@@ -27,16 +27,24 @@ forms exp(A) - I before adding I, so each near-identity step keeps the
 digits of A that 2N repeated products would otherwise accumulate as
 drift.
 
-Runs use columns, not stacks: every statistic and verdict is an
-expectation in the probe, so ``trajectory_columns`` reads the channel's
-branches M_w psi and dM_w psi, (M, d) arrays in its row order, and its
-completeness residual straight off a trajectory, never building the
-2N+1 Kraus matrices that ``build_discrete_channel`` returns (the action
-of operators on a vector rather than the operators; Al-Mohy & Higham
-2011).
+Runs propagate the probe, not the propagator (the action of operators on
+a vector rather than the operators; Al-Mohy & Higham 2011). Every
+statistic and verdict is an expectation in the probe, so ``run``, and
+``efg_integrals``, ``check_theorem2``, ``nh_loss`` and
+``trajectory_columns`` when given no trajectory, carry each propagation
+on psi: the lead steps run on matrix columns as in ``propagate``, their
+products meet psi, and every later chunk of edge and midpoint rows of a
+(2N+1, 2d) probe store takes one matrix product with the stride block.
+The channel's branches M_w psi and dM_w psi, (M, d) arrays in its row
+order, are read off that store; the 2N+1 Kraus matrices of
+``build_discrete_channel`` are never built. The completeness residual
+keeps its matrix meaning: past the lead every prefix is a power of the
+stride block times a lead product, so its sum regroups into O(sqrt(N))
+section Gramians. ``propagate`` and the functions given its trajectory
+are the independent matrix route that ``verify`` takes.
 
 ``run`` is the recipe of ``qfi run``: the jump-free baseline, then one
-propagation reduced to the probe once, which every result reads.
+probe propagation reduced once, which every result reads.
 """
 
 from __future__ import annotations
@@ -208,6 +216,10 @@ class TimeGrid:
 class NhTrajectory:
     """Time-ordered no-jump products and their parameter derivatives.
 
+    The matrix route: ``propagate`` returns it for the explicit channel,
+    the completeness checks and ``verify``, and the probe propagation of
+    ``run`` is tested against it; ``run`` forms none.
+
     ``products[n]`` is the cumulative factor after n steps (index 0 is the
     identity), so ``products[n] @ psi`` is the unnormalized conditional
     state at t_n. ``mid_products[n]`` extends ``products[n]`` by half a
@@ -363,6 +375,53 @@ def _step_factors(spec, grid, x, derivative):
     return np.broadcast_to(half, (n_steps, width, width)), None, h_mid
 
 
+def _lead_steps(spec, grid, x, derivative, whole):
+    """The steps that ``propagate`` takes one by one, and its stride block.
+
+    Returns (cols, mid_cols, lead, stride, h_mid). The column stores hold
+    room for the whole grid when ``whole`` is set, for the lead steps
+    alone otherwise, and their first lead + 1 and lead columns are
+    written: cols[n] = [[dK_n], [K_n]] (K_n alone without derivatives)
+    at edge n and mid_cols[n] at the midpoint of step n + 1. A callable
+    spec has lead = N; a constant spec lead = min(N, 2*isqrt(N)), and
+    ``stride`` = [[K_L, dK_L], [0, K_L]] (K_L alone) advances any column
+    by lead steps. ``h_mid`` stacks the midpoint H_nh samples.
+    """
+    d = spec.dim
+    n_steps = grid.N
+    half, full, h_mid = _step_factors(spec, grid, x, derivative)
+    width = half.shape[-1]
+    # a constant spec's blocks are one broadcast view, of stride 0
+    lead = n_steps if half.strides[0] else min(n_steps, 2 * math.isqrt(n_steps))
+    size = n_steps if whole else lead
+
+    cols = np.empty((size + 1, width, d), dtype=complex)
+    mid_cols = np.empty((size, width, d), dtype=complex)
+    cols[0] = 0.0
+    cols[0, width - d:] = np.eye(d)
+    # overflow here is reported as IntegratorFailure, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if full is None:
+            for step, k, k_mid, k_next in zip(half[:lead], cols, mid_cols, cols[1:]):
+                np.matmul(step, k, out=k_mid)
+                np.matmul(step, k_mid, out=k_next)
+        else:
+            for step, step_full, k, k_mid, k_next in zip(
+                    half[:lead], full, cols, mid_cols, cols[1:]):
+                np.matmul(step, k, out=k_mid)
+                np.matmul(step_full, k, out=k_next)
+    end = cols[lead:lead + 1]
+    stride = _step_block(end[:, width - d:], end[:, :d] if derivative else None)[0]
+    return cols, mid_cols, lead, stride, h_mid
+
+
+def _non_finite(grid):
+    return IntegratorFailure(
+        f"propagation produced non-finite entries at N={grid.N}, "
+        f"scheme {grid.scheme}; reduce dt or rescale the generator"
+    )
+
+
 def propagate(spec: CollisionSpec, grid: TimeGrid, x: float,
               derivative: bool = True) -> NhTrajectory:
     """Accumulate the no-jump factors over the grid, in time order.
@@ -382,32 +441,12 @@ def propagate(spec: CollisionSpec, grid: TimeGrid, x: float,
     """
     d = spec.dim
     n_steps = grid.N
-    half, full, h_mid = _step_factors(spec, grid, x, derivative)
-    width = half.shape[-1]
-    # a constant spec's blocks are one broadcast view, of stride 0
-    lead = n_steps if half.strides[0] else min(n_steps, 2 * math.isqrt(n_steps))
-
-    cols = np.empty((n_steps + 1, width, d), dtype=complex)
-    mid_cols = np.empty((n_steps, width, d), dtype=complex)
-    cols[0] = 0.0
-    cols[0, width - d:] = np.eye(d)
-    # overflow here is reported as IntegratorFailure below, not a warning
+    cols, mid_cols, lead, stride, h_mid = _lead_steps(spec, grid, x, derivative, True)
+    width = cols.shape[1]
+    # the same P advances the midpoint columns: under euler_paper the half
+    # and full blocks are both polynomials in one [[A, E], [0, A]], so they
+    # commute with P
     with np.errstate(over="ignore", invalid="ignore"):
-        if full is None:
-            for step, k, k_mid, k_next in zip(half[:lead], cols, mid_cols, cols[1:]):
-                np.matmul(step, k, out=k_mid)
-                np.matmul(step, k_mid, out=k_next)
-        else:
-            for step, step_full, k, k_mid, k_next in zip(
-                    half[:lead], full, cols, mid_cols, cols[1:]):
-                np.matmul(step, k, out=k_mid)
-                np.matmul(step_full, k, out=k_next)
-        # cols[lead] = [[dK_L], [K_L]] gives the stride block P of the first
-        # lead steps, and cols[n + lead] = P cols[n]. The same P advances the
-        # midpoint columns: under euler_paper the half and full blocks are
-        # both polynomials in one [[A, E], [0, A]], so they commute with P.
-        end = cols[lead:lead + 1]
-        stride = _step_block(end[:, width - d:], end[:, :d] if derivative else None)[0]
         for n in range(lead, n_steps, lead):
             m = min(lead, n_steps - n)
             back = n - lead
@@ -415,10 +454,7 @@ def propagate(spec: CollisionSpec, grid: TimeGrid, x: float,
             np.matmul(stride, mid_cols[back:back + m], out=mid_cols[n:n + m])
 
     if not np.isfinite(cols[-1]).all():
-        raise IntegratorFailure(
-            f"propagation produced non-finite entries at N={n_steps}, "
-            f"scheme {grid.scheme}; reduce dt or rescale the generator"
-        )
+        raise _non_finite(grid)
     return NhTrajectory(
         grid=grid,
         x=x,
@@ -428,6 +464,63 @@ def propagate(spec: CollisionSpec, grid: TimeGrid, x: float,
         dproducts=cols[:, :d] if derivative else None,
         dmid_products=mid_cols[:, :d] if derivative else None,
     )
+
+
+class _Probe(NamedTuple):
+    """A derivative propagation carried on the probe psi.
+
+    ``store`` is the (2N + 1, 2d) probe store: row 2n holds
+    [[dK_n psi], [K_n psi]] at edge t_n, row 2n + 1 the same at the
+    midpoint of step n + 1. The completeness residual reads the rest:
+    ``prefixes`` are the lead products K_i (i < L) that jumps split from,
+    at midpoints under expm_step and at edges under euler_paper,
+    ``power`` is K_L, ``end`` is K_T and ``h_mid`` the midpoint H_nh
+    samples.
+    """
+
+    store: np.ndarray
+    prefixes: np.ndarray
+    power: np.ndarray
+    end: np.ndarray
+    h_mid: np.ndarray
+
+
+def _probe_propagation(spec, grid, x, amps) -> _Probe:
+    """``propagate`` with derivatives, applied to the probe as it goes.
+
+    The lead steps are ``propagate``'s own, and their products meet psi
+    as ``_probe_reduction`` reduces a given trajectory, so a callable
+    spec (lead = N, no stride section) gets the matrix route's states bit
+    for bit. Every later chunk of L edge and midpoint rows takes one
+    product with the stride block, rows n + L = rows n @ P^T, so no array
+    of N matrices is formed for a constant spec.
+    """
+    d = spec.dim
+    n_steps = grid.N
+    cols, mid_cols, lead, stride, h_mid = _lead_steps(spec, grid, x, True, False)
+    store = np.empty((2 * n_steps + 1, 2 * d), dtype=complex)
+    edges, mids = store[0:2 * lead + 1:2], store[1:2 * lead:2]
+    edges[:, :d], edges[:, d:] = cols[:, :d] @ amps, cols[:, d:] @ amps
+    mids[:, :d] = np.einsum("nij,j->ni", mid_cols[:, :d], amps)
+    mids[:, d:] = np.einsum("nij,j->ni", mid_cols[:, d:], amps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # midpoint rows back..back + m - 1 and edge rows back + 1..back + m
+        # are one contiguous block of the interleaved store
+        for n in range(lead, n_steps, lead):
+            m = min(lead, n_steps - n)
+            back = n - lead
+            np.matmul(store[2 * back + 1:2 * (back + m) + 1], stride.T,
+                      out=store[2 * n + 1:2 * (n + m) + 1])
+        # K_T = P^q K_i with N = i + q L, 1 <= i <= L
+        power = stride[:d, :d]
+        q = (n_steps - 1) // lead
+        end = cols[n_steps - q * lead, d:]
+        if q:
+            end = np.linalg.matrix_power(power, q) @ end
+    if not (np.isfinite(store[-1]).all() and np.isfinite(end).all()):
+        raise _non_finite(grid)
+    prefixes = (cols if grid.scheme == "euler_paper" else mid_cols)[:lead, d:]
+    return _Probe(store, prefixes, power, end, h_mid)
 
 
 def _jump_sampling(spec, grid, traj):
@@ -450,15 +543,19 @@ def _first_jump_rows(spec, grid, rates, end, split):
 
     Row 0 is ``end``, the no-jump outcome ``check``; row 1 + j*N + n is
     sqrt(rates[j, n] dt) L_j split[n], the first jump of operator j during
-    step n + 1. Rows are (d, d) matrices or (d, 1) probe columns, as given.
+    step n + 1. Rows are (d, d) matrices or, for an (N, d) ``split``,
+    probe states (d,), one matrix product per jump.
     """
     n_steps = grid.N
     out = np.empty((1 + len(spec.jumps) * n_steps,) + end.shape, dtype=complex)
     out[0] = end
     for j, (op, _) in enumerate(spec.jumps):
         rows = out[1 + j * n_steps:1 + (j + 1) * n_steps]
-        np.matmul(op.entries[None], split, out=rows)
-        rows *= np.sqrt(rates[j] * grid.dt)[:, None, None]
+        if split.ndim == 2:
+            np.matmul(split, op.entries.T, out=rows)
+        else:
+            np.matmul(op.entries[None], split, out=rows)
+        rows *= np.sqrt(rates[j] * grid.dt).reshape((-1,) + (1,) * (rows.ndim - 1))
     out.flags.writeable = False
     return out
 
@@ -502,44 +599,56 @@ def _given_or_propagated(spec, grid, x, traj, derivative):
     return traj
 
 
-_Reduction = namedtuple("_Reduction", "traj psi_end dpsi_end e_check f_check mids")
+_Reduction = namedtuple("_Reduction", "source psi_end dpsi_end e_check f_check mids")
 
 
 def _probe_reduction(spec, grid, x, psi, traj) -> _Reduction:
-    """The derivative trajectory, given or propagated, reduced to psi once.
+    """One derivative propagation reduced to psi once.
 
-    It holds K psi and dK psi at the end time, the no-jump weight
-    e_check = ||K psi||^2, the overlap current f_check = i <dK psi, K psi>
-    and ``mids``: None without jumps, else (rates, K psi, dK psi) at the
-    grid midpoints. Each reader's statistic is quadratic in psi, so psi
-    must be normalized.
+    Without ``traj`` the propagation is carried on the probe
+    (``_probe_propagation``); a given matrix trajectory is reduced as it
+    stands. ``source`` is the one or the other. The reduction holds K psi
+    and dK psi at the end time, the no-jump weight e_check = ||K psi||^2,
+    the overlap current f_check = i <dK psi, K psi> and ``mids``: None
+    without jumps, else (rates, K psi, dK psi) at the grid midpoints.
+    Each reader's statistic is quadratic in psi, so psi must be
+    normalized.
     """
     if psi.dim != spec.dim:
         raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
     psi.require_normalized()
-    traj = _given_or_propagated(spec, grid, x, traj, derivative=True)
     amps = psi.amplitudes
-    psi_end = traj.products[-1] @ amps
-    dpsi_end = traj.dproducts[-1] @ amps
+    d = spec.dim
+    if traj is None:
+        source = _probe_propagation(spec, grid, x, amps)
+        psi_end, dpsi_end = source.store[-1, d:], source.store[-1, :d]
+        mid_rows = source.store[1::2]
+        mid_states = (mid_rows[:, d:], mid_rows[:, :d])
+    else:
+        source = _given_or_propagated(spec, grid, x, traj, derivative=True)
+        psi_end = source.products[-1] @ amps
+        dpsi_end = source.dproducts[-1] @ amps
+        mid_states = None
     mids = None
     if spec.jumps:
-        mids = (_rate_samples(spec, grid.midpoints()),
-                np.einsum("nij,j->ni", traj.mid_products, amps),
-                np.einsum("nij,j->ni", traj.dmid_products, amps))
-    return _Reduction(traj, psi_end, dpsi_end, float(np.vdot(psi_end, psi_end).real),
+        if mid_states is None:
+            mid_states = (np.einsum("nij,j->ni", source.mid_products, amps),
+                          np.einsum("nij,j->ni", source.dmid_products, amps))
+        mids = (_rate_samples(spec, grid.midpoints()),) + mid_states
+    return _Reduction(source, psi_end, dpsi_end, float(np.vdot(psi_end, psi_end).real),
                       1j * np.vdot(dpsi_end, psi_end), mids)
 
 
-def _held_to_cap(spec, grid, traj, rates, residual: float) -> float:
+def _held_to_cap(spec, grid, h_mid, rates, residual: float) -> float:
     """A completeness residual, checked against a generous bound.
 
-    The bound reads the H_nh samples ``traj`` holds and, under expm_step,
+    The bound reads the midpoint H_nh samples ``h_mid`` and, under expm_step,
     the jumps' midpoint ``rates``. Exceeding ten times the bound, an
     order-of-magnitude estimate, raises IntegratorFailure: it signals a
     broken integration (norm blow-up, grossly under-resolved grid), not
     ordinary discretization error.
     """
-    h_norm = float(np.linalg.svd(traj.h_mid, compute_uv=False).max(initial=0.0))
+    h_norm = float(np.linalg.svd(h_mid, compute_uv=False).max(initial=0.0))
     dt = grid.dt
     if grid.scheme == "euler_paper":
         q = (h_norm * dt) ** 2 * grid.N
@@ -575,7 +684,7 @@ def build_discrete_channel(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
     """
     labels, ks, traj, rates = _assemble_channel(spec, psi, grid, x, traj, derivative=False)
     channel = MeasurementChannel.from_stack(labels, ks, retained=frozenset({"check"}))
-    _held_to_cap(spec, grid, traj, rates, channel.completeness_residual)
+    _held_to_cap(spec, grid, traj.h_mid, rates, channel.completeness_residual)
     return channel
 
 
@@ -593,12 +702,12 @@ def discrete_channel_derivatives(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
     return tuple((label, Operator(m)) for label, m in zip(labels, dks))
 
 
-def _completeness_residual(spec, grid, end, prefixes, rates) -> float:
-    """|| K_T^+ K_T + sum_n K_n^+ (sum_j w_jn L_j^+ L_j) K_n - 1 || (spectral norm).
+def _gramian(spec, grid, end, prefixes, rates) -> np.ndarray:
+    """K_T^+ K_T + sum_n K_n^+ (sum_j w_jn L_j^+ L_j) K_n.
 
-    ``end`` is K_T, ``prefixes`` the (N, d, d) products K_n the jumps
-    split from and ``rates`` their (n_jumps, N) rates, weighted as
-    w_jn = rates * dt. The prefixes are laid side by side as one (d, N*d)
+    ``end`` is K_T, ``prefixes`` the (n, d, d) products K_n the jumps
+    split from and ``rates`` their (n_jumps, n) rates, weighted as
+    w_jn = rates * dt. The prefixes are laid side by side as one (d, n*d)
     array, so each jump costs two matrix products: its damping L^+ L
     applied to all of them, and the sum over n and rows.
     """
@@ -611,6 +720,39 @@ def _completeness_residual(spec, grid, end, prefixes, rates) -> float:
             damp = op.entries.conj().T @ op.entries
             hit = (damp @ side).reshape(d, -1, d) * (rates[j] * grid.dt)[:, None]
             acc = acc + rows @ hit.reshape(-1, d)
+    return acc
+
+
+def _completeness_residual(spec, grid, end, prefixes, rates) -> float:
+    """|| K_T^+ K_T + sum_n K_n^+ (sum_j w_jn L_j^+ L_j) K_n - 1 || (spectral norm)
+    over all N prefixes, as ``_gramian`` sums them."""
+    return spectral_norm(_gramian(spec, grid, end, prefixes, rates) - np.eye(spec.dim))
+
+
+def _section_residual(spec, grid, probe, rates) -> float:
+    """``_completeness_residual`` from the lead matrices of a probe run alone.
+
+    Past the lead, prefix i + c*L is P^c K_i with P = K_L, and a constant
+    spec weighs every prefix with one D = sum_j rate_j dt L_j^+ L_j. So
+    the prefixes of section i (i < L) sum to K_i^+ (D + H_c(i)) K_i,
+    where c(i) = (N - 1 - i) // L counts the section's strides and
+    H_0 = 0, H_c = P^+ (D + H_(c-1)) P. A callable spec has L = N: every
+    section is one prefix and the sum is ``_gramian``'s over the whole
+    grid. O(sqrt(N)) d x d products for a constant spec.
+    """
+    d = spec.dim
+    lead = len(probe.prefixes)
+    acc = _gramian(spec, grid, probe.end, probe.prefixes, rates[:, :lead])
+    counts = (grid.N - 1 - np.arange(lead)) // lead
+    if spec.jumps and counts[0]:
+        damp = sum(rates[j, 0] * grid.dt * (op.entries.conj().T @ op.entries)
+                   for j, (op, _) in enumerate(spec.jumps))
+        power = probe.power
+        tails = np.zeros((counts[0] + 1, d, d), dtype=complex)
+        for c in range(1, len(tails)):
+            tails[c] = power.conj().T @ (damp + tails[c - 1]) @ power
+        prefixes = probe.prefixes
+        acc = acc + (prefixes.conj().transpose(0, 2, 1) @ tails[counts] @ prefixes).sum(axis=0)
     return spectral_norm(acc - np.eye(d))
 
 
@@ -628,7 +770,7 @@ def trajectory_residual(spec: CollisionSpec, grid: TimeGrid, x: float, *,
     traj = _given_or_propagated(spec, grid, x, traj, derivative=False)
     rates, prefixes, _ = _jump_sampling(spec, grid, traj)
     residual = _completeness_residual(spec, grid, traj.products[-1], prefixes, rates)
-    return _held_to_cap(spec, grid, traj, rates, residual)
+    return _held_to_cap(spec, grid, traj.h_mid, rates, residual)
 
 
 def trajectory_columns(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, *,
@@ -640,27 +782,36 @@ def trajectory_columns(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, 
     completeness residual as ``trajectory_residual`` takes and caps it,
     with no Kraus matrix, label or MeasurementChannel built. ``psi`` must
     be normalized. ``traj``, a trajectory of this spec on this grid at
-    this x propagated with derivatives, is used instead of propagating
-    again.
+    this x propagated with derivatives, is reduced instead of a probe
+    propagation, and its residual is summed over all N prefixes.
     """
     return _columns(spec, grid, psi, _probe_reduction(spec, grid, x, psi, traj))
 
 
 def _columns(spec, grid, psi, red) -> ProbeColumns:
-    traj = red.traj
-    if grid.scheme == "expm_step" and red.mids is not None:
-        rates, psi_mid, dpsi_mid = red.mids
-        prefixes, split, dsplit = traj.mid_products, psi_mid[..., None], dpsi_mid[..., None]
+    src, d = red.source, spec.dim
+    probe = isinstance(src, _Probe)
+    euler = grid.scheme == "euler_paper"
+    if euler:
+        # euler_paper's jumps split at step edges, with right-edge rates
+        rates = _rate_samples(spec, grid.right_edges())
+        if probe:
+            edges = src.store[0:-1:2]
+            split, dsplit = edges[:, d:], edges[:, :d]
+        else:
+            split = src.products[:-1] @ psi.amplitudes
+            dsplit = src.dproducts[:-1] @ psi.amplitudes
     else:
-        # euler_paper's jumps split at step edges, so its prefixes meet psi here
-        rates, prefixes, dprefixes = _jump_sampling(spec, grid, traj)
-        col = psi.amplitudes[:, None]
-        split, dsplit = prefixes @ col, dprefixes @ col
-    m = _first_jump_rows(spec, grid, rates, red.psi_end[:, None], split)
-    dm = _first_jump_rows(spec, grid, rates, red.dpsi_end[:, None], dsplit)
-    residual = _completeness_residual(spec, grid, traj.products[-1], prefixes, rates)
-    residual = _held_to_cap(spec, grid, traj, rates, residual)
-    return ProbeColumns(m=m[..., 0], dm=dm[..., 0], retained_mask=np.arange(len(m)) == 0,
+        rates, split, dsplit = red.mids or (_rate_samples(spec, grid.midpoints()), None, None)
+    if probe:
+        residual = _section_residual(spec, grid, src, rates)
+    else:
+        prefixes = src.products[:-1] if euler else src.mid_products
+        residual = _completeness_residual(spec, grid, src.products[-1], prefixes, rates)
+    m = _first_jump_rows(spec, grid, rates, red.psi_end, split)
+    dm = _first_jump_rows(spec, grid, rates, red.dpsi_end, dsplit)
+    residual = _held_to_cap(spec, grid, src.h_mid, rates, residual)
+    return ProbeColumns(m=m, dm=dm, retained_mask=np.arange(len(m)) == 0,
                         completeness_residual=residual)
 
 
@@ -702,7 +853,7 @@ def efg_integrals(spec: CollisionSpec, grid: TimeGrid, x: float,
     O(dt^2) quadrature error and feed the total-information formula.
     ``psi`` must be normalized.
     ``traj``, a trajectory of this spec on this grid at this x propagated
-    with derivatives, is used instead of propagating again.
+    with derivatives, is reduced instead of a probe propagation.
     """
     return _efg(spec, grid, _probe_reduction(spec, grid, x, psi, traj))
 
@@ -760,8 +911,8 @@ def check_theorem2(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
     trajectory after removing its phase freedom, where the phase rate is
     fixed once from the end-time overlap current. Both are held to
     ``tol``, and ``psi`` must be normalized. ``traj``, a trajectory of
-    this spec on this grid at this x propagated with derivatives, is used
-    instead of propagating again.
+    this spec on this grid at this x propagated with derivatives, is
+    reduced instead of a probe propagation.
     """
     return _theorem2(spec, _probe_reduction(spec, grid, x, psi, traj), tol)
 
@@ -828,7 +979,7 @@ def nh_loss(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, *,
     ``traj``, a trajectory of this spec on this grid at this x propagated
     with derivatives, and ``baseline``, the ``efg_integrals`` of
     ``spec.without_jumps()`` on the same grid, are used instead of
-    propagating again.
+    propagating again; without them each is a probe propagation.
     """
     ints = efg_integrals(spec, grid, x, psi, traj=traj)
     if baseline is None:
@@ -880,10 +1031,20 @@ class CollisionRun(NamedTuple):
 def run(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
         tol: float = 1e-8) -> CollisionRun:
     """``nh_loss``, ``check_theorem2`` and ``trajectory_columns`` from one
-    reduction to ``psi``; the columns come first, so a blown-up
-    integration raises IntegratorFailure from its residual cap."""
+    probe propagation, reduced once.
+
+    The jump-free baseline and the model are each propagated on ``psi``
+    (``_probe_propagation``): the lead steps on matrix columns, then one
+    matrix product per chunk of the (2N+1, 2d) probe store; the baseline
+    keeps only its end row. The completeness residual is the matrix
+    one, taken from the lead products by section Gramians
+    (``_section_residual``), so it caps the run and sets the columns'
+    ``kind`` as the matrix route does. The columns come first, so a
+    blown-up integration raises IntegratorFailure from its residual cap.
+    No array of N matrices is formed for a constant spec; a callable one
+    has lead = N and runs the same code with no stride section."""
     baseline = efg_integrals(spec.without_jumps(), grid, x, psi)
-    red = _probe_reduction(spec, grid, x, psi, propagate(spec, grid, x))
+    red = _probe_reduction(spec, grid, x, psi, None)
     columns = _columns(spec, grid, psi, red)
     loss = _loss(_efg(spec, grid, red), baseline)
     return CollisionRun(loss, _theorem2(spec, red, tol), columns)

@@ -182,10 +182,12 @@ def _theorem2_and_kappa(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket)
     """Theorem-2 verdict and loss fraction from one derivative trajectory.
 
     The baseline is reduced before the trajectory is propagated, as in
-    ``collision.run``, but through the public functions on purpose: an
-    independent route to ``run``'s results that builds no probe columns.
+    ``collision.run``, but through the public functions and ``propagate``
+    on purpose: both are matrix trajectories, an independent route to the
+    probe propagations of ``run``, and no probe columns are built.
     """
-    baseline = efg_integrals(spec.without_jumps(), grid, x, psi)
+    free = spec.without_jumps()
+    baseline = efg_integrals(free, grid, x, psi, traj=propagate(free, grid, x))
     traj = propagate(spec, grid, x)
     thm2 = check_theorem2(spec, grid, x, psi, traj=traj)
     kappa = nh_loss(spec, grid, x, psi, traj=traj, baseline=baseline).kappa

@@ -231,6 +231,25 @@ class TestParseConfig:
                            match=rf"config\.json:{line}: parameter 'tol' must be positive"):
             parse_config(path)
 
+    @pytest.mark.parametrize("payload, key, bound", [
+        (CANONICAL_TRANSDUCER, "T", "positive"),
+        (CANONICAL_DEPHASING, "T", "positive"),
+        (CANONICAL_DEPHASING, "N", "at least 1"),
+        (CANONICAL_DEPHASING, "gamma", "nonnegative"),
+        (CANONICAL_TRANSDUCER, "eps", "nonnegative"),
+    ], ids=["transducer-T", "dephasing-T", "N", "gamma", "eps"])
+    def test_parameter_outside_schema_bound_anchored(self, tmp_path, payload, key, bound):
+        # a transducer at T = -1 would otherwise print the T = 1 table, since
+        # its information goes as T^2
+        value = 0 if key == "N" else -1.0
+        payload = {**payload, "parameters": {**payload["parameters"], key: value}}
+        path = write_config(tmp_path, payload)
+        text = (tmp_path / "config.json").read_text(encoding="utf-8").splitlines()
+        line = next(n for n, row in enumerate(text, 1) if f'"{key}"' in row)
+        with pytest.raises(ConfigError,
+                           match=rf"config\.json:{line}: parameter '{key}' must be {bound}"):
+            parse_config(path)
+
     @pytest.mark.parametrize("key, payload", [
         ("rate", {"kind": "custom_collision", "operators": {"h0": "pauli_z"},
                   "jumps": [{"op": "pauli_z", "rate": 0.5},
@@ -554,6 +573,23 @@ class TestSweepCommand:
         assert [row[3] for row in rows] == [None, None, None]
         assert [row[1] for row in rows] == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("payload, param, grid, bound", [
+        (CANONICAL_DEPHASING, "T", "lin:1:-1:3", "positive"),
+        (CANONICAL_DEPHASING, "N", "lin:8:0:3", "at least 1"),
+        (CANONICAL_DEPHASING, "gamma", "lin:1:-1:3", "nonnegative"),
+        (CANONICAL_TRANSDUCER, "eps", "lin:1:-1:3", "nonnegative"),
+    ], ids=["T", "N", "gamma", "eps"])
+    def test_grid_outside_schema_bound_runs_no_point(self, tmp_path, capsys, monkeypatch,
+                                                     payload, param, grid, bound):
+        import qfikit.cli
+
+        ran = []
+        monkeypatch.setattr(qfikit.cli, "execute", lambda *args, **kwargs: ran.append(1))
+        path = write_config(tmp_path, payload)
+        assert main(["sweep", path, "--param", param, "--grid", grid]) == 1
+        assert f"parameter '{param}' must be {bound}" in capsys.readouterr().err
+        assert not ran
+
     def test_unknown_parameter_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, CANONICAL_DEPHASING)
         assert main(["sweep", path, "--param", "eps", "--grid", "lin:0:1:3"]) == 1
@@ -617,6 +653,20 @@ class TestBundledConfigs:
         assert schema["$defs"]["state"]["oneOf"][0]["enum"] == list(cli.STATE_PRESETS)
         assert set(props["expect"]["properties"]) == set(cli._VERDICT_NAMES)
 
+    def test_schema_bounds_are_the_parsers(self):
+        from qfikit import cli
+
+        with open("docs/schema.json", encoding="utf-8") as fh:
+            params = json.load(fh)["properties"]["parameters"]["properties"]
+        for key, rule in params.items():
+            low = rule.get("minimum", rule.get("exclusiveMinimum"))
+            if low is None:
+                assert key not in cli._BOUNDS
+                continue
+            accepts = cli._BOUNDS[key][0]
+            assert accepts(low) == ("minimum" in rule)
+            assert accepts(low + 1e-9) and not accepts(low - 1e-9)
+
     def test_configs_validate_against_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
         with open("docs/schema.json", encoding="utf-8") as fh:
@@ -665,27 +715,36 @@ class TestCollisionVerdicts:
         with pytest.raises(ConfigError, match=r"config\.json:\d+: unknown key 'fd_step'"):
             parse_config(write_config(tmp_path, payload))
 
-    def test_run_propagates_twice(self, tmp_path, capsys, monkeypatch):
+    def test_run_propagates_the_probe_twice(self, tmp_path, capsys, monkeypatch):
+        # the jump-free baseline and the model are each propagated once, on
+        # the probe; no matrix trajectory is formed
         import qfikit.collision
 
-        propagations = []
+        matrix_runs, probe_runs = [], []
         exponentials = []
         original_propagate = qfikit.collision.propagate
+        original_probe = qfikit.collision._probe_propagation
         original_expm = qfikit.collision.expm
 
         def counted_propagate(*args, **kwargs):
-            propagations.append(args)
+            matrix_runs.append(args)
             return original_propagate(*args, **kwargs)
+
+        def counted_probe(*args):
+            probe_runs.append(args)
+            return original_probe(*args)
 
         def counted_expm(a):
             exponentials.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
             return original_expm(a)
 
         monkeypatch.setattr(qfikit.collision, "propagate", counted_propagate)
+        monkeypatch.setattr(qfikit.collision, "_probe_propagation", counted_probe)
         monkeypatch.setattr(qfikit.collision, "expm", counted_expm)
         assert main(["run", write_config(tmp_path, CANONICAL_DEPHASING)]) == 0
         capsys.readouterr()
-        assert len(propagations) == 2
+        assert not matrix_runs
+        assert len(probe_runs) == 2
         assert sum(exponentials) <= 2
 
     def test_run_reduces_each_trajectory_once(self, tmp_path, monkeypatch):

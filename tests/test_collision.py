@@ -30,8 +30,8 @@ from qfikit.collision import (
     run,
     trajectory_columns,
 )
-from qfikit.encoding import complete_report
-from qfikit.quantum_core import Ket, Operator
+from qfikit.encoding import complete_report, theorem1_residuals
+from qfikit.quantum_core import EXACT_RESIDUAL_TOL, Ket, Operator
 
 
 def constant(matrix):
@@ -1049,10 +1049,9 @@ class TestRun:
 
         def separately():
             baseline = efg_integrals(spec.without_jumps(), grid, 0.3, psi)
-            traj = propagate(spec, grid, 0.3)
-            columns = trajectory_columns(spec, grid, 0.3, psi, traj=traj)
-            loss = nh_loss(spec, grid, 0.3, psi, traj=traj, baseline=baseline)
-            return loss, check_theorem2(spec, grid, 0.3, psi, tol=1e-6, traj=traj), columns
+            columns = trajectory_columns(spec, grid, 0.3, psi)
+            loss = nh_loss(spec, grid, 0.3, psi, baseline=baseline)
+            return loss, check_theorem2(spec, grid, 0.3, psi, tol=1e-6), columns
 
         try:
             got = run(spec, grid, 0.3, psi, tol=1e-6)
@@ -1086,3 +1085,127 @@ class TestRun:
         spec = timed_spec(5, 3, 2)
         run(spec, TimeGrid(1.0, 256, scheme), 0.3, random_ket(3, np.random.default_rng(5)))
         assert len(calls) == samplings
+
+
+def cancellation(g, f2):
+    """Relative condition number of g - f2: how much a relative rounding
+    of g and f2 grows in their difference."""
+    return (g + f2) / max(abs(g - f2), np.finfo(float).tiny)
+
+
+class TestProbeRoute:
+    """``run`` propagates the probe; ``propagate`` and the functions given
+    its trajectory are the independent matrix route."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.sampled_from([2, 3]),
+        n_jumps=st.integers(0, 2),
+        # up to 4 the lead section is the whole grid; 255-257 straddle a
+        # square, so the last stride chunk is partial or full
+        n_steps=st.sampled_from([1, 2, 3, 5, 17, 255, 256, 257, 4097]),
+        scheme=st.sampled_from(SCHEMES),
+        timed=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_run_matches_the_matrix_route(self, seed, dim, n_jumps, n_steps, scheme, timed):
+        spec = (timed_spec if timed else scaled_spec)(seed, dim, n_jumps)
+        psi = random_ket(dim, np.random.default_rng(seed))
+        grid = TimeGrid(1.0, n_steps, scheme)
+
+        def matrix_route():
+            free = spec.without_jumps()
+            base = efg_integrals(free, grid, 0.3, psi, traj=propagate(free, grid, 0.3))
+            traj = propagate(spec, grid, 0.3)
+            columns = trajectory_columns(spec, grid, 0.3, psi, traj=traj)
+            ints = efg_integrals(spec, grid, 0.3, psi, traj=traj)
+            loss = nh_loss(spec, grid, 0.3, psi, traj=traj, baseline=base)
+            verdict = check_theorem2(spec, grid, 0.3, psi, tol=1e-6, traj=traj)
+            return base, ints, loss, verdict, columns
+
+        try:
+            got = run(spec, grid, 0.3, psi, tol=1e-6)
+        except (ValueError, IntegratorFailure) as err:
+            # a coarse grid can blow the residual cap or leave kappa undefined
+            with pytest.raises(type(err)):
+                matrix_route()
+            return
+        base, ints, loss, verdict, columns = matrix_route()
+        if timed:
+            # a callable spec has lead = N and no stride section: the probe
+            # route reduces the very products propagate forms
+            assert got.loss == loss and got.theorem2 == verdict
+            for name in ("m", "dm", "completeness_residual"):
+                assert np.array_equal(getattr(got.columns, name), getattr(columns, name))
+
+        for name in ("m", "dm"):
+            assert relative_gap(getattr(got.columns, name), getattr(columns, name)) <= 1e-13
+        residual = columns.completeness_residual
+        bound = max(1e-13, 1e-13 * residual)
+        assert abs(got.columns.completeness_residual - residual) <= bound
+        if abs(residual - EXACT_RESIDUAL_TOL) > bound:
+            assert got.columns.kind == columns.kind
+
+        # each loss field within 1e-13 relative of the terms it subtracts:
+        # I_q = 4 (g - f^2) and the retained share 4 (g - |f|^2 / e)
+        tol = 1e-13
+        k_base = cancellation(base.g_total, base.f_total.real**2)
+        k_channel = cancellation(ints.g_total, ints.f_total.real**2)
+        k_share = cancellation(ints.g_check, abs(ints.f_check) ** 2 / ints.e_check)
+
+        def close(field, scale):
+            want = getattr(loss, field)
+            return abs(getattr(got.loss, field) - want) <= tol * scale * abs(want)
+
+        assert close("p_check", 1.0)
+        assert close("i_q_baseline", k_base)
+        assert close("i_q_channel", k_channel)
+        assert close("i_sigma", k_share + 1.0)
+        # kappa = 1 - share / I_q errs as the ratio does
+        assert abs(got.loss.kappa - loss.kappa) <= tol * (k_share + k_base) * abs(1.0 - loss.kappa)
+        if loss.kappa_channel is None:
+            assert got.loss.kappa_channel is None
+        else:
+            assert (abs(got.loss.kappa_channel - loss.kappa_channel)
+                    <= tol * (k_share + k_channel) * abs(1.0 - loss.kappa_channel))
+
+        assert got.theorem2.lossless == verdict.lossless
+        probe_t1, matrix_t1 = (theorem1_residuals(c, tol=1e-6) for c in (got.columns, columns))
+        assert probe_t1.perp_lossless == matrix_t1.perp_lossless
+        assert probe_t1.generic_lossless == matrix_t1.generic_lossless
+
+    def test_constant_run_holds_no_matrix_trajectory(self, monkeypatch):
+        import tracemalloc
+
+        import qfikit.collision
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(qfikit.collision, "propagate", counted)
+        dim = 4
+        spec = scaled_spec(3, dim, 2)
+        grid = TimeGrid(1.0, 16384, "expm_step")
+        psi = random_ket(dim, np.random.default_rng(3))
+        run(spec, grid, 0.3, psi)
+        tracemalloc.start()
+        try:
+            run(spec, grid, 0.3, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not calls
+        # what propagate holds for this spec: its (N + 1, 2d, d) edge and
+        # (N, 2d, d) midpoint column stores, 16.8 MB
+        trajectory = (2 * grid.N + 1) * 2 * dim * dim * np.dtype(complex).itemsize
+        assert peak < trajectory
+
+    def test_non_finite_probe_store_raises(self):
+        spec = CollisionSpec(h0=Operator(PAULI["z"]), h1=Operator(np.zeros((2, 2))),
+                             jumps=((Operator(PAULI["z"]), 0.5),), dim=2)
+        with pytest.raises(IntegratorFailure,
+                           match="non-finite entries at N=64, scheme euler_paper"):
+            run(spec, TimeGrid(T=1.0, N=64, scheme="euler_paper"), 1e200, PLUS_X)
