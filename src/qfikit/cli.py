@@ -224,6 +224,8 @@ def parse_grid(text: str) -> np.ndarray:
         a, b, n = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError:
         raise ConfigError(f"grid {text!r} has non-numeric bounds or count") from None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ConfigError(f"grid {text!r} has non-finite bounds")
     if n < 1:
         raise ConfigError(f"grid {text!r} needs at least one point")
     if parts[0] == "lin":
@@ -692,14 +694,25 @@ def _exit_code(report: RunReport, config: ScenarioConfig) -> int:
     return 0
 
 
+def _tol_override(args) -> Optional[float]:
+    """``--tol``, refused unless finite and positive."""
+    if args.tol is not None and not math.isfinite(args.tol):
+        raise ConfigError(f"--tol must be a finite number, got {args.tol!r}")
+    if args.tol is not None and args.tol <= 0.0:
+        raise ConfigError(f"--tol must be positive, got {args.tol!r}")
+    return args.tol
+
+
 def cmd_run(args) -> int:
+    tol = _tol_override(args)
     config = parse_config(args.config)
-    report = execute(config, tol_override=args.tol)
+    report = execute(config, tol_override=tol)
     _emit(report, config, args)
     return _exit_code(report, config)
 
 
 def cmd_sweep(args) -> int:
+    tol = _tol_override(args)
     config = parse_config(args.config)
     if config.kind == "transducer" and "eps_grid" in config.parameters:
         raise ConfigError(
@@ -731,7 +744,7 @@ def cmd_sweep(args) -> int:
     worst = {name: ("pass", None) for name in _VERDICT_NAMES}
     for value in values:
         point = execute(replace(config, parameters={**config.parameters, args.param: value}),
-                        tol_override=args.tol)
+                        tol_override=tol)
         # a metric the point left undefined stays empty (JSON null), not 0
         rows.append([float(value)] + [point.metrics.get(c) for c in columns[1:]])
         for name in _VERDICT_NAMES:
@@ -773,7 +786,6 @@ def main(argv=None) -> int:
         prog="qfi",
         description="Information accounting for parameterized quantum "
                     "measurement channels.",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -791,18 +803,13 @@ def main(argv=None) -> int:
                          help="grid spec lin:a:b:n or log:a:b:n")
     sweep_p.set_defaults(func=cmd_sweep)
 
-    verify_p = sub.add_parser("verify", parents=[common],
-                              help="run a built-in invariant suite")
+    verify_p = sub.add_parser("verify", help="run a built-in invariant suite")
     verify_p.add_argument("--suite", required=True,
                           help=f"one of: {', '.join(SUITES)}")
     verify_p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
     try:
-        if args.tol is not None and not math.isfinite(args.tol):
-            raise ConfigError(f"--tol must be a finite number, got {args.tol!r}")
-        if args.tol is not None and args.tol <= 0.0:
-            raise ConfigError(f"--tol must be positive, got {args.tol!r}")
         return args.func(args)
     except (ValueError, IntegratorFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,19 +29,19 @@ drift.
 
 Runs propagate the probe, not the propagator (the action of operators on
 a vector rather than the operators; Al-Mohy & Higham 2011). Every
-statistic and verdict is an expectation in the probe, so ``run``, and
-``efg_integrals``, ``check_theorem2``, ``nh_loss`` and
-``trajectory_columns`` when given no trajectory, carry each propagation
-on psi: the lead steps run on matrix columns as in ``propagate``, their
-products meet psi, and every later chunk of edge and midpoint rows of a
-(2N+1, 2d) probe store takes one matrix product with the stride block.
-The channel's branches M_w psi and dM_w psi, (M, d) arrays in its row
-order, are read off that store; the 2N+1 Kraus matrices of
-``build_discrete_channel`` are never built. The completeness residual
-keeps its matrix meaning: past the lead every prefix is a power of the
-stride block times a lead product, so its sum regroups into O(sqrt(N))
-section Gramians. ``propagate`` and the functions given its trajectory
-are the independent matrix route that ``verify`` takes.
+statistic and verdict is an expectation in the probe, so ``run``,
+``efg_integrals``, ``check_theorem2`` and ``nh_loss`` carry each
+propagation on psi: the lead steps run on matrix columns as in
+``propagate``, their products meet psi, and every later chunk of edge
+and midpoint rows of a (2N+1, 2d) probe store takes one matrix product
+with the stride block. The channel's branches M_w psi and dM_w psi,
+(M, d) arrays in its row order, are read off that store; the 2N+1 Kraus
+matrices of ``build_discrete_channel`` are never built. The completeness
+residual keeps its matrix meaning: past the lead every prefix is a power
+of the stride block times a lead product, so its sum regroups into
+O(sqrt(N)) section Gramians. ``propagate`` is the matrix route of the
+explicit channel and of the completeness checks that ``verify``'s
+completeness suite runs.
 
 ``run`` is the recipe of ``qfi run``: the jump-free baseline, then one
 probe propagation reduced once, which every result reads.
@@ -70,7 +70,6 @@ __all__ = [
     "build_discrete_channel",
     "discrete_channel_derivatives",
     "trajectory_residual",
-    "trajectory_columns",
     "check_integral_completeness",
     "EfgIntegrals",
     "efg_integrals",
@@ -216,9 +215,9 @@ class TimeGrid:
 class NhTrajectory:
     """Time-ordered no-jump products and their parameter derivatives.
 
-    The matrix route: ``propagate`` returns it for the explicit channel,
-    the completeness checks and ``verify``, and the probe propagation of
-    ``run`` is tested against it; ``run`` forms none.
+    The matrix route: ``propagate`` returns it for the explicit channel
+    and the completeness checks, and the probe propagation of ``run`` is
+    tested against it; ``run`` forms none.
 
     ``products[n]`` is the cumulative factor after n steps (index 0 is the
     identity), so ``products[n] @ psi`` is the unnormalized conditional
@@ -489,11 +488,11 @@ def _probe_propagation(spec, grid, x, amps) -> _Probe:
     """``propagate`` with derivatives, applied to the probe as it goes.
 
     The lead steps are ``propagate``'s own, and their products meet psi
-    as ``_probe_reduction`` reduces a given trajectory, so a callable
-    spec (lead = N, no stride section) gets the matrix route's states bit
-    for bit. Every later chunk of L edge and midpoint rows takes one
-    product with the stride block, rows n + L = rows n @ P^T, so no array
-    of N matrices is formed for a constant spec.
+    as ``products @ psi`` would, so a callable spec (lead = N, no stride
+    section) gets the matrix route's states bit for bit. Every later
+    chunk of L edge and midpoint rows takes one product with the stride
+    block, rows n + L = rows n @ P^T, so no array of N matrices is formed
+    for a constant spec.
     """
     d = spec.dim
     n_steps = grid.N
@@ -602,40 +601,30 @@ def _given_or_propagated(spec, grid, x, traj, derivative):
 _Reduction = namedtuple("_Reduction", "source psi_end dpsi_end e_check f_check mids")
 
 
-def _probe_reduction(spec, grid, x, psi, traj) -> _Reduction:
-    """One derivative propagation reduced to psi once.
-
-    Without ``traj`` the propagation is carried on the probe
-    (``_probe_propagation``); a given matrix trajectory is reduced as it
-    stands. ``source`` is the one or the other. The reduction holds K psi
-    and dK psi at the end time, the no-jump weight e_check = ||K psi||^2,
-    the overlap current f_check = i <dK psi, K psi> and ``mids``: None
-    without jumps, else (rates, K psi, dK psi) at the grid midpoints.
-    Each reader's statistic is quadratic in psi, so psi must be
-    normalized.
-    """
+def _probe_reduction(spec, grid, x, psi) -> _Reduction:
+    """``_reduced`` of one probe propagation. Each reader's statistic is
+    quadratic in psi, so psi must be normalized."""
     if psi.dim != spec.dim:
         raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
     psi.require_normalized()
-    amps = psi.amplitudes
+    return _reduced(spec, grid, _probe_propagation(spec, grid, x, psi.amplitudes))
+
+
+def _reduced(spec, grid, probe: _Probe) -> _Reduction:
+    """What every reader takes from a probe propagation.
+
+    ``source`` is the probe itself. The reduction holds K psi and dK psi
+    at the end time, the no-jump weight e_check = ||K psi||^2, the overlap
+    current f_check = i <dK psi, K psi> and ``mids``: None without jumps,
+    else (rates, K psi, dK psi) at the grid midpoints.
+    """
     d = spec.dim
-    if traj is None:
-        source = _probe_propagation(spec, grid, x, amps)
-        psi_end, dpsi_end = source.store[-1, d:], source.store[-1, :d]
-        mid_rows = source.store[1::2]
-        mid_states = (mid_rows[:, d:], mid_rows[:, :d])
-    else:
-        source = _given_or_propagated(spec, grid, x, traj, derivative=True)
-        psi_end = source.products[-1] @ amps
-        dpsi_end = source.dproducts[-1] @ amps
-        mid_states = None
+    psi_end, dpsi_end = probe.store[-1, d:], probe.store[-1, :d]
     mids = None
     if spec.jumps:
-        if mid_states is None:
-            mid_states = (np.einsum("nij,j->ni", source.mid_products, amps),
-                          np.einsum("nij,j->ni", source.dmid_products, amps))
-        mids = (_rate_samples(spec, grid.midpoints()),) + mid_states
-    return _Reduction(source, psi_end, dpsi_end, float(np.vdot(psi_end, psi_end).real),
+        mid_rows = probe.store[1::2]
+        mids = (_rate_samples(spec, grid.midpoints()), mid_rows[:, d:], mid_rows[:, :d])
+    return _Reduction(probe, psi_end, dpsi_end, float(np.vdot(psi_end, psi_end).real),
                       1j * np.vdot(dpsi_end, psi_end), mids)
 
 
@@ -773,44 +762,22 @@ def trajectory_residual(spec: CollisionSpec, grid: TimeGrid, x: float, *,
     return _held_to_cap(spec, grid, traj.h_mid, rates, residual)
 
 
-def trajectory_columns(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, *,
-                       traj: Optional[NhTrajectory] = None) -> ProbeColumns:
-    """The discrete channel and its x-derivatives applied to the probe.
-
-    The rows M_w psi and dM_w psi of ``build_discrete_channel`` and
-    ``discrete_channel_derivatives`` in their row order, and the
-    completeness residual as ``trajectory_residual`` takes and caps it,
-    with no Kraus matrix, label or MeasurementChannel built. ``psi`` must
-    be normalized. ``traj``, a trajectory of this spec on this grid at
-    this x propagated with derivatives, is reduced instead of a probe
-    propagation, and its residual is summed over all N prefixes.
-    """
-    return _columns(spec, grid, psi, _probe_reduction(spec, grid, x, psi, traj))
-
-
-def _columns(spec, grid, psi, red) -> ProbeColumns:
-    src, d = red.source, spec.dim
-    probe = isinstance(src, _Probe)
-    euler = grid.scheme == "euler_paper"
-    if euler:
+def _columns(spec, grid, red) -> ProbeColumns:
+    """The discrete channel's rows M_w psi and dM_w psi, in the order of
+    ``build_discrete_channel``, and its matrix completeness residual from
+    the probe's section Gramians, capped as ``trajectory_residual`` caps it."""
+    probe, d = red.source, spec.dim
+    if grid.scheme == "euler_paper":
         # euler_paper's jumps split at step edges, with right-edge rates
         rates = _rate_samples(spec, grid.right_edges())
-        if probe:
-            edges = src.store[0:-1:2]
-            split, dsplit = edges[:, d:], edges[:, :d]
-        else:
-            split = src.products[:-1] @ psi.amplitudes
-            dsplit = src.dproducts[:-1] @ psi.amplitudes
+        edges = probe.store[0:-1:2]
+        split, dsplit = edges[:, d:], edges[:, :d]
     else:
         rates, split, dsplit = red.mids or (_rate_samples(spec, grid.midpoints()), None, None)
-    if probe:
-        residual = _section_residual(spec, grid, src, rates)
-    else:
-        prefixes = src.products[:-1] if euler else src.mid_products
-        residual = _completeness_residual(spec, grid, src.products[-1], prefixes, rates)
+    residual = _section_residual(spec, grid, probe, rates)
     m = _first_jump_rows(spec, grid, rates, red.psi_end, split)
     dm = _first_jump_rows(spec, grid, rates, red.dpsi_end, dsplit)
-    residual = _held_to_cap(spec, grid, src.h_mid, rates, residual)
+    residual = _held_to_cap(spec, grid, probe.h_mid, rates, residual)
     return ProbeColumns(m=m, dm=dm, retained_mask=np.arange(len(m)) == 0,
                         completeness_residual=residual)
 
@@ -844,18 +811,15 @@ class EfgIntegrals(NamedTuple):
 
 
 def efg_integrals(spec: CollisionSpec, grid: TimeGrid, x: float,
-                  psi: Ket, *, traj: Optional[NhTrajectory] = None
-                  ) -> EfgIntegrals:
+                  psi: Ket) -> EfgIntegrals:
     """End-time statistics plus midpoint-quadrature jump corrections.
 
     The totals add, to the no-jump branch values, the integrals of the
     rate-weighted jump overlaps of the derivative trajectory; both carry
     O(dt^2) quadrature error and feed the total-information formula.
     ``psi`` must be normalized.
-    ``traj``, a trajectory of this spec on this grid at this x propagated
-    with derivatives, is reduced instead of a probe propagation.
     """
-    return _efg(spec, grid, _probe_reduction(spec, grid, x, psi, traj))
+    return _efg(spec, grid, _probe_reduction(spec, grid, x, psi))
 
 
 def _efg(spec, grid, red) -> EfgIntegrals:
@@ -900,8 +864,7 @@ class Theorem2Verdict:
 
 
 def check_theorem2(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
-                   tol: float = 1e-8, *, traj: Optional[NhTrajectory] = None
-                   ) -> Theorem2Verdict:
+                   tol: float = 1e-8) -> Theorem2Verdict:
     """Check that no parameter information leaks into the jump record.
 
     Condition (a): the no-jump weight must be locally flat in x; its slope
@@ -910,11 +873,9 @@ def check_theorem2(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
     Condition (b): every jump operator must annihilate the derivative
     trajectory after removing its phase freedom, where the phase rate is
     fixed once from the end-time overlap current. Both are held to
-    ``tol``, and ``psi`` must be normalized. ``traj``, a trajectory of
-    this spec on this grid at this x propagated with derivatives, is
-    reduced instead of a probe propagation.
+    ``tol``, and ``psi`` must be normalized.
     """
-    return _theorem2(spec, _probe_reduction(spec, grid, x, psi, traj), tol)
+    return _theorem2(spec, _probe_reduction(spec, grid, x, psi), tol)
 
 
 def _theorem2(spec, red, tol) -> Theorem2Verdict:
@@ -971,20 +932,12 @@ class NhLossResult:
     i_q_channel: float
 
 
-def nh_loss(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, *,
-            traj: Optional[NhTrajectory] = None,
-            baseline: Optional[EfgIntegrals] = None) -> NhLossResult:
-    """Loss fraction, branch weight and conditional information at T.
-
-    ``traj``, a trajectory of this spec on this grid at this x propagated
-    with derivatives, and ``baseline``, the ``efg_integrals`` of
-    ``spec.without_jumps()`` on the same grid, are used instead of
-    propagating again; without them each is a probe propagation.
+def nh_loss(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket) -> NhLossResult:
+    """Loss fraction, branch weight and conditional information at T,
+    from probe propagations of the model and of ``spec.without_jumps()``.
     """
-    ints = efg_integrals(spec, grid, x, psi, traj=traj)
-    if baseline is None:
-        baseline = efg_integrals(spec.without_jumps(), grid, x, psi)
-    return _loss(ints, baseline)
+    ints = efg_integrals(spec, grid, x, psi)
+    return _loss(ints, efg_integrals(spec.without_jumps(), grid, x, psi))
 
 
 def _loss(ints, base) -> NhLossResult:
@@ -1030,8 +983,8 @@ class CollisionRun(NamedTuple):
 
 def run(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
         tol: float = 1e-8) -> CollisionRun:
-    """``nh_loss``, ``check_theorem2`` and ``trajectory_columns`` from one
-    probe propagation, reduced once.
+    """``nh_loss``, ``check_theorem2`` and the probe columns of the discrete
+    channel from one probe propagation, reduced once.
 
     The jump-free baseline and the model are each propagated on ``psi``
     (``_probe_propagation``): the lead steps on matrix columns, then one
@@ -1044,8 +997,8 @@ def run(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
     No array of N matrices is formed for a constant spec; a callable one
     has lead = N and runs the same code with no stride section."""
     baseline = efg_integrals(spec.without_jumps(), grid, x, psi)
-    red = _probe_reduction(spec, grid, x, psi, None)
-    columns = _columns(spec, grid, psi, red)
+    red = _probe_reduction(spec, grid, x, psi)
+    columns = _columns(spec, grid, red)
     loss = _loss(_efg(spec, grid, red), baseline)
     return CollisionRun(loss, _theorem2(spec, red, tol), columns)
 

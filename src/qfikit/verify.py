@@ -12,7 +12,8 @@
   corrections of the exact-step picture.
 - ``theorem-soundness``: a theorem-1 or theorem-2 "lossless" verdict
   comes with a vanishing measured loss kappa, and a model whose jumps
-  carry information is refused the theorem-2 certificate.
+  carry information is refused the theorem-2 certificate. The collision
+  models go through ``collision.run``, the recipe of `qfi run`.
 
 Each suite returns (ok, lines): whether every check passed, and the
 report lines `qfi verify` prints.
@@ -28,10 +29,7 @@ from .collision import (
     CollisionSpec,
     TimeGrid,
     check_integral_completeness,
-    check_theorem2,
-    efg_integrals,
-    nh_loss,
-    propagate,
+    run,
     trajectory_residual,
 )
 from .encoding import (
@@ -178,22 +176,6 @@ def _suite_completeness() -> tuple:
     return euler_ok and int_ok, lines
 
 
-def _theorem2_and_kappa(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket):
-    """Theorem-2 verdict and loss fraction from one derivative trajectory.
-
-    The baseline is reduced before the trajectory is propagated, as in
-    ``collision.run``, but through the public functions and ``propagate``
-    on purpose: both are matrix trajectories, an independent route to the
-    probe propagations of ``run``, and no probe columns are built.
-    """
-    free = spec.without_jumps()
-    baseline = efg_integrals(free, grid, x, psi, traj=propagate(free, grid, x))
-    traj = propagate(spec, grid, x)
-    thm2 = check_theorem2(spec, grid, x, psi, traj=traj)
-    kappa = nh_loss(spec, grid, x, psi, traj=traj, baseline=baseline).kappa
-    return thm2, kappa
-
-
 def _suite_theorem_soundness() -> tuple:
     """A passing lossless verdict must match a vanishing measured loss."""
     lines = []
@@ -229,25 +211,24 @@ def _suite_theorem_soundness() -> tuple:
         jumps=((blind, 0.8),),
         dim=3,
     )
-    thm2, kappa3 = _theorem2_and_kappa(
-        spec3, TimeGrid(1.0, 16384, "expm_step"), 0.3, psi3)
-    blind_ok = thm2.lossless and kappa3 <= 1e-5
+    loss, thm2, _ = run(spec3, TimeGrid(1.0, 16384, "expm_step"), 0.3, psi3)
+    blind_ok = thm2.lossless and loss.kappa <= 1e-5
     ok = ok and blind_ok
     lines.append(
         f"theorem-soundness: jump-blind collision certificate "
-        f"{'passes' if thm2.lossless else 'fails'}, kappa {kappa3:.3e} "
+        f"{'passes' if thm2.lossless else 'fails'}, kappa {loss.kappa:.3e} "
         f"{'PASS' if blind_ok else 'FAIL'}"
     )
 
     spec, psi = _unit_dephasing()
-    thm2, kappa = _theorem2_and_kappa(spec, TimeGrid(1.0, 4096, "expm_step"), 0.0, psi)
+    loss, thm2, _ = run(spec, TimeGrid(1.0, 4096, "expm_step"), 0.0, psi)
     deph_ok = (thm2.weight_slope <= thm2.tol and thm2.jump_residual > thm2.tol
-               and not thm2.lossless and kappa > 0.1)
+               and not thm2.lossless and loss.kappa > 0.1)
     ok = ok and deph_ok
     lines.append(
         f"theorem-soundness: dephasing weight slope {thm2.weight_slope:.3e} "
         f"(flat), jump residual {thm2.jump_residual:.3e} (live), "
-        f"kappa {kappa:.3f} {'PASS' if deph_ok else 'FAIL'}"
+        f"kappa {loss.kappa:.3f} {'PASS' if deph_ok else 'FAIL'}"
     )
     return ok, lines
 

@@ -3,8 +3,9 @@
 Each oracle takes a different route than the code under test: fidelity
 finite differences for QFI, explicit dilation vectors for channel
 aggregates, closed-form classical results, the effective generator
-built one time at a time for literal Euler products, and the
-per-POVM-element information chain checked element by element.
+built one time at a time for literal Euler products, the
+per-POVM-element information chain checked element by element, and the
+matrix trajectories of ``collision.propagate`` reduced to the probe.
 """
 
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from qfikit.collision import _columns, _efg, _loss, _Probe, _reduced, _theorem2, propagate
 from qfikit.fisher import (
     DP_FLOOR,
     _conditional_state_and_derivative,
@@ -272,3 +274,38 @@ def refined_convexity_check(channel: MeasurementChannel, derivatives: Derivative
         worst_upper_margin=float(worst_upper),
         worst_outer_margin=float(worst_outer),
     )
+
+
+def matrix_reduction(spec, grid, psi: Ket, traj):
+    """The reduction ``collision.run`` reads, taken from a matrix trajectory.
+
+    ``traj`` is ``propagate(spec, grid, x)``. Its edge rows are
+    products @ psi and its midpoint rows an einsum, and every one of its
+    N prefixes is a lead prefix (L = N, so ``power`` is K_N = ``end``):
+    the completeness residual is the plain sum over all of them, with no
+    stride section.
+    """
+    d = spec.dim
+    amps = psi.amplitudes
+    store = np.empty((2 * grid.N + 1, 2 * d), dtype=complex)
+    store[0::2, :d], store[0::2, d:] = traj.dproducts @ amps, traj.products @ amps
+    store[1::2, :d] = np.einsum("nij,j->ni", traj.dmid_products, amps)
+    store[1::2, d:] = np.einsum("nij,j->ni", traj.mid_products, amps)
+    prefixes = traj.products[:-1] if grid.scheme == "euler_paper" else traj.mid_products
+    end = traj.products[-1]
+    return _reduced(spec, grid, _Probe(store, prefixes, end, end, traj.h_mid))
+
+
+def matrix_route(spec, grid, x: float, psi: Ket, tol: float):
+    """``collision.run``'s results from two ``propagate`` trajectories.
+
+    Returns (baseline E/F/G, E/F/G, loss, theorem-2 verdict, probe
+    columns), read off ``matrix_reduction`` of the jump-free and the full
+    model by the readers ``run`` shares, in ``run``'s order.
+    """
+    free = spec.without_jumps()
+    base = _efg(free, grid, matrix_reduction(free, grid, psi, propagate(free, grid, x)))
+    red = matrix_reduction(spec, grid, psi, propagate(spec, grid, x))
+    columns = _columns(spec, grid, red)
+    ints = _efg(spec, grid, red)
+    return base, ints, _loss(ints, base), _theorem2(spec, red, tol), columns

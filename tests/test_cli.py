@@ -46,8 +46,11 @@ class TestParseGrid:
     def test_single_point(self):
         np.testing.assert_allclose(parse_grid("lin:0:0:1"), [0.0])
 
+    # float() reads nan and inf, which configs refuse as numbers
     @pytest.mark.parametrize("bad", ["lin:0:1", "geom:0:1:5", "log:0:1:5",
-                                     "lin:a:1:5", "lin:0:1:0"])
+                                     "lin:a:1:5", "lin:0:1:0", "lin:0:nan:2",
+                                     "lin:1:inf:2", "lin:-inf:0:3", "log:nan:1:2",
+                                     "log:1:inf:3"])
     def test_rejects(self, bad):
         with pytest.raises(ConfigError):
             parse_grid(bad)
@@ -607,6 +610,34 @@ class TestSweepCommand:
         capsys.readouterr()
 
 
+class TestFlagPlacement:
+    """--tol, --output and --format belong to run and sweep; anywhere else
+    they are usage errors, not options parsed and then ignored."""
+
+    def _usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        return capsys.readouterr()
+
+    def test_tol_before_the_command(self, tmp_path, capsys):
+        path = write_config(tmp_path, CANONICAL_DEPHASING)
+        captured = self._usage_error(["--tol", "10", "run", path], capsys)
+        assert captured.out == "" and "usage: qfi" in captured.err
+
+    def test_output_before_the_command(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        path = write_config(tmp_path, CANONICAL_DEPHASING)
+        self._usage_error(["--output", str(out), "run", path], capsys)
+        assert not out.exists()
+
+    def test_output_flags_on_verify(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.txt"
+        captured = self._usage_error(
+            ["verify", "--suite", "gauge", "--tol", "5", "--output", str(out)], capsys)
+        assert "unrecognized arguments: --tol 5 --output" in captured.err
+
+
 class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 1
@@ -626,6 +657,33 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "theorem-soundness"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
+
+    def test_theorem_soundness_propagates_the_probe(self, capsys, monkeypatch):
+        # each collision model is one collision.run: the jump-free baseline
+        # and the model propagated on the probe, no matrix trajectory
+        import qfikit.collision
+        import qfikit.verify
+
+        matrix_runs, probe_runs = [], []
+        original_propagate = qfikit.collision.propagate
+        original_probe = qfikit.collision._probe_propagation
+
+        def counted_propagate(*args, **kwargs):
+            matrix_runs.append(args)
+            return original_propagate(*args, **kwargs)
+
+        def counted_probe(*args):
+            probe_runs.append(args)
+            return original_probe(*args)
+
+        monkeypatch.setattr(qfikit.collision, "propagate", counted_propagate)
+        # verify may bind propagate by name as well
+        monkeypatch.setattr(qfikit.verify, "propagate", counted_propagate, raising=False)
+        monkeypatch.setattr(qfikit.collision, "_probe_propagation", counted_probe)
+        assert main(["verify", "--suite", "theorem-soundness"]) == 0
+        capsys.readouterr()
+        assert not matrix_runs
+        assert len(probe_runs) == 4
 
 
 class TestBundledConfigs:

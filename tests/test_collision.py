@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, expm_frechet
 
 from conftest import PAULI, PLUS_X, random_ket, scaled_model
-from oracles import h_nh
+from oracles import h_nh, matrix_route
 from qfikit.collision import (
     SCHEMES,
     CollisionSpec,
@@ -28,7 +28,6 @@ from qfikit.collision import (
     nh_loss,
     propagate,
     run,
-    trajectory_columns,
 )
 from qfikit.encoding import complete_report, theorem1_residuals
 from qfikit.quantum_core import EXACT_RESIDUAL_TOL, Ket, Operator
@@ -863,16 +862,6 @@ def plain_loop(spec, grid, x, derivative):
 
 
 class TestTrajectoryReuse:
-    def test_given_trajectory_reproduces_fresh_results(self):
-        spec = random_spec(31, dim=3, n_jumps=2)
-        grid = TimeGrid(T=1.0, N=128, scheme="expm_step")
-        psi = random_ket(3, np.random.default_rng(8))
-        traj = propagate(spec, grid, 0.4)
-        fresh = check_theorem2(spec, grid, 0.4, psi)
-        reused = check_theorem2(spec, grid, 0.4, psi, traj=traj)
-        assert reused == fresh
-        assert nh_loss(spec, grid, 0.4, psi, traj=traj) == nh_loss(spec, grid, 0.4, psi)
-
     def test_mismatched_trajectory_rejected(self):
         spec = random_spec(31, dim=3, n_jumps=2)
         grid = TimeGrid(T=1.0, N=128, scheme="expm_step")
@@ -1008,12 +997,11 @@ class TestPropertiesAcrossN:
         amps[:2] = random_ket(2, np.random.default_rng(seed)).amplitudes
         psi = Ket(amps)
         grid = TimeGrid(1.0, n_steps, scheme)
-        traj = propagate(spec, grid, 0.3)
-        verdict = check_theorem2(spec, grid, 0.3, psi, traj=traj)
+        verdict = check_theorem2(spec, grid, 0.3, psi)
         if leak == 0.0 and scheme == "expm_step":
             assert verdict.lossless
         if verdict.lossless:
-            assert nh_loss(spec, grid, 0.3, psi, traj=traj).kappa <= 1e-6
+            assert nh_loss(spec, grid, 0.3, psi).kappa <= 1e-6
 
 
 def timed_spec(seed, dim, n_jumps):
@@ -1048,10 +1036,7 @@ class TestRun:
         grid = TimeGrid(1.0, n_steps, scheme)
 
         def separately():
-            baseline = efg_integrals(spec.without_jumps(), grid, 0.3, psi)
-            columns = trajectory_columns(spec, grid, 0.3, psi)
-            loss = nh_loss(spec, grid, 0.3, psi, baseline=baseline)
-            return loss, check_theorem2(spec, grid, 0.3, psi, tol=1e-6), columns
+            return nh_loss(spec, grid, 0.3, psi), check_theorem2(spec, grid, 0.3, psi, tol=1e-6)
 
         try:
             got = run(spec, grid, 0.3, psi, tol=1e-6)
@@ -1060,12 +1045,9 @@ class TestRun:
             with pytest.raises(ValueError, match=re.escape(str(err))):
                 separately()
             return
-        loss, verdict, columns = separately()
+        loss, verdict = separately()
         assert got.loss == loss
         assert got.theorem2 == verdict
-        for name in ("m", "dm", "retained_mask", "e", "f", "g"):
-            assert np.array_equal(getattr(got.columns, name), getattr(columns, name))
-        assert got.columns.completeness_residual == columns.completeness_residual
 
     @pytest.mark.parametrize("scheme, samplings", [("euler_paper", 4), ("expm_step", 2)])
     def test_run_samples_each_propagation_once(self, monkeypatch, scheme, samplings):
@@ -1094,8 +1076,8 @@ def cancellation(g, f2):
 
 
 class TestProbeRoute:
-    """``run`` propagates the probe; ``propagate`` and the functions given
-    its trajectory are the independent matrix route."""
+    """``run`` propagates the probe; ``propagate``'s trajectories, reduced
+    by ``oracles.matrix_route``, are the independent matrix route."""
 
     @given(
         seed=st.integers(0, 2**16),
@@ -1113,24 +1095,14 @@ class TestProbeRoute:
         psi = random_ket(dim, np.random.default_rng(seed))
         grid = TimeGrid(1.0, n_steps, scheme)
 
-        def matrix_route():
-            free = spec.without_jumps()
-            base = efg_integrals(free, grid, 0.3, psi, traj=propagate(free, grid, 0.3))
-            traj = propagate(spec, grid, 0.3)
-            columns = trajectory_columns(spec, grid, 0.3, psi, traj=traj)
-            ints = efg_integrals(spec, grid, 0.3, psi, traj=traj)
-            loss = nh_loss(spec, grid, 0.3, psi, traj=traj, baseline=base)
-            verdict = check_theorem2(spec, grid, 0.3, psi, tol=1e-6, traj=traj)
-            return base, ints, loss, verdict, columns
-
         try:
             got = run(spec, grid, 0.3, psi, tol=1e-6)
         except (ValueError, IntegratorFailure) as err:
             # a coarse grid can blow the residual cap or leave kappa undefined
             with pytest.raises(type(err)):
-                matrix_route()
+                matrix_route(spec, grid, 0.3, psi, 1e-6)
             return
-        base, ints, loss, verdict, columns = matrix_route()
+        base, ints, loss, verdict, columns = matrix_route(spec, grid, 0.3, psi, 1e-6)
         if timed:
             # a callable spec has lead = N and no stride section: the probe
             # route reduces the very products propagate forms

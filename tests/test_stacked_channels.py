@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_ket, scaled_model
 from oracles import (
+    matrix_reduction,
     rowwise_completeness,
     rowwise_efg,
     rowwise_gauge_fix,
@@ -15,12 +16,12 @@ from oracles import (
 )
 from qfikit.collision import (
     SCHEMES,
+    _columns,
     CollisionSpec,
     TimeGrid,
     build_discrete_channel,
     discrete_channel_derivatives,
     propagate,
-    trajectory_columns,
 )
 from qfikit.encoding import (
     amplification_report,
@@ -190,7 +191,7 @@ class TestTrajectoryColumnsMatchStacks:
         channel = build_discrete_channel(spec, psi, grid, 0.3, traj=traj)
         dks = derivative_stack(
             channel, discrete_channel_derivatives(spec, psi, grid, 0.3, traj=traj))
-        columns = trajectory_columns(spec, grid, 0.3, psi, traj=traj)
+        columns = _columns(spec, grid, matrix_reduction(spec, grid, psi, traj))
 
         residual = channel.completeness_residual
         assert abs(columns.completeness_residual - residual) <= 1e-13

@@ -17,9 +17,6 @@ SOURCE = ROOT / "src" / "qfikit"
 #: public names that no other code of the package calls, kept as library
 #: entry points
 UNCALLED_ENTRY_POINTS = {
-    # the probe columns of a given trajectory: tests compare them with the
-    # explicit Kraus channel, independently of collision.run's single pass
-    "collision.trajectory_columns",
     # the closed-form loss of a commuting model: tests check the
     # propagated loss against it
     "collision.dephasing_closed_form",
