@@ -33,14 +33,15 @@ from .collision import (
     TimeGrid,
     run,
 )
-from .encoding import amplification, complete_report, efg, theorem1_residuals
+from .encoding import amplification, amplification_grid, complete_report, theorem1_residuals
 from .quantum_core import Ket, MeasurementChannel, Operator
 from .scenarios import (
     TransducerSpec,
     build_dephasing,
     build_transducer,
     fig1b_row_from,
-    transducer_points,
+    fig1b_rows,
+    transducer_grid,
 )
 from .verify import SUITES
 
@@ -267,9 +268,9 @@ def parse_config(path: str) -> ScenarioConfig:
         Unreadable file, JSON syntax error, non-finite number (NaN,
         Infinity, or a literal beyond the float range), unknown or
         ill-typed key, a parameter outside its schema bound (T and tol
-        positive, N at least 1, eps and gamma nonnegative); the message is
-        anchored to the offending line, within an array at the offending
-        entry's.
+        positive, N at least 1, eps, every eps_grid entry and gamma
+        nonnegative); the message is anchored to the offending line,
+        within an array at the offending entry's.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -315,6 +316,11 @@ def parse_config(path: str) -> ScenarioConfig:
             params = {**params, "eps_grid": [float(v) for v in grid]}
         else:
             anchor.fail("eps_grid", "eps_grid must be a grid string or number array")
+        test, bound = _BOUNDS["eps"]
+        for k, value in enumerate(params["eps_grid"]):
+            if not test(value):
+                anchor.fail("eps_grid", f"eps_grid entry {k}: mixing must be {bound}, "
+                                        f"got {value!r}")
     if "scheme" in params and params["scheme"] not in SCHEMES:
         anchor.fail("scheme", f"unknown scheme {params['scheme']!r}")
     for key in ("x", "T", "eps", "gamma", "tol"):
@@ -497,16 +503,12 @@ def _run_transducer(config: ScenarioConfig, tol: float):
     p = config.parameters
     grid = p.get("eps_grid")
     if grid is not None:
-        spec = _transducer_spec(config, eps=1.0)
-        psi = spec.sys_initial
-        rows, worst, all_pass = [], 0.0, True
-        for eps, (channel, derivatives) in zip(grid, transducer_points(spec, grid)):
-            report = efg(channel, derivatives, psi)
-            rows.append(list(fig1b_row_from(eps, amplification(report))))
-            t1 = theorem1_residuals(report.columns, tol=tol)
-            worst, all_pass = max(worst, t1.perp), all_pass and t1.perp_lossless
+        amp = amplification_grid(*transducer_grid(_transducer_spec(config, eps=1.0), grid),
+                                 tol=tol)
+        rows = [list(row) for row in fig1b_rows(grid, amp)]
         verdicts = {name: _verdict("n.a.", None) for name in _VERDICT_NAMES}
-        verdicts["theorem1_perp"] = _verdict("pass" if all_pass else "fail", worst)
+        verdicts["theorem1_perp"] = _verdict("pass" if amp.perp_lossless.all() else "fail",
+                                             max(0.0, float(amp.perp.max())))
         columns = ["eps", "I_sigma_1", "I_sigma_2", "avg_total", "sum_total"]
         return {}, [], verdicts, {"columns": columns, "rows": rows}
 

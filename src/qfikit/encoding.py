@@ -23,7 +23,9 @@ pairs or an (M, d, d) array in the channel's label order;
 ``fix_perpendicular_gauge`` and ``gauge_shift`` hand back such an array.
 Sums over outcomes run in row order, as a running sum would take them, so
 large collision channels and small exact channels go through the same
-arithmetic.
+arithmetic. A grid of channel points, such as the transducer's mixing
+grid, stacks its columns along a leading axis; ``amplification_grid``
+reads the whole grid at once, with the same arithmetic per point.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ __all__ = [
     "loss_kappa",
     "amplification_report",
     "amplification",
+    "GridAmplification",
+    "amplification_grid",
     "complete_report",
 ]
 
@@ -165,6 +169,8 @@ class ProbeColumns:
     channel's label order, ``retained_mask`` marks the retained rows, and
     ``completeness_residual`` is the channel's ||sum_w M_w^+ M_w - 1||;
     the e/f/g rows ``e``, ``f``, ``g`` are formed once, on construction.
+    A grid of G points stacks m and dm as (G, M, d) arrays and holds one
+    residual per point; ``kind`` reads a single point.
     """
 
     m: np.ndarray
@@ -204,8 +210,9 @@ def probe_columns(channel: MeasurementChannel, derivatives: Derivatives,
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a_n|b_n> for every row n, rounded as np.vdot rounds one row."""
-    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """<a_n|b_n> for every row n (the last axis holds a row), rounded as
+    np.vdot rounds one row."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _row_sum(values: np.ndarray, start):
@@ -250,17 +257,17 @@ def retained_average(per_outcome: tuple, retained) -> float:
                 if label in retained and e > P_FLOOR), 0.0)
 
 
-def _report(channel: MeasurementChannel, c: ProbeColumns, gauge: str) -> EfgReport:
-    per_outcome = tuple(zip(channel.labels, c.e.tolist(), c.f.tolist(), c.g.tolist()))
+def _report(labels: tuple, retained: frozenset, c: ProbeColumns, gauge: str) -> EfgReport:
+    per_outcome = tuple(zip(labels, c.e.tolist(), c.f.tolist(), c.g.tolist()))
     return EfgReport(
         per_outcome=per_outcome,
-        retained=channel.retained,
+        retained=retained,
         gauge=gauge,
-        channel_kind=channel.kind,
-        completeness_residual=channel.completeness_residual,
-        avg_ps_qfi=retained_average(per_outcome, channel.retained),
+        channel_kind=c.kind,
+        completeness_residual=c.completeness_residual,
+        avg_ps_qfi=retained_average(per_outcome, retained),
         columns=c,
-        **_aggregate(per_outcome, channel.retained),
+        **_aggregate(per_outcome, retained),
     )
 
 
@@ -290,7 +297,8 @@ def efg(
     EfgReport
         With avg_ps_qfi and columns filled and i_q/kappa left as None.
     """
-    return _report(channel, probe_columns(channel, derivatives, psi), gauge)
+    return _report(channel.labels, channel.retained, probe_columns(channel, derivatives, psi),
+                   gauge)
 
 
 def total_qfi(report: EfgReport, allow_approximate: bool = False) -> float:
@@ -407,11 +415,11 @@ def check_lossless_perp(
     overlap, dnorm, dead = _perp_residuals(c.m, c.dm, c.e, kept, tol)
     worst = max(overlap.max(initial=0.0), dnorm[dis].max(initial=0.0))
     return LosslessPerpVerdict(
-        lossless=bool(worst <= tol and not dead.size),
+        lossless=bool(worst <= tol and not dead.any()),
         tol=tol,
         retained_residuals=_labelled(channel.labels, ret, overlap),
         discarded_residuals=_labelled(channel.labels, dis, dnorm[dis]),
-        flagged=tuple(channel.labels[n] for n in dead),
+        flagged=tuple(channel.labels[n] for n in np.flatnonzero(dead)),
     )
 
 
@@ -466,12 +474,12 @@ def _gauge_rate(e: np.ndarray, f: np.ndarray) -> float:
 
 
 def _perp_residuals(m, dm, e, kept, tol) -> tuple:
-    """|<m_w|dm_w>| over retained rows, ||dm_w|| over all, and the dead rows:
-    retained, at zero weight, with ||dm_w|| above tol."""
-    overlap = _modulus(_rowdot(m[kept], dm[kept]))
+    """|<m_w|dm_w>| over retained rows, ||dm_w|| over all, and the mask of
+    dead rows: retained, at zero weight, with ||dm_w|| above tol. Leading
+    axes of m, dm and e, a grid's, carry through."""
+    overlap = _modulus(_rowdot(m[..., kept, :], dm[..., kept, :]))
     dnorm = _norms(dm)
-    dead, = np.nonzero(kept & (e <= P_FLOOR) & (dnorm > tol))
-    return overlap, dnorm, dead
+    return overlap, dnorm, kept & (e <= P_FLOOR) & (dnorm > tol)
 
 
 def _generic_residuals(e, f, g, kept) -> tuple:
@@ -526,7 +534,7 @@ def theorem1_residuals(columns: ProbeColumns, tol: float = 1e-9) -> Theorem1Resi
     return Theorem1Residuals(
         tol=tol,
         perp=float(max(overlap.max(initial=0.0), dnorm[~kept].max(initial=0.0))),
-        dead=bool(dead.size),
+        dead=bool(dead.any()),
         generic=max(float(retained_res.max(initial=0.0)), discarded_res),
         imag_f=float(imag_f.max(initial=0.0)),
     )
@@ -630,6 +638,71 @@ def amplification(report: EfgReport) -> AmplificationReport:
             rows.append((label, e, share / e, share / i_q))
     strict = all(P_FLOOR < e < 1.0 - P_FLOOR for _, e, _, _ in report.per_outcome)
     return AmplificationReport(rows=tuple(rows), i_q=i_q, strict_regime=strict)
+
+
+class GridAmplification(NamedTuple):
+    """``amplification`` and the theorem-1 perp verdict at every point of a
+    grid: ``i_sigma`` (G, M), 0.0 at a dead outcome; ``avg_total`` (i_q
+    times the ratio sum) and ``sum_total`` (the plain sum of i_sigma), as
+    each point's ``AmplificationReport`` gives them; ``perp`` and
+    ``perp_lossless`` as ``Theorem1Residuals`` has them."""
+
+    i_sigma: np.ndarray
+    avg_total: np.ndarray
+    sum_total: np.ndarray
+    perp: np.ndarray
+    perp_lossless: np.ndarray
+
+
+def _running_total(values: np.ndarray, start):
+    """Row-order sums along the last axis, as a running Python sum from
+    ``start`` takes them (adding ``start`` last turns -0.0 into +0.0)."""
+    return np.add.accumulate(values, axis=-1)[..., -1] + start
+
+
+def amplification_grid(labels, columns: ProbeColumns,
+                       tol: float = 1e-9) -> GridAmplification:
+    """``amplification(efg(...))`` and ``theorem1_residuals``' perp verdict
+    at every point of a grid of (G, M, d) probe columns in the order of
+    ``labels``, with one completeness residual per point.
+
+    No report is built per point: the rules of ``efg``, ``total_qfi`` and
+    ``amplification`` are applied to the whole grid, and each point sums
+    its rows in row order, so every value equals the per-point route's
+    bit for bit. The first point that breaks a check builds its own
+    report, which raises the per-point route's error.
+    """
+    e, f, g, kept = columns.e, columns.f, columns.g, columns.retained_mask
+    residual, live = columns.completeness_residual, e > P_FLOOR
+    # _branch_share's rule, with |f| ** 2 rounded as a Python float's
+    # square; a dead row's 0/0 is masked out by ``live``
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = 4.0 * (g - np.float_power(_modulus(f), 2.0) / e)
+    e_total, f_total = _running_total(e, 0.0), _running_total(f, 0j)
+    # total_qfi's 4(<G> - Re<F>^2), used only where it clears the floor
+    i_q = 4.0 * (_running_total(g, 0.0) - np.float_power(f_total.real, 2.0))
+    slack = np.maximum(residual, 0.0)[:, None] + 1e-10
+    bad_rows = (~((-1e-10 <= e) & (e <= 1.0 + slack)) | (g < -1e-10)
+                | (live & (share < -1e-9 * np.maximum(1.0, 4.0 * g))))
+    exact = np.array([channel_kind(r) == "exact" for r in residual.tolist()], dtype=bool)
+    broken = np.flatnonzero(bad_rows.any(axis=-1) | ~exact | (np.abs(f_total.imag) > 1e-9)
+                            | (i_q <= KAPPA_DENOM_FLOOR))
+    if broken.size:
+        n = broken[0]
+        point = ProbeColumns(m=columns.m[n], dm=columns.dm[n], retained_mask=kept,
+                             completeness_residual=float(residual[n]))
+        retained = frozenset(label for label, keep in zip(labels, kept) if keep)
+        amplification(_report(labels, retained, point, "as_given"))
+    share = np.where(live & ~(share < 0.0), share, 0.0)
+    i_sigma = np.divide(share, e, out=np.zeros_like(e), where=live)
+    # every point is exact, so each takes the perpendicular gauge
+    dm = columns.dm + (1j * (-f_total.real / e_total))[:, None, None] * columns.m
+    overlap, dnorm, dead = _perp_residuals(columns.m, dm, e, kept, tol)
+    perp = np.maximum(overlap.max(axis=-1, initial=0.0),
+                      dnorm[:, ~kept].max(axis=-1, initial=0.0))
+    return GridAmplification(i_sigma, i_q * _running_total(share / i_q[:, None], 0.0),
+                             _running_total(i_sigma, 0.0), perp,
+                             (perp <= tol) & ~dead.any(axis=-1))
 
 
 def complete_report(

@@ -5,10 +5,11 @@ two-level section of the environment steer a conditional flip on the
 probe; reading the environment in a mixed basis parameterized by eps
 moves the signal between the two outcome branches without changing the
 post-selected average. Only the readout basis depends on eps, so a grid
-of mixings exponentiates the generator once and rebuilds just the basis
-per eps. The dephasing builder wires a commuting jump model into the
-collision machinery. The random generators supply differentiable exact
-families for property suites; a family at x = 0 is its seed channel.
+of mixings exponentiates the generator once and reads all its bases as
+one array, with no channel built per eps. The dephasing builder wires a
+commuting jump model into the collision machinery. The random generators
+supply differentiable exact families for property suites; a family at
+x = 0 is its seed channel.
 
 A family is a plain function x -> (channel, derivatives) that
 exponentiates its generator once per call; the derivatives come as a
@@ -23,7 +24,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .collision import CollisionSpec
-from .encoding import AmplificationReport, amplification_report
+from .encoding import (AmplificationReport, GridAmplification, ProbeColumns,
+                       amplification_grid)
 from .quantum_core import (
     Ket,
     MeasurementChannel,
@@ -36,10 +38,11 @@ from .quantum_core import (
 __all__ = [
     "TransducerSpec",
     "build_transducer",
-    "transducer_points",
+    "transducer_grid",
     "Fig1bRow",
     "DEFAULT_EPS_GRID",
     "fig1b_row_from",
+    "fig1b_rows",
     "fig1b_sweep",
     "build_dephasing",
     "random_family",
@@ -151,7 +154,7 @@ class _Dilation:
     Holds what no mixing changes: the pointer states phi and
     perp = H phi / sqrt(var), the conditional flip U_int, the evolved
     (psi, phi) and (psi, perp) branches the weak-signal check reads, and
-    the outcome labels with the retained ones.
+    the outcome labels with the retained ones and their mask.
     """
 
     def __init__(self, spec: TransducerSpec, retained):
@@ -166,8 +169,12 @@ class _Dilation:
                       + np.kron(spec.flip.entries, perp_proj))
         self.branches = [(self.u_int @ np.kron(spec.sys_initial.amplitudes, v)).reshape(
             dim_s, dim_e) for v in (self.phi, perp)]
-        self.labels = [str(w + 1) for w in range(dim_e)]
-        self.keep = frozenset(self.labels if retained is None else retained)
+        self.labels = tuple(str(w + 1) for w in range(dim_e))
+        self.keep = frozenset(self.labels if retained is None else map(str, retained))
+        unknown = self.keep - set(self.labels)
+        if unknown:
+            raise ValueError(f"retained labels not in channel: {sorted(unknown)}")
+        self.mask = np.isin(self.labels, sorted(self.keep))
 
     def unitary(self, x: float) -> tuple:
         """U(x) = U_int (1 (x) exp(-i x T H)) as an Operator, and dU/dx as a
@@ -179,42 +186,55 @@ class _Dilation:
         return (Operator(self.u_int @ np.kron(np.eye(dim_s), rot)),
                 du.reshape(dim_s, dim_e, dim_s, dim_e))
 
-    def readout(self, eps: float) -> list:
-        """The two pointer mixtures at ``eps``, completed orthonormally past
-        two environment levels.
+    def readout(self, eps) -> np.ndarray:
+        """The readout bases at the mixings ``eps``, a number or a grid, as
+        the rows of an eps.shape + (d_E, d_E) array: the two pointer
+        mixtures, completed orthonormally past two environment levels by
+        one stacked SVD.
 
         The readout must not couple the pointer states through the probe:
         for every outcome the matrix element between the evolved (psi, phi)
         and (psi, perp) branches has to vanish; this is what makes the
-        interaction transduce only the signal-rotated component.
+        interaction transduce only the signal-rotated component. An error
+        names the mixing, and its index within a grid.
         """
-        if eps < 0.0:
-            raise ValueError(f"mixing must be nonnegative, got {eps}")
-        phi, perp = self.phi, self.perp
-        norm = 1.0 / np.sqrt(1.0 + eps**2)
-        v1 = (phi + eps * perp) * norm
-        v2 = (perp - eps * phi) * norm
-        vectors = [v1, v2]
-        if len(phi) > 2:
-            # the orthogonal complement: rows of vh past the numerical rank,
-            # counting singular values above eps * dim * the largest
-            _, sv, vh = np.linalg.svd(np.stack([v1.conj(), v2.conj()]))
-            rank = int(np.sum(sv > sv.max() * np.finfo(float).eps * len(phi)))
-            vectors.extend(vh[rank:].conj())
-        a, b = self.branches
-        for w, v in enumerate(vectors):
-            val = np.vdot(a @ v.conj(), b @ v.conj())
-            if abs(val) > 1e-10:
-                raise ValueError(f"readout outcome {w + 1} couples the pointer states: "
-                                 f"matrix element {abs(val):.3e}")
-        return vectors
+        grid = np.atleast_1d(np.asarray(eps, dtype=float))[:, None]
 
-    def point(self, u: Operator, du4: np.ndarray, vectors: list) -> tuple:
-        """Channel and derivative stack of U and dU/dx read out in ``vectors``."""
-        channel = kraus_from_dilation(u, self.spec.env_initial, [Ket(v) for v in vectors],
+        def mixing(k):
+            return f"{grid[k, 0].item()}" + (f" (eps_grid[{k}])" if np.ndim(eps) else "")
+
+        low = np.flatnonzero(grid < 0.0)
+        if low.size:
+            raise ValueError(f"mixing must be nonnegative, got {mixing(low[0])}")
+        phi, perp = self.phi, self.perp
+        # eps ** 2 as Python rounds a float's square (libm pow)
+        norm = 1.0 / np.sqrt(1.0 + np.float_power(grid, 2.0))
+        basis = np.stack([(phi + grid * perp) * norm, (perp - grid * phi) * norm], axis=1)
+        if len(phi) > 2:
+            # the two mixtures are orthonormal, so the rows of vh past the
+            # first two span their complement
+            vh = np.linalg.svd(basis.conj())[2]
+            basis = np.concatenate([basis, vh[:, 2:].conj()], axis=1)
+        a, b = self.branches
+        vc = basis.conj()
+        coupling = np.abs(np.sum((vc @ a.T).conj() * (vc @ b.T), axis=-1))
+        hit = np.argwhere(coupling > 1e-10)
+        if hit.size:
+            k, w = hit[0]
+            raise ValueError(f"readout outcome {w + 1} couples the pointer states at "
+                             f"eps={mixing(k)}: matrix element {coupling[k, w]:.3e}")
+        return basis.reshape(np.shape(eps) + basis.shape[1:])
+
+    def stack(self, u4: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """M_w = <basis_w| U |phi> of a (d_S, d_E, d_S, d_E) array U, for
+        (..., W, d_E) bases: a (..., W, d_S, d_S) array."""
+        return np.einsum("...we,aebf,f->...wab", basis.conj(), u4, self.phi)
+
+    def point(self, u: Operator, du4: np.ndarray, basis: np.ndarray) -> tuple:
+        """Channel and derivative stack of U and dU/dx read out in ``basis``."""
+        channel = kraus_from_dilation(u, self.spec.env_initial, [Ket(v) for v in basis],
                                       retained=self.keep, labels=self.labels)
-        basis = np.stack(vectors)
-        return channel, _frozen(np.einsum("we,aebf,f->wab", basis.conj(), du4, self.phi))
+        return channel, _frozen(self.stack(du4, basis))
 
 
 def build_transducer(spec: TransducerSpec, retained=None):
@@ -227,27 +247,43 @@ def build_transducer(spec: TransducerSpec, retained=None):
     labels count from "1"; with an environment larger than two levels
     the readout basis is completed orthonormally past the two pointer
     mixtures. By default every outcome is retained. A grid of mixings
-    goes through ``transducer_points``, which exponentiates the generator
-    once and rebuilds only the readout basis per eps.
+    goes through ``transducer_grid``, which builds no channel per eps.
     """
     dil = _Dilation(spec, retained)
-    vectors = dil.readout(spec.eps)
-    return (lambda x: dil.point(*dil.unitary(x), vectors)), 4.0 * spec.T**2 * dil.var
+    basis = dil.readout(spec.eps)
+    return (lambda x: dil.point(*dil.unitary(x), basis)), 4.0 * spec.T**2 * dil.var
 
 
-def transducer_points(spec: TransducerSpec, eps_grid, retained=None):
-    """Yield (channel, derivatives) at ``spec.x`` for each mixing of a grid.
+def transducer_grid(spec: TransducerSpec, eps_grid, retained=None) -> tuple:
+    """Outcome labels and probe columns of the transducer at ``spec.x``
+    for every mixing of a grid.
 
-    The spec's own eps is ignored. The dilation U(x) and its x-derivative
-    do not depend on the mixing, so the grid exponentiates the generator
-    once; only the readout basis is rebuilt and checked per eps. Each
-    point equals ``build_transducer`` of the spec at that eps bit for
-    bit, and a negative eps raises at its point.
+    The spec's own eps is ignored. The grid takes one exp(-i x T H), its
+    G readout bases come as one (G, W, d_E) array, and its Kraus and
+    derivative stacks carry a leading grid axis, so no channel is built
+    per eps. The columns ``m``, ``dm`` are (G, W, d_S) arrays with one
+    completeness residual per point; each point equals ``probe_columns``
+    of ``build_transducer`` at its eps bit for bit. The first point that
+    breaks a check of ``kraus_from_dilation`` builds its channel, which
+    raises the per-point route's error.
     """
     dil = _Dilation(spec, retained)
-    unitary = dil.unitary(spec.x)
-    for eps in eps_grid:
-        yield dil.point(*unitary, dil.readout(float(eps)))
+    u, du4 = dil.unitary(spec.x)
+    basis = dil.readout(np.asarray(eps_grid, dtype=float).reshape(-1))
+    dim_s, dim_e = dil.dims
+    gram = basis.conj() @ basis.swapaxes(1, 2)
+    skewed = np.linalg.svd(gram - np.eye(dim_e), compute_uv=False)[:, 0] > 1e-10
+    ks = dil.stack(u.entries.reshape(du4.shape), basis)
+    # a running sum in row order, as MeasurementChannel takes it
+    acc = np.add.accumulate(ks.conj().swapaxes(2, 3) @ ks, axis=1)[:, -1]
+    residual = np.linalg.svd(acc - np.eye(dim_s), compute_uv=False)[:, 0]
+    broken = np.flatnonzero(skewed | (residual > 1e-9))
+    if broken.size:
+        # the point's own channel raises kraus_from_dilation's error
+        dil.point(u, du4, basis[broken[0]])
+    psi = spec.sys_initial.amplitudes
+    return dil.labels, ProbeColumns(m=ks @ psi, dm=dil.stack(du4, basis) @ psi,
+                                    retained_mask=dil.mask, completeness_residual=residual)
 
 
 class Fig1bRow(NamedTuple):
@@ -274,18 +310,25 @@ def fig1b_row_from(eps: float, amp: AmplificationReport) -> Fig1bRow:
     )
 
 
+def fig1b_rows(eps_grid, amp: GridAmplification) -> tuple:
+    """The sweep rows of a mixing grid read off its batched amplification
+    report, as ``fig1b_row_from`` reads each point's."""
+    i_sigma = amp.i_sigma.T.tolist()
+    return tuple(map(Fig1bRow, map(float, eps_grid), i_sigma[0], i_sigma[1],
+                     amp.avg_total.tolist(), amp.sum_total.tolist()))
+
+
 def fig1b_sweep(spec: TransducerSpec, eps_grid=None) -> tuple:
     """Sweep the readout mixing and tabulate the per-outcome information.
 
-    Reads each row off the amplification report of one point at the
-    spec's operating point. The points come from ``transducer_points``:
-    one exp(-i x T H) for the whole grid, and only the readout basis
-    rebuilt per mixing. The weighted total stays pinned at the joint
-    value while the mixing hands the signal from one branch to the other.
+    Reads the rows off ``transducer_grid`` at the spec's operating point:
+    one exp(-i x T H) and a few batched products for the whole grid,
+    turned into rows by ``amplification_grid``. The weighted total stays
+    pinned at the joint value while the mixing hands the signal from one
+    branch to the other.
     """
     grid = DEFAULT_EPS_GRID if eps_grid is None else tuple(eps_grid)
-    return tuple(fig1b_row_from(eps, amplification_report(*point, spec.sys_initial))
-                 for eps, point in zip(grid, transducer_points(spec, grid)))
+    return fig1b_rows(grid, amplification_grid(*transducer_grid(spec, grid)))
 
 
 def build_dephasing(H0: Operator, H1, L: Operator, gamma: float, T: float,

@@ -4,16 +4,18 @@ Each oracle takes a different route than the code under test: fidelity
 finite differences for QFI, explicit dilation vectors for channel
 aggregates, closed-form classical results, the effective generator
 built one time at a time for literal Euler products, the
-per-POVM-element information chain checked element by element, and the
-matrix trajectories of ``collision.propagate`` reduced to the probe.
+per-POVM-element information chain checked element by element, the
+matrix trajectories of ``collision.propagate`` reduced to the probe, and
+the transducer's mixing grid read one channel per point.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from qfikit.collision import _columns, _efg, _loss, _Probe, _reduced, _theorem2, propagate
+from qfikit.encoding import amplification, efg, theorem1_residuals
 from qfikit.fisher import (
     DP_FLOOR,
     _conditional_state_and_derivative,
@@ -30,6 +32,7 @@ from qfikit.quantum_core import (
     mixed_state,
     spectral_norm,
 )
+from qfikit.scenarios import build_transducer, fig1b_row_from
 
 
 def fidelity_pure_qfi(psi_at, x: float, delta: float = 1e-4) -> float:
@@ -309,3 +312,21 @@ def matrix_route(spec, grid, x: float, psi: Ket, tol: float):
     columns = _columns(spec, grid, red)
     ints = _efg(spec, grid, red)
     return base, ints, _loss(ints, base), _theorem2(spec, red, tol), columns
+
+
+def transducer_point_route(spec, eps_grid, retained=None, tol: float = 1e-9) -> list:
+    """The transducer's mixing grid read one point at a time.
+
+    Each eps gets ``build_transducer`` of the spec at that eps, a
+    ``MeasurementChannel`` from ``kraus_from_dilation``, and its own
+    ``efg`` report, amplification report and theorem-1 residuals. Returns
+    (probe columns, fig1b row, Theorem1Residuals) per point and raises at
+    the first failing point, as a loop over the grid meets it.
+    """
+    out = []
+    for eps in eps_grid:
+        family, _ = build_transducer(replace(spec, eps=float(eps)), retained=retained)
+        report = efg(*family(spec.x), spec.sys_initial)
+        out.append((report.columns, fig1b_row_from(eps, amplification(report)),
+                    theorem1_residuals(report.columns, tol=tol)))
+    return out

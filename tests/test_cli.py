@@ -339,12 +339,18 @@ class TestRunCommand:
     @pytest.mark.parametrize("grid", [[0.5, -1.0, 2.0], "lin:-1:1:3"],
                              ids=["array", "grid_string"])
     def test_negative_mixing_in_grid_exits_one(self, tmp_path, capsys, grid):
-        # the spec is validated once; each grid point still checks its own eps
+        # refused at parse time, anchored at the eps_grid line
         payload = {"kind": "transducer",
                    "parameters": {"x": 1e-5, "T": 1.0, "eps_grid": grid}}
         out = tmp_path / "table.csv"
-        assert main(["run", write_config(tmp_path, payload), "--output", str(out)]) == 1
-        assert "mixing must be nonnegative, got -1.0" in capsys.readouterr().err
+        path = write_config(tmp_path, payload)
+        assert main(["run", path, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "mixing must be nonnegative, got -1.0" in err
+        entry = 1 if isinstance(grid, list) else 0
+        text = (tmp_path / "config.json").read_text(encoding="utf-8").splitlines()
+        line = next(n for n, row in enumerate(text, 1) if '"eps_grid"' in row)
+        assert f"config.json:{line}: eps_grid entry {entry}: mixing" in err
         assert not out.exists()
 
     def test_dephasing_kappa(self, tmp_path, capsys):
@@ -711,7 +717,7 @@ class TestBundledConfigs:
         assert schema["$defs"]["state"]["oneOf"][0]["enum"] == list(cli.STATE_PRESETS)
         assert set(props["expect"]["properties"]) == set(cli._VERDICT_NAMES)
 
-    def test_schema_bounds_are_the_parsers(self):
+    def test_schema_bounds_are_the_parsers(self, tmp_path):
         from qfikit import cli
 
         with open("docs/schema.json", encoding="utf-8") as fh:
@@ -724,6 +730,19 @@ class TestBundledConfigs:
             accepts = cli._BOUNDS[key][0]
             assert accepts(low) == ("minimum" in rule)
             assert accepts(low + 1e-9) and not accepts(low - 1e-9)
+        # an eps_grid array entry is held to the bound of eps
+        items = next(alt["items"] for alt in params["eps_grid"]["oneOf"]
+                     if alt["type"] == "array")
+        assert items["minimum"] == params["eps"]["minimum"]
+        for value, accepted in ((items["minimum"], True), (items["minimum"] + 1e-9, True),
+                                (items["minimum"] - 1e-9, False)):
+            path = write_config(tmp_path, {"kind": "transducer",
+                                           "parameters": {"eps_grid": [1.0, value]}})
+            if accepted:
+                assert parse_config(path).parameters["eps_grid"] == [1.0, value]
+            else:
+                with pytest.raises(ConfigError, match="eps_grid entry 1: mixing must be"):
+                    parse_config(path)
 
     def test_configs_validate_against_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
@@ -915,29 +934,56 @@ class TestRegressionGuards:
 
     def test_transducer_builds_each_point_once(self, tmp_path, monkeypatch):
         # an eps grid exponentiates the generator once and reads the one
-        # dilation out in a new basis per point
+        # dilation out in all its bases at once, with no channel per point
         import qfikit.scenarios
+        from qfikit.quantum_core import MeasurementChannel
 
-        calls = {"expm": 0, "kraus_from_dilation": 0}
+        calls = {"expm": 0, "kraus_from_dilation": 0, "MeasurementChannel": 0}
 
-        def counted(name):
-            original = getattr(qfikit.scenarios, name)
-
+        def counted(name, original):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(qfikit.scenarios, name, counted(name))
+        for name in ("expm", "kraus_from_dilation"):
+            monkeypatch.setattr(qfikit.scenarios, name,
+                                counted(name, getattr(qfikit.scenarios, name)))
+        monkeypatch.setattr(MeasurementChannel, "__post_init__",
+                            counted("MeasurementChannel", MeasurementChannel.__post_init__))
         assert main(["run", "configs/fig1b.json", "--output", str(tmp_path / "fig1b.csv")]) == 0
-        assert calls == {"expm": 1, "kraus_from_dilation": 41}
+        assert calls == {"expm": 1, "kraus_from_dilation": 0, "MeasurementChannel": 0}
 
-    @pytest.mark.parametrize("name, reads", [("fig1b", 41), ("custom_channel", 1),
+    def test_grid_svd_count_does_not_grow_with_the_grid(self, tmp_path, monkeypatch):
+        svd_calls = []
+        original = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            svd_calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        # a 3-level environment, so the readout completion takes its SVD too
+        level = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [-1, 0]]]
+        counts = []
+        for points in (41, 161):
+            payload = {"kind": "transducer",
+                       "parameters": {"x": 1e-5, "T": 1.0,
+                                      "eps_grid": f"log:1e-3:1e3:{points}"},
+                       "operators": {"h0_env": level},
+                       "states": {"env_initial": [[3 ** -0.5, 0]] * 3}}
+            config = parse_config(write_config(tmp_path, payload))
+            svd_calls.clear()
+            assert len(execute(config).table["rows"]) == points
+            counts.append(len(svd_calls))
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("name, reads", [("fig1b", 0), ("custom_channel", 1),
                                              ("transducer", 1)])
     def test_one_contraction_per_channel_point(self, tmp_path, monkeypatch, name, reads):
         # the report, its amplification rows and the theorem-1 verdicts of
-        # an exact-channel point all read one set of probe columns
+        # an exact-channel point all read one set of probe columns; an eps
+        # grid builds no channel and reads no derivative stack at all
         import qfikit.encoding
 
         original = qfikit.encoding.derivative_stack

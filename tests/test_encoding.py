@@ -22,7 +22,9 @@ from oracles import dilated_pure_qfi, dilated_state
 from qfikit.encoding import (
     KAPPA_DENOM_FLOOR,
     EfgReport,
+    ProbeColumns,
     amplification,
+    amplification_grid,
     amplification_report,
     check_lossless_generic,
     check_lossless_perp,
@@ -676,6 +678,87 @@ class TestAmplification:
         rep = amplification_report(chan, derivs, PLUS_X)
         assert [label for label, *_ in rep.rows] == ["flat"]
         assert not rep.strict_regime
+
+
+def grid_of(points) -> tuple:
+    """Labels and stacked probe columns of (channel, derivatives, psi)
+    points that share labels and retained set."""
+    cols = [probe_columns(*point) for point in points]
+    return points[0][0].labels, ProbeColumns(
+        m=np.stack([c.m for c in cols]), dm=np.stack([c.dm for c in cols]),
+        retained_mask=cols[0].retained_mask,
+        completeness_residual=np.array([c.completeness_residual for c in cols]))
+
+
+def point_by_point(points, tol):
+    """(AmplificationReport, Theorem1Residuals) per point, or the first
+    point's error, as a loop of efg, amplification and theorem1_residuals
+    meets it."""
+    out = []
+    try:
+        for point in points:
+            report = efg(*point)
+            out.append((amplification(report), theorem1_residuals(report.columns, tol=tol)))
+    except ValueError as exc:
+        return str(exc)
+    return out
+
+
+class TestAmplificationGrid:
+    """The batched reader equals the per-point reports bit for bit."""
+
+    def assert_matches(self, points, tol=1e-9):
+        want = point_by_point(points, tol)
+        assert not isinstance(want, str), want
+        amp = amplification_grid(*grid_of(points), tol=tol)
+        labels = points[0][0].labels
+        for n, (rep, t1) in enumerate(want):
+            per = {label: i_sigma for label, _, i_sigma, _ in rep.rows}
+            assert amp.i_sigma[n].tolist() == [per.get(label, 0.0) for label in labels]
+            assert amp.avg_total[n] == rep.i_q * rep.ratio_sum()
+            assert amp.sum_total[n] == sum(per.values())
+            assert amp.perp[n] == t1.perp
+            assert amp.perp_lossless[n] == t1.perp_lossless
+
+    @given(SEEDS, st.integers(2, 4), st.integers(1, 4), st.integers(1, 15),
+           st.floats(-0.5, 0.5), st.floats(-12.0, -1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_point_reports(self, seed, dim, n_outcomes, mask, x, log_tol):
+        retained = {str(w) for w in range(n_outcomes) if mask >> w & 1} or {"0"}
+        fam = unitary_slice_family(dim, n_outcomes, seed=seed, retained=retained)
+        psi = random_ket(dim, np.random.default_rng(seed + 3))
+        self.assert_matches([(*fam(x + 0.1 * k), psi) for k in range(4)], 10.0**log_tol)
+
+    def test_dead_outcome_reads_zero(self):
+        points = [(*trig_weight_channel(x), PLUS_X) for x in (0.3, 0.0, 0.7)]
+        self.assert_matches(points)
+        amp = amplification_grid(*grid_of(points))
+        assert amp.i_sigma[1].tolist() == [0.0, 0.0]
+
+    def test_total_qfi_rounds_the_square_as_python(self):
+        # a Python float's c ** 2 is libm's pow, which can differ from c * c
+        # in the last bit; at this point the difference reaches avg_total
+        point = (*unitary_slice_family(2, 2, seed=5192)(0.3), PLUS_X)
+        f_re = efg(*point).f_total.real
+        assert f_re**2 != f_re * f_re
+        self.assert_matches([point])
+
+    @pytest.mark.parametrize("fault, message", [
+        (lambda chan, ders: (MeasurementChannel.from_stack(
+            chan.labels, 1.01 * chan.stack, chan.retained), ders),
+         "only meaningful for an exact channel"),
+        (lambda chan, ders: (chan, np.zeros_like(ders)), "total QFI is zero"),
+        (lambda chan, ders: (chan, 0.5 * chan.stack), "got imaginary part"),
+    ], ids=["approximate", "zero_information", "imaginary_current"])
+    def test_faulty_point_raises_the_per_point_error(self, fault, message):
+        fam = unitary_slice_family(2, 3, seed=5)
+        points = [(*fam(x), PLUS_X) for x in (0.1, 0.2, 0.3)]
+        points[1] = (*fault(*points[1][:2]), PLUS_X)
+        want = point_by_point(points, 1e-9)
+        assert message in want
+        with pytest.raises(ValueError) as err:
+            amplification_grid(*grid_of(points))
+        assert str(err.value) == want
 
 
 class TestGaugeInvariance:

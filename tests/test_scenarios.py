@@ -1,9 +1,12 @@
 """Worked-example builders: transducer, sweep, dephasing, random instances."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     PAULI,
@@ -13,14 +16,14 @@ from conftest import (
     random_ket,
     two_qubit_transducer,
 )
+from oracles import transducer_point_route
+from qfikit import scenarios
 from qfikit.collision import CollisionSpec, TimeGrid, nh_loss
 from qfikit.encoding import (
-    amplification_report,
+    amplification_grid,
     check_lossless_generic,
     check_lossless_perp,
     complete_report,
-    probe_columns,
-    theorem1_residuals,
 )
 from qfikit.quantum_core import Ket, Operator
 from qfikit.scenarios import (
@@ -29,11 +32,11 @@ from qfikit.scenarios import (
     TransducerSpec,
     build_dephasing,
     build_transducer,
-    fig1b_row_from,
+    fig1b_rows,
     fig1b_sweep,
     lossless_family,
     random_family,
-    transducer_points,
+    transducer_grid,
 )
 
 SZ = Operator(PAULI["z"])
@@ -265,51 +268,147 @@ def seeded_three_level_transducer(seed: int = 7):
                    env_initial=random_ket(3, rng))
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def outcome(read):
+    """("ok", value) of read(), or ("error", message) of its ValueError."""
+    try:
+        return "ok", read()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def grid_route(spec, grid, retained=None, tol=1e-9):
+    labels, columns = transducer_grid(spec, grid, retained=retained)
+    amp = amplification_grid(labels, columns, tol=tol)
+    return columns, fig1b_rows(grid, amp), amp
+
+
+def assert_grid_is_point_route(spec, grid, retained=None, tol=1e-9):
+    """The batched grid and the per-point oracle agree bit for bit, or
+    refuse with one message; a grid error names its point's index too."""
+    got_kind, got = outcome(lambda: grid_route(spec, grid, retained, tol))
+    want_kind, want = outcome(lambda: transducer_point_route(spec, grid, retained, tol))
+    assert got_kind == want_kind
+    if got_kind == "error":
+        assert re.sub(r" \(eps_grid\[\d+\]\)", "", got) == want
+        return
+    columns, rows, amp = got
+    assert len(want) == len(grid) == len(rows)
+    for n, (want_columns, want_row, want_t1) in enumerate(want):
+        assert np.array_equal(columns.retained_mask, want_columns.retained_mask)
+        assert columns.completeness_residual[n] == want_columns.completeness_residual
+        assert same_bits(columns.m[n], want_columns.m)
+        assert same_bits(columns.dm[n], want_columns.dm)
+        assert rows[n] == want_row
+        assert same_bits(np.array(rows[n]), np.array(want_row))
+        assert amp.perp[n] == want_t1.perp
+        assert amp.perp_lossless[n] == want_t1.perp_lossless
+
+
 class TestTransducerPoints:
-    """One dilation per grid gives the per-point builds bit for bit."""
+    """The batched grid route gives the per-point route bit for bit."""
 
     GRID = (0.0, 1e-3, 0.37, 1.0, 1e3)
-
-    @staticmethod
-    def same_bits(a, b):
-        return a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("spec", [two_qubit_transducer(), seeded_three_level_transducer()],
                              ids=["qubit_env", "qutrit_env"])
     def test_grid_matches_per_point_build(self, spec):
-        psi = spec.sys_initial
-        points = list(transducer_points(spec, self.GRID))
-        assert len(points) == len(self.GRID)
-        for eps, (channel, derivatives) in zip(self.GRID, points):
-            family, _ = build_transducer(replace(spec, eps=eps))
-            want_channel, want_derivatives = family(spec.x)
-            assert channel.labels == want_channel.labels
-            assert channel.retained == want_channel.retained
-            assert channel.completeness_residual == want_channel.completeness_residual
-            assert self.same_bits(channel.stack, want_channel.stack)
-            assert self.same_bits(derivatives, want_derivatives)
-            assert (fig1b_row_from(eps, amplification_report(channel, derivatives, psi))
-                    == fig1b_row_from(eps, amplification_report(want_channel,
-                                                                want_derivatives, psi)))
-            got = theorem1_residuals(probe_columns(channel, derivatives, psi), tol=1e-6)
-            want = theorem1_residuals(
-                probe_columns(want_channel, want_derivatives, psi), tol=1e-6)
-            assert got.perp == want.perp
+        assert_grid_is_point_route(spec, self.GRID, tol=1e-6)
 
     def test_sweep_rows_match_per_point_build(self):
         spec = seeded_three_level_transducer()
-        want = []
-        for eps in self.GRID:
-            family, _ = build_transducer(replace(spec, eps=eps))
-            want.append(fig1b_row_from(
-                eps, amplification_report(*family(spec.x), spec.sys_initial)))
-        assert fig1b_sweep(spec, self.GRID) == tuple(want)
+        want = tuple(row for _, row, _ in transducer_point_route(spec, self.GRID))
+        assert fig1b_sweep(spec, self.GRID) == want
+
+    def test_empty_grid_gives_no_rows(self):
+        assert fig1b_sweep(two_qubit_transducer(), []) == ()
 
     def test_negative_mixing_raises_at_its_point(self):
-        points = transducer_points(two_qubit_transducer(), [0.5, -1.0, 2.0])
-        next(points)
-        with pytest.raises(ValueError, match="mixing must be nonnegative, got -1.0"):
-            next(points)
+        with pytest.raises(ValueError, match=re.escape(
+                "mixing must be nonnegative, got -1.0 (eps_grid[1])")):
+            transducer_grid(two_qubit_transducer(), [0.5, -1.0, 2.0])
+        assert_grid_is_point_route(two_qubit_transducer(), [0.5, -1.0, 2.0])
+
+    def test_coupling_readout_raises_at_its_point(self, monkeypatch):
+        # a valid spec cannot couple the pointer states beyond 1e-10, so the
+        # (psi, perp) branch is bent toward (psi, phi): outcome 1 then
+        # couples by 1.5e-10 / (1 + eps^2), above 1e-10 only at eps = 0
+        original = scenarios._Dilation.__init__
+
+        def coupled(self, spec, retained):
+            original(self, spec, retained)
+            a, b = self.branches
+            self.branches = [a, b + 1.5e-10 * a]
+
+        monkeypatch.setattr(scenarios._Dilation, "__init__", coupled)
+        grid = [1.0, 0.0, 1.0]
+        with pytest.raises(ValueError, match=re.escape(
+                "readout outcome 1 couples the pointer states at eps=0.0 (eps_grid[1]): "
+                "matrix element 1.500e-10")):
+            transducer_grid(two_qubit_transducer(), grid)
+        assert_grid_is_point_route(two_qubit_transducer(), grid)
+
+    def test_non_orthonormal_readout_raises_as_per_point(self, monkeypatch):
+        # stretching the completing vector of a qutrit environment leaves
+        # the channel complete: only the orthonormality check sees it
+        original = scenarios._Dilation.readout
+
+        def stretched(self, eps):
+            basis = original(self, eps)
+            return np.concatenate([basis[..., :2, :], 1.001 * basis[..., 2:, :]], axis=-2)
+
+        monkeypatch.setattr(scenarios._Dilation, "readout", stretched)
+        spec = seeded_three_level_transducer()
+        with pytest.raises(ValueError, match="not orthonormal within 1e-10"):
+            transducer_grid(spec, self.GRID)
+        assert_grid_is_point_route(spec, self.GRID)
+
+    def test_incomplete_unitary_dilation_raises_as_per_point(self, monkeypatch):
+        # a dilation that passes for unitary yet leaves the channel incomplete
+        original = scenarios._Dilation.unitary
+
+        def stretched(self, x):
+            u, du4 = original(self, x)
+            return Operator(1.001 * u.entries), du4
+
+        monkeypatch.setattr(scenarios._Dilation, "unitary", stretched)
+        monkeypatch.setattr(Operator, "is_unitary", lambda self, tol=1e-10: True)
+        with pytest.raises(ValueError, match="unitary dilation produced completeness residual"):
+            transducer_grid(two_qubit_transducer(), self.GRID)
+        assert_grid_is_point_route(two_qubit_transducer(), self.GRID)
+
+    def test_readout_rounds_the_mixing_as_a_python_float(self):
+        # a Python float's eps ** 2 is libm's pow, which can differ from
+        # eps * eps in the last bit; the readout keeps the scalar rounding
+        spec = two_qubit_transducer()
+        eps = next(e for e in np.linspace(0.1, 10.0, 100_001).tolist()
+                   if 1.0 / np.sqrt(1.0 + e**2) != 1.0 / np.sqrt(1.0 + e * e))
+        dil = scenarios._Dilation(spec, None)
+        norm = 1.0 / np.sqrt(1.0 + eps**2)
+        want = np.stack([(dil.phi + eps * dil.perp) * norm, (dil.perp - eps * dil.phi) * norm])
+        assert same_bits(dil.readout(eps), want)
+        assert same_bits(dil.readout(np.array([1.0, eps]))[1], want)
+
+    @given(
+        seed=st.integers(0, 2**16),
+        dim_e=st.sampled_from([2, 3]),
+        keep=st.integers(0, 7),
+        grid=st.lists(st.one_of(st.sampled_from([0.0, 1e3, 1e4, 3.7e5]),
+                                st.floats(0.0, 2e3)), min_size=1, max_size=12),
+        log_x=st.floats(-8.0, -1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_grids_match_per_point_build(self, seed, dim_e, keep, grid, log_x):
+        rng = np.random.default_rng(seed)
+        spec = replace(two_qubit_transducer(T=rng.uniform(0.5, 2.0), x=10.0**log_x),
+                       h0_env=Operator(random_hermitian(dim_e, rng)),
+                       env_initial=random_ket(dim_e, rng))
+        retained = {str(w + 1) for w in range(dim_e) if keep >> w & 1}
+        assert_grid_is_point_route(spec, [0.0] + grid, retained or None, tol=1e-6)
 
 
 class TestBuildDephasing:
