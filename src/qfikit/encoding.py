@@ -20,7 +20,7 @@ the report, the amplification rows (``amplification``) and both theorem-1
 checks (``theorem1_residuals``, gauge fix included). Derivatives are read
 once, at entry, by ``quantum_core.derivative_stack``: (label, Operator)
 pairs or an (M, d, d) array in the channel's label order;
-``fix_perpendicular_gauge`` and ``gauge_shift`` hand back such an array.
+``fix_perpendicular_gauge`` hands back such an array.
 Sums over outcomes run in row order, as a running sum would take them, so
 large collision channels and small exact channels go through the same
 arithmetic. A grid of channel points, such as the transducer's mixing
@@ -36,8 +36,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .fisher import P_FLOOR
-from .quantum_core import (Derivatives, Ket, MeasurementChannel, channel_kind,
-                           derivative_stack)
+from .quantum_core import (Derivatives, Ket, MeasurementChannel, _modulus, _norms, _rowdot,
+                           _running_total, channel_kind, derivative_stack, refuse)
 
 __all__ = [
     "KAPPA_DENOM_FLOOR",
@@ -55,13 +55,14 @@ __all__ = [
     "retained_average",
     "total_qfi",
     "fix_perpendicular_gauge",
-    "gauge_shift",
+    "phase_shift",
     "check_lossless_perp",
     "check_lossless_generic",
     "loss_kappa",
     "amplification_report",
     "amplification",
     "GridAmplification",
+    "grid_statistics",
     "amplification_grid",
     "complete_report",
 ]
@@ -209,25 +210,9 @@ def probe_columns(channel: MeasurementChannel, derivatives: Derivatives,
                         completeness_residual=channel.completeness_residual)
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a_n|b_n> for every row n (the last axis holds a row), rounded as
-    np.vdot rounds one row."""
-    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _row_sum(values: np.ndarray, start):
     """Sum of an array in row order, as a running Python sum takes it."""
     return sum(values.tolist(), start)
-
-
-def _modulus(z: np.ndarray) -> np.ndarray:
-    """|z| per entry, rounded as Python's abs(complex) rounds it."""
-    return np.hypot(z.real, z.imag)
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row, rounded as np.linalg.norm of one row."""
-    return np.sqrt(_rowdot(v.real, v.real) + _rowdot(v.imag, v.imag))
 
 
 def _labelled(labels: tuple, rows: np.ndarray, values: np.ndarray) -> tuple:
@@ -349,26 +334,14 @@ def fix_perpendicular_gauge(
     return gauged, GaugePhase(theta=0.0, dtheta=dtheta)
 
 
-def gauge_shift(
-    channel: MeasurementChannel,
-    derivatives: Derivatives,
-    theta: float,
-    dtheta: float,
-):
-    """Multiply every branch by exp(i theta(x)) at a point.
-
-    theta is the phase there and dtheta its x-derivative, so each
-    derivative becomes exp(i theta) (dM_w + i dtheta M_w). Returns the
-    shifted channel and its derivatives as an (M, d, d) array in the
-    channel's label order.
-    """
+def phase_shift(stack: np.ndarray, dstack: np.ndarray, theta, dtheta) -> tuple:
+    """Multiply every branch of (..., M, d, d) Kraus and derivative stacks
+    by exp(i theta(x)), with one phase theta and its x-derivative dtheta
+    per leading index: each derivative becomes exp(i theta) (dM_w + i
+    dtheta M_w). Returns the shifted Kraus and derivative stacks."""
+    theta, dtheta = (np.asarray(a)[..., None, None, None] for a in (theta, dtheta))
     phase = np.exp(1j * theta)
-    dks = derivative_stack(channel, derivatives)
-    shifted = MeasurementChannel.from_stack(
-        channel.labels, phase * channel.stack, channel.retained)
-    dshift = phase * (dks + 1j * dtheta * channel.stack)
-    dshift.flags.writeable = False
-    return shifted, dshift
+    return phase * stack, phase * (dstack + 1j * dtheta * stack)
 
 
 @dataclass(frozen=True)
@@ -645,64 +618,94 @@ class GridAmplification(NamedTuple):
     grid: ``i_sigma`` (G, M), 0.0 at a dead outcome; ``avg_total`` (i_q
     times the ratio sum) and ``sum_total`` (the plain sum of i_sigma), as
     each point's ``AmplificationReport`` gives them; ``perp`` and
-    ``perp_lossless`` as ``Theorem1Residuals`` has them."""
+    ``perp_lossless`` as ``Theorem1Residuals`` has them; ``i_q``,
+    ``avg_ps_qfi`` and ``kappa`` as each point's ``complete_report`` has
+    them."""
 
     i_sigma: np.ndarray
     avg_total: np.ndarray
     sum_total: np.ndarray
     perp: np.ndarray
     perp_lossless: np.ndarray
+    i_q: np.ndarray
+    avg_ps_qfi: np.ndarray
+    kappa: np.ndarray
 
 
-def _running_total(values: np.ndarray, start):
-    """Row-order sums along the last axis, as a running Python sum from
-    ``start`` takes them (adding ``start`` last turns -0.0 into +0.0)."""
-    return np.add.accumulate(values, axis=-1)[..., -1] + start
-
-
-def amplification_grid(labels, columns: ProbeColumns,
-                       tol: float = 1e-9) -> GridAmplification:
-    """``amplification(efg(...))`` and ``theorem1_residuals``' perp verdict
-    at every point of a grid of (G, M, d) probe columns in the order of
-    ``labels``, with one completeness residual per point.
-
-    No report is built per point: the rules of ``efg``, ``total_qfi`` and
-    ``amplification`` are applied to the whole grid, and each point sums
-    its rows in row order, so every value equals the per-point route's
-    bit for bit. The first point that breaks a check builds its own
-    report, which raises the per-point route's error.
+def grid_statistics(labels, columns: ProbeColumns, amplified: bool = False) -> tuple:
+    """``total_qfi(efg(...))`` at every point of a grid of (G, M, d) probe
+    columns in the order of ``labels``, with one completeness residual per
+    point: each point's i_q, its (G, M) branch shares (clamped, 0.0 when
+    dead), its post-selected average and its kappa. Every point sums its
+    rows in row order, so each value equals the per-point route's bit for
+    bit. Each check of that route refuses in the route's order, with its
+    message; ``amplified`` adds the checks of ``complete_report`` and
+    ``amplification``.
     """
     e, f, g, kept = columns.e, columns.f, columns.g, columns.retained_mask
     residual, live = columns.completeness_residual, e > P_FLOOR
     # _branch_share's rule, with |f| ** 2 rounded as a Python float's
     # square; a dead row's 0/0 is masked out by ``live``
     with np.errstate(divide="ignore", invalid="ignore"):
-        share = 4.0 * (g - np.float_power(_modulus(f), 2.0) / e)
-    e_total, f_total = _running_total(e, 0.0), _running_total(f, 0j)
-    # total_qfi's 4(<G> - Re<F>^2), used only where it clears the floor
-    i_q = 4.0 * (_running_total(g, 0.0) - np.float_power(f_total.real, 2.0))
+        raw_share = 4.0 * (g - np.float_power(_modulus(f), 2.0) / e)
+    negative = live & (raw_share < -1e-9 * np.maximum(1.0, 4.0 * g))
+
+    def refuse_shares(rows):
+        refuse(negative & rows,
+               lambda n: f"branch information share {float(raw_share[n])} below zero")
+
+    # efg: the retained average's shares, then EfgReport's rows and current
+    refuse_shares(kept)
     slack = np.maximum(residual, 0.0)[:, None] + 1e-10
-    bad_rows = (~((-1e-10 <= e) & (e <= 1.0 + slack)) | (g < -1e-10)
-                | (live & (share < -1e-9 * np.maximum(1.0, 4.0 * g))))
+    refuse(np.stack([~((-1e-10 <= e) & (e <= 1.0 + slack)), g < -1e-10], axis=-1),
+           lambda n: f"outcome {labels[n[1]]!r} " + (
+               f"weight {float(e[n[:2]])} outside [0, 1]" if n[2] == 0
+               else f"derivative weight {float(g[n[:2]])} < 0"))
+    f_total = _running_total(f, 0j)
     exact = np.array([channel_kind(r) == "exact" for r in residual.tolist()], dtype=bool)
-    broken = np.flatnonzero(bad_rows.any(axis=-1) | ~exact | (np.abs(f_total.imag) > 1e-9)
-                            | (i_q <= KAPPA_DENOM_FLOOR))
-    if broken.size:
-        n = broken[0]
-        point = ProbeColumns(m=columns.m[n], dm=columns.dm[n], retained_mask=kept,
-                             completeness_residual=float(residual[n]))
-        retained = frozenset(label for label, keep in zip(labels, kept) if keep)
-        amplification(_report(labels, retained, point, "as_given"))
-    share = np.where(live & ~(share < 0.0), share, 0.0)
-    i_sigma = np.divide(share, e, out=np.zeros_like(e), where=live)
+    refuse(exact & (np.abs(f_total.imag) > 1e-9), lambda n: (
+        "total overlap current should be real for an exact channel, "
+        f"got imaginary part {float(f_total.imag[n])}"))
+    # total_qfi: exact channels only, then 4(<G> - Re<F>^2) clamped at zero
+    refuse(~exact, lambda n: ("total QFI from sums is only meaningful for an exact channel; "
+                              "pass allow_approximate=True to override"))
+    raw = 4.0 * (_running_total(g, 0.0) - np.float_power(f_total.real, 2.0))
+    refuse(raw < -1e-8, lambda n: f"total QFI {float(raw[n])} is negative beyond roundoff")
+    i_q = np.where(raw < 0.0, 0.0, raw)
+    share = np.where(live & ~(raw_share < 0.0), raw_share, 0.0)
+    avg = _running_total(np.where(kept, share, 0.0), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = 1.0 - avg / i_q
+    if amplified:
+        # complete_report's kappa range, then amplification's QFI floor and
+        # the shares of every live outcome
+        informative = i_q > KAPPA_DENOM_FLOOR
+        refuse(informative & ~((-1e-8 <= kappa) & (kappa <= 1.0 + 1e-8)),
+               lambda n: f"kappa {float(kappa[n])} outside [0, 1] beyond roundoff")
+        refuse(~informative, lambda n: "total QFI is zero; amplification undefined")
+        refuse_shares(True)
+    return i_q, share, avg, kappa
+
+
+def amplification_grid(labels, columns: ProbeColumns,
+                       tol: float = 1e-9) -> GridAmplification:
+    """``amplification(complete_report(...))`` and ``theorem1_residuals``'
+    perp verdict at every point of a grid of (G, M, d) probe columns in the
+    order of ``labels``, with one completeness residual per point, read
+    off ``grid_statistics``: no report is built per point, and every value
+    equals the per-point route's bit for bit."""
+    i_q, share, avg, kappa = grid_statistics(labels, columns, amplified=True)
+    e, kept = columns.e, columns.retained_mask
+    i_sigma = np.divide(share, e, out=np.zeros_like(e), where=e > P_FLOOR)
     # every point is exact, so each takes the perpendicular gauge
+    f_total, e_total = _running_total(columns.f, 0j), _running_total(e, 0.0)
     dm = columns.dm + (1j * (-f_total.real / e_total))[:, None, None] * columns.m
     overlap, dnorm, dead = _perp_residuals(columns.m, dm, e, kept, tol)
     perp = np.maximum(overlap.max(axis=-1, initial=0.0),
                       dnorm[:, ~kept].max(axis=-1, initial=0.0))
     return GridAmplification(i_sigma, i_q * _running_total(share / i_q[:, None], 0.0),
                              _running_total(i_sigma, 0.0), perp,
-                             (perp <= tol) & ~dead.any(axis=-1))
+                             (perp <= tol) & ~dead.any(axis=-1), i_q, avg, kappa)
 
 
 def complete_report(

@@ -3,7 +3,9 @@
 Pure-state QFI, mixed-state QFI via the symmetric logarithmic derivative,
 classical Fisher information of outcome distributions, the measured-pair
 (system plus record) QFI decomposition, and the derivative of the
-decohered state.
+decohered state. Each estimator reads a stack with leading axes as
+well as one instance (``sld_stack``, ``sigma_se_rows``,
+``mixed_state_derivatives``), slice by slice with the same bits.
 
 Every channel-level function takes a channel M_w(x) together with its
 derivatives dM_w/dx, as (label, Operator) pairs or an (M, d, d) array in
@@ -24,7 +26,13 @@ from .quantum_core import (
     Ket,
     MeasurementChannel,
     Operator,
+    _modulus,
+    _norms,
+    _rowdot,
+    _running_total,
     derivative_stack,
+    refuse,
+    require_unit,
     spectral_norm,
 )
 
@@ -36,9 +44,11 @@ __all__ = [
     "SigmaSeResult",
     "pure_qfi",
     "sld",
+    "sld_stack",
     "classical_fi",
     "sigma_se_qfi",
-    "mixed_state_derivative",
+    "sigma_se_rows",
+    "mixed_state_derivatives",
 ]
 
 #: below this probability an outcome is treated as dead
@@ -80,22 +90,28 @@ class SigmaSeResult:
     singular: tuple
 
 
-def pure_qfi(psi: Ket, dpsi: Ket) -> float:
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def pure_qfi(psi, dpsi):
     """QFI of a pure state family, 4(<dpsi|dpsi> - |<psi|dpsi>|^2).
 
     psi must be normalized; dpsi is the x-derivative of the state vector.
-    The result is clamped to zero from below (rounding can leave a
-    residual around -1e-16 for gauge directions).
+    Both are Kets, or (..., d) arrays whose rows pair up, which give the
+    QFI of every row. The result is clamped to zero from below (rounding
+    can leave a residual around -1e-16 for gauge directions).
     """
-    psi.require_normalized()
-    if psi.dim != dpsi.dim:
-        raise ValueError(f"dimension mismatch: {psi.dim} vs {dpsi.dim}")
-    dd = np.vdot(dpsi.amplitudes, dpsi.amplitudes).real
-    overlap = np.vdot(psi.amplitudes, dpsi.amplitudes)
-    value = 4.0 * (dd - abs(overlap) ** 2)
-    if value < -1e-10:
-        raise ValueError(f"pure QFI evaluated to {value:.3e}; inputs are inconsistent")
-    return max(value, 0.0)
+    s, ds = (getattr(v, "amplitudes", v) for v in (psi, dpsi))
+    require_unit(s)
+    if s.shape != ds.shape:
+        raise ValueError(f"dimension mismatch: {s.shape[-1]} vs {ds.shape[-1]}")
+    # |<psi|dpsi>| ** 2 squared as a Python float squares
+    value = 4.0 * (_rowdot(ds, ds).real - np.float_power(_modulus(_rowdot(s, ds)), 2.0))
+    refuse(value < -1e-10,
+           lambda n: f"pure QFI evaluated to {value[n]:.3e}; inputs are inconsistent")
+    value = np.where(value < 0.0, 0.0, value)
+    return value if value.ndim else float(value)
 
 
 def sld(rho: Operator, drho: Operator, cutoff: Optional[float] = None) -> SldResult:
@@ -111,72 +127,57 @@ def sld(rho: Operator, drho: Operator, cutoff: Optional[float] = None) -> SldRes
         Non-Hermitian inputs, non-PSD rho, trace defects, or a
         reconstruction residual above 1e-8 on the retained support.
     """
-    if not rho.is_hermitian(1e-10):
-        raise ValueError("rho is not Hermitian within 1e-10")
-    if not drho.is_hermitian(1e-10):
-        raise ValueError("drho is not Hermitian within 1e-10")
-    tr = rho.entries.trace().real
-    if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"rho trace {tr!r} is not 1 within 1e-8")
-    if abs(drho.entries.trace()) > 1e-8:
-        raise ValueError("drho is not traceless within 1e-8")
-    w = np.linalg.eigvalsh(rho.entries)
-    if w.min() < -1e-10:
-        raise ValueError(f"rho has negative eigenvalue {w.min():.3e}")
+    l_mat, cutoff, qfi = sld_stack(rho.entries, drho.entries, cutoff)
+    return SldResult(L=Operator(l_mat), support_cutoff=float(cutoff), qfi=float(qfi))
+
+
+def sld_stack(rho: np.ndarray, drho: np.ndarray, cutoff=None) -> tuple:
+    """``sld`` of each slice pair of (..., d, d) stacks, from one
+    diagonalization of rho: the SLDs, the cutoffs and the QFIs."""
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    w, v = np.linalg.eigh(rho)
     if cutoff is None:
-        cutoff = 1e-10 * max(tr, 1.0)
-    w, v = np.linalg.eigh(rho.entries)
-    drho_eig = v.conj().T @ drho.entries @ v
-    pair_sums = w[:, None] + w[None, :]
-    live = pair_sums > cutoff
-    l_eig = np.zeros_like(drho_eig)
-    l_eig[live] = 2.0 * drho_eig[live] / pair_sums[live]
+        cutoff = 1e-10 * np.maximum(tr, 1.0)
+    drho_eig = _adjoint(v) @ drho @ v
+    pair_sums = w[..., :, None] + w[..., None, :]
+    live = pair_sums > np.asarray(cutoff)[..., None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l_eig = np.where(live, 2.0 * drho_eig / pair_sums, 0.0)
     # QFI in the eigenbasis: sum_ij w_i |L_ij|^2
-    qfi = float(np.einsum("i,ij->", w, np.abs(l_eig) ** 2).real)
-    recon = (l_eig * w[None, :] + w[:, None] * l_eig) / 2.0
+    qfi = np.einsum("...i,...ij->...", w, np.abs(l_eig) ** 2)
+    recon = (l_eig * w[..., None, :] + w[..., :, None] * l_eig) / 2.0
     gap = np.where(live, recon - drho_eig, 0.0)
-    scale = max(1.0, spectral_norm(drho.entries))
-    if spectral_norm(gap) > 1e-8 * scale:
-        raise ValueError("SLD reconstruction failed on the retained eigensupport")
-    l_mat = v @ l_eig @ v.conj().T
-    return SldResult(L=Operator(l_mat), support_cutoff=float(cutoff), qfi=qfi)
+    norms = spectral_norm(np.stack([rho - _adjoint(rho), drho - _adjoint(drho), drho, gap],
+                                   axis=-3))
+    refuse(~(norms[..., 0] <= 1e-10), lambda n: "rho is not Hermitian within 1e-10")
+    refuse(~(norms[..., 1] <= 1e-10), lambda n: "drho is not Hermitian within 1e-10")
+    refuse(np.abs(tr - 1.0) > 1e-8, lambda n: f"rho trace {float(tr[n])!r} is not 1 within 1e-8")
+    refuse(np.abs(np.trace(drho, axis1=-2, axis2=-1)) > 1e-8,
+           lambda n: "drho is not traceless within 1e-8")
+    # eigh sorts the eigenvalues in ascending order
+    refuse(w[..., 0] < -1e-10, lambda n: f"rho has negative eigenvalue {w[..., 0][n]:.3e}")
+    refuse(norms[..., 3] > 1e-8 * np.maximum(1.0, norms[..., 2]),
+           lambda n: "SLD reconstruction failed on the retained eigensupport")
+    return v @ l_eig @ _adjoint(v), cutoff, qfi
 
 
-def classical_fi(p: float, dp: float) -> float:
-    """Classical Fisher information dp^2 / p of one outcome weight.
+def classical_fi(p, dp):
+    """Classical Fisher information dp^2 / p of one outcome weight, or of
+    every entry of arrays p and dp.
 
     A dead outcome (p at or below the floor) contributes zero when its
     weight derivative also vanishes, and raises otherwise: the Fisher
     information of a vanishing-probability outcome with live sensitivity
     diverges.
     """
-    if p < 0.0 or p > 1.0 + 1e-9:
-        raise ValueError(f"probability {p!r} outside [0, 1]")
-    if p <= P_FLOOR:
-        if abs(dp) <= DP_FLOOR:
-            return 0.0
-        raise ValueError(
-            f"singular outcome: p = {p:.3e} at the floor but dp = {dp:.3e} is live"
-        )
-    return dp * dp / p
-
-
-def _conditional_state_and_derivative(m: np.ndarray, dm: np.ndarray, psi: np.ndarray):
-    """Normalized conditional state, its derivative, p, dp, and ||d tilde||.
-
-    Differentiates the normalized state sigma = tilde / sqrt(p) rather
-    than the raw branch vector, so the returned pair feeds pure_qfi
-    directly.
-    """
-    tilde = m @ psi
-    dtilde = dm @ psi
-    p = float(np.vdot(tilde, tilde).real)
-    dp = 2.0 * float(np.vdot(tilde, dtilde).real)
-    if p <= P_FLOOR:
-        return None, None, p, dp, float(np.linalg.norm(dtilde))
-    s = tilde / np.sqrt(p)
-    ds = dtilde / np.sqrt(p) - tilde * (dp / (2.0 * p**1.5))
-    return s, ds, p, dp, float(np.linalg.norm(dtilde))
+    p, dp = np.asarray(p, dtype=float), np.asarray(dp, dtype=float)
+    refuse((p < 0.0) | (p > 1.0 + 1e-9), lambda n: f"probability {float(p[n])!r} outside [0, 1]")
+    dead = p <= P_FLOOR
+    refuse(dead & ~(np.abs(dp) <= DP_FLOOR), lambda n: (
+        f"singular outcome: p = {p[n]:.3e} at the floor but dp = {dp[n]:.3e} is live"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fi = np.where(dead, 0.0, dp * dp / p)
+    return fi if fi.ndim else float(fi)
 
 
 def sigma_se_qfi(channel: MeasurementChannel, derivatives: Derivatives,
@@ -196,37 +197,44 @@ def sigma_se_qfi(channel: MeasurementChannel, derivatives: Derivatives,
             "the decomposition needs an exact outcome resolution"
         )
     dks = derivative_stack(channel, derivatives)
-    rows = []
-    singular = []
-    total = 0.0
-    for label, m, dm in zip(channel.labels, channel.stack, dks):
-        s, ds, p, dp, dtilde_norm = _conditional_state_and_derivative(
-            m, dm, psi.amplitudes
-        )
-        if s is None:
-            if dtilde_norm > DP_FLOOR:
-                singular.append(label)
-                continue
-            rows.append(OutcomeQfi(label=label, p=p, i_sigma=0.0, i_cl=0.0, i_joint=0.0))
-            continue
-        i_sigma = pure_qfi(Ket(s), Ket(ds))
-        i_cl = classical_fi(min(p, 1.0), dp)
-        joint = p * i_sigma + i_cl
-        rows.append(OutcomeQfi(label=label, p=p, i_sigma=i_sigma, i_cl=i_cl, i_joint=joint))
-        total += joint
-    return SigmaSeResult(total=total, per_outcome=tuple(rows), singular=tuple(singular))
+    *rows, singular, total = sigma_se_rows(channel.stack @ psi.amplitudes,
+                                           dks @ psi.amplitudes)
+    return SigmaSeResult(
+        total=float(total),
+        per_outcome=tuple(OutcomeQfi(label, *values) for label, *values, skip
+                          in zip(channel.labels, *(r.tolist() for r in rows), singular)
+                          if not skip),
+        singular=tuple(label for label, skip in zip(channel.labels, singular) if skip))
 
 
-def mixed_state_derivative(channel: MeasurementChannel, derivatives: Derivatives,
-                           psi: Ket) -> np.ndarray:
-    """x-derivative of the decohered state, sum_w dM P M^+ + M P dM^+.
+def sigma_se_rows(m: np.ndarray, dm: np.ndarray) -> tuple:
+    """``sigma_se_qfi`` of (..., M, d) probe branches m_w = M_w psi and
+    dm_w = dM_w psi: p, I(sigma), I_cl and the joint share of every
+    outcome, the mask of singular outcomes, and the row-order total.
 
-    P is the probe projector; derivatives are (label, Operator) pairs or
-    an (M, d, d) array in label order. Terms are added in the channel's
-    row order.
+    Each live outcome differentiates its normalized state sigma =
+    tilde / sqrt(p) rather than the raw branch vector, so the pair feeds
+    ``pure_qfi`` directly.
     """
-    proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    drho = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
-    for m, dm in zip(channel.stack, derivative_stack(channel, derivatives)):
-        drho += dm @ proj @ m.conj().T + m @ proj @ dm.conj().T
-    return drho
+    p, dp = _rowdot(m, m).real, 2.0 * _rowdot(m, dm).real
+    live = (p > P_FLOOR)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(p)[..., None]
+        s = m / root
+        ds = dm / root - m * (dp / (2.0 * np.float_power(p, 1.5)))[..., None]
+    # a dead outcome reads the state pair (e_0, 0), whose QFI is zero
+    i_sigma = pure_qfi(np.where(live, s, np.eye(m.shape[-1])[0]), np.where(live, ds, 0.0))
+    i_cl = classical_fi(np.minimum(p, 1.0), np.where(live[..., 0], dp, 0.0))
+    joint = p * i_sigma + i_cl
+    singular = ~live[..., 0] & (_norms(dm) > DP_FLOOR)
+    return p, i_sigma, i_cl, joint, singular, _running_total(np.where(live[..., 0], joint, 0.0),
+                                                               0.0)
+
+
+def mixed_state_derivatives(stack: np.ndarray, dstack: np.ndarray, psi: np.ndarray):
+    """x-derivative of the decohered state, sum_w dM P M^+ + M P dM^+ with
+    P the probe projector, for (..., M, d, d) Kraus and derivative stacks
+    on (..., d) probes, its terms added in row order."""
+    proj = (psi[..., :, None] * psi.conj()[..., None, :])[..., None, :, :]
+    terms = dstack @ proj @ _adjoint(stack) + stack @ proj @ _adjoint(dstack)
+    return np.add.accumulate(terms, axis=-3)[..., -1, :, :] + 0.0

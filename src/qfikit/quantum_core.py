@@ -8,6 +8,9 @@ spectral norm.
 A channel's x-derivatives dM_w/dx travel beside it, as (label, Operator)
 pairs or an (M, d, d) array in its label order; ``derivative_stack`` is
 the one reader of that argument for ``fisher`` and ``encoding`` alike.
+
+Kernels read each slice of a stack with leading axes as a stack of one
+would; a failed check raises ``SliceError``, naming the first bad slice.
 """
 
 from __future__ import annotations
@@ -24,9 +27,14 @@ __all__ = [
     "MeasurementChannel",
     "channel_kind",
     "Derivatives",
+    "SliceError",
+    "refuse",
+    "require_unit",
+    "completeness",
     "derivative_stack",
     "kraus_from_dilation",
     "mixed_state",
+    "mixed_states",
     "expm",
     "spectral_norm",
 ]
@@ -38,11 +46,64 @@ EXACT_RESIDUAL_TOL = 1e-10
 NORMALIZED_TOL = 1e-12
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value of a matrix (2-norm)."""
+class SliceError(ValueError):
+    """A check failed at ``index`` of a stack (slice ``index[0]``), with
+    the message that slice alone raises."""
+
+    def __init__(self, index: tuple, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def refuse(bad, message) -> None:
+    """Raise SliceError(index, message(index)) at the first set entry of ``bad``."""
+    if bad.any():
+        index = np.unravel_index(np.argmax(bad), bad.shape)
+        raise SliceError(index, message(index))
+
+
+def spectral_norm(a: np.ndarray):
+    """Largest singular value of a matrix (2-norm), or of each slice of a stack."""
     # the SVD that np.linalg.norm(a, 2) runs, without its axis handling;
     # singular values come back in descending order
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    top = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return top if top.ndim else float(top)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_n|b_n> for every row n (the last axis holds a row), rounded as
+    np.vdot rounds one row."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| per entry, rounded as Python's abs(complex) rounds it."""
+    return np.hypot(z.real, z.imag)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row, rounded as np.linalg.norm of one row."""
+    return np.sqrt(_rowdot(v.real, v.real) + _rowdot(v.imag, v.imag))
+
+
+def _running_total(values: np.ndarray, start):
+    """Row-order sums along the last axis, as a running Python sum from
+    ``start`` takes them (adding ``start`` last turns -0.0 into +0.0)."""
+    return np.add.accumulate(values, axis=-1)[..., -1] + start
+
+
+def _unit_rows(vectors: np.ndarray) -> tuple:
+    """The squared norm of every row of (..., d) ``vectors``, squared as a
+    Python float's ** 2 squares, and whether it is within NORMALIZED_TOL
+    of one."""
+    sq = np.float_power(_norms(vectors), 2.0)
+    return sq, np.abs(sq - 1.0) <= NORMALIZED_TOL
+
+
+def require_unit(vectors: np.ndarray) -> None:
+    """Refuse the first row of (..., d) ``vectors`` that is not a unit vector."""
+    sq, unit = _unit_rows(vectors)
+    refuse(~unit, lambda n: f"ket is not normalized: |psi|^2 = {float(sq[n])!r}")
 
 
 def _as_complex_vector(values) -> np.ndarray:
@@ -90,11 +151,10 @@ class Ket:
     @property
     def normalized(self) -> bool:
         """True when the squared norm is within 1e-12 of one."""
-        return abs(self.norm**2 - 1.0) <= NORMALIZED_TOL
+        return bool(_unit_rows(self.amplitudes)[1])
 
     def require_normalized(self) -> "Ket":
-        if not self.normalized:
-            raise ValueError(f"ket is not normalized: |psi|^2 = {self.norm**2!r}")
+        require_unit(self.amplitudes)
         return self
 
     def unit(self) -> "Ket":
@@ -242,12 +302,7 @@ class MeasurementChannel:
         object.__setattr__(self, "retained", retained)
         object.__setattr__(self, "retained_mask", mask)
         if self.completeness_residual < 0:
-            # a running sum in row order: the residual decides `kind`, and
-            # a reordered sum can move it across EXACT_RESIDUAL_TOL
-            ks = rows.stack
-            acc = np.add.accumulate(ks.conj().transpose(0, 2, 1) @ ks)[-1]
-            res = spectral_norm(acc - np.eye(self.dim))
-            object.__setattr__(self, "completeness_residual", res)
+            object.__setattr__(self, "completeness_residual", completeness(rows.stack))
 
     @classmethod
     def from_stack(cls, labels, stack, retained) -> "MeasurementChannel":
@@ -284,6 +339,15 @@ class MeasurementChannel:
             return self.kraus[self.labels.index(label)][1]
         except ValueError:
             raise KeyError(f"no outcome labeled {label!r}") from None
+
+
+def completeness(stack: np.ndarray):
+    """||sum_w M_w^+ M_w - 1|| of an (M, d, d) Kraus stack, or of each of
+    a (..., M, d, d) stack of them."""
+    # a running sum in row order: the residual decides `kind`, and a
+    # reordered sum can move it across EXACT_RESIDUAL_TOL
+    acc = np.add.accumulate(stack.conj().swapaxes(-1, -2) @ stack, axis=-3)[..., -1, :, :]
+    return spectral_norm(acc - np.eye(stack.shape[-1]))
 
 
 def channel_kind(completeness_residual: float) -> str:
@@ -388,15 +452,20 @@ def mixed_state(channel: MeasurementChannel, psi: Ket) -> Operator:
     psi.require_normalized()
     if channel.dim != psi.dim:
         raise ValueError("channel and state dimension mismatch")
-    rho = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
-    for k in channel.stack:
-        branch = k @ psi.amplitudes
-        rho += np.outer(branch, branch.conj())
-    trace_err = abs(rho.trace().real - 1.0)
-    budget = channel.completeness_residual + 1e-10
-    if trace_err > budget:
-        raise ValueError(f"mixed state trace off by {trace_err:.3e}, budget {budget:.3e}")
-    return Operator(rho)
+    return Operator(mixed_states(channel.stack @ psi.amplitudes,
+                                 channel.completeness_residual))
+
+
+def mixed_states(m: np.ndarray, residual) -> np.ndarray:
+    """``mixed_state`` of each (M, d) set of probe branches m_w = M_w psi
+    in a (..., M, d) stack: sum_w m_w m_w^+, added in row order, with
+    ``residual`` the channels' completeness residuals."""
+    rho = np.add.accumulate(m[..., :, None] * m.conj()[..., None, :], axis=-3)[..., -1, :, :]
+    trace_err = np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)
+    budget = np.add(residual, 1e-10)
+    refuse(trace_err > budget, lambda n: (f"mixed state trace off by {trace_err[n]:.3e}, "
+                                          f"budget {budget[n]:.3e}"))
+    return rho
 
 
 #: coefficients b_0, ..., b_m of the [m/m] Pade numerator of exp, by degree m

@@ -46,6 +46,7 @@ __all__ = [
     "fig1b_sweep",
     "build_dephasing",
     "random_family",
+    "seeded_families",
     "lossless_family",
 ]
 
@@ -371,32 +372,25 @@ def build_dephasing(H0: Operator, H1, L: Operator, gamma: float, T: float,
     return spec
 
 
+def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from (..., n, n) Ginibre matrices, via QR."""
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
+
+
 def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return _haar(_ginibre(dim, rng))
 
 
 def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    g = _ginibre(dim, rng)
     return (g + g.conj().T) / 2.0
-
-
-def _row_blocks(u: np.ndarray, n_outcomes: int, dim: int) -> np.ndarray:
-    """The first dim columns of each of the n_outcomes row blocks of u."""
-    return u[:, :dim].reshape(n_outcomes, dim, dim)
-
-
-def _seeded_mixer(dim: int, n_outcomes: int, seed: int, retained) -> tuple:
-    """A seeded Haar unitary on dim * n_outcomes levels, the stream that
-    drew it, the outcome labels "0", "1", ... and the retained ones."""
-    if dim < 2 or n_outcomes < 1:
-        raise ValueError(f"need dim >= 2 and n_outcomes >= 1, got {dim}, {n_outcomes}")
-    rng = np.random.default_rng(seed)
-    u = _haar_unitary(dim * n_outcomes, rng)
-    labels = [str(w) for w in range(n_outcomes)]
-    return u, rng, labels, frozenset(labels if retained is None else retained)
 
 
 def lossless_family(dim: int, n_outcomes: int, seed: int) -> Callable[[float], tuple]:
@@ -426,6 +420,34 @@ def lossless_family(dim: int, n_outcomes: int, seed: int) -> Callable[[float], t
     return family
 
 
+def seeded_families(dim: int, n_outcomes: int, seeds) -> Callable:
+    """``random_family`` of every seed at once.
+
+    Each seed draws its mixer and generator from its own stream, as
+    ``random_family`` does. The returned function maps the seeds' (G,)
+    operating points to their (G, M, d, d) Kraus and derivative stacks,
+    each slice with the bits that seed's family gives on its own.
+    """
+    if dim < 2 or n_outcomes < 1:
+        raise ValueError(f"need dim >= 2 and n_outcomes >= 1, got {dim}, {n_outcomes}")
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        draws.append((_ginibre(dim * n_outcomes, rng), _ginibre(dim, rng)))
+    mixers, gens = (np.array(stack) for stack in zip(*draws))
+    # only the mixer's first dim columns meet the system: its row blocks
+    # are the seed channel's Kraus operators
+    head = _haar(mixers)[..., :dim]
+    h = (gens + gens.conj().swapaxes(-1, -2)) / 2.0
+    shape = (len(draws), n_outcomes, dim, dim)
+
+    def family(xs):
+        rot = expm((-1j * np.asarray(xs, dtype=float))[:, None, None] * h)
+        return (head @ rot).reshape(shape), (head @ (-1j * h @ rot)).reshape(shape)
+
+    return family
+
+
 def random_family(dim: int, n_outcomes: int, seed: int,
                   retained=None) -> Callable[[float], tuple]:
     """Differentiable exact family: Haar mixer times a random rotation.
@@ -433,17 +455,15 @@ def random_family(dim: int, n_outcomes: int, seed: int,
     The generator acts before the mixer, so each slice is the seed
     channel's block times exp(-i x H) and the channel stays exact at
     every x. The family maps x to the channel and its analytic
-    derivative stack, both from one exp(-i x H).
+    derivative stack, both from one exp(-i x H); it is the one-seed case
+    of ``seeded_families``.
     """
-    u0, rng, labels, keep = _seeded_mixer(dim, n_outcomes, seed, retained)
-    h = _random_hermitian(dim, rng)
+    evaluate = seeded_families(dim, n_outcomes, [seed])
+    labels = [str(w) for w in range(n_outcomes)]
+    keep = frozenset(labels if retained is None else retained)
 
     def family(x):
-        rot = expm(-1j * x * h)
-        core = u0 @ np.kron(np.eye(n_outcomes), rot)
-        dcore = u0 @ np.kron(np.eye(n_outcomes), -1j * h @ rot)
-        channel = MeasurementChannel.from_stack(
-            labels, _row_blocks(core, n_outcomes, dim), keep)
-        return channel, _frozen(_row_blocks(dcore, n_outcomes, dim))
+        ks, dks = evaluate([x])
+        return MeasurementChannel.from_stack(labels, ks[0], keep), _frozen(dks[0])
 
     return family

@@ -15,13 +15,19 @@
   carry information is refused the theorem-2 certificate. The collision
   models go through ``collision.run``, the recipe of `qfi run`.
 
+The chain and gauge suites draw each instance from its own seeded
+streams, group the instances by shape (dimension and outcome count, and
+for ``gauge`` the retained set) and read each group in one stacked pass
+with a leading instance axis: one ``seeded_families`` call, one ``expm``
+and stacked SVDs, QR and ``eigh``, with no channel or report built per
+instance. A faulty instance raises the error its own route would raise,
+with its seed added.
+
 Each suite returns (ok, lines): whether every check passed, and the
 report lines `qfi verify` prints.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -33,37 +39,105 @@ from .collision import (
     trajectory_residual,
 )
 from .encoding import (
-    amplification,
+    ProbeColumns,
+    amplification_grid,
     check_lossless_perp,
     complete_report,
-    efg,
     fix_perpendicular_gauge,
-    gauge_shift,
-    retained_average,
-    total_qfi,
+    grid_statistics,
+    phase_shift,
 )
-from .fisher import mixed_state_derivative, sigma_se_qfi, sld
-from .quantum_core import Ket, Operator, mixed_state
-from .scenarios import _random_hermitian, build_dephasing, lossless_family, random_family
+from .fisher import mixed_state_derivatives, sigma_se_rows, sld_stack
+from .quantum_core import (Ket, Operator, SliceError, _running_total, completeness,
+                           mixed_states, require_unit)
+from .scenarios import (_random_hermitian, build_dephasing, lossless_family, random_family,
+                        seeded_families)
 
 __all__ = ["SUITES"]
 
 
-def _seeded_instance(seed: int, offset: int = 10_000, build=None):
-    """Deterministic family, operating point, and probe for the suites.
-
-    The meta stream seeded with ``offset + seed`` draws the dimension,
-    outcome count, x and probe; ``build(dim, n_outcomes, seed)`` makes
-    the family, ``random_family`` (looked up per call) when None.
-    """
+def _seeded_draws(seed: int, offset: int = 10_000) -> tuple:
+    """The dimension, outcome count, x and probe amplitudes that the meta
+    stream seeded with ``offset + seed`` draws for one instance."""
     meta = np.random.default_rng(offset + seed)
     dim = int(meta.integers(2, 5))
     n_outcomes = int(meta.integers(1, 5))
-    family = (build or random_family)(dim, n_outcomes, seed)
     x = float(meta.uniform(-0.5, 0.5))
     v = meta.normal(size=dim) + 1j * meta.normal(size=dim)
-    psi = Ket(v / np.linalg.norm(v))
-    return family, x, psi
+    return dim, n_outcomes, x, v / np.linalg.norm(v)
+
+
+def _seeded_instance(seed: int, offset: int = 10_000, build=None):
+    """Deterministic family, operating point, and probe of one instance.
+
+    ``build(dim, n_outcomes, seed)`` makes the family from the draws of
+    ``_seeded_draws``, ``random_family`` when None. The chain and gauge
+    suites take the same draws, but group their instances by shape
+    (``_grouped``) and evaluate each group with ``seeded_families``.
+    """
+    dim, n_outcomes, x, psi = _seeded_draws(seed, offset)
+    return (build or random_family)(dim, n_outcomes, seed), x, Ket(psi)
+
+
+def _grouped(seeds, key=lambda seed, dim, n_outcomes: (dim, n_outcomes)) -> dict:
+    """The seeded instances by shape: ``key(seed, dim, n_outcomes)`` maps to
+    the group's seeds, (G,) operating points and (G, dim) probes, each in
+    seed order; the first two entries of a key are dim and n_outcomes."""
+    groups = {}
+    for seed in seeds:
+        dim, n_outcomes, x, psi = _seeded_draws(seed)
+        for part, value in zip(groups.setdefault(key(seed, dim, n_outcomes), ([], [], [])),
+                               (seed, x, psi)):
+            part.append(value)
+    return {k: (members, np.array(xs), np.array(psis))
+            for k, (members, xs, psis) in groups.items()}
+
+
+def _columns(stack, dstack, psi, kept) -> ProbeColumns:
+    """The probe columns of a group: (G, M, d, d) stacks on (G, d) probes."""
+    require_unit(psi)
+    probes = psi[:, None, :, None]
+    return ProbeColumns(m=(stack @ probes)[..., 0], dm=(dstack @ probes)[..., 0],
+                        retained_mask=kept, completeness_residual=completeness(stack))
+
+
+def _named(seeds, evaluate, *args):
+    """``evaluate(*args)`` on a group, naming a failing instance's seed."""
+    try:
+        return evaluate(*args)
+    except SliceError as err:
+        raise ValueError(f"seed {seeds[err.index[0]]}: {err}") from None
+
+
+def _chain_margins(stack, dstack, psi) -> np.ndarray:
+    """The chain's margins of a group: I_Q - I(sigma_SE), I(sigma_SE) -
+    I(rho), then I_Q minus each nonempty retained subset's average, the
+    subsets in the order of their bit masks 1, 2, ..., 2^M - 1 over the
+    outcomes, one row per instance."""
+    n_outcomes = stack.shape[1]
+    labels = [str(w) for w in range(n_outcomes)]
+    c = _columns(stack, dstack, psi, np.ones(n_outcomes, dtype=bool))
+    i_q, share = grid_statistics(labels, c)[:2]
+    i_se = sigma_se_rows(c.m, c.dm)[-1]
+    rho = mixed_states(c.m, c.completeness_residual)
+    i_rho = sld_stack(rho, mixed_state_derivatives(stack, dstack, psi))[2]
+    subsets = np.arange(1, 2**n_outcomes)[:, None] >> np.arange(n_outcomes) & 1 == 1
+    averages = _running_total(np.where(subsets, share[:, None, :], 0.0), 0.0)
+    return np.column_stack([i_q - i_se, i_se - i_rho, i_q[:, None] - averages])
+
+
+def _gauge_drifts(xs, stack, dstack, psi, kept) -> np.ndarray:
+    """The relative drifts of i_q, avg_ps_qfi, kappa and every outcome's
+    i_sigma of a group under the phase theta(x) = 5x + x^2, one row per
+    instance. One pass reads both gauges: row n of it is instance n as
+    given and row G + n the same instance moved."""
+    labels = [str(w) for w in range(stack.shape[1])]
+    theta = 5 * xs + np.float_power(xs, 2.0)
+    both = [np.concatenate(pair) for pair in
+            zip((stack, dstack), phase_shift(stack, dstack, theta, 5 + 2 * xs))]
+    amp = amplification_grid(labels, _columns(*both, np.concatenate([psi, psi]), kept))
+    a, b = np.split(np.column_stack([amp.i_q, amp.avg_ps_qfi, amp.kappa, amp.i_sigma]), 2)
+    return np.abs(a - b) / np.maximum(np.abs(a), 1.0)
 
 
 def _unit_dephasing():
@@ -74,33 +148,18 @@ def _unit_dephasing():
     return build_dephasing(sz, zero2, sz, 1.0, 1.0, psi, 0.0), psi
 
 
-def _nonempty_subsets(labels):
-    out = []
-    for mask in range(1, 2 ** len(labels)):
-        out.append(frozenset(l for k, l in enumerate(labels) if mask >> k & 1))
-    return out
-
-
 def _suite_chain() -> tuple:
-    """Monotonicity chain on 100 seeded random families, one contraction
-    each: every retained subset's average comes from that report's rows."""
+    """Monotonicity chain on 100 seeded random families, one stacked pass
+    per shape group: every retained subset's average comes from the
+    group's shares."""
     slack = 1e-8
-    violations = 0
-    worst = np.inf
-    for seed in range(100):
-        family, x, psi = _seeded_instance(seed)
-        channel, derivatives = family(x)
-        report = efg(channel, derivatives, psi)
-        i_q = total_qfi(report)
-        i_se = sigma_se_qfi(channel, derivatives, psi).total
-        drho = mixed_state_derivative(channel, derivatives, psi)
-        i_rho = sld(mixed_state(channel, psi), Operator(drho)).qfi
-        margins = [i_q - i_se, i_se - i_rho]
-        margins += [i_q - retained_average(report.per_outcome, subset)
-                    for subset in _nonempty_subsets(channel.labels)]
-        worst = min(worst, min(margins))
-        if min(margins) < -slack:
-            violations += 1
+    worst_each = []
+    for (dim, n_outcomes), (group, xs, psi) in _grouped(range(100)).items():
+        stacks = seeded_families(dim, n_outcomes, group)(xs)
+        worst_each.append(_named(group, _chain_margins, *stacks, psi).min(axis=1))
+    worst_each = np.concatenate(worst_each)
+    violations = int((worst_each < -slack).sum())
+    worst = worst_each.min()
     ok = violations == 0
     lines = [
         f"chain: 100 instances, {violations} violations, "
@@ -109,29 +168,21 @@ def _suite_chain() -> tuple:
     return ok, lines
 
 
+def _gauge_shape(seed, dim, n_outcomes) -> tuple:
+    """A gauge instance's group: its dim, its outcome count and its retained
+    mask, where an odd seed with several outcomes keeps only outcome 0."""
+    return dim, n_outcomes, tuple(w == 0 or seed % 2 == 0 for w in range(n_outcomes))
+
+
 def _suite_gauge() -> tuple:
-    """Phase-gauge invariance of every reported information quantity."""
+    """Phase-gauge invariance of every reported information quantity on 25
+    seeded random families, one stacked pass per shape group."""
     tol = 1e-8
     worst = 0.0
-    for seed in range(25):
-        family, x, psi = _seeded_instance(seed)
-        channel, derivatives = family(x)
-        if seed % 2 and len(channel.labels) > 1:
-            channel = replace(channel, retained=frozenset({channel.labels[0]}))
-        theta, dtheta = 5 * x + x**2, 5 + 2 * x
-        moved_channel, moved_derivatives = gauge_shift(channel, derivatives, theta, dtheta)
-        base = complete_report(channel, derivatives, psi)
-        moved = complete_report(moved_channel, moved_derivatives, psi)
-        base_amp, moved_amp = amplification(base), amplification(moved)
-        pairs = [
-            (base.i_q, moved.i_q),
-            (base.avg_ps_qfi, moved.avg_ps_qfi),
-            (base.kappa or 0.0, moved.kappa or 0.0),
-        ]
-        moved_rows = {lbl: i for lbl, _, i, _ in moved_amp.rows}
-        pairs += [(i, moved_rows[lbl]) for lbl, _, i, _ in base_amp.rows]
-        for a, b in pairs:
-            worst = max(worst, abs(a - b) / max(abs(a), 1.0))
+    for (dim, n_outcomes, kept), (group, xs, psi) in _grouped(range(25), _gauge_shape).items():
+        stacks = seeded_families(dim, n_outcomes, group)(xs)
+        drifts = _named(group * 2, _gauge_drifts, xs, *stacks, psi, np.array(kept))
+        worst = max(worst, drifts.max())
     ok = worst <= tol
     lines = [
         f"gauge: 25 instances, worst relative drift {worst:.3e} "

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from qfikit.encoding import gauge_shift  # noqa: F401
 from qfikit.quantum_core import Ket, MeasurementChannel, Operator
 from qfikit.scenarios import (
     TransducerSpec,
@@ -26,9 +25,8 @@ PLUS_X = Ket(np.array([1, 1]) / np.sqrt(2))
 MINUS_X = Ket(np.array([1, -1]) / np.sqrt(2))
 
 
-# canonical generator implementations live in qfikit.scenarios (and the
-# phase shift in qfikit.encoding); the test suite reuses them so seeded
-# draws stay identical across both
+# canonical generator implementations live in qfikit.scenarios; the test
+# suite reuses them so seeded draws stay identical across both
 haar_unitary = _haar_unitary
 random_hermitian = _random_hermitian
 lossless_slice_family = lossless_family

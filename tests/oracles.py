@@ -6,7 +6,10 @@ aggregates, closed-form classical results, the effective generator
 built one time at a time for literal Euler products, the
 per-POVM-element information chain checked element by element, the
 matrix trajectories of ``collision.propagate`` reduced to the probe, and
-the transducer's mixing grid read one channel per point.
+the transducer's mixing grid read one channel per point, and the
+``qfi verify`` chain and gauge suites read one instance at a time. The
+one-channel cases of the stacked kernels those routes read
+(``mixed_state_derivative``, ``gauge_shift``) live here too.
 """
 
 from dataclasses import dataclass, replace
@@ -15,12 +18,21 @@ from typing import Sequence
 import numpy as np
 
 from qfikit.collision import _columns, _efg, _loss, _Probe, _reduced, _theorem2, propagate
-from qfikit.encoding import amplification, efg, theorem1_residuals
+from qfikit.encoding import (
+    amplification,
+    complete_report,
+    efg,
+    phase_shift,
+    retained_average,
+    theorem1_residuals,
+    total_qfi,
+)
 from qfikit.fisher import (
     DP_FLOOR,
-    _conditional_state_and_derivative,
+    P_FLOOR,
     classical_fi,
-    mixed_state_derivative,
+    mixed_state_derivatives,
+    sigma_se_qfi,
     sld,
 )
 from qfikit.quantum_core import (
@@ -208,6 +220,42 @@ class RefinedConvexityReport:
         return self.worst_lower_margin >= -slack and self.worst_outer_margin >= -slack
 
 
+def _conditional_state_and_derivative(m: np.ndarray, dm: np.ndarray, psi: np.ndarray):
+    """Normalized conditional state, its derivative, p, dp, and ||d tilde||.
+
+    Differentiates the normalized state sigma = tilde / sqrt(p) rather
+    than the raw branch vector, so the returned pair feeds pure_qfi
+    directly.
+    """
+    tilde = m @ psi
+    dtilde = dm @ psi
+    p = float(np.vdot(tilde, tilde).real)
+    dp = 2.0 * float(np.vdot(tilde, dtilde).real)
+    if p <= P_FLOOR:
+        return None, None, p, dp, float(np.linalg.norm(dtilde))
+    s = tilde / np.sqrt(p)
+    ds = dtilde / np.sqrt(p) - tilde * (dp / (2.0 * p**1.5))
+    return s, ds, p, dp, float(np.linalg.norm(dtilde))
+
+
+def mixed_state_derivative(channel: MeasurementChannel, derivatives: Derivatives,
+                           psi: Ket) -> np.ndarray:
+    """``fisher.mixed_state_derivatives`` of one channel and probe, the
+    derivatives as (label, Operator) pairs or an (M, d, d) array."""
+    return mixed_state_derivatives(channel.stack, derivative_stack(channel, derivatives),
+                                   psi.amplitudes)
+
+
+def gauge_shift(channel: MeasurementChannel, derivatives: Derivatives, theta: float,
+                dtheta: float):
+    """``encoding.phase_shift`` of one channel: the shifted channel and its
+    derivatives as a read-only (M, d, d) array in the channel's label order."""
+    stack, dshift = phase_shift(channel.stack, derivative_stack(channel, derivatives),
+                                theta, dtheta)
+    dshift.flags.writeable = False
+    return MeasurementChannel.from_stack(channel.labels, stack, channel.retained), dshift
+
+
 def refined_convexity_check(channel: MeasurementChannel, derivatives: Derivatives,
                             psi: Ket, povm: Sequence[Operator]) -> RefinedConvexityReport:
     """Check J_cl(E) <= J_rho(E) <= J_sigmaSE(E) for each POVM element.
@@ -330,3 +378,51 @@ def transducer_point_route(spec, eps_grid, retained=None, tol: float = 1e-9) -> 
         out.append((report.columns, fig1b_row_from(eps, amplification(report)),
                     theorem1_residuals(report.columns, tol=tol)))
     return out
+
+
+def nonempty_subsets(labels) -> list:
+    """Every nonempty subset of ``labels``; bit k of the n-th subset's
+    index n + 1 marks labels[k]."""
+    return [frozenset(label for k, label in enumerate(labels) if mask >> k & 1)
+            for mask in range(1, 2 ** len(labels))]
+
+
+def chain_instance_route(channel, derivatives, psi: Ket) -> list:
+    """The chain suite's margins of one instance, read one channel at a time.
+
+    Builds the instance's ``efg`` report, its ``sigma_se_qfi`` and its
+    ``sld`` of ``mixed_state``, and returns I_Q - I(sigma_SE),
+    I(sigma_SE) - I(rho), then I_Q minus the retained average of each
+    ``nonempty_subsets`` subset, taken from the report's rows. Raises the
+    instance's first error, as the suite's loop over instances met it.
+    """
+    report = efg(channel, derivatives, psi)
+    i_q = total_qfi(report)
+    i_se = sigma_se_qfi(channel, derivatives, psi).total
+    drho = mixed_state_derivative(channel, derivatives, psi)
+    i_rho = sld(mixed_state(channel, psi), Operator(drho)).qfi
+    margins = [i_q - i_se, i_se - i_rho]
+    return margins + [i_q - retained_average(report.per_outcome, subset)
+                      for subset in nonempty_subsets(channel.labels)]
+
+
+def gauge_instance_route(channel, derivatives, psi: Ket, x: float) -> list:
+    """The gauge suite's drifts of one instance, read one channel at a time.
+
+    Moves the channel by the phase theta(x) = 5x + x^2 with ``gauge_shift``,
+    builds both channels' ``complete_report`` and ``amplification``, and
+    returns the relative drifts |a - b| / max(|a|, 1) of i_q, avg_ps_qfi,
+    kappa and each outcome's i_sigma in label order, 0.0 for an outcome
+    dead in both gauges.
+    """
+    theta, dtheta = 5 * x + x**2, 5 + 2 * x
+    moved_channel, moved_derivatives = gauge_shift(channel, derivatives, theta, dtheta)
+    base = complete_report(channel, derivatives, psi)
+    moved = complete_report(moved_channel, moved_derivatives, psi)
+    base_rows, moved_rows = ({label: i for label, _, i, _ in amplification(report).rows}
+                             for report in (base, moved))
+    pairs = [(base.i_q, moved.i_q), (base.avg_ps_qfi, moved.avg_ps_qfi),
+             (base.kappa or 0.0, moved.kappa or 0.0)]
+    pairs += [(base_rows.get(label, 0.0), moved_rows.get(label, 0.0))
+              for label in channel.labels]
+    return [abs(a - b) / max(abs(a), 1.0) for a, b in pairs]

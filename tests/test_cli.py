@@ -849,6 +849,7 @@ from qfikit.cli import main
 for argv in (["run", sys.argv[1], "--output", "dephasing.json"],
              ["run", sys.argv[2], "--output", "fig1b.csv"],
              ["verify", "--suite", "chain"],
+             ["verify", "--suite", "gauge"],
              ["verify", "--suite", "completeness"]):
     assert main(argv) == 0, argv
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")

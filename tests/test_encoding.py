@@ -11,14 +11,13 @@ from scipy.linalg import expm
 from conftest import (
     PAULI,
     PLUS_X,
-    gauge_shift,
     haar_channel,
     haar_unitary,
     lossless_slice_family,
     random_ket,
     unitary_slice_family,
 )
-from oracles import dilated_pure_qfi, dilated_state
+from oracles import dilated_pure_qfi, dilated_state, gauge_shift, nonempty_subsets
 from qfikit.encoding import (
     KAPPA_DENOM_FLOOR,
     EfgReport,
@@ -30,7 +29,9 @@ from qfikit.encoding import (
     check_lossless_perp,
     complete_report,
     efg,
+    _report,
     fix_perpendicular_gauge,
+    grid_statistics,
     loss_kappa,
     probe_columns,
     retained_average,
@@ -42,9 +43,10 @@ from qfikit.quantum_core import (
     Ket,
     MeasurementChannel,
     Operator,
+    SliceError,
     mixed_state,
 )
-from qfikit.verify import _nonempty_subsets, _seeded_instance
+from qfikit.verify import _seeded_instance
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
 
@@ -279,7 +281,7 @@ class TestRetainedAverage:
         channel, derivatives = family(x)
         report = efg(channel, derivatives, psi)
         assert retained_average(report.per_outcome, channel.retained) == report.avg_ps_qfi
-        for subset in _nonempty_subsets(channel.labels):
+        for subset in nonempty_subsets(channel.labels):
             kept = efg(replace(channel, retained=subset), derivatives, psi)
             assert retained_average(report.per_outcome, subset) == kept.avg_ps_qfi
 
@@ -294,19 +296,21 @@ class TestRetainedAverage:
         assert retained_average(rows, {"a", "b"}) == retained_average(rows, {"b"})
 
     def test_chain_suite_looks_families_up_per_call(self, monkeypatch):
-        # a wrapper bound to verify.random_family reaches the suites
+        # a wrapper bound to verify.seeded_families reaches the suite: one
+        # call per shape group, which together cover the 100 instances
         import qfikit.verify
 
-        original = qfikit.verify.random_family
+        original = qfikit.verify.seeded_families
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(dim, n_outcomes, seeds):
+            calls.append(list(seeds))
+            return original(dim, n_outcomes, seeds)
 
-        monkeypatch.setattr(qfikit.verify, "random_family", counted)
+        monkeypatch.setattr(qfikit.verify, "seeded_families", counted)
         ok, _ = qfikit.verify._suite_chain()
-        assert ok and len(calls) == 100
+        assert ok and len(calls) == 12
+        assert sorted(sum(calls, [])) == list(range(100))
 
 
 class TestOneContraction:
@@ -738,7 +742,7 @@ class TestAmplificationGrid:
     def test_total_qfi_rounds_the_square_as_python(self):
         # a Python float's c ** 2 is libm's pow, which can differ from c * c
         # in the last bit; at this point the difference reaches avg_total
-        point = (*unitary_slice_family(2, 2, seed=5192)(0.3), PLUS_X)
+        point = (*unitary_slice_family(2, 2, seed=353)(0.3), PLUS_X)
         f_re = efg(*point).f_total.real
         assert f_re**2 != f_re * f_re
         self.assert_matches([point])
@@ -759,6 +763,72 @@ class TestAmplificationGrid:
         with pytest.raises(ValueError) as err:
             amplification_grid(*grid_of(points))
         assert str(err.value) == want
+
+
+def tampered_grid(rows, residual, retained) -> ProbeColumns:
+    """Three two-outcome points whose e/f/g rows are set by hand: the
+    middle one to ``rows``, the others to a consistent pair."""
+    fine = ([0.5, 0.5], [0.2, -0.2], [0.5, 0.5])
+    cols = ProbeColumns(m=np.zeros((3, 2, 1)), dm=np.zeros((3, 2, 1)),
+                        retained_mask=np.array(retained),
+                        completeness_residual=np.array([0.0, residual, 0.0]))
+    for name, good, bad in zip("efg", fine, rows):
+        object.__setattr__(cols, name, np.array([good, bad, good], dtype=complex if name == "f"
+                                                 else float))
+    return cols
+
+
+def report_route(labels, cols: ProbeColumns, amplified: bool):
+    """The first error of ``total_qfi`` of each point's report and, when
+    ``amplified``, of ``complete_report``'s kappa and ``amplification``,
+    or None."""
+    retained = frozenset(label for label, keep in zip(labels, cols.retained_mask) if keep)
+    try:
+        for n in range(len(cols.e)):
+            point = ProbeColumns(m=cols.m[n], dm=cols.dm[n], retained_mask=cols.retained_mask,
+                                 completeness_residual=float(cols.completeness_residual[n]))
+            for name in "efg":
+                object.__setattr__(point, name, getattr(cols, name)[n])
+            report = _report(labels, retained, point, "as_given")
+            i_q = total_qfi(report)
+            if amplified:
+                if i_q > KAPPA_DENOM_FLOOR:
+                    loss_kappa(report)
+                amplification(report)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestGridStatistics:
+    """Every check of the per-point route refuses in the grid, in the
+    route's order and with its message, naming the faulty point."""
+
+    @pytest.mark.parametrize("amplified", [False, True])
+    @pytest.mark.parametrize("rows, residual, retained", [
+        (([1.5, 0.5], [0.2, -0.2], [0.5, 0.5]), 0.0, [True, True]),
+        (([0.5, 0.5], [0.0, 0.0], [-0.5, 0.5]), 0.0, [False, True]),
+        (([0.5, 0.5], [0.2, -0.2], [0.0, 0.5]), 0.0, [True, True]),
+        (([0.5, 0.5], [0.2 + 1e-6j, -0.2], [0.5, 0.5]), 0.0, [True, True]),
+        (([0.5, 0.5], [0.2, -0.2], [0.5, 0.5]), 1e-6, [True, True]),
+        (([0.6, 0.6], [0.3, 0.3], [0.15, 0.15]), 0.0, [True, True]),
+        (([0.6, 0.6], [0.3, 0.3], [0.5, 0.5]), 0.0, [True, True]),
+        (([0.5, 0.5], [0.0, 0.0], [0.0, 0.0]), 0.0, [True, True]),
+        (([0.5, 0.5], [0.2, -0.1], [0.5, 0.0]), 0.0, [True, False]),
+    ], ids=["weight", "derivative_weight", "retained_share", "imaginary_current",
+            "approximate", "negative_qfi", "kappa", "zero_information", "discarded_share"])
+    def test_faulty_point_raises_the_per_point_error(self, rows, residual, retained,
+                                                     amplified):
+        labels = ("0", "1")
+        cols = tampered_grid(rows, residual, retained)
+        want = report_route(labels, cols, amplified)
+        if want is None:
+            assert not amplified
+            grid_statistics(labels, cols, amplified)
+            return
+        with pytest.raises(SliceError) as err:
+            grid_statistics(labels, cols, amplified)
+        assert (str(err.value), err.value.index[0]) == (want, 1)
 
 
 class TestGaugeInvariance:

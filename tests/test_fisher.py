@@ -21,11 +21,11 @@ from oracles import (
     dilated_outcome_share,
     dilated_pure_qfi,
     fidelity_pure_qfi,
+    mixed_state_derivative,
     refined_convexity_check,
 )
 from qfikit.fisher import (
     classical_fi,
-    mixed_state_derivative,
     pure_qfi,
     sigma_se_qfi,
     sld,
