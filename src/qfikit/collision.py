@@ -17,31 +17,24 @@ accurate production scheme (second order, norm-nonincreasing).
 The x-derivative travels inside the product: every step multiplies the
 block [[S, dS], [0, S]] into the column [[dK], [K]], the block-triangular
 form whose exponential yields the Frechet derivative of expm (Van Loan
-1978, "Computing integrals involving the matrix exponential"). Models
-given as constant data are sampled once per grid and repeat one step
-block, so a whole propagation costs one exponential, about 2*sqrt(N)
-single steps, and then strides of that many steps at once: O(sqrt(N))
-numpy calls in all. A model given as functions of time exponentiates
-its N step blocks in one batched ``quantum_core.expm`` call. That routine
-forms exp(A) - I before adding I, so each near-identity step keeps the
-digits of A that 2N repeated products would otherwise accumulate as
-drift.
+1978, "Computing integrals involving the matrix exponential"). A model
+given as functions of time exponentiates its N step blocks in one batched
+``quantum_core.expm`` call and multiplies them one by one. A model given
+as constant data repeats one block B, so its propagation is filled by
+doubling in the I + F form, B^m = I + F_m and F_2m = 2 F_m + F_m F_m,
+the scaling-and-squaring idea of ``quantum_core.expm``: O(log N) numpy
+calls, and the completeness Gramian of a constant model is a doubled
+Stein sum over the same F_m (Smith 1968), with no array of N matrices.
 
 Runs propagate the probe, not the propagator (the action of operators on
 a vector rather than the operators; Al-Mohy & Higham 2011). Every
 statistic and verdict is an expectation in the probe, so ``run``,
 ``efg_integrals``, ``check_theorem2`` and ``nh_loss`` carry each
-propagation on psi: the lead steps run on matrix columns as in
-``propagate``, their products meet psi, and every later chunk of edge
-and midpoint rows of a (2N+1, 2d) probe store takes one matrix product
-with the stride block. The channel's branches M_w psi and dM_w psi,
-(M, d) arrays in its row order, are read off that store; the 2N+1 Kraus
-matrices of ``build_discrete_channel`` are never built. The completeness
-residual keeps its matrix meaning: past the lead every prefix is a power
-of the stride block times a lead product, so its sum regroups into
-O(sqrt(N)) section Gramians. ``propagate`` is the matrix route of the
-explicit channel and of the completeness checks that ``verify``'s
-completeness suite runs.
+propagation on psi, as the edge and midpoint rows of a (2N+1, 2d) probe
+store. The channel's branches M_w psi and dM_w psi, (M, d) arrays in its
+row order, are read off that store; the 2N+1 Kraus matrices of
+``build_discrete_channel`` (the matrix route, ``propagate``) are never
+built.
 
 ``run`` is the recipe of ``qfi run``: the jump-free baseline, then one
 probe propagation reduced once, which every result reads.
@@ -216,8 +209,8 @@ class NhTrajectory:
     """Time-ordered no-jump products and their parameter derivatives.
 
     The matrix route: ``propagate`` returns it for the explicit channel
-    and the completeness checks, and the probe propagation of ``run`` is
-    tested against it; ``run`` forms none.
+    and the completeness checks of a callable spec, and the probe
+    propagation of ``run`` is tested against it; ``run`` forms none.
 
     ``products[n]`` is the cumulative factor after n steps (index 0 is the
     identity), so ``products[n] @ psi`` is the unnormalized conditional
@@ -227,14 +220,11 @@ class NhTrajectory:
     indexing and are None when propagation skipped them. ``h_mid`` stacks
     the midpoint H_nh samples behind the factors, one for a constant spec.
 
-    Storage is dense, N+1 matrices of size dim x dim per array; at the
-    N <= 2**14 scales this package targets that is a few tens of MB. With
-    derivatives, ``products`` and ``dproducts`` (and the two midpoint
-    arrays) are strided views of one (N+1, 2*dim, dim) column store
-    [[dK], [K]], written in place by ``propagate``. For a constant spec
-    the entries past the first ~2*sqrt(N) steps are filled by stride
-    products, not step by step, and differ from a literal step product
-    by rounding only (about 1e-14 relative).
+    All four arrays are strided views of one dense (2N+1, 2*dim, dim)
+    column store [[dK], [K]] (K alone without derivatives), a few tens of
+    MB at N <= 2**14. A constant spec's entries are filled by doubling and
+    differ from a literal step product by rounding only (about 1e-14
+    relative).
 
     Under ``expm_step`` each factor is a contraction whenever the rates
     are nonnegative, so conditional-state norms never increase. The
@@ -256,6 +246,12 @@ class NhTrajectory:
         return self.products.shape[-1]
 
 
+def _constant(spec: CollisionSpec) -> bool:
+    """No generator or rate of the spec depends on t."""
+    return (isinstance(spec.h0, _Linear) and isinstance(spec.h1, _Constant)
+            and all(isinstance(rate, _Constant) for _, rate in spec.jumps))
+
+
 def _sample_times(spec: CollisionSpec, times: np.ndarray) -> np.ndarray:
     """The times a spec must be sampled at to cover ``times``.
 
@@ -263,9 +259,7 @@ def _sample_times(spec: CollisionSpec, times: np.ndarray) -> np.ndarray:
     on t, so every stack built from it has a time axis of length 1 that
     broadcasts against the grid.
     """
-    constant = (isinstance(spec.h0, _Linear) and isinstance(spec.h1, _Constant)
-                and all(isinstance(rate, _Constant) for _, rate in spec.jumps))
-    return times[:1] if constant else times
+    return times[:1] if _constant(spec) else times
 
 
 def _rate_samples(spec: CollisionSpec, times: np.ndarray) -> np.ndarray:
@@ -374,51 +368,87 @@ def _step_factors(spec, grid, x, derivative):
     return np.broadcast_to(half, (n_steps, width, width)), None, h_mid
 
 
-def _lead_steps(spec, grid, x, derivative, whole):
-    """The steps that ``propagate`` takes one by one, and its stride block.
+def _step_loop(store, half, full):
+    """Fill ``_propagated``'s store from entry 0, one block product per half
+    step, as a callable spec's changing blocks need."""
+    edges, mids = store[0::2], store[1::2]
+    for n, step in enumerate(half):
+        np.matmul(step, edges[n], out=mids[n])
+        if full is None:
+            np.matmul(step, mids[n], out=edges[n + 1])
+        else:
+            np.matmul(full[n], edges[n], out=edges[n + 1])
 
-    Returns (cols, mid_cols, lead, stride, h_mid). The column stores hold
-    room for the whole grid when ``whole`` is set, for the lead steps
-    alone otherwise, and their first lead + 1 and lead columns are
-    written: cols[n] = [[dK_n], [K_n]] (K_n alone without derivatives)
-    at edge n and mid_cols[n] at the midpoint of step n + 1. A callable
-    spec has lead = N; a constant spec lead = min(N, 2*isqrt(N)), and
-    ``stride`` = [[K_L, dK_L], [0, K_L]] (K_L alone) advances any column
-    by lead steps. ``h_mid`` stacks the midpoint H_nh samples.
+
+def _advance(dst, f, src):
+    """dst = src + f src, the product written into ``dst`` first: from the
+    left on column stores (n, width, d), from the right on probe rows."""
+    if src.ndim == 2:
+        np.matmul(src, f.T, out=dst)
+    else:
+        np.matmul(f, src, out=dst)
+    dst += src
+
+
+def _fill(store, fs):
+    """store[m + k] = store[k] + F_m store[k] for k < m, m = 1, 2, 4, ...,
+    so entry n becomes step^n store[0] in len(fs) products."""
+    for k, f in enumerate(fs):
+        m = 1 << k
+        src = store[:min(m, len(store) - m)]
+        _advance(store[m:m + len(src)], f, src)
+
+
+def _powers(half, full, n_steps):
+    """(fs, lead) of a constant spec: A^(2^k) = I + fs[k] for the full step
+    A, lead = B - I for the half step B of expm_step (A = B B), else None.
+
+    F_2m = 2 F_m + F_m F_m: carried as I + F, a near-identity power keeps
+    the digits of F that squaring the power itself would round into I.
     """
-    d = spec.dim
-    n_steps = grid.N
-    half, full, h_mid = _step_factors(spec, grid, x, derivative)
-    width = half.shape[-1]
-    # a constant spec's blocks are one broadcast view, of stride 0
-    lead = n_steps if half.strides[0] else min(n_steps, 2 * math.isqrt(n_steps))
-    size = n_steps if whole else lead
+    step = half[0] if full is None else full[0]
+    fs = [step - np.eye(len(step))]
+    for _ in range(int(n_steps).bit_length() - (full is not None)):
+        fs.append(2.0 * fs[-1] + np.matmul(fs[-1], fs[-1]))
+    return (fs[1:], fs[0]) if full is None else (fs, None)
 
-    cols = np.empty((size + 1, width, d), dtype=complex)
-    mid_cols = np.empty((size, width, d), dtype=complex)
-    cols[0] = 0.0
-    cols[0, width - d:] = np.eye(d)
+
+def _require_finite(grid, array):
+    if not np.isfinite(array).all():
+        raise IntegratorFailure(
+            f"propagation produced non-finite entries at N={grid.N}, "
+            f"scheme {grid.scheme}; reduce dt or rescale the generator"
+        )
+
+
+def _propagated(spec, grid, x, first):
+    """(store, steps, h_mid) of one propagation from store[0] = ``first``,
+    the column [[0], [I]] (I alone without derivatives) or, for a constant
+    spec, the probe row [[0], [psi]].
+
+    Entry 2n holds edge n, entry 2n + 1 the midpoint of step n + 1. A
+    callable spec takes ``_step_loop`` (steps None), a constant one
+    ``_fill`` with its ``_powers`` (``steps``): the half-step powers under
+    expm_step; under euler_paper full-step powers at the edges, each
+    advanced half a step to its midpoint.
+    """
+    half, full, h_mid = _step_factors(spec, grid, x, len(first) > spec.dim)
+    store = np.empty((2 * grid.N + 1,) + first.shape, dtype=complex)
+    store[0] = first
+    steps = None
     # overflow here is reported as IntegratorFailure, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if full is None:
-            for step, k, k_mid, k_next in zip(half[:lead], cols, mid_cols, cols[1:]):
-                np.matmul(step, k, out=k_mid)
-                np.matmul(step, k_mid, out=k_next)
+        if not _constant(spec):
+            _step_loop(store, half, full)
+        elif full is None:
+            fs, lead = steps = _powers(half, full, grid.N)
+            _fill(store, [lead] + fs)
         else:
-            for step, step_full, k, k_mid, k_next in zip(
-                    half[:lead], full, cols, mid_cols, cols[1:]):
-                np.matmul(step, k, out=k_mid)
-                np.matmul(step_full, k, out=k_next)
-    end = cols[lead:lead + 1]
-    stride = _step_block(end[:, width - d:], end[:, :d] if derivative else None)[0]
-    return cols, mid_cols, lead, stride, h_mid
-
-
-def _non_finite(grid):
-    return IntegratorFailure(
-        f"propagation produced non-finite entries at N={grid.N}, "
-        f"scheme {grid.scheme}; reduce dt or rescale the generator"
-    )
+            fs, _ = steps = _powers(half, full, grid.N)
+            _fill(store[0::2], fs)
+            _advance(store[1::2], half[0] - np.eye(len(first)), store[0:-1:2])
+    _require_finite(grid, store[-1])
+    return store, steps, h_mid
 
 
 def propagate(spec: CollisionSpec, grid: TimeGrid, x: float,
@@ -426,135 +456,94 @@ def propagate(spec: CollisionSpec, grid: TimeGrid, x: float,
     """Accumulate the no-jump factors over the grid, in time order.
 
     Each cumulative product K is held as the column [[dK], [K]] (K alone
-    without derivatives) and advanced by one matrix product with the step
-    block [[S, dS], [0, S]] per half-step, so the x-derivative follows
-    the product rule exactly, which stays accurate at x values where
-    differencing full propagators would cancel. The products and their
-    derivatives are views of the same column storage, written in place.
+    without derivatives) and advanced by the step block [[S, dS], [0, S]],
+    so the x-derivative follows the product rule exactly, which stays
+    accurate at x values where differencing full propagators would
+    cancel. The products and their derivatives are views of one column
+    store, written in place.
 
     A callable spec is stepped through the whole grid. A constant spec
-    repeats one block, so only its first L = min(N, 2*isqrt(N)) steps
-    are taken one by one; the product P of those steps, read off the
-    store, then fills every later chunk of L columns (and midpoint
-    columns) in one batched product each, cols[n + L] = P cols[n].
+    repeats one block, so its store is filled by doubling (``_fill``), at
+    most 2*log2(2N + 1) products in all.
     """
     d = spec.dim
-    n_steps = grid.N
-    cols, mid_cols, lead, stride, h_mid = _lead_steps(spec, grid, x, derivative, True)
-    width = cols.shape[1]
-    # the same P advances the midpoint columns: under euler_paper the half
-    # and full blocks are both polynomials in one [[A, E], [0, A]], so they
-    # commute with P
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(lead, n_steps, lead):
-            m = min(lead, n_steps - n)
-            back = n - lead
-            np.matmul(stride, cols[back + 1:back + 1 + m], out=cols[n + 1:n + 1 + m])
-            np.matmul(stride, mid_cols[back:back + m], out=mid_cols[n:n + m])
-
-    if not np.isfinite(cols[-1]).all():
-        raise _non_finite(grid)
+    width = 2 * d if derivative else d
+    store, _, h_mid = _propagated(spec, grid, x, np.eye(width, d, d - width))
     return NhTrajectory(
         grid=grid,
         x=x,
-        products=cols[:, width - d:],
-        mid_products=mid_cols[:, width - d:],
+        products=store[0::2, width - d:],
+        mid_products=store[1::2, width - d:],
         h_mid=h_mid,
-        dproducts=cols[:, :d] if derivative else None,
-        dmid_products=mid_cols[:, :d] if derivative else None,
+        dproducts=store[0::2, :d] if derivative else None,
+        dmid_products=store[1::2, :d] if derivative else None,
     )
 
 
 class _Probe(NamedTuple):
     """A derivative propagation carried on the probe psi.
 
-    ``store`` is the (2N + 1, 2d) probe store: row 2n holds
-    [[dK_n psi], [K_n psi]] at edge t_n, row 2n + 1 the same at the
-    midpoint of step n + 1. The completeness residual reads the rest:
-    ``prefixes`` are the lead products K_i (i < L) that jumps split from,
-    at midpoints under expm_step and at edges under euler_paper,
-    ``power`` is K_L, ``end`` is K_T and ``h_mid`` the midpoint H_nh
-    samples.
+    ``store`` is the (2N + 1, 2d) probe store of ``_propagated``, rows
+    [[dK psi], [K psi]] (None where no reader needs it); ``h_mid`` the
+    midpoint H_nh samples. The rest feeds ``_residual``: a callable spec's
+    K_T (``end``) and the N ``prefixes`` its jumps split from, or a
+    constant spec's ``_powers`` (``steps``).
     """
 
-    store: np.ndarray
-    prefixes: np.ndarray
-    power: np.ndarray
-    end: np.ndarray
+    store: Optional[np.ndarray]
     h_mid: np.ndarray
+    end: Optional[np.ndarray] = None
+    prefixes: Optional[np.ndarray] = None
+    steps: Optional[tuple] = None
 
 
 def _probe_propagation(spec, grid, x, amps) -> _Probe:
     """``propagate`` with derivatives, applied to the probe as it goes.
 
-    The lead steps are ``propagate``'s own, and their products meet psi
-    as ``products @ psi`` would, so a callable spec (lead = N, no stride
-    section) gets the matrix route's states bit for bit. Every later
-    chunk of L edge and midpoint rows takes one product with the stride
-    block, rows n + L = rows n @ P^T, so no array of N matrices is formed
-    for a constant spec.
+    A callable spec's columns meet psi after ``propagate``'s own step
+    loop, so it gets the matrix route's states bit for bit. A constant
+    spec doubles the probe rows themselves: no array of N matrices.
     """
     d = spec.dim
-    n_steps = grid.N
-    cols, mid_cols, lead, stride, h_mid = _lead_steps(spec, grid, x, True, False)
-    store = np.empty((2 * n_steps + 1, 2 * d), dtype=complex)
-    edges, mids = store[0:2 * lead + 1:2], store[1:2 * lead:2]
-    edges[:, :d], edges[:, d:] = cols[:, :d] @ amps, cols[:, d:] @ amps
-    mids[:, :d] = np.einsum("nij,j->ni", mid_cols[:, :d], amps)
-    mids[:, d:] = np.einsum("nij,j->ni", mid_cols[:, d:], amps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # midpoint rows back..back + m - 1 and edge rows back + 1..back + m
-        # are one contiguous block of the interleaved store
-        for n in range(lead, n_steps, lead):
-            m = min(lead, n_steps - n)
-            back = n - lead
-            np.matmul(store[2 * back + 1:2 * (back + m) + 1], stride.T,
-                      out=store[2 * n + 1:2 * (n + m) + 1])
-        # K_T = P^q K_i with N = i + q L, 1 <= i <= L
-        power = stride[:d, :d]
-        q = (n_steps - 1) // lead
-        end = cols[n_steps - q * lead, d:]
-        if q:
-            end = np.linalg.matrix_power(power, q) @ end
-    if not (np.isfinite(store[-1]).all() and np.isfinite(end).all()):
-        raise _non_finite(grid)
-    prefixes = (cols if grid.scheme == "euler_paper" else mid_cols)[:lead, d:]
-    return _Probe(store, prefixes, power, end, h_mid)
+    if _constant(spec):
+        store, steps, h_mid = _propagated(spec, grid, x, np.concatenate([np.zeros(d), amps]))
+        return _Probe(store, h_mid, steps=steps)
+    cols, _, h_mid = _propagated(spec, grid, x, np.eye(2 * d, d, -d))
+    prefixes = cols[0:-1:2] if grid.scheme == "euler_paper" else cols[1::2]
+    return _Probe(cols @ amps, h_mid, cols[-1, d:], prefixes[:, d:])
 
 
-def _jump_sampling(spec, grid, traj):
-    """Rates and prefix products from which jump branches split.
+def _jumped(spec, split, out=None) -> np.ndarray:
+    """L_j split[n] for every jump j, stacked as (n_jumps,) + split.shape
+    (into ``out`` when given): one matrix product per jump, on (N, d)
+    probe rows or (N, d, d) matrices."""
+    if out is None:
+        out = np.empty((len(spec.jumps),) + split.shape, dtype=complex)
+    for j, (op, _) in enumerate(spec.jumps):
+        if split.ndim == 2:
+            np.matmul(split, op.entries.T, out=out[j])
+        else:
+            np.matmul(op.entries, split, out=out[j])
+    return out
 
-    euler_paper follows the first-order construction: a jump during step
-    n carries the right-edge rate and the prefix of n-1 whole steps.
-    expm_step samples both at step midpoints, which makes the channel's
-    operator sums coincide with the midpoint quadrature of the continuum
-    integrals.
-    """
-    if grid.scheme == "euler_paper":
-        dprefixes = None if traj.dproducts is None else traj.dproducts[:-1]
-        return _rate_samples(spec, grid.right_edges()), traj.products[:-1], dprefixes
-    return _rate_samples(spec, grid.midpoints()), traj.mid_products, traj.dmid_products
 
-
-def _first_jump_rows(spec, grid, rates, end, split):
+def _first_jump_rows(spec, grid, rates, end, split=None, jumped=None):
     """Rows of the first-jump channel, as a read-only array.
 
     Row 0 is ``end``, the no-jump outcome ``check``; row 1 + j*N + n is
     sqrt(rates[j, n] dt) L_j split[n], the first jump of operator j during
-    step n + 1. Rows are (d, d) matrices or, for an (N, d) ``split``,
-    probe states (d,), one matrix product per jump.
+    step n + 1, taken from ``jumped`` (``_jumped`` of split) when given.
+    Rows are (d, d) matrices or probe states (d,).
     """
-    n_steps = grid.N
-    out = np.empty((1 + len(spec.jumps) * n_steps,) + end.shape, dtype=complex)
+    out = np.empty((1 + len(spec.jumps) * grid.N,) + end.shape, dtype=complex)
     out[0] = end
-    for j, (op, _) in enumerate(spec.jumps):
-        rows = out[1 + j * n_steps:1 + (j + 1) * n_steps]
-        if split.ndim == 2:
-            np.matmul(split, op.entries.T, out=rows)
-        else:
-            np.matmul(op.entries[None], split, out=rows)
-        rows *= np.sqrt(rates[j] * grid.dt).reshape((-1,) + (1,) * (rows.ndim - 1))
+    rows = out[1:].reshape((len(spec.jumps), grid.N) + end.shape)
+    scale = np.sqrt(rates * grid.dt).reshape(rates.shape + (1,) * end.ndim)
+    if jumped is None:
+        _jumped(spec, split, rows)
+        rows *= scale
+    else:
+        np.multiply(jumped, scale, out=rows)
     out.flags.writeable = False
     return out
 
@@ -569,33 +558,28 @@ def _assemble_channel(spec, psi, grid, x, traj, derivative):
     """
     if psi.dim != spec.dim:
         raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
-    traj = _given_or_propagated(spec, grid, x, traj, derivative)
-    rates, prefixes, dprefixes = _jump_sampling(spec, grid, traj)
-    labels = ("check",) + tuple(
-        f"jump{j}@{n + 1}" for j in range(len(spec.jumps)) for n in range(grid.N)
-    )
-    end, split = ((traj.dproducts[-1], dprefixes) if derivative
-                  else (traj.products[-1], prefixes))
-    return labels, _first_jump_rows(spec, grid, rates, end, split), traj, rates
-
-
-def _given_or_propagated(spec, grid, x, traj, derivative):
-    """``traj`` when it fits this grid and x, else a fresh propagation.
-
-    A given trajectory must come from ``propagate(spec, grid, x)`` with
-    derivatives whenever they are needed; only the grid, x and dimension
-    can be checked here.
-    """
     if traj is None:
-        return propagate(spec, grid, x, derivative=derivative)
-    if traj.grid != grid or traj.x != x or traj.dim != spec.dim:
+        traj = propagate(spec, grid, x, derivative=derivative)
+    elif traj.grid != grid or traj.x != x or traj.dim != spec.dim:
         raise ValueError(
             "trajectory was propagated on another grid, at another x or "
             "for another dimension"
         )
-    if derivative and traj.dproducts is None:
+    elif derivative and traj.dproducts is None:
         raise ValueError("trajectory was propagated without derivatives")
-    return traj
+    labels = ("check",) + tuple(
+        f"jump{j}@{n + 1}" for j in range(len(spec.jumps)) for n in range(grid.N)
+    )
+    # a jump during step n splits at its right edge's rate and the prefix of
+    # n - 1 steps (euler_paper), or at its midpoint (the midpoint quadrature)
+    products, mids = ((traj.dproducts, traj.dmid_products) if derivative
+                      else (traj.products, traj.mid_products))
+    if grid.scheme == "euler_paper":
+        rates, split = _rate_samples(spec, grid.right_edges()), products[:-1]
+    else:
+        rates, split = _rate_samples(spec, grid.midpoints()), mids
+    end = products[-1]
+    return labels, _first_jump_rows(spec, grid, rates, end, split), traj, rates
 
 
 _Reduction = namedtuple("_Reduction", "source psi_end dpsi_end e_check f_check mids")
@@ -613,17 +597,20 @@ def _probe_reduction(spec, grid, x, psi) -> _Reduction:
 def _reduced(spec, grid, probe: _Probe) -> _Reduction:
     """What every reader takes from a probe propagation.
 
-    ``source`` is the probe itself. The reduction holds K psi and dK psi
-    at the end time, the no-jump weight e_check = ||K psi||^2, the overlap
-    current f_check = i <dK psi, K psi> and ``mids``: None without jumps,
-    else (rates, K psi, dK psi) at the grid midpoints.
+    ``source`` is the probe, without its store under expm_step, where no
+    reader needs more of it. The reduction holds K psi and dK psi at the
+    end time, the no-jump weight e_check = ||K psi||^2, the overlap current
+    f_check = i <dK psi, K psi> and ``mids``: the midpoint rates and the
+    rows L_j K psi and L_j dK psi (``_jumped``), formed once for all.
     """
     d = spec.dim
-    psi_end, dpsi_end = probe.store[-1, d:], probe.store[-1, :d]
-    mids = None
-    if spec.jumps:
-        mid_rows = probe.store[1::2]
-        mids = (_rate_samples(spec, grid.midpoints()), mid_rows[:, d:], mid_rows[:, :d])
+    end = probe.store[-1].copy()
+    psi_end, dpsi_end = end[d:], end[:d]
+    mid_rows = probe.store[1::2]
+    mids = (_rate_samples(spec, grid.midpoints()),
+            _jumped(spec, mid_rows[:, d:]), _jumped(spec, mid_rows[:, :d]))
+    if grid.scheme == "expm_step":
+        probe = probe._replace(store=None)
     return _Reduction(probe, psi_end, dpsi_end, float(np.vdot(psi_end, psi_end).real),
                       1j * np.vdot(dpsi_end, psi_end), mids)
 
@@ -712,72 +699,92 @@ def _gramian(spec, grid, end, prefixes, rates) -> np.ndarray:
     return acc
 
 
-def _completeness_residual(spec, grid, end, prefixes, rates) -> float:
-    """|| K_T^+ K_T + sum_n K_n^+ (sum_j w_jn L_j^+ L_j) K_n - 1 || (spectral norm)
-    over all N prefixes, as ``_gramian`` sums them."""
-    return spectral_norm(_gramian(spec, grid, end, prefixes, rates) - np.eye(spec.dim))
+def _congruence(s, f):
+    """(I + f)^+ s (I + f), taken as y = s + s f, then y + f^+ y."""
+    y = s + s @ f
+    return y + f.conj().T @ y
 
 
-def _section_residual(spec, grid, probe, rates) -> float:
-    """``_completeness_residual`` from the lead matrices of a probe run alone.
+def _doubled_gramian(spec, grid, fs, lead, rates) -> np.ndarray:
+    """``_gramian`` of a constant spec from its ``_powers``: O(log N)
+    d x d products.
 
-    Past the lead, prefix i + c*L is P^c K_i with P = K_L, and a constant
-    spec weighs every prefix with one D = sum_j rate_j dt L_j^+ L_j. So
-    the prefixes of section i (i < L) sum to K_i^+ (D + H_c(i)) K_i,
-    where c(i) = (N - 1 - i) // L counts the section's strides and
-    H_0 = 0, H_c = P^+ (D + H_(c-1)) P. A callable spec has L = N: every
-    section is one prefix and the sum is ``_gramian``'s over the whole
-    grid. O(sqrt(N)) d x d products for a constant spec.
+    The jumps split from B A^n (n < N), B = I + lead (I for None), all
+    weighted by D = sum_j rate_j dt L_j^+ L_j. K_T = A^N takes one factor
+    per set bit of N, lowest first, as ``_fill`` forms it, and the Stein
+    sum S_N = sum_(n<N) (A^n)^+ D A^n doubles as
+    S_(c+m) = S_m + (A^m)^+ S_c A^m (Smith 1968, SIAM J. Appl. Math. 16).
     """
     d = spec.dim
-    lead = len(probe.prefixes)
-    acc = _gramian(spec, grid, probe.end, probe.prefixes, rates[:, :lead])
-    counts = (grid.N - 1 - np.arange(lead)) // lead
-    if spec.jumps and counts[0]:
-        damp = sum(rates[j, 0] * grid.dt * (op.entries.conj().T @ op.entries)
-                   for j, (op, _) in enumerate(spec.jumps))
-        power = probe.power
-        tails = np.zeros((counts[0] + 1, d, d), dtype=complex)
-        for c in range(1, len(tails)):
-            tails[c] = power.conj().T @ (damp + tails[c - 1]) @ power
-        prefixes = probe.prefixes
-        acc = acc + (prefixes.conj().transpose(0, 2, 1) @ tails[counts] @ prefixes).sum(axis=0)
-    return spectral_norm(acc - np.eye(d))
+    end, acc = np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex)
+    s = sum((rates[j, 0] * grid.dt * (op.entries.conj().T @ op.entries)
+             for j, (op, _) in enumerate(spec.jumps)), acc)
+    for k, f in enumerate(fs):
+        f = f[-d:, -d:]
+        if grid.N >> k & 1:
+            end = end + f @ end
+            acc = s + _congruence(acc, f)
+        s = s + _congruence(s, f)
+    if lead is not None:
+        acc = _congruence(acc, lead[-d:, -d:])
+    return end.conj().T @ end + acc
 
 
-def trajectory_residual(spec: CollisionSpec, grid: TimeGrid, x: float, *,
-                        traj: Optional[NhTrajectory] = None) -> float:
+def _residual(spec, grid, probe: _Probe, rates) -> float:
+    """|| sum_w M_w^+ M_w - 1 || (spectral norm) of the discrete channel,
+    uncapped: ``_gramian`` over a callable spec's prefixes, or
+    ``_doubled_gramian`` of a constant spec's steps."""
+    if probe.steps is None:
+        gram = _gramian(spec, grid, probe.end, probe.prefixes, rates)
+    else:
+        gram = _doubled_gramian(spec, grid, *probe.steps, rates)
+    _require_finite(grid, gram)
+    return spectral_norm(gram - np.eye(spec.dim))
+
+
+def _split_residual(spec, grid, x, midpoints) -> tuple:
+    """(residual, h_mid, rates) of ``_residual`` with the jumps split at
+    step midpoints, or at edges with right-edge rates; a constant spec
+    propagates no matrices."""
+    rates = _rate_samples(spec, grid.midpoints() if midpoints else grid.right_edges())
+    if _constant(spec):
+        half, full, h_mid = _step_factors(spec, grid, x, False)
+        fs, lead = _powers(half, full, grid.N)
+        if midpoints and full is not None:
+            lead = half[0] - np.eye(spec.dim)
+        probe = _Probe(None, h_mid, steps=(fs, lead))
+    else:
+        traj = propagate(spec, grid, x, derivative=False)
+        prefixes = traj.mid_products if midpoints else traj.products[:-1]
+        probe = _Probe(None, traj.h_mid, traj.products[-1], prefixes)
+    return _residual(spec, grid, probe, rates), probe.h_mid, rates
+
+
+def trajectory_residual(spec: CollisionSpec, grid: TimeGrid, x: float) -> float:
     """Completeness residual of the discrete channel, without building it.
 
-    Its sum_w M_w^+ M_w is K_T^+ K_T + sum_n K_n^+ (sum_j w_jn L_j^+ L_j) K_n,
-    taken with one matrix product per jump; the result matches the
-    explicit channel's ``completeness_residual`` to rounding (2e-15 at
-    N = 16384). A residual beyond ten times the predicted cap raises
-    IntegratorFailure. ``traj``, a trajectory of this spec on this grid
-    at this x, is used instead of propagating again.
+    Its sum_w M_w^+ M_w is K_T^+ K_T + sum_n K_n^+ (sum_j w_jn L_j^+ L_j) K_n
+    (``_residual``, as ``run``'s columns take it). A residual beyond ten
+    times the predicted cap raises IntegratorFailure.
     """
-    traj = _given_or_propagated(spec, grid, x, traj, derivative=False)
-    rates, prefixes, _ = _jump_sampling(spec, grid, traj)
-    residual = _completeness_residual(spec, grid, traj.products[-1], prefixes, rates)
-    return _held_to_cap(spec, grid, traj.h_mid, rates, residual)
+    residual, h_mid, rates = _split_residual(spec, grid, x, grid.scheme == "expm_step")
+    return _held_to_cap(spec, grid, h_mid, rates, residual)
 
 
 def _columns(spec, grid, red) -> ProbeColumns:
     """The discrete channel's rows M_w psi and dM_w psi, in the order of
-    ``build_discrete_channel``, and its matrix completeness residual from
-    the probe's section Gramians, capped as ``trajectory_residual`` caps it."""
+    ``build_discrete_channel``, and its ``_residual``, capped."""
     probe, d = red.source, spec.dim
     if grid.scheme == "euler_paper":
         # euler_paper's jumps split at step edges, with right-edge rates
         rates = _rate_samples(spec, grid.right_edges())
         edges = probe.store[0:-1:2]
-        split, dsplit = edges[:, d:], edges[:, :d]
+        split, dsplit, jumped, djumped = edges[:, d:], edges[:, :d], None, None
     else:
-        rates, split, dsplit = red.mids or (_rate_samples(spec, grid.midpoints()), None, None)
-    residual = _section_residual(spec, grid, probe, rates)
-    m = _first_jump_rows(spec, grid, rates, red.psi_end, split)
-    dm = _first_jump_rows(spec, grid, rates, red.dpsi_end, dsplit)
-    residual = _held_to_cap(spec, grid, probe.h_mid, rates, residual)
+        (rates, jumped, djumped), split, dsplit = red.mids, None, None
+    residual = _held_to_cap(spec, grid, probe.h_mid, rates, _residual(spec, grid, probe, rates))
+    m = _first_jump_rows(spec, grid, rates, red.psi_end, split, jumped)
+    dm = _first_jump_rows(spec, grid, rates, red.dpsi_end, dsplit, djumped)
     return ProbeColumns(m=m, dm=dm, retained_mask=np.arange(len(m)) == 0,
                         completeness_residual=residual)
 
@@ -791,9 +798,7 @@ def check_integral_completeness(spec: CollisionSpec, grid: TimeGrid,
     takes with the scheme's own jump sampling; for smooth integrands
     under expm_step the residual falls as O(dt^2).
     """
-    traj = propagate(spec, grid, x, derivative=False)
-    rates = _rate_samples(spec, grid.midpoints())
-    return _completeness_residual(spec, grid, traj.products[-1], traj.mid_products, rates)
+    return _split_residual(spec, grid, x, True)[0]
 
 
 class EfgIntegrals(NamedTuple):
@@ -827,14 +832,11 @@ def _efg(spec, grid, red) -> EfgIntegrals:
 
     g_int = 0.0
     f_int = 0.0j
-    if red.mids is not None:
-        rates, psi_mid, dpsi_mid = red.mids
-        for j, (op, _) in enumerate(spec.jumps):
-            w = rates[j] * grid.dt
-            jumped = psi_mid @ op.entries.T
-            djumped = dpsi_mid @ op.entries.T
-            g_int += float((w * (np.abs(djumped) ** 2).sum(axis=1)).sum())
-            f_int += 1j * (w * (djumped.conj() * jumped).sum(axis=1)).sum()
+    rates, jumped, djumped = red.mids
+    for j in range(len(jumped)):
+        w = rates[j] * grid.dt
+        g_int += float((w * (np.abs(djumped[j]) ** 2).sum(axis=1)).sum())
+        f_int += 1j * (w * (djumped[j].conj() * jumped[j]).sum(axis=1)).sum()
     return EfgIntegrals(
         g_total=g_check + g_int,
         f_total=complex(red.f_check + f_int),
@@ -875,10 +877,10 @@ def check_theorem2(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
     fixed once from the end-time overlap current. Both are held to
     ``tol``, and ``psi`` must be normalized.
     """
-    return _theorem2(spec, _probe_reduction(spec, grid, x, psi), tol)
+    return _theorem2(_probe_reduction(spec, grid, x, psi), tol)
 
 
-def _theorem2(spec, red, tol) -> Theorem2Verdict:
+def _theorem2(red, tol) -> Theorem2Verdict:
     psi_end, dpsi_end, e_check, f_check, mids = red[1:]
     if e_check <= P_FLOOR:
         raise ValueError(
@@ -887,14 +889,13 @@ def _theorem2(spec, red, tol) -> Theorem2Verdict:
     dtheta = -f_check.real / e_check
 
     jump_residual = 0.0
-    if mids is not None:
-        rates, psi_mid, dpsi_mid = mids
-        xi = dpsi_mid + 1j * dtheta * psi_mid
-        for j, (op, _) in enumerate(spec.jumps):
-            hit = np.linalg.norm(xi @ op.entries.T, axis=1)
-            jump_residual = max(
-                jump_residual, float((np.sqrt(rates[j]) * hit).max(initial=0.0))
-            )
+    rates, jumped, djumped = mids
+    for j in range(len(jumped)):
+        # L_j xi = L_j dK psi + i dtheta L_j K psi
+        hit = np.linalg.norm(djumped[j] + 1j * dtheta * jumped[j], axis=1)
+        jump_residual = max(
+            jump_residual, float((np.sqrt(rates[j]) * hit).max(initial=0.0))
+        )
 
     weight_slope = abs(2.0 * float(np.vdot(psi_end, dpsi_end).real))
 
@@ -987,20 +988,19 @@ def run(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
     channel from one probe propagation, reduced once.
 
     The jump-free baseline and the model are each propagated on ``psi``
-    (``_probe_propagation``): the lead steps on matrix columns, then one
-    matrix product per chunk of the (2N+1, 2d) probe store; the baseline
-    keeps only its end row. The completeness residual is the matrix
-    one, taken from the lead products by section Gramians
-    (``_section_residual``), so it caps the run and sets the columns'
-    ``kind`` as the matrix route does. The columns come first, so a
-    blown-up integration raises IntegratorFailure from its residual cap.
-    No array of N matrices is formed for a constant spec; a callable one
-    has lead = N and runs the same code with no stride section."""
+    (``_probe_propagation``: doubling for a constant spec, the step loop
+    for a callable one); the baseline keeps only its end row. The rows
+    L_j K psi and L_j dK psi are formed once, in the reduction. The
+    completeness residual is the matrix one (``_residual``, doubled for a
+    constant spec), so it caps the run and sets the columns' ``kind`` as
+    the matrix route does. The columns come first, so a blown-up
+    integration raises IntegratorFailure from its residual cap. No array
+    of N matrices is formed for a constant spec."""
     baseline = efg_integrals(spec.without_jumps(), grid, x, psi)
     red = _probe_reduction(spec, grid, x, psi)
     columns = _columns(spec, grid, red)
     loss = _loss(_efg(spec, grid, red), baseline)
-    return CollisionRun(loss, _theorem2(spec, red, tol), columns)
+    return CollisionRun(loss, _theorem2(red, tol), columns)
 
 
 def dephasing_closed_form(h0: Operator, l2: Operator, T: float,

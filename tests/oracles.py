@@ -330,21 +330,18 @@ def refined_convexity_check(channel: MeasurementChannel, derivatives: Derivative
 def matrix_reduction(spec, grid, psi: Ket, traj):
     """The reduction ``collision.run`` reads, taken from a matrix trajectory.
 
-    ``traj`` is ``propagate(spec, grid, x)``. Its edge rows are
-    products @ psi and its midpoint rows an einsum, and every one of its
-    N prefixes is a lead prefix (L = N, so ``power`` is K_N = ``end``):
-    the completeness residual is the plain sum over all of them, with no
-    stride section.
+    ``traj`` is ``propagate(spec, grid, x)``. Its edge and midpoint
+    columns [[dK], [K]] meet psi in one product each, as the probe route
+    of a callable spec applies its column store, and the completeness
+    residual is the plain sum over all N prefixes (``end`` and
+    ``prefixes`` of the probe, no doubled steps), whatever the spec.
     """
     d = spec.dim
-    amps = psi.amplitudes
     store = np.empty((2 * grid.N + 1, 2 * d), dtype=complex)
-    store[0::2, :d], store[0::2, d:] = traj.dproducts @ amps, traj.products @ amps
-    store[1::2, :d] = np.einsum("nij,j->ni", traj.dmid_products, amps)
-    store[1::2, d:] = np.einsum("nij,j->ni", traj.mid_products, amps)
+    store[0::2] = np.concatenate([traj.dproducts, traj.products], axis=1) @ psi.amplitudes
+    store[1::2] = np.concatenate([traj.dmid_products, traj.mid_products], axis=1) @ psi.amplitudes
     prefixes = traj.products[:-1] if grid.scheme == "euler_paper" else traj.mid_products
-    end = traj.products[-1]
-    return _reduced(spec, grid, _Probe(store, prefixes, end, end, traj.h_mid))
+    return _reduced(spec, grid, _Probe(store, traj.h_mid, traj.products[-1], prefixes))
 
 
 def matrix_route(spec, grid, x: float, psi: Ket, tol: float):
@@ -359,7 +356,7 @@ def matrix_route(spec, grid, x: float, psi: Ket, tol: float):
     red = matrix_reduction(spec, grid, psi, propagate(spec, grid, x))
     columns = _columns(spec, grid, red)
     ints = _efg(spec, grid, red)
-    return base, ints, _loss(ints, base), _theorem2(spec, red, tol), columns
+    return base, ints, _loss(ints, base), _theorem2(red, tol), columns
 
 
 def transducer_point_route(spec, eps_grid, retained=None, tol: float = 1e-9) -> list:

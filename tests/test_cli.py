@@ -691,6 +691,29 @@ class TestVerifyCommand:
         assert not matrix_runs
         assert len(probe_runs) == 4
 
+    def test_completeness_suite_and_bundled_run_form_no_matrix_trajectory(
+            self, tmp_path, capsys, monkeypatch):
+        # constant specs: the completeness residuals come from doubled
+        # d x d sums and the bundled run from two probe propagations
+        import qfikit.collision
+        import qfikit.verify
+
+        matrix_runs = []
+        original_propagate = qfikit.collision.propagate
+
+        def counted_propagate(*args, **kwargs):
+            matrix_runs.append(args)
+            return original_propagate(*args, **kwargs)
+
+        monkeypatch.setattr(qfikit.collision, "propagate", counted_propagate)
+        monkeypatch.setattr(qfikit.verify, "propagate", counted_propagate, raising=False)
+        assert main(["verify", "--suite", "completeness"]) == 0
+        assert main(["run", "configs/dephasing.json", "--output",
+                     str(tmp_path / "dephasing.json")]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 2
+        assert not matrix_runs
+
 
 class TestBundledConfigs:
     def test_fig1b_config_parses(self):

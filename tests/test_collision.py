@@ -1,5 +1,7 @@
 """Collision-model propagation, channels, integrals, and loss."""
 
+import itertools
+import math
 import re
 
 import numpy as np
@@ -18,6 +20,7 @@ from qfikit.collision import (
     NhTrajectory,
     TimeGrid,
     _hamiltonian_samples,
+    _probe_propagation,
     _step_factors,
     build_discrete_channel,
     check_integral_completeness,
@@ -28,6 +31,7 @@ from qfikit.collision import (
     nh_loss,
     propagate,
     run,
+    trajectory_residual,
 )
 from qfikit.encoding import complete_report, theorem1_residuals
 from qfikit.quantum_core import EXACT_RESIDUAL_TOL, Ket, Operator
@@ -322,14 +326,26 @@ class TestBuildDiscreteChannel:
 
     def test_residual_matches_brute_force_sum(self):
         spec = random_spec(5, dim=3, n_jumps=1)
+        psi = random_ket(3, np.random.default_rng(2))
         grid = TimeGrid(T=1.0, N=512, scheme="expm_step")
-        chan = build_discrete_channel(spec, random_ket(3, np.random.default_rng(2)),
-                                      grid, 0.3)
+        chan = build_discrete_channel(spec, psi, grid, 0.3)
         acc = np.zeros((3, 3), dtype=complex)
         for _, op in chan.kraus:
             acc += op.entries.conj().T @ op.entries
         want = np.linalg.norm(acc - np.eye(3), 2)
         assert chan.completeness_residual == pytest.approx(want, abs=1e-12)
+        # a constant spec's doubled sums, on grids whose N sets several
+        # bits, within TestProbeRoute's bound of the explicit channel and
+        # of the midpoint rule over the same model's N prefixes one by one
+        for n_steps, scheme, n_jumps in itertools.product(MULTI_BIT, SCHEMES, range(3)):
+            grid = TimeGrid(T=1.0, N=n_steps, scheme=scheme)
+            spec = scaled_spec(5, 3, n_jumps)
+            want = build_discrete_channel(spec, psi, grid, 0.3).completeness_residual
+            got = trajectory_residual(spec, grid, 0.3)
+            assert abs(got - want) <= max(1e-13, 1e-13 * want), (n_steps, scheme, n_jumps)
+            want = check_integral_completeness(looped_spec(5, 3, n_jumps), grid, 0.3)
+            got = check_integral_completeness(spec, grid, 0.3)
+            assert abs(got - want) <= max(1e-13, 1e-13 * want), (n_steps, scheme, n_jumps)
 
     def test_expm_beats_euler_at_same_grid(self):
         spec = dephasing_spec(1.0)
@@ -388,6 +404,10 @@ class TestIntegralCompleteness:
         spec = random_spec(4, dim=2, n_jumps=0)
         grid = TimeGrid(T=1.0, N=64, scheme="expm_step")
         assert check_integral_completeness(spec, grid, 0.7) <= 1e-12
+        for n_steps in MULTI_BIT:
+            grid = TimeGrid(T=1.0, N=n_steps, scheme="expm_step")
+            for spec in (scaled_spec(4, 2, 0), looped_spec(4, 2, 0)):
+                assert check_integral_completeness(spec, grid, 0.7) <= 1e-12
 
     def test_second_order_decay_on_two_qubit_model(self):
         spec = random_spec(6, dim=4, n_jumps=2)
@@ -794,8 +814,8 @@ class TestKernelEquivalence:
         seed=st.integers(0, 2**16),
         dim=st.sampled_from([2, 3]),
         n_jumps=st.integers(0, 2),
-        # 1 and 2 are covered by the leading loop alone; the others end on a
-        # partial stride chunk
+        # 1 and 2 take one or two doubling rounds; the others end on a
+        # partial round and set several bits
         n_steps=st.sampled_from([1, 2, 3, 45, 257, 1000, 4097]),
         scheme=st.sampled_from(SCHEMES),
         derivative=st.booleans(),
@@ -831,6 +851,40 @@ class TestKernelEquivalence:
         for got, plain in zip(trajectory_arrays(looped),
                               plain_loop(callable_form, grid, x, derivative)):
             assert (got is None and plain is None) or np.array_equal(got, plain)
+
+
+    def test_constant_propagation_doubles(self, monkeypatch):
+        # every matrix product the propagation kernels take goes through
+        # collision's np.matmul; a constant spec's fill and its F_2m take
+        # at most 2 ceil(log2(2N + 1)) of them, a callable spec's loop 2N
+        import qfikit.collision
+
+        products = []
+
+        class CountedNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, *args, **kwargs):
+                products.append(1)
+                return np.matmul(*args, **kwargs)
+
+        monkeypatch.setattr(qfikit.collision, "np", CountedNumpy())
+        psi = random_ket(3, np.random.default_rng(7))
+        for n_steps, scheme in itertools.product(MULTI_BIT + (16384,), SCHEMES):
+            grid = TimeGrid(T=1.0, N=n_steps, scheme=scheme)
+            bound = 2 * math.ceil(math.log2(2 * n_steps + 1))
+            for derivative in (False, True):
+                products.clear()
+                propagate(scaled_spec(3, 3, 2), grid, 0.3, derivative=derivative)
+                assert 0 < len(products) <= bound
+            products.clear()
+            _probe_propagation(scaled_spec(3, 3, 2), grid, 0.3, psi.amplitudes)
+            assert 0 < len(products) <= bound
+            if n_steps < 300:
+                products.clear()
+                propagate(looped_spec(3, 3, 2), grid, 0.3)
+                assert len(products) == 2 * n_steps
 
 
 def trajectory_arrays(traj):
@@ -901,11 +955,28 @@ class TestTheorem2Slope:
         assert verdict.weight_slope <= 1e-12
 
 
+#: grid sizes whose binary digits drive several doubling rounds each
+MULTI_BIT = (1, 2, 3, 5, 255, 257, 1000, 4097)
+
+
 def scaled_spec(seed, dim, n_jumps):
     gen, control, jumps = scaled_model(seed, dim, n_jumps)
     return CollisionSpec(
         h0=Operator(gen), h1=Operator(control),
         jumps=tuple((Operator(op), rate) for op, rate in jumps), dim=dim,
+    )
+
+
+def looped_spec(seed, dim, n_jumps):
+    """``scaled_spec``'s model given as functions of time, which is
+    propagated step by step."""
+    gen, control, jumps = scaled_model(seed, dim, n_jumps)
+    return CollisionSpec(
+        h0=lambda t, x: Operator(x * gen),
+        h1=lambda t: Operator(control),
+        jumps=tuple((Operator(op), (lambda r: lambda t: r)(rate)) for op, rate in jumps),
+        dim=dim,
+        dh0=lambda t, x: Operator(gen),
     )
 
 
@@ -1083,8 +1154,8 @@ class TestProbeRoute:
         seed=st.integers(0, 2**16),
         dim=st.sampled_from([2, 3]),
         n_jumps=st.integers(0, 2),
-        # up to 4 the lead section is the whole grid; 255-257 straddle a
-        # square, so the last stride chunk is partial or full
+        # 255-257 straddle a power of two, so the last doubling round is
+        # partial or full; 4097 sets the lowest and the highest bit
         n_steps=st.sampled_from([1, 2, 3, 5, 17, 255, 256, 257, 4097]),
         scheme=st.sampled_from(SCHEMES),
         timed=st.booleans(),
@@ -1104,7 +1175,7 @@ class TestProbeRoute:
             return
         base, ints, loss, verdict, columns = matrix_route(spec, grid, 0.3, psi, 1e-6)
         if timed:
-            # a callable spec has lead = N and no stride section: the probe
+            # a callable spec is stepped one block at a time: the probe
             # route reduces the very products propagate forms
             assert got.loss == loss and got.theorem2 == verdict
             for name in ("m", "dm", "completeness_residual"):
@@ -1170,8 +1241,8 @@ class TestProbeRoute:
         finally:
             tracemalloc.stop()
         assert not calls
-        # what propagate holds for this spec: its (N + 1, 2d, d) edge and
-        # (N, 2d, d) midpoint column stores, 16.8 MB
+        # what propagate holds for this spec: its (2N + 1, 2d, d) column
+        # store of edges and midpoints, 16.8 MB
         trajectory = (2 * grid.N + 1) * 2 * dim * dim * np.dtype(complex).itemsize
         assert peak < trajectory
 
