@@ -471,13 +471,12 @@ def _efg_metrics(report) -> tuple:
     return metrics, [[lbl, e, _pair(f), g] for lbl, e, f, g in report.per_outcome]
 
 
-def _channel_verdicts(columns, tol) -> dict:
-    """Both theorem-1 verdicts of a channel's probe columns, with theorem 2
-    n.a. until a collision run sets it."""
+def _channel_verdicts(t1) -> dict:
+    """Both theorem-1 verdicts of a channel's ``Theorem1Residuals``, with
+    theorem 2 n.a. until a collision run sets it."""
     # the stationarity conditions assume the perpendicular gauge, which
-    # theorem1_residuals fixes for an exact channel; an approximate one
-    # cannot be regauged, so its derivatives are checked as given
-    t1 = theorem1_residuals(columns, tol=tol)
+    # theorem 1 fixes for an exact channel; an approximate one cannot be
+    # regauged, so its derivatives are checked as given
     return {
         "theorem1_perp": _verdict("pass" if t1.perp_lossless else "fail", t1.perp),
         "theorem1_generic": _verdict("pass" if t1.generic_lossless else "fail",
@@ -521,7 +520,7 @@ def _run_transducer(config: ScenarioConfig, tol: float):
     metrics.update(avg_total=row.avg_total, expected_iq=expected_iq,
                    I_sigma_1=row.i_sigma_1, I_sigma_2=row.i_sigma_2,
                    sum_total=row.sum_total)
-    return metrics, per_outcome, _channel_verdicts(report.columns, tol), None
+    return metrics, per_outcome, _channel_verdicts(theorem1_residuals(report.columns, tol)), None
 
 
 def _collision_inputs(config: ScenarioConfig):
@@ -532,7 +531,7 @@ def _collision_inputs(config: ScenarioConfig):
 
 
 def _collision_run(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, tol: float):
-    loss, thm2, columns = run(spec, grid, x, psi, tol)
+    loss, thm2, t1, _ = run(spec, grid, x, psi, tol)
     metrics = {
         "i_q_baseline": loss.i_q_baseline,
         "i_sigma": loss.i_sigma,
@@ -542,7 +541,7 @@ def _collision_run(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, tol:
     if loss.kappa_channel is not None:
         metrics["kappa_channel"] = loss.kappa_channel
         metrics["i_q_channel"] = loss.i_q_channel
-    verdicts = _channel_verdicts(columns, tol)
+    verdicts = _channel_verdicts(t1)
     verdicts["theorem2"] = _verdict(
         "pass" if thm2.lossless else "fail",
         max(thm2.weight_slope, thm2.jump_residual),
@@ -597,7 +596,7 @@ def _run_custom_channel(config: ScenarioConfig, tol: float):
     if report.kappa is not None and channel.kind == "exact":
         for lbl, _, i_sigma, _ in amplification(report).rows:
             metrics[f"I_sigma_{lbl}"] = i_sigma
-    return metrics, per_outcome, _channel_verdicts(report.columns, tol), None
+    return metrics, per_outcome, _channel_verdicts(theorem1_residuals(report.columns, tol)), None
 
 
 _RUNNERS = {

@@ -26,32 +26,27 @@ the scaling-and-squaring idea of ``quantum_core.expm``: O(log N) numpy
 calls, and the completeness Gramian of a constant model is a doubled
 Stein sum over the same F_m (Smith 1968), with no array of N matrices.
 
-Runs propagate the probe, not the propagator (the action of operators on
-a vector rather than the operators; Al-Mohy & Higham 2011). Every
-statistic and verdict is an expectation in the probe, so ``run``,
-``efg_integrals``, ``check_theorem2`` and ``nh_loss`` carry each
-propagation on psi, as the edge and midpoint rows of a (2N+1, 2d) probe
-store. The channel's branches M_w psi and dM_w psi, (M, d) arrays in its
-row order, are read off that store; the 2N+1 Kraus matrices of
-``build_discrete_channel`` (the matrix route, ``propagate``) are never
-built.
-
-``run`` is the recipe of ``qfi run``: the jump-free baseline, then one
-probe propagation reduced once, which every result reads.
+Runs propagate the probe, not the propagator (Al-Mohy & Higham 2011):
+every statistic is an expectation in psi, read off the edge and midpoint
+rows [dK psi, K psi] of a (2N+1, 2d) probe store. Its jump sums are
+blocks of one Gramian of the rows, each verdict maximum one pass over
+them, and the jump-free baseline an end row; neither the channel's rows
+nor its Kraus matrices (``build_discrete_channel``, the matrix route of
+``propagate``) are built. ``run`` is the recipe of ``qfi run``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .encoding import KAPPA_DENOM_FLOOR, ProbeColumns
+from .encoding import KAPPA_DENOM_FLOOR, Theorem1Residuals, _theorem1
 from .fisher import P_FLOOR
-from .quantum_core import Ket, MeasurementChannel, Operator, expm, spectral_norm
+from .quantum_core import (Ket, MeasurementChannel, Operator, channel_kind, expm,
+                           spectral_norm)
 
 __all__ = [
     "SCHEMES",
@@ -484,7 +479,7 @@ class _Probe(NamedTuple):
     """A derivative propagation carried on the probe psi.
 
     ``store`` is the (2N + 1, 2d) probe store of ``_propagated``, rows
-    [[dK psi], [K psi]] (None where no reader needs it); ``h_mid`` the
+    [[dK psi], [K psi]] (None for a residual alone); ``h_mid`` the
     midpoint H_nh samples. The rest feeds ``_residual``: a callable spec's
     K_T (``end``) and the N ``prefixes`` its jumps split from, or a
     constant spec's ``_powers`` (``steps``).
@@ -513,37 +508,19 @@ def _probe_propagation(spec, grid, x, amps) -> _Probe:
     return _Probe(cols @ amps, h_mid, cols[-1, d:], prefixes[:, d:])
 
 
-def _jumped(spec, split, out=None) -> np.ndarray:
-    """L_j split[n] for every jump j, stacked as (n_jumps,) + split.shape
-    (into ``out`` when given): one matrix product per jump, on (N, d)
-    probe rows or (N, d, d) matrices."""
-    if out is None:
-        out = np.empty((len(spec.jumps),) + split.shape, dtype=complex)
-    for j, (op, _) in enumerate(spec.jumps):
-        if split.ndim == 2:
-            np.matmul(split, op.entries.T, out=out[j])
-        else:
-            np.matmul(op.entries, split, out=out[j])
-    return out
-
-
-def _first_jump_rows(spec, grid, rates, end, split=None, jumped=None):
-    """Rows of the first-jump channel, as a read-only array.
+def _first_jump_rows(spec, grid, rates, end, split):
+    """Kraus rows of the first-jump channel, as a read-only array.
 
     Row 0 is ``end``, the no-jump outcome ``check``; row 1 + j*N + n is
     sqrt(rates[j, n] dt) L_j split[n], the first jump of operator j during
-    step n + 1, taken from ``jumped`` (``_jumped`` of split) when given.
-    Rows are (d, d) matrices or probe states (d,).
+    step n + 1, for the (N, d, d) products ``split``.
     """
     out = np.empty((1 + len(spec.jumps) * grid.N,) + end.shape, dtype=complex)
     out[0] = end
     rows = out[1:].reshape((len(spec.jumps), grid.N) + end.shape)
-    scale = np.sqrt(rates * grid.dt).reshape(rates.shape + (1,) * end.ndim)
-    if jumped is None:
-        _jumped(spec, split, rows)
-        rows *= scale
-    else:
-        np.multiply(jumped, scale, out=rows)
+    for j, (op, _) in enumerate(spec.jumps):
+        np.matmul(op.entries, split, out=rows[j])
+    rows *= np.sqrt(rates * grid.dt)[:, :, None, None]
     out.flags.writeable = False
     return out
 
@@ -582,37 +559,69 @@ def _assemble_channel(spec, psi, grid, x, traj, derivative):
     return labels, _first_jump_rows(spec, grid, rates, end, split), traj, rates
 
 
-_Reduction = namedtuple("_Reduction", "source psi_end dpsi_end e_check f_check mids")
-
-
-def _probe_reduction(spec, grid, x, psi) -> _Reduction:
-    """``_reduced`` of one probe propagation. Each reader's statistic is
-    quadratic in psi, so psi must be normalized."""
+def _amplitudes(spec, psi: Ket) -> np.ndarray:
+    """psi's amplitudes; every statistic is quadratic in psi, so psi must be
+    a normalized state of the spec's dimension."""
     if psi.dim != spec.dim:
         raise ValueError(f"state dimension {psi.dim} does not match {spec.dim}")
     psi.require_normalized()
-    return _reduced(spec, grid, _probe_propagation(spec, grid, x, psi.amplitudes))
+    return psi.amplitudes
 
 
-def _reduced(spec, grid, probe: _Probe) -> _Reduction:
-    """What every reader takes from a probe propagation.
+def _end_row(spec, grid, x, psi) -> np.ndarray:
+    """The end row [dK_T psi, K_T psi] of the probe. A constant spec applies
+    its ``_powers`` to [0, psi] one set bit of N at a time, lowest first, as
+    ``_fill`` forms the store's last entry, and forms no store."""
+    amps = _amplitudes(spec, psi)
+    if not _constant(spec):
+        return _probe_propagation(spec, grid, x, amps).store[-1]
+    half, full, _ = _step_factors(spec, grid, x, True)
+    end = np.concatenate([np.zeros(spec.dim), amps])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, f in enumerate(_powers(half, full, grid.N)[0]):
+            if grid.N >> k & 1:
+                end = end @ f.T + end
+    _require_finite(grid, end)
+    return end
 
-    ``source`` is the probe, without its store under expm_step, where no
-    reader needs more of it. The reduction holds K psi and dK psi at the
-    end time, the no-jump weight e_check = ||K psi||^2, the overlap current
-    f_check = i <dK psi, K psi> and ``mids``: the midpoint rates and the
-    rows L_j K psi and L_j dK psi (``_jumped``), formed once for all.
-    """
-    d = spec.dim
-    end = probe.store[-1].copy()
-    psi_end, dpsi_end = end[d:], end[:d]
-    mid_rows = probe.store[1::2]
-    mids = (_rate_samples(spec, grid.midpoints()),
-            _jumped(spec, mid_rows[:, d:]), _jumped(spec, mid_rows[:, :d]))
-    if grid.scheme == "expm_step":
-        probe = probe._replace(store=None)
-    return _Reduction(probe, psi_end, dpsi_end, float(np.vdot(psi_end, psi_end).real),
-                      1j * np.vdot(dpsi_end, psi_end), mids)
+
+def _midpoint_rows(spec, grid, probe: _Probe) -> tuple:
+    """(rows, rates) at the step midpoints, where ``efg_integrals`` and
+    theorem 2 split the jumps."""
+    return probe.store[1::2], _rate_samples(spec, grid.midpoints())
+
+
+def _jump_sums(spec, grid, rows, rates) -> tuple:
+    """(E, F, G) = sum_jn w_jn (<u|D_j|u>, i <du|D_j|u>, <du|D_j|du>) over the
+    probe rows [du_n, u_n], w = rates dt and D_j = L_j^+ L_j, each as
+    sum_ab (D)_ab W_ab over a block of the rows' Gramian W = R^+ R. A
+    constant spec folds its rates into one D; a callable one weights a W per jump."""
+    d, dt, x = spec.dim, grid.dt, rows.view(float)
+    damps = [op.entries.conj().T @ op.entries for op, _ in spec.jumps]
+    if _constant(spec):
+        terms = [(sum(rates[j, 0] * dt * damp for j, damp in enumerate(damps)), x.T @ x)]
+    else:
+        terms = [(damp, (x.T * (rates[j] * dt)) @ x) for j, damp in enumerate(damps)]
+    e = f = g = 0j
+    for damp, real in terms:
+        # W_ab = sum conj(r_a) r_b, from the products of real and imaginary parts
+        r = real.reshape(2 * d, 2, 2 * d, 2)
+        gram = r[:, 0, :, 0] + r[:, 1, :, 1] + 1j * (r[:, 0, :, 1] - r[:, 1, :, 0])
+        e += (damp * gram[d:, d:]).sum()
+        f += (damp * gram[:d, d:]).sum()
+        g += (damp * gram[:d, :d]).sum()
+    return float(e.real), 1j * f, float(g.real)
+
+
+def _jump_max(spec, rows, weights, c) -> float:
+    """max_jn sqrt(weights[j, n]) ||L_j (du_n + i c u_n)|| over the probe rows
+    [du_n, u_n], in one product; 0.0 without jumps."""
+    if not spec.jumps:
+        return 0.0
+    ops = np.concatenate([op.entries.T for op, _ in spec.jumps], axis=1)
+    hit = rows @ np.concatenate([ops, (1j * c) * ops])
+    parts = hit.view(float).reshape(len(rows), len(spec.jumps), -1)
+    return math.sqrt(float((weights * np.einsum("njk,njk->jn", parts, parts)).max()))
 
 
 def _held_to_cap(spec, grid, h_mid, rates, residual: float) -> float:
@@ -764,29 +773,11 @@ def trajectory_residual(spec: CollisionSpec, grid: TimeGrid, x: float) -> float:
     """Completeness residual of the discrete channel, without building it.
 
     Its sum_w M_w^+ M_w is K_T^+ K_T + sum_n K_n^+ (sum_j w_jn L_j^+ L_j) K_n
-    (``_residual``, as ``run``'s columns take it). A residual beyond ten
+    (``_residual``, as ``run`` takes it). A residual beyond ten
     times the predicted cap raises IntegratorFailure.
     """
     residual, h_mid, rates = _split_residual(spec, grid, x, grid.scheme == "expm_step")
     return _held_to_cap(spec, grid, h_mid, rates, residual)
-
-
-def _columns(spec, grid, red) -> ProbeColumns:
-    """The discrete channel's rows M_w psi and dM_w psi, in the order of
-    ``build_discrete_channel``, and its ``_residual``, capped."""
-    probe, d = red.source, spec.dim
-    if grid.scheme == "euler_paper":
-        # euler_paper's jumps split at step edges, with right-edge rates
-        rates = _rate_samples(spec, grid.right_edges())
-        edges = probe.store[0:-1:2]
-        split, dsplit, jumped, djumped = edges[:, d:], edges[:, :d], None, None
-    else:
-        (rates, jumped, djumped), split, dsplit = red.mids, None, None
-    residual = _held_to_cap(spec, grid, probe.h_mid, rates, _residual(spec, grid, probe, rates))
-    m = _first_jump_rows(spec, grid, rates, red.psi_end, split, jumped)
-    dm = _first_jump_rows(spec, grid, rates, red.dpsi_end, dsplit, djumped)
-    return ProbeColumns(m=m, dm=dm, retained_mask=np.arange(len(m)) == 0,
-                        completeness_residual=residual)
 
 
 def check_integral_completeness(spec: CollisionSpec, grid: TimeGrid,
@@ -824,26 +815,19 @@ def efg_integrals(spec: CollisionSpec, grid: TimeGrid, x: float,
     O(dt^2) quadrature error and feed the total-information formula.
     ``psi`` must be normalized.
     """
-    return _efg(spec, grid, _probe_reduction(spec, grid, x, psi))
+    probe = _probe_propagation(spec, grid, x, _amplitudes(spec, psi))
+    return _efg(spec, probe.store[-1], _jump_sums(spec, grid, *_midpoint_rows(spec, grid, probe)))
 
 
-def _efg(spec, grid, red) -> EfgIntegrals:
-    g_check = float(np.vdot(red.dpsi_end, red.dpsi_end).real)
-
-    g_int = 0.0
-    f_int = 0.0j
-    rates, jumped, djumped = red.mids
-    for j in range(len(jumped)):
-        w = rates[j] * grid.dt
-        g_int += float((w * (np.abs(djumped[j]) ** 2).sum(axis=1)).sum())
-        f_int += 1j * (w * (djumped[j].conj() * jumped[j]).sum(axis=1)).sum()
-    return EfgIntegrals(
-        g_total=g_check + g_int,
-        f_total=complex(red.f_check + f_int),
-        e_check=red.e_check,
-        f_check=complex(red.f_check),
-        g_check=g_check,
-    )
+def _efg(spec, end, sums=(0.0, 0j, 0.0)) -> EfgIntegrals:
+    """``EfgIntegrals`` of the end row [dK psi, K psi] plus the midpoint
+    jump sums (E, F, G) of ``_jump_sums``."""
+    dpsi_end, psi_end = end[:spec.dim], end[spec.dim:]
+    g_check = float(np.vdot(dpsi_end, dpsi_end).real)
+    f_check = 1j * np.vdot(dpsi_end, psi_end)
+    return EfgIntegrals(g_total=g_check + sums[2], f_total=complex(f_check + sums[1]),
+                        e_check=float(np.vdot(psi_end, psi_end).real),
+                        f_check=complex(f_check), g_check=g_check)
 
 
 @dataclass(frozen=True)
@@ -877,27 +861,18 @@ def check_theorem2(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
     fixed once from the end-time overlap current. Both are held to
     ``tol``, and ``psi`` must be normalized.
     """
-    return _theorem2(_probe_reduction(spec, grid, x, psi), tol)
+    probe = _probe_propagation(spec, grid, x, _amplitudes(spec, psi))
+    end = probe.store[-1]
+    return _theorem2(spec, _efg(spec, end), end, _midpoint_rows(spec, grid, probe), tol)
 
 
-def _theorem2(red, tol) -> Theorem2Verdict:
-    psi_end, dpsi_end, e_check, f_check, mids = red[1:]
-    if e_check <= P_FLOOR:
-        raise ValueError(
-            f"no-jump weight {e_check:.3e} vanished; verdict undefined"
-        )
-    dtheta = -f_check.real / e_check
-
-    jump_residual = 0.0
-    rates, jumped, djumped = mids
-    for j in range(len(jumped)):
-        # L_j xi = L_j dK psi + i dtheta L_j K psi
-        hit = np.linalg.norm(djumped[j] + 1j * dtheta * jumped[j], axis=1)
-        jump_residual = max(
-            jump_residual, float((np.sqrt(rates[j]) * hit).max(initial=0.0))
-        )
-
-    weight_slope = abs(2.0 * float(np.vdot(psi_end, dpsi_end).real))
+def _theorem2(spec, ints, end, mids, tol) -> Theorem2Verdict:
+    if ints.e_check <= P_FLOOR:
+        raise ValueError(f"no-jump weight {ints.e_check:.3e} vanished; verdict undefined")
+    dtheta = -ints.f_check.real / ints.e_check
+    # L_j xi = L_j (dK psi + i dtheta K psi) at every midpoint
+    jump_residual = _jump_max(spec, *mids, dtheta)
+    weight_slope = abs(2.0 * float(np.vdot(end[spec.dim:], end[:spec.dim]).real))
 
     return Theorem2Verdict(
         lossless=(weight_slope <= tol and jump_residual <= tol),
@@ -934,11 +909,12 @@ class NhLossResult:
 
 
 def nh_loss(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket) -> NhLossResult:
-    """Loss fraction, branch weight and conditional information at T,
-    from probe propagations of the model and of ``spec.without_jumps()``.
+    """Loss fraction, branch weight and conditional information at T, from
+    a probe propagation of the model and the end row of its jump-free member.
     """
     ints = efg_integrals(spec, grid, x, psi)
-    return _loss(ints, efg_integrals(spec.without_jumps(), grid, x, psi))
+    free = spec.without_jumps()
+    return _loss(ints, _efg(free, _end_row(free, grid, x, psi)))
 
 
 def _loss(ints, base) -> NhLossResult:
@@ -975,32 +951,50 @@ def _loss(ints, base) -> NhLossResult:
 
 
 class CollisionRun(NamedTuple):
-    """Everything ``qfi run`` reads off one collision model."""
+    """Everything ``qfi run`` reads off one collision model. The discrete
+    channel's completeness residual sets ``kind``, and with it theorem 1's
+    gauge; it shrinks with the step: the bundled dephasing run is `exact` at
+    N=16384 (residual 9.66e-11), `approximate` at N=4096 (1.57e-9)."""
 
     loss: NhLossResult
     theorem2: Theorem2Verdict
-    columns: ProbeColumns
+    theorem1: Theorem1Residuals
+    completeness_residual: float
+
+    @property
+    def kind(self) -> str:
+        return channel_kind(self.completeness_residual)
 
 
 def run(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
         tol: float = 1e-8) -> CollisionRun:
-    """``nh_loss``, ``check_theorem2`` and the probe columns of the discrete
-    channel from one probe propagation, reduced once.
-
-    The jump-free baseline and the model are each propagated on ``psi``
-    (``_probe_propagation``: doubling for a constant spec, the step loop
-    for a callable one); the baseline keeps only its end row. The rows
-    L_j K psi and L_j dK psi are formed once, in the reduction. The
-    completeness residual is the matrix one (``_residual``, doubled for a
-    constant spec), so it caps the run and sets the columns' ``kind`` as
-    the matrix route does. The columns come first, so a blown-up
-    integration raises IntegratorFailure from its residual cap. No array
-    of N matrices is formed for a constant spec."""
-    baseline = efg_integrals(spec.without_jumps(), grid, x, psi)
-    red = _probe_reduction(spec, grid, x, psi)
-    columns = _columns(spec, grid, red)
-    loss = _loss(_efg(spec, grid, red), baseline)
-    return CollisionRun(loss, _theorem2(red, tol), columns)
+    """``nh_loss``, ``check_theorem2`` and theorem 1 of the discrete channel,
+    reading the rows of one probe propagation once: the jump sums as
+    Gramian blocks (``_jump_sums``) of the midpoint rows, and of the edge
+    rows where euler_paper's channel splits its jumps, each maximum in one
+    pass (``_jump_max``) and the jump-free baseline as an end row
+    (``_end_row``). The completeness residual (``_residual``) comes first,
+    so a blown-up integration raises IntegratorFailure from its cap. A
+    constant spec forms no array of N matrices and no row of the channel."""
+    free = spec.without_jumps()
+    baseline = _efg(free, _end_row(free, grid, x, psi))
+    probe = _probe_propagation(spec, grid, x, psi.amplitudes)
+    end, mids = probe.store[-1], _midpoint_rows(spec, grid, probe)
+    rows, rates = split = mids
+    if grid.scheme == "euler_paper":
+        rows, rates = split = probe.store[0:-1:2], _rate_samples(spec, grid.right_edges())
+    residual = _held_to_cap(spec, grid, probe.h_mid, rates, _residual(spec, grid, probe, rates))
+    sums = _jump_sums(spec, grid, *mids)
+    ints = _efg(spec, end, sums)
+    loss = _loss(ints, baseline)
+    theorem2 = _theorem2(spec, ints, end, mids, tol)
+    e_dis, f_dis, g_dis = sums if split is mids else _jump_sums(spec, grid, *split)
+    e, f, d = ints.e_check, ints.f_check, spec.dim
+    # the end row is the channel's one retained row
+    theorem1 = _theorem1((end[None, d:], end[None, :d], np.array([e]), np.array([f])),
+                         (e + e_dis, f + f_dis, f_dis, g_dis), residual,
+                         lambda c: _jump_max(spec, rows, rates * grid.dt, c), tol)
+    return CollisionRun(loss, theorem2, theorem1, residual)
 
 
 def dephasing_closed_form(h0: Operator, l2: Operator, T: float,

@@ -13,19 +13,20 @@ loss kappa together with per-outcome amplification ratios.
 Every statistic is an expectation in the probe, so a channel point is
 contracted once, by ``probe_columns``: its branches M_w psi and dM_w psi,
 (M, d) columns in label order, taken from the Kraus and derivative stacks
-in one product each (a collision run takes them straight off the
-trajectory), with their e/f/g rows (``ProbeColumns``). ``efg`` keeps the
-columns on its report (``EfgReport.columns``), so one contraction serves
-the report, the amplification rows (``amplification``) and both theorem-1
-checks (``theorem1_residuals``, gauge fix included). Derivatives are read
-once, at entry, by ``quantum_core.derivative_stack``: (label, Operator)
-pairs or an (M, d, d) array in the channel's label order;
-``fix_perpendicular_gauge`` hands back such an array.
-Sums over outcomes run in row order, as a running sum would take them, so
-large collision channels and small exact channels go through the same
-arithmetic. A grid of channel points, such as the transducer's mixing
-grid, stacks its columns along a leading axis; ``amplification_grid``
-reads the whole grid at once, with the same arithmetic per point.
+in one product each, with their e/f/g rows (``ProbeColumns``). ``efg``
+keeps the columns on its report (``EfgReport.columns``), so one
+contraction serves the report, the amplification rows (``amplification``)
+and both theorem-1 checks (``theorem1_residuals``, gauge fix included).
+Derivatives are read once, at entry, by ``quantum_core.derivative_stack``:
+(label, Operator) pairs or an (M, d, d) array in the channel's label
+order; ``fix_perpendicular_gauge`` hands back such an array.
+Sums over outcomes run in row order, as a running sum would take them.
+Theorem 1 has one definition, ``_theorem1``, over the retained rows, the
+channel's totals and its largest discarded residual: ``theorem1_residuals``
+feeds it from columns, ``collision.run`` from probe rows. A grid of
+channel points, such as the transducer's mixing grid, stacks its columns
+along a leading axis; ``amplification_grid`` reads the whole grid at
+once, with the same arithmetic per point.
 """
 
 from __future__ import annotations
@@ -188,10 +189,7 @@ class ProbeColumns:
 
     @property
     def kind(self) -> str:
-        """`exact` or `approximate`, from the completeness residual, which
-        for a collision run shrinks with the step: the bundled dephasing run
-        is `exact` at N=16384 (residual 9.66e-11), `approximate` at N=4096
-        (1.57e-9)."""
+        """`exact` or `approximate`, from the completeness residual."""
         return channel_kind(self.completeness_residual)
 
 
@@ -328,7 +326,7 @@ def fix_perpendicular_gauge(
         raise ValueError("gauge fixing expects an exact channel")
     dks = derivative_stack(channel, derivatives)
     c = probe_columns(channel, dks, psi)
-    dtheta = _gauge_rate(c.e, c.f)
+    dtheta = -_row_sum(c.f, 0j).real / _row_sum(c.e, 0.0)
     gauged = dks + (1j * dtheta) * channel.stack
     gauged.flags.writeable = False
     return gauged, GaugePhase(theta=0.0, dtheta=dtheta)
@@ -428,9 +426,9 @@ def check_lossless_generic(
     encodings without requiring a prior gauge fix.
     """
     c = probe_columns(channel, derivatives, psi)
-    ret, = np.nonzero(channel.retained_mask)
-    retained_res, discarded_res, imag_f = _generic_residuals(
-        c.e, c.f, c.g, channel.retained_mask)
+    kept = channel.retained_mask
+    ret, = np.nonzero(kept)
+    retained_res, discarded_res, imag_f = _generic_residuals(c.e[kept], c.f[kept], _sums(c))
     worst = max(float(retained_res.max(initial=0.0)), discarded_res)
     return GenericLosslessVerdict(
         lossless=bool(worst <= tol),
@@ -441,9 +439,11 @@ def check_lossless_generic(
     )
 
 
-def _gauge_rate(e: np.ndarray, f: np.ndarray) -> float:
-    """dtheta = -Re<F_total>/<E_total>, the perpendicular gauge's phase rate."""
-    return -_row_sum(f, 0j).real / _row_sum(e, 0.0)
+def _sums(c: ProbeColumns) -> tuple:
+    """(<E_total>, <F_total>, <F_dis>, <G_dis>) of probe columns, in row order."""
+    dis = ~c.retained_mask
+    return (_row_sum(c.e, 0.0), _row_sum(c.f, 0j), _row_sum(c.f[dis], 0j),
+            _row_sum(c.g[dis], 0.0))
 
 
 def _perp_residuals(m, dm, e, kept, tol) -> tuple:
@@ -455,15 +455,13 @@ def _perp_residuals(m, dm, e, kept, tol) -> tuple:
     return overlap, dnorm, kept & (e <= P_FLOOR) & (dnorm > tol)
 
 
-def _generic_residuals(e, f, g, kept) -> tuple:
-    """|<F_w> - <F_total><E_w>| over retained rows, the discarded residual
-    |<G_dis> - <F_total> conj(<F_dis>)|, and |Im<F_w>| over retained rows."""
-    f_total = _row_sum(f, 0j)
-    retained_res = _modulus(f[kept] - f_total * e[kept])
-    f_dis = _row_sum(f[~kept], 0j)
-    g_dis = _row_sum(g[~kept], 0.0)
+def _generic_residuals(e, f, sums) -> tuple:
+    """|<F_w> - <F_total><E_w>| and |Im<F_w>| over the retained rows e, f,
+    and |<G_dis> - <F_total> conj(<F_dis>)| from the channel's ``_sums``."""
+    _, f_total, f_dis, g_dis = sums
+    retained_res = _modulus(f - f_total * e)
     discarded_res = float(abs(g_dis - f_total * f_dis.conjugate()))
-    return retained_res, discarded_res, np.abs(f[kept].imag)
+    return retained_res, discarded_res, np.abs(f.imag)
 
 
 class Theorem1Residuals(NamedTuple):
@@ -489,28 +487,35 @@ class Theorem1Residuals(NamedTuple):
         return self.generic <= self.tol
 
 
-def theorem1_residuals(columns: ProbeColumns, tol: float = 1e-9) -> Theorem1Residuals:
-    """Both theorem-1 checks from one set of probe columns.
-
-    For an exact channel the perpendicular check reads dm + i dtheta m,
-    the branches of ``fix_perpendicular_gauge``'s derivatives; an
-    approximate channel cannot be regauged and is checked as given, as
-    the generic check always is. The residuals match those of
-    ``check_lossless_perp`` and ``check_lossless_generic`` to rounding.
-    """
-    m, dm, kept = columns.m, columns.dm, columns.retained_mask
-    e, f, g = columns.e, columns.f, columns.g
-    retained_res, discarded_res, imag_f = _generic_residuals(e, f, g, kept)
-    if columns.kind == "exact":
-        dm = dm + (1j * _gauge_rate(e, f)) * m
-    overlap, dnorm, dead = _perp_residuals(m, dm, e, kept, tol)
+def _theorem1(retained, sums, residual: float, discarded_max, tol: float) -> Theorem1Residuals:
+    """Both theorem-1 checks of a channel from its ``retained`` rows (m, dm,
+    e, f), its ``_sums`` and ``discarded_max(c)``, the largest ||dm_w + i c
+    m_w|| over its discarded rows at the gauge rate picked here: that of
+    ``fix_perpendicular_gauge`` for an exact channel (by its completeness
+    ``residual``), 0 for an approximate one, which cannot be regauged."""
+    m, dm, e, f = retained
+    retained_res, discarded_res, imag_f = _generic_residuals(e, f, sums)
+    c = 0.0
+    if channel_kind(residual) == "exact":
+        c = -sums[1].real / sums[0]
+        dm = dm + (1j * c) * m
+    overlap = _modulus(_rowdot(m, dm))
+    dead = (e <= P_FLOOR) & (_norms(dm) > tol)
     return Theorem1Residuals(
-        tol=tol,
-        perp=float(max(overlap.max(initial=0.0), dnorm[~kept].max(initial=0.0))),
-        dead=bool(dead.any()),
-        generic=max(float(retained_res.max(initial=0.0)), discarded_res),
-        imag_f=float(imag_f.max(initial=0.0)),
-    )
+        tol=tol, perp=float(max(overlap.max(initial=0.0), discarded_max(c))),
+        dead=bool(dead.any()), generic=max(float(retained_res.max(initial=0.0)), discarded_res),
+        imag_f=float(imag_f.max(initial=0.0)))
+
+
+def theorem1_residuals(columns: ProbeColumns, tol: float = 1e-9) -> Theorem1Residuals:
+    """Both theorem-1 checks (``_theorem1``) from one set of probe columns;
+    the residuals match those of ``check_lossless_perp`` and
+    ``check_lossless_generic`` to rounding."""
+    m, dm, kept = columns.m, columns.dm, columns.retained_mask
+    dis = ~kept
+    return _theorem1((m[kept], dm[kept], columns.e[kept], columns.f[kept]), _sums(columns),
+                     columns.completeness_residual,
+                     lambda c: _norms(dm[dis] + (1j * c) * m[dis]).max(initial=0.0), tol)
 
 
 @dataclass(frozen=True)

@@ -262,7 +262,7 @@ def _suite_theorem_soundness() -> tuple:
         jumps=((blind, 0.8),),
         dim=3,
     )
-    loss, thm2, _ = run(spec3, TimeGrid(1.0, 16384, "expm_step"), 0.3, psi3)
+    loss, thm2, _, _ = run(spec3, TimeGrid(1.0, 16384, "expm_step"), 0.3, psi3)
     blind_ok = thm2.lossless and loss.kappa <= 1e-5
     ok = ok and blind_ok
     lines.append(
@@ -272,7 +272,7 @@ def _suite_theorem_soundness() -> tuple:
     )
 
     spec, psi = _unit_dephasing()
-    loss, thm2, _ = run(spec, TimeGrid(1.0, 4096, "expm_step"), 0.0, psi)
+    loss, thm2, _, _ = run(spec, TimeGrid(1.0, 4096, "expm_step"), 0.0, psi)
     deph_ok = (thm2.weight_slope <= thm2.tol and thm2.jump_residual > thm2.tol
                and not thm2.lossless and loss.kappa > 0.1)
     ok = ok and deph_ok

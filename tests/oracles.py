@@ -12,13 +12,24 @@ one-channel cases of the stacked kernels those routes read
 (``mixed_state_derivative``, ``gauge_shift``) live here too.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from qfikit.collision import _columns, _efg, _loss, _Probe, _reduced, _theorem2, propagate
+from qfikit.collision import (
+    EfgIntegrals,
+    Theorem2Verdict,
+    _held_to_cap,
+    _loss,
+    _Probe,
+    _rate_samples,
+    _residual,
+    propagate,
+)
 from qfikit.encoding import (
+    ProbeColumns,
     amplification,
     complete_report,
     efg,
@@ -327,14 +338,115 @@ def refined_convexity_check(channel: MeasurementChannel, derivatives: Derivative
     )
 
 
+def _jumped(spec, split) -> np.ndarray:
+    """L_j split[n] for every jump j, stacked as (n_jumps,) + split.shape:
+    one matrix product per jump on (N, d) probe rows."""
+    out = np.empty((len(spec.jumps),) + split.shape, dtype=complex)
+    for j, (op, _) in enumerate(spec.jumps):
+        np.matmul(split, op.entries.T, out=out[j])
+    return out
+
+
+_Reduction = namedtuple("_Reduction", "source psi_end dpsi_end e_check f_check mids")
+
+
+def _reduced(spec, grid, probe: _Probe) -> _Reduction:
+    """What the row readers take from a probe propagation.
+
+    ``source`` is the probe. The reduction holds K psi and dK psi at the
+    end time, the no-jump weight e_check = ||K psi||^2, the overlap current
+    f_check = i <dK psi, K psi> and ``mids``: the midpoint rates and the
+    rows L_j K psi and L_j dK psi (``_jumped``).
+    """
+    d = spec.dim
+    end = probe.store[-1].copy()
+    psi_end, dpsi_end = end[d:], end[:d]
+    mid_rows = probe.store[1::2]
+    mids = (_rate_samples(spec, grid.midpoints()),
+            _jumped(spec, mid_rows[:, d:]), _jumped(spec, mid_rows[:, :d]))
+    return _Reduction(probe, psi_end, dpsi_end, float(np.vdot(psi_end, psi_end).real),
+                      1j * np.vdot(dpsi_end, psi_end), mids)
+
+
+def _columns(spec, grid, red) -> ProbeColumns:
+    """The discrete channel's rows M_w psi and dM_w psi, in the order of
+    ``build_discrete_channel``, and its ``_residual``, capped."""
+    probe, d = red.source, spec.dim
+    if grid.scheme == "euler_paper":
+        # euler_paper's jumps split at step edges, with right-edge rates
+        rates = _rate_samples(spec, grid.right_edges())
+        edges = probe.store[0:-1:2]
+        jumped, djumped = _jumped(spec, edges[:, d:]), _jumped(spec, edges[:, :d])
+    else:
+        rates, jumped, djumped = red.mids
+    residual = _held_to_cap(spec, grid, probe.h_mid, rates, _residual(spec, grid, probe, rates))
+    scale = np.sqrt(rates * grid.dt)[:, :, None]
+    m = np.concatenate([red.psi_end[None], (jumped * scale).reshape(-1, d)])
+    dm = np.concatenate([red.dpsi_end[None], (djumped * scale).reshape(-1, d)])
+    return ProbeColumns(m=m, dm=dm, retained_mask=np.arange(len(m)) == 0,
+                        completeness_residual=residual)
+
+
+def _efg(spec, grid, red) -> EfgIntegrals:
+    """``collision.efg_integrals`` of a reduction, its jump integrals summed
+    row by row."""
+    g_check = float(np.vdot(red.dpsi_end, red.dpsi_end).real)
+
+    g_int = 0.0
+    f_int = 0.0j
+    rates, jumped, djumped = red.mids
+    for j in range(len(jumped)):
+        w = rates[j] * grid.dt
+        g_int += float((w * (np.abs(djumped[j]) ** 2).sum(axis=1)).sum())
+        f_int += 1j * (w * (djumped[j].conj() * jumped[j]).sum(axis=1)).sum()
+    return EfgIntegrals(
+        g_total=g_check + g_int,
+        f_total=complex(red.f_check + f_int),
+        e_check=red.e_check,
+        f_check=complex(red.f_check),
+        g_check=g_check,
+    )
+
+
+def _theorem2(red, tol) -> Theorem2Verdict:
+    """``collision.check_theorem2`` of a reduction, its jump residual the
+    largest of the rows' rate-weighted norms."""
+    psi_end, dpsi_end, e_check, f_check, mids = red[1:]
+    if e_check <= P_FLOOR:
+        raise ValueError(
+            f"no-jump weight {e_check:.3e} vanished; verdict undefined"
+        )
+    dtheta = -f_check.real / e_check
+
+    jump_residual = 0.0
+    rates, jumped, djumped = mids
+    for j in range(len(jumped)):
+        # L_j xi = L_j dK psi + i dtheta L_j K psi
+        hit = np.linalg.norm(djumped[j] + 1j * dtheta * jumped[j], axis=1)
+        jump_residual = max(
+            jump_residual, float((np.sqrt(rates[j]) * hit).max(initial=0.0))
+        )
+
+    weight_slope = abs(2.0 * float(np.vdot(psi_end, dpsi_end).real))
+
+    return Theorem2Verdict(
+        lossless=(weight_slope <= tol and jump_residual <= tol),
+        tol=tol,
+        weight_slope=weight_slope,
+        jump_residual=jump_residual,
+        dtheta=float(dtheta),
+    )
+
+
 def matrix_reduction(spec, grid, psi: Ket, traj):
-    """The reduction ``collision.run`` reads, taken from a matrix trajectory.
+    """The reduction of ``_reduced``, taken from a matrix trajectory.
 
     ``traj`` is ``propagate(spec, grid, x)``. Its edge and midpoint
     columns [[dK], [K]] meet psi in one product each, as the probe route
-    of a callable spec applies its column store, and the completeness
-    residual is the plain sum over all N prefixes (``end`` and
-    ``prefixes`` of the probe, no doubled steps), whatever the spec.
+    of a callable spec applies its column store (``source.store``), and
+    the completeness residual is the plain sum over all N prefixes
+    (``end`` and ``prefixes`` of the probe, no doubled steps), whatever
+    the spec.
     """
     d = spec.dim
     store = np.empty((2 * grid.N + 1, 2 * d), dtype=complex)
@@ -345,18 +457,19 @@ def matrix_reduction(spec, grid, psi: Ket, traj):
 
 
 def matrix_route(spec, grid, x: float, psi: Ket, tol: float):
-    """``collision.run``'s results from two ``propagate`` trajectories.
+    """``collision.run``'s results from two ``propagate`` trajectories,
+    read row by row.
 
     Returns (baseline E/F/G, E/F/G, loss, theorem-2 verdict, probe
-    columns), read off ``matrix_reduction`` of the jump-free and the full
-    model by the readers ``run`` shares, in ``run``'s order.
+    columns, reduction), read off ``matrix_reduction`` of the jump-free and
+    the full model by the row readers, in ``run``'s order.
     """
     free = spec.without_jumps()
     base = _efg(free, grid, matrix_reduction(free, grid, psi, propagate(free, grid, x)))
     red = matrix_reduction(spec, grid, psi, propagate(spec, grid, x))
     columns = _columns(spec, grid, red)
     ints = _efg(spec, grid, red)
-    return base, ints, _loss(ints, base), _theorem2(red, tol), columns
+    return base, ints, _loss(ints, base), _theorem2(red, tol), columns, red
 
 
 def transducer_point_route(spec, eps_grid, retained=None, tol: float = 1e-9) -> list:

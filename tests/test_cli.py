@@ -666,13 +666,15 @@ class TestVerifyCommand:
 
     def test_theorem_soundness_propagates_the_probe(self, capsys, monkeypatch):
         # each collision model is one collision.run: the jump-free baseline
-        # and the model propagated on the probe, no matrix trajectory
+        # as an end row and the model propagated on the probe, no matrix
+        # trajectory
         import qfikit.collision
         import qfikit.verify
 
-        matrix_runs, probe_runs = [], []
+        matrix_runs, probe_runs, end_rows = [], [], []
         original_propagate = qfikit.collision.propagate
         original_probe = qfikit.collision._probe_propagation
+        original_end = qfikit.collision._end_row
 
         def counted_propagate(*args, **kwargs):
             matrix_runs.append(args)
@@ -682,14 +684,20 @@ class TestVerifyCommand:
             probe_runs.append(args)
             return original_probe(*args)
 
+        def counted_end(*args):
+            end_rows.append(args)
+            return original_end(*args)
+
         monkeypatch.setattr(qfikit.collision, "propagate", counted_propagate)
         # verify may bind propagate by name as well
         monkeypatch.setattr(qfikit.verify, "propagate", counted_propagate, raising=False)
         monkeypatch.setattr(qfikit.collision, "_probe_propagation", counted_probe)
+        monkeypatch.setattr(qfikit.collision, "_end_row", counted_end)
         assert main(["verify", "--suite", "theorem-soundness"]) == 0
         capsys.readouterr()
         assert not matrix_runs
-        assert len(probe_runs) == 4
+        assert len(probe_runs) == 2
+        assert len(end_rows) == 2
 
     def test_completeness_suite_and_bundled_run_form_no_matrix_trajectory(
             self, tmp_path, capsys, monkeypatch):
@@ -816,14 +824,15 @@ class TestCollisionVerdicts:
             parse_config(write_config(tmp_path, payload))
 
     def test_run_propagates_the_probe_twice(self, tmp_path, capsys, monkeypatch):
-        # the jump-free baseline and the model are each propagated once, on
-        # the probe; no matrix trajectory is formed
+        # the model is propagated once on the probe, and the jump-free
+        # baseline only to its end row; no matrix trajectory is formed
         import qfikit.collision
 
-        matrix_runs, probe_runs = [], []
+        matrix_runs, probe_runs, end_rows = [], [], []
         exponentials = []
         original_propagate = qfikit.collision.propagate
         original_probe = qfikit.collision._probe_propagation
+        original_end = qfikit.collision._end_row
         original_expm = qfikit.collision.expm
 
         def counted_propagate(*args, **kwargs):
@@ -834,36 +843,52 @@ class TestCollisionVerdicts:
             probe_runs.append(args)
             return original_probe(*args)
 
+        def counted_end(*args):
+            end_rows.append(args[0].jumps)
+            return original_end(*args)
+
         def counted_expm(a):
             exponentials.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
             return original_expm(a)
 
         monkeypatch.setattr(qfikit.collision, "propagate", counted_propagate)
         monkeypatch.setattr(qfikit.collision, "_probe_propagation", counted_probe)
+        monkeypatch.setattr(qfikit.collision, "_end_row", counted_end)
         monkeypatch.setattr(qfikit.collision, "expm", counted_expm)
         assert main(["run", write_config(tmp_path, CANONICAL_DEPHASING)]) == 0
         capsys.readouterr()
         assert not matrix_runs
-        assert len(probe_runs) == 2
+        assert len(probe_runs) == 1 and probe_runs[0][0].jumps
+        assert end_rows == [()]
         assert sum(exponentials) <= 2
 
     def test_run_reduces_each_trajectory_once(self, tmp_path, monkeypatch):
-        # the jump-free baseline and the full trajectory are each reduced
-        # to the probe once; loss, theorem 2 and the columns share the second
+        # a collision run reads its probe rows as sums and maxima: neither
+        # the bundled run nor a sweep forms a row of the first-jump channel
+        # or a set of probe columns
         import qfikit.collision
+        from qfikit.encoding import ProbeColumns
 
-        original = qfikit.collision._probe_reduction
-        calls = []
+        rows, columns = [], []
+        original_columns = ProbeColumns.__post_init__
 
-        def counted(*args):
-            calls.append(args[0].jumps)
-            return original(*args)
+        def counted_rows(*args):
+            rows.append(args)
 
-        monkeypatch.setattr(qfikit.collision, "_probe_reduction", counted)
+        def counted_columns(self):
+            columns.append(1)
+            original_columns(self)
+
+        monkeypatch.setattr(qfikit.collision, "_first_jump_rows", counted_rows)
+        monkeypatch.setattr(ProbeColumns, "__post_init__", counted_columns)
         out = str(tmp_path / "dephasing.json")
         assert main(["run", "configs/dephasing.json", "--output", out]) == 0
-        assert len(calls) == 2
-        assert [bool(jumps) for jumps in calls] == [False, True]
+        path = write_config(tmp_path, CANONICAL_DEPHASING)
+        assert main(["sweep", path, "--param", "gamma", "--grid", "lin:0.2:1.6:8",
+                     "--output", str(tmp_path / "sweep.json")]) == 0
+        sweep = json.loads((tmp_path / "sweep.json").read_text(encoding="utf-8"))
+        assert len(sweep["table"]["rows"]) == 8
+        assert not rows and not columns
 
 
 SCIPY_FREE_RUN = """

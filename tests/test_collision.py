@@ -1173,21 +1173,19 @@ class TestProbeRoute:
             with pytest.raises(type(err)):
                 matrix_route(spec, grid, 0.3, psi, 1e-6)
             return
-        base, ints, loss, verdict, columns = matrix_route(spec, grid, 0.3, psi, 1e-6)
+        base, ints, loss, verdict, columns, red = matrix_route(spec, grid, 0.3, psi, 1e-6)
+        store = _probe_propagation(spec, grid, 0.3, psi.amplitudes).store
         if timed:
             # a callable spec is stepped one block at a time: the probe
-            # route reduces the very products propagate forms
-            assert got.loss == loss and got.theorem2 == verdict
-            for name in ("m", "dm", "completeness_residual"):
-                assert np.array_equal(getattr(got.columns, name), getattr(columns, name))
-
-        for name in ("m", "dm"):
-            assert relative_gap(getattr(got.columns, name), getattr(columns, name)) <= 1e-13
+            # route's store holds the very products propagate forms
+            assert np.array_equal(store, red.source.store)
+            assert got.completeness_residual == columns.completeness_residual
+        assert relative_gap(store, red.source.store) <= 1e-13
         residual = columns.completeness_residual
         bound = max(1e-13, 1e-13 * residual)
-        assert abs(got.columns.completeness_residual - residual) <= bound
+        assert abs(got.completeness_residual - residual) <= bound
         if abs(residual - EXACT_RESIDUAL_TOL) > bound:
-            assert got.columns.kind == columns.kind
+            assert got.kind == columns.kind
 
         # each loss field within 1e-13 relative of the terms it subtracts:
         # I_q = 4 (g - f^2) and the retained share 4 (g - |f|^2 / e)
@@ -1212,10 +1210,16 @@ class TestProbeRoute:
             assert (abs(got.loss.kappa_channel - loss.kappa_channel)
                     <= tol * (k_share + k_channel) * abs(1.0 - loss.kappa_channel))
 
+        def near(got_value, want):
+            return abs(got_value - want) <= max(1e-12 * abs(want), 1e-15)
+
         assert got.theorem2.lossless == verdict.lossless
-        probe_t1, matrix_t1 = (theorem1_residuals(c, tol=1e-6) for c in (got.columns, columns))
-        assert probe_t1.perp_lossless == matrix_t1.perp_lossless
-        assert probe_t1.generic_lossless == matrix_t1.generic_lossless
+        assert near(got.theorem2.jump_residual, verdict.jump_residual)
+        matrix_t1 = theorem1_residuals(columns, tol=1e-6)
+        assert got.theorem1.perp_lossless == matrix_t1.perp_lossless
+        assert got.theorem1.generic_lossless == matrix_t1.generic_lossless
+        for name in ("perp", "generic", "imag_f"):
+            assert near(getattr(got.theorem1, name), getattr(matrix_t1, name))
 
     def test_constant_run_holds_no_matrix_trajectory(self, monkeypatch):
         import tracemalloc
@@ -1246,9 +1250,74 @@ class TestProbeRoute:
         trajectory = (2 * grid.N + 1) * 2 * dim * dim * np.dtype(complex).itemsize
         assert peak < trajectory
 
+    @pytest.mark.parametrize("scheme, n_steps", [("euler_paper", 4096), ("expm_step", 16384)])
+    def test_run_holds_little_beside_its_probe_store(self, scheme, n_steps):
+        import tracemalloc
+
+        dim = 4
+        spec = scaled_spec(3, dim, 2)
+        grid = TimeGrid(1.0, n_steps, scheme)
+        psi = random_ket(dim, np.random.default_rng(3))
+        run(spec, grid, 0.3, psi)
+        tracemalloc.start()
+        try:
+            run(spec, grid, 0.3, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (2N + 1, 2d) probe store; its rows are read as Gramian blocks
+        # and one product per maximum, so no channel rows and no jumped
+        # stacks sit beside it
+        store = (2 * grid.N + 1) * 2 * dim * np.dtype(complex).itemsize
+        assert peak < 2.5 * store
+
     def test_non_finite_probe_store_raises(self):
         spec = CollisionSpec(h0=Operator(PAULI["z"]), h1=Operator(np.zeros((2, 2))),
                              jumps=((Operator(PAULI["z"]), 0.5),), dim=2)
         with pytest.raises(IntegratorFailure,
                            match="non-finite entries at N=64, scheme euler_paper"):
             run(spec, TimeGrid(T=1.0, N=64, scheme="euler_paper"), 1e200, PLUS_X)
+
+
+#: (gamma, N, kind, theorem1_perp residual, its status, theorem-2 jump
+#: residual, its status) of the model of ``TestVerdictScales``, under expm_step
+VERDICT_SCALES = [
+    (1e-8, 16, "exact", 1.82437066554e-05, "fail", 7.29748267370e-05, "fail"),
+    (1e-8, 1024, "exact", 2.33823187716e-06, "fail", 7.48234201806e-05, "fail"),
+    (1e-8, 4096, "exact", 1.16945833361e-06, "fail", 7.48453334623e-05, "fail"),
+    (1e-8, 16384, "exact", 5.84771963456e-07, "pass", 7.48508114339e-05, "fail"),
+    (0.01, 16, "approximate", 0.128234303713, "fail", 0.0728227966827, "fail"),
+    (0.01, 1024, "approximate", 0.128234303712, "fail", 0.0746461544351, "fail"),
+    (0.01, 4096, "exact", 0.00268814414377, "fail", 0.0746677644860, "fail"),
+    (0.01, 16384, "exact", 0.00268814413064, "fail", 0.0746731666397, "fail"),
+]
+
+
+class TestVerdictScales:
+    """``run``'s verdicts on a decaying qubit, H0 = x sigma_z, H1 = 0.7 sigma_x,
+    L = sigma_-, psi = |+>, x = 0.3, T = 1, tol 1e-6, as N grows.
+
+    theorem1_perp judges each discarded row sqrt(gamma dt) L xi, which
+    shrinks as sqrt(dt), while theorem 2 reads the density sqrt(gamma) L xi:
+    at gamma = 1e-8 the perp verdict passes from N = 16384 on while theorem
+    2 fails at every N. At gamma = 0.01 the gauge path follows ``kind``,
+    which flips between N = 1024 and 4096 and moves the perp residual
+    48-fold. Verdicts read on one scale, the aggregate of gamma ||L xi||^2
+    over the run, will change these values on purpose; until then the
+    table guards against a change of route changing what a verdict means.
+    """
+
+    @pytest.mark.parametrize("gamma, n_steps, kind, perp, perp_status, jump, jump_status",
+                             VERDICT_SCALES)
+    def test_verdicts_follow_the_table(self, gamma, n_steps, kind, perp, perp_status,
+                                       jump, jump_status):
+        spec = CollisionSpec(
+            h0=Operator(PAULI["z"]), h1=Operator(0.7 * PAULI["x"]),
+            jumps=((Operator(np.array([[0.0, 1.0], [0.0, 0.0]])), gamma),), dim=2,
+        )
+        got = run(spec, TimeGrid(1.0, n_steps, "expm_step"), 0.3, PLUS_X, tol=1e-6)
+        assert got.kind == kind
+        assert ("pass" if got.theorem1.perp_lossless else "fail") == perp_status
+        assert ("pass" if got.theorem2.lossless else "fail") == jump_status
+        assert got.theorem1.perp == pytest.approx(perp, rel=1e-9, abs=0.0)
+        assert got.theorem2.jump_residual == pytest.approx(jump, rel=1e-9, abs=0.0)

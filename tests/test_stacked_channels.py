@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_ket, scaled_model
 from oracles import (
+    _columns,
     matrix_reduction,
     rowwise_completeness,
     rowwise_efg,
@@ -16,7 +17,6 @@ from oracles import (
 )
 from qfikit.collision import (
     SCHEMES,
-    _columns,
     CollisionSpec,
     TimeGrid,
     build_discrete_channel,
