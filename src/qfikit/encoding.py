@@ -682,14 +682,31 @@ def grid_statistics(labels, columns: ProbeColumns, amplified: bool = False) -> t
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = 1.0 - avg / i_q
     if amplified:
-        # complete_report's kappa range, then amplification's QFI floor and
-        # the shares of every live outcome
-        informative = i_q > KAPPA_DENOM_FLOOR
-        refuse(informative & ~((-1e-8 <= kappa) & (kappa <= 1.0 + 1e-8)),
-               lambda n: f"kappa {float(kappa[n])} outside [0, 1] beyond roundoff")
-        refuse(~informative, lambda n: "total QFI is zero; amplification undefined")
+        # complete_report's kappa range, amplification's QFI floor, live shares
+        refuse(~_kappa_range(i_q, kappa), lambda n: "total QFI is zero; amplification undefined")
         refuse_shares(True)
     return i_q, share, avg, kappa
+
+
+def _kappa_range(i_q: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """The grid points with i_q above the floor, whose kappa ``loss_kappa``
+    would refuse outside [0, 1] beyond roundoff; refuses the first such."""
+    informative = i_q > KAPPA_DENOM_FLOOR
+    refuse(informative & ~((-1e-8 <= kappa) & (kappa <= 1.0 + 1e-8)),
+           lambda n: f"kappa {float(kappa[n])} outside [0, 1] beyond roundoff")
+    return informative
+
+
+def _perp_grid(columns: ProbeColumns, tol: float = 1e-9) -> tuple:
+    """``theorem1_residuals``' perp residual and verdict at every point of a
+    grid of exact points, in the gauge ``fix_perpendicular_gauge`` picks."""
+    e, kept = columns.e, columns.retained_mask
+    f_total, e_total = _running_total(columns.f, 0j), _running_total(e, 0.0)
+    dm = columns.dm + (1j * (-f_total.real / e_total))[:, None, None] * columns.m
+    overlap, dnorm, dead = _perp_residuals(columns.m, dm, e, kept, tol)
+    perp = np.maximum(overlap.max(axis=-1, initial=0.0),
+                      dnorm[:, ~kept].max(axis=-1, initial=0.0))
+    return perp, (perp <= tol) & ~dead.any(axis=-1)
 
 
 def amplification_grid(labels, columns: ProbeColumns,
@@ -700,17 +717,10 @@ def amplification_grid(labels, columns: ProbeColumns,
     off ``grid_statistics``: no report is built per point, and every value
     equals the per-point route's bit for bit."""
     i_q, share, avg, kappa = grid_statistics(labels, columns, amplified=True)
-    e, kept = columns.e, columns.retained_mask
-    i_sigma = np.divide(share, e, out=np.zeros_like(e), where=e > P_FLOOR)
-    # every point is exact, so each takes the perpendicular gauge
-    f_total, e_total = _running_total(columns.f, 0j), _running_total(e, 0.0)
-    dm = columns.dm + (1j * (-f_total.real / e_total))[:, None, None] * columns.m
-    overlap, dnorm, dead = _perp_residuals(columns.m, dm, e, kept, tol)
-    perp = np.maximum(overlap.max(axis=-1, initial=0.0),
-                      dnorm[:, ~kept].max(axis=-1, initial=0.0))
+    i_sigma = np.divide(share, columns.e, out=np.zeros_like(share), where=columns.e > P_FLOOR)
     return GridAmplification(i_sigma, i_q * _running_total(share / i_q[:, None], 0.0),
-                             _running_total(i_sigma, 0.0), perp,
-                             (perp <= tol) & ~dead.any(axis=-1), i_q, avg, kappa)
+                             _running_total(i_sigma, 0.0), *_perp_grid(columns, tol),
+                             i_q, avg, kappa)
 
 
 def complete_report(

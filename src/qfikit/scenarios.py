@@ -47,7 +47,7 @@ __all__ = [
     "build_dephasing",
     "random_family",
     "seeded_families",
-    "lossless_family",
+    "seeded_lossless_families",
 ]
 
 #: Variance floor below which the environment pointer is undefined.
@@ -383,39 +383,33 @@ def _haar(g: np.ndarray) -> np.ndarray:
     return q * (phases / np.abs(phases))[..., None, :]
 
 
-def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix."""
-    return _haar(_ginibre(dim, rng))
-
-
 def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = _ginibre(dim, rng)
     return (g + g.conj().T) / 2.0
 
 
-def lossless_family(dim: int, n_outcomes: int, seed: int) -> Callable[[float], tuple]:
-    """Exact family whose record costs nothing.
+def seeded_lossless_families(dim: int, n_outcomes: int, seeds) -> Callable:
+    """Exact families whose record costs nothing, one per seed, at once.
 
-    Each slice is a set of seeded weighted unitaries times one common
-    rotation exp(-i x H), with every outcome retained: no outcome weight
-    depends on x, so the full information survives post-selection. The
-    family maps x to the channel and its derivative stack, both from one
-    exp(-i x H).
+    Each slice is a set of weighted Haar unitaries times one common
+    rotation exp(-i x H), every outcome retained: no outcome weight depends
+    on x, so the full information survives post-selection. Each seed draws
+    from its own stream: Dirichlet weights, one Ginibre matrix per outcome,
+    then the generator. The returned function maps the seeds' (G,)
+    operating points to their (G, M, d, d) Kraus and derivative stacks.
     """
-    rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(n_outcomes))
-    us = [_haar_unitary(dim, rng) for _ in range(n_outcomes)]
-    h = _random_hermitian(dim, rng)
-    labels = [str(w) for w in range(n_outcomes)]
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        draws.append((rng.dirichlet(np.ones(n_outcomes)),
+                      [_ginibre(dim, rng) for _ in range(n_outcomes)],
+                      _random_hermitian(dim, rng)))
+    weights, ginibres, h = (np.array(stack) for stack in zip(*draws))
+    scaled = np.sqrt(weights)[..., None, None] * _haar(ginibres)
 
-    def family(x):
-        rot = expm(-1j * x * h)
-        der = -1j * h @ rot
-        channel = MeasurementChannel.from_stack(
-            labels, [np.sqrt(weights[w]) * us[w] @ rot for w in range(n_outcomes)],
-            frozenset(labels))
-        return channel, _frozen([np.sqrt(weights[w]) * us[w] @ der
-                                 for w in range(n_outcomes)])
+    def family(xs):
+        rot = expm((-1j * np.asarray(xs, dtype=float))[:, None, None] * h)
+        return scaled @ rot[:, None], scaled @ (-1j * h @ rot)[:, None]
 
     return family
 

@@ -15,13 +15,13 @@
   carry information is refused the theorem-2 certificate. The collision
   models go through ``collision.run``, the recipe of `qfi run`.
 
-The chain and gauge suites draw each instance from its own seeded
-streams, group the instances by shape (dimension and outcome count, and
-for ``gauge`` the retained set) and read each group in one stacked pass
-with a leading instance axis: one ``seeded_families`` call, one ``expm``
-and stacked SVDs, QR and ``eigh``, with no channel or report built per
-instance. A faulty instance raises the error its own route would raise,
-with its seed added.
+The chain, gauge and theorem-soundness suites draw each instance from
+its own seeded streams, group the instances by shape (dimension and
+outcome count, and for ``gauge`` the retained set) and read each group in
+one stacked pass with a leading instance axis: one ``seeded_families``
+(``seeded_lossless_families``) call, one ``expm`` and stacked SVDs, QR and
+``eigh``, no channel or report per instance; theorem-soundness reads the
+grid perp verdict. A faulty instance raises its route's error and seed.
 
 Each suite returns (ok, lines): whether every check passed, and the
 report lines `qfi verify` prints.
@@ -40,18 +40,17 @@ from .collision import (
 )
 from .encoding import (
     ProbeColumns,
+    _kappa_range,
+    _perp_grid,
     amplification_grid,
-    check_lossless_perp,
-    complete_report,
-    fix_perpendicular_gauge,
     grid_statistics,
     phase_shift,
 )
 from .fisher import mixed_state_derivatives, sigma_se_rows, sld_stack
-from .quantum_core import (Ket, Operator, SliceError, _running_total, completeness,
-                           mixed_states, require_unit)
-from .scenarios import (_random_hermitian, build_dephasing, lossless_family, random_family,
-                        seeded_families)
+from .quantum_core import (EXACT_RESIDUAL_TOL, Ket, Operator, SliceError, _running_total,
+                           completeness, mixed_states, refuse, require_unit)
+from .scenarios import (_random_hermitian, build_dephasing, seeded_families,
+                        seeded_lossless_families)
 
 __all__ = ["SUITES"]
 
@@ -67,25 +66,14 @@ def _seeded_draws(seed: int, offset: int = 10_000) -> tuple:
     return dim, n_outcomes, x, v / np.linalg.norm(v)
 
 
-def _seeded_instance(seed: int, offset: int = 10_000, build=None):
-    """Deterministic family, operating point, and probe of one instance.
-
-    ``build(dim, n_outcomes, seed)`` makes the family from the draws of
-    ``_seeded_draws``, ``random_family`` when None. The chain and gauge
-    suites take the same draws, but group their instances by shape
-    (``_grouped``) and evaluate each group with ``seeded_families``.
-    """
-    dim, n_outcomes, x, psi = _seeded_draws(seed, offset)
-    return (build or random_family)(dim, n_outcomes, seed), x, Ket(psi)
-
-
-def _grouped(seeds, key=lambda seed, dim, n_outcomes: (dim, n_outcomes)) -> dict:
-    """The seeded instances by shape: ``key(seed, dim, n_outcomes)`` maps to
-    the group's seeds, (G,) operating points and (G, dim) probes, each in
-    seed order; the first two entries of a key are dim and n_outcomes."""
+def _grouped(seeds, key=lambda seed, dim, n_outcomes: (dim, n_outcomes),
+             offset: int = 10_000) -> dict:
+    """The instances ``_seeded_draws`` draws at ``offset``, by shape:
+    ``key(seed, dim, n_outcomes)``, which starts with dim and n_outcomes,
+    maps to the group's seeds, (G,) x and (G, dim) probes in seed order."""
     groups = {}
     for seed in seeds:
-        dim, n_outcomes, x, psi = _seeded_draws(seed)
+        dim, n_outcomes, x, psi = _seeded_draws(seed, offset)
         for part, value in zip(groups.setdefault(key(seed, dim, n_outcomes), ([], [], [])),
                                (seed, x, psi)):
             part.append(value)
@@ -93,12 +81,16 @@ def _grouped(seeds, key=lambda seed, dim, n_outcomes: (dim, n_outcomes)) -> dict
             for k, (members, xs, psis) in groups.items()}
 
 
-def _columns(stack, dstack, psi, kept) -> ProbeColumns:
-    """The probe columns of a group: (G, M, d, d) stacks on (G, d) probes."""
+def _columns(stack, dstack, psi, kept, exact: bool = False) -> ProbeColumns:
+    """The probe columns of a group: (G, M, d, d) stacks on (G, d) probes;
+    ``exact`` first refuses an inexact channel, as the gauge fix does."""
+    residual = completeness(stack)
+    refuse(exact & ~(residual <= EXACT_RESIDUAL_TOL),
+           lambda n: "gauge fixing expects an exact channel")
     require_unit(psi)
     probes = psi[:, None, :, None]
     return ProbeColumns(m=(stack @ probes)[..., 0], dm=(dstack @ probes)[..., 0],
-                        retained_mask=kept, completeness_residual=completeness(stack))
+                        retained_mask=kept, completeness_residual=residual)
 
 
 def _named(seeds, evaluate, *args):
@@ -227,29 +219,33 @@ def _suite_completeness() -> tuple:
     return euler_ok and int_ok, lines
 
 
-def _suite_theorem_soundness() -> tuple:
-    """A passing lossless verdict must match a vanishing measured loss."""
-    lines = []
-    ok = True
+def _soundness(seeds, stack, dstack, psi) -> tuple:
+    """The (G,) theorem-1 perp verdicts (tol 1e-9) of a lossless group and
+    the kappas of its certified instances (0.0 where uninformative). As on
+    the instance route, the gauge fix refuses an inexact channel first, and
+    only certified instances meet ``complete_report``'s checks."""
+    labels = [str(w) for w in range(stack.shape[1])]
+    kept = np.ones(len(labels), dtype=bool)
+    c = _named(seeds, _columns, stack, dstack, psi, kept, True)
+    certified = _perp_grid(c)[1]
+    named = np.compress(certified, seeds)
+    i_q, _, _, kappa = _named(named, grid_statistics, labels, ProbeColumns(
+        c.m[certified], c.dm[certified], kept, c.completeness_residual[certified]))
+    return certified, np.where(_named(named, _kappa_range, i_q, kappa), kappa, 0.0)
 
-    certified = 0
-    worst_kappa = 0.0
-    for seed in range(20):
-        family, x, psi = _seeded_instance(seed, 20_000, lossless_family)
-        channel, derivatives = family(x)
-        gauged, _ = fix_perpendicular_gauge(channel, derivatives, psi)
-        verdict = check_lossless_perp(channel, gauged, psi, tol=1e-9)
-        if not verdict.lossless:
-            continue
-        certified += 1
-        kappa = complete_report(channel, derivatives, psi).kappa or 0.0
-        worst_kappa = max(worst_kappa, kappa)
-    sound = certified > 0 and worst_kappa <= 1e-5
-    ok = ok and sound
-    lines.append(
-        f"theorem-soundness: {certified}/20 certified lossless, "
-        f"worst kappa {worst_kappa:.3e} {'PASS' if sound else 'FAIL'}"
-    )
+
+def _suite_theorem_soundness() -> tuple:
+    """A passing lossless verdict must match a vanishing measured loss: 20
+    lossless families in 9 (dim, outcomes) groups, one ``_soundness`` each."""
+    certified, worst_kappa = 0, 0.0
+    for (dim, n_outcomes), (group, xs, psi) in _grouped(range(20), offset=20_000).items():
+        lossless, kappa = _soundness(
+            group, *seeded_lossless_families(dim, n_outcomes, group)(xs), psi)
+        certified += int(lossless.sum())
+        worst_kappa = max(worst_kappa, kappa.max(initial=0.0))
+    ok = sound = certified > 0 and worst_kappa <= 1e-5
+    lines = [f"theorem-soundness: {certified}/20 certified lossless, "
+             f"worst kappa {worst_kappa:.3e} {'PASS' if sound else 'FAIL'}"]
 
     # jump operator blind to the evolving subspace: certificate and loss
     # must both come out clean

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import haar_unitary, lossless_family
 from qfikit.quantum_core import Ket, MeasurementChannel, Operator
-from qfikit.scenarios import (
-    TransducerSpec,
-    _haar_unitary,
-    _random_hermitian,
-    lossless_family,
-    random_family,
-)
+from qfikit.scenarios import TransducerSpec, _random_hermitian, random_family
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -25,9 +20,9 @@ PLUS_X = Ket(np.array([1, 1]) / np.sqrt(2))
 MINUS_X = Ket(np.array([1, -1]) / np.sqrt(2))
 
 
-# canonical generator implementations live in qfikit.scenarios; the test
-# suite reuses them so seeded draws stay identical across both
-haar_unitary = _haar_unitary
+# canonical generator implementations live in qfikit.scenarios, and the
+# one-seed lossless family in oracles; the test suite reuses them so
+# seeded draws stay identical across all of them
 random_hermitian = _random_hermitian
 lossless_slice_family = lossless_family
 

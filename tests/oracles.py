@@ -7,7 +7,8 @@ built one time at a time for literal Euler products, the
 per-POVM-element information chain checked element by element, the
 matrix trajectories of ``collision.propagate`` reduced to the probe, and
 the transducer's mixing grid read one channel per point, and the
-``qfi verify`` chain and gauge suites read one instance at a time. The
+``qfi verify`` chain, gauge and theorem-soundness suites read one
+instance at a time, the last on the one-seed lossless family. The
 one-channel cases of the stacked kernels those routes read
 (``mixed_state_derivative``, ``gauge_shift``) live here too.
 """
@@ -31,8 +32,10 @@ from qfikit.collision import (
 from qfikit.encoding import (
     ProbeColumns,
     amplification,
+    check_lossless_perp,
     complete_report,
     efg,
+    fix_perpendicular_gauge,
     phase_shift,
     retained_average,
     theorem1_residuals,
@@ -52,10 +55,13 @@ from qfikit.quantum_core import (
     MeasurementChannel,
     Operator,
     derivative_stack,
+    expm,
     mixed_state,
     spectral_norm,
 )
-from qfikit.scenarios import build_transducer, fig1b_row_from
+from qfikit.scenarios import (_frozen, _ginibre, _haar, _random_hermitian, build_transducer,
+                              fig1b_row_from, random_family)
+from qfikit.verify import _seeded_draws
 
 
 def fidelity_pure_qfi(psi_at, x: float, delta: float = 1e-4) -> float:
@@ -536,3 +542,65 @@ def gauge_instance_route(channel, derivatives, psi: Ket, x: float) -> list:
     pairs += [(base_rows.get(label, 0.0), moved_rows.get(label, 0.0))
               for label in channel.labels]
     return [abs(a - b) / max(abs(a), 1.0) for a, b in pairs]
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix."""
+    return _haar(_ginibre(dim, rng))
+
+
+def lossless_family(dim: int, n_outcomes: int, seed: int):
+    """Exact family whose record costs nothing, one seed at a time.
+
+    Each slice is a set of seeded weighted unitaries times one common
+    rotation exp(-i x H), with every outcome retained: no outcome weight
+    depends on x, so the full information survives post-selection. The
+    family maps x to the channel and its derivative stack, both from one
+    exp(-i x H). ``scenarios.seeded_lossless_families`` gives every
+    slice of a group with these bits.
+    """
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(n_outcomes))
+    us = [haar_unitary(dim, rng) for _ in range(n_outcomes)]
+    h = _random_hermitian(dim, rng)
+    labels = [str(w) for w in range(n_outcomes)]
+
+    def family(x):
+        rot = expm(-1j * x * h)
+        der = -1j * h @ rot
+        channel = MeasurementChannel.from_stack(
+            labels, [np.sqrt(weights[w]) * us[w] @ rot for w in range(n_outcomes)],
+            frozenset(labels))
+        return channel, _frozen([np.sqrt(weights[w]) * us[w] @ der
+                                 for w in range(n_outcomes)])
+
+    return family
+
+
+def seeded_instance(seed: int, offset: int = 10_000, build=None):
+    """Deterministic family, operating point, and probe of one ``qfi
+    verify`` instance.
+
+    ``build(dim, n_outcomes, seed)`` makes the family from the draws of
+    ``verify._seeded_draws``, ``random_family`` when None. The suites take
+    the same draws, but group their instances by shape (``_grouped``).
+    """
+    dim, n_outcomes, x, psi = _seeded_draws(seed, offset)
+    return (build or random_family)(dim, n_outcomes, seed), x, Ket(psi)
+
+
+def soundness_instance_route(channel, derivatives, psi: Ket) -> tuple:
+    """The theorem-soundness suite's reading of one lossless instance,
+    one channel at a time: (certified, kappa).
+
+    Fixes the perpendicular gauge, checks the perp conditions at tol 1e-9
+    and, for a certified instance, reads kappa off its
+    ``complete_report``, 0.0 when that leaves kappa None; an uncertified
+    instance reads (False, 0.0). Raises the instance's first error, as
+    the suite's loop over instances met it.
+    """
+    gauged, _ = fix_perpendicular_gauge(channel, derivatives, psi)
+    verdict = check_lossless_perp(channel, gauged, psi, tol=1e-9)
+    if not verdict.lossless:
+        return False, 0.0
+    return True, complete_report(channel, derivatives, psi).kappa or 0.0

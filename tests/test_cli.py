@@ -664,6 +664,16 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
 
+    def test_every_suite_prints_its_golden_lines(self, capsys):
+        # byte for byte, in `qfi verify` order; moving any line is a named
+        # re-capture of the golden
+        from qfikit.verify import SUITES
+
+        for suite in SUITES:
+            assert main(["verify", "--suite", suite]) == 0
+        with open("tests/golden/verify_lines.txt", encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+
     def test_theorem_soundness_propagates_the_probe(self, capsys, monkeypatch):
         # each collision model is one collision.run: the jump-free baseline
         # as an end row and the model propagated on the probe, no matrix

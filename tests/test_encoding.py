@@ -17,7 +17,8 @@ from conftest import (
     random_ket,
     unitary_slice_family,
 )
-from oracles import dilated_pure_qfi, dilated_state, gauge_shift, nonempty_subsets
+from oracles import (dilated_pure_qfi, dilated_state, gauge_shift, nonempty_subsets,
+                     seeded_instance)
 from qfikit.encoding import (
     KAPPA_DENOM_FLOOR,
     EfgReport,
@@ -46,7 +47,6 @@ from qfikit.quantum_core import (
     SliceError,
     mixed_state,
 )
-from qfikit.verify import _seeded_instance
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
 
@@ -277,7 +277,7 @@ class TestRetainedAverage:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_subset_average_equals_recontraction(self, seed):
-        family, x, psi = _seeded_instance(seed)
+        family, x, psi = seeded_instance(seed)
         channel, derivatives = family(x)
         report = efg(channel, derivatives, psi)
         assert retained_average(report.per_outcome, channel.retained) == report.avg_ps_qfi
@@ -319,7 +319,7 @@ class TestOneContraction:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_report_columns_are_the_contraction(self, seed):
-        family, x, psi = _seeded_instance(seed)
+        family, x, psi = seeded_instance(seed)
         channel, derivatives = family(x)
         report = efg(channel, derivatives, psi)
         columns = probe_columns(channel, derivatives, psi)
@@ -330,7 +330,7 @@ class TestOneContraction:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_amplification_reads_a_complete_report(self, seed):
-        family, x, psi = _seeded_instance(seed)
+        family, x, psi = seeded_instance(seed)
         channel, derivatives = family(x)
         report = complete_report(channel, derivatives, psi)
         if report.i_q <= KAPPA_DENOM_FLOOR:

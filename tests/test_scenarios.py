@@ -34,7 +34,6 @@ from qfikit.scenarios import (
     build_transducer,
     fig1b_rows,
     fig1b_sweep,
-    lossless_family,
     random_family,
     transducer_grid,
 )
@@ -479,11 +478,16 @@ class TestFamilies:
 
         monkeypatch.setattr(qfikit.scenarios, "expm", counted)
         transducer, _ = build_transducer(two_qubit_transducer())
-        for family in (random_family(3, 2, 7), lossless_family(3, 2, 7), transducer):
+        for family in (random_family(3, 2, 7), transducer):
             calls.clear()
             channel, dks = family(0.3)
             assert len(calls) == 1
             assert dks.shape == channel.stack.shape
+        # the lossless families: one exponential for the whole group
+        calls.clear()
+        ks, dks = scenarios.seeded_lossless_families(3, 2, [7, 8])([0.3, -0.1])
+        assert len(calls) == 1
+        assert ks.shape == dks.shape == (2, 2, 3, 3)
 
 
 class TestRandomGenerators:
