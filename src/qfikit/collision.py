@@ -9,22 +9,26 @@ completeness and E/F/G integrals of the continuum limit, a two-part
 losslessness check for the no-jump branch, and the resulting
 information-loss fraction.
 
+A model is constant data: the generator G of H0 = x*G, the control H1
+and jump pairs (L_j, gamma_j). Its effective generator H_nh is formed
+once per propagation, and every step repeats one step block.
+
 Two step rules are provided. ``euler_paper`` multiplies the first-order
-factors 1 - i*H*dt sampled at right edges, the textbook discretization;
-``expm_step`` multiplies midpoint-sampled matrix exponentials and is the
-accurate production scheme (second order, norm-nonincreasing).
+factors 1 - i*H*dt, the textbook discretization; ``expm_step`` multiplies
+half-step matrix exponentials and is the accurate production scheme
+(second order, norm-nonincreasing).
 
 The x-derivative travels inside the product: every step multiplies the
 block [[S, dS], [0, S]] into the column [[dK], [K]], the block-triangular
 form whose exponential yields the Frechet derivative of expm (Van Loan
-1978, "Computing integrals involving the matrix exponential"). A model
-given as functions of time exponentiates its N step blocks in one batched
-``quantum_core.expm`` call and multiplies them one by one. A model given
-as constant data repeats one block B, so its propagation is filled by
-doubling in the I + F form, B^m = I + F_m and F_2m = 2 F_m + F_m F_m,
-the scaling-and-squaring idea of ``quantum_core.expm``: O(log N) numpy
-calls, and the completeness Gramian of a constant model is a doubled
-Stein sum over the same F_m (Smith 1968), with no array of N matrices.
+1978, "Computing integrals involving the matrix exponential"). Since the
+block B repeats, a propagation is filled by doubling in the I + F form,
+B^m = I + F_m and F_2m = 2 F_m + F_m F_m, the scaling-and-squaring idea
+of ``quantum_core.expm``: O(log N) numpy calls, and the completeness
+Gramian is a doubled Stein sum over the same F_m (Smith 1968), with no
+array of N matrices. Time dependence, if a model ever needs it, composes
+this per segment: a piecewise-constant schedule chains each segment's
+doubled products and Stein sums, S = S_1 + (A_1^N1)^+ S_2 A_1^N1.
 
 Runs propagate the probe, not the propagator (Al-Mohy & Higham 2011):
 every statistic is an expectation in psi, read off the edge and midpoint
@@ -38,8 +42,9 @@ nor its Kraus matrices (``build_discrete_channel``, the matrix route of
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -72,7 +77,7 @@ __all__ = [
 
 SCHEMES = ("euler_paper", "expm_step")
 
-#: Hermiticity budget for sampled Hamiltonians.
+#: Hermiticity budget for the Hamiltonian x*G + H1.
 HERMITIAN_TOL = 1e-10
 
 
@@ -80,90 +85,64 @@ class IntegratorFailure(RuntimeError):
     """Propagation produced non-finite entries or an implausible residual."""
 
 
-@dataclass(frozen=True)
-class _Constant:
-    """Time-independent generator data behind the callable interface."""
-
-    value: object
-
-    def __call__(self, t, x=None):
-        return self.value
-
-
-@dataclass(frozen=True)
-class _Linear:
-    """H0(t, x) = x * G with constant G, so dH0/dx = G."""
-
-    generator: Operator
-
-    def __call__(self, t, x):
-        return Operator(x * self.generator.entries)
+def _operator(name: str, op, dim: int) -> None:
+    if not isinstance(op, Operator):
+        raise TypeError(f"{name} must be an Operator, got {type(op).__name__}: "
+                        "collision specs are constant data")
+    if op.dim != dim:
+        raise ValueError(f"{name} dimension {op.dim} does not match {dim}")
 
 
 @dataclass(frozen=True)
 class CollisionSpec:
-    """Generator data for one collision model.
-
-    Every generator is either constant data or a callable of time. After
-    construction ``h0``, ``h1``, ``dh0`` and each rate are callables in
-    either case, so ``spec.h0(t, x)`` always works; a spec whose every
-    entry is constant data is sampled once per grid instead of once per
-    step, which is what makes long grids cheap.
+    """Generator data for one collision model, all of it constant.
 
     Parameters
     ----------
-    h0 : Operator or callable
-        The estimation Hamiltonian, Hermitian within 1e-10 at every
-        sampled point (units 1/time). An Operator G means H0(t, x) = x*G
-        with dH0/dx = G; a callable maps (t, x) -> Operator.
-    h1 : Operator or callable
-        The control Hamiltonian, same requirements: a constant Operator or
-        a callable t -> Operator.
-    jumps : sequence of (Operator, float or callable)
-        Each entry couples a jump operator L_j to its rate gamma_j >= 0
-        (units 1/time), a constant float or a callable t -> float.
+    h0 : Operator
+        The generator G of the estimation Hamiltonian H0 = x*G, so that
+        dH0/dx = G (units 1/time). x*G + H1 must be Hermitian within 1e-10
+        at the x it is propagated at.
+    h1 : Operator
+        The control Hamiltonian.
+    jumps : sequence of (Operator, float)
+        Each entry couples a jump operator L_j to its rate gamma_j, a
+        finite number >= 0 (units 1/time), stored as a float.
     dim : int
         Hilbert-space dimension.
-    dh0 : callable, optional
-        (t, x) -> Operator giving the analytic x-derivative of a callable
-        h0. Without it such a spec propagates only without derivatives;
-        asking it for derivatives raises ValueError. Not accepted with a
-        constant h0, which carries its own derivative.
+
+    Anything but an Operator in place of h0, h1 or L_j, or anything but a
+    real number in place of a rate (a function of time, say), raises
+    TypeError; a negative or non-finite rate raises ValueError. Both are
+    checked once, at construction.
     """
 
-    h0: Union[Operator, Callable[[float, float], Operator]]
-    h1: Union[Operator, Callable[[float], Operator]]
+    h0: Operator
+    h1: Operator
     jumps: tuple
     dim: int
-    dh0: Optional[Callable[[float, float], Operator]] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
-        for name, op in (("h0", self.h0), ("h1", self.h1)):
-            if isinstance(op, Operator) and op.dim != self.dim:
-                raise ValueError(f"{name} dimension {op.dim} does not match {self.dim}")
-        if isinstance(self.h0, Operator):
-            if self.dh0 is not None:
-                raise ValueError("a constant h0 carries its own derivative; drop dh0")
-            object.__setattr__(self, "dh0", _Constant(self.h0))
-            object.__setattr__(self, "h0", _Linear(self.h0))
-        if isinstance(self.h1, Operator):
-            object.__setattr__(self, "h1", _Constant(self.h1))
-        jumps = tuple(
-            (op, rate if callable(rate) else _Constant(float(rate)))
-            for op, rate in self.jumps
-        )
-        for op, _ in jumps:
-            if op.dim != self.dim:
-                raise ValueError(
-                    f"jump operator dimension {op.dim} does not match {self.dim}"
-                )
-        object.__setattr__(self, "jumps", jumps)
+        _operator("h0", self.h0, self.dim)
+        _operator("h1", self.h1, self.dim)
+        jumps = []
+        for j, (op, rate) in enumerate(self.jumps):
+            _operator("jump operator", op, self.dim)
+            if not isinstance(rate, numbers.Real):
+                raise TypeError(f"rate of jump {j} must be a real number, got "
+                                f"{type(rate).__name__}: collision specs are constant data")
+            rate = float(rate)
+            if not math.isfinite(rate) or rate < 0.0:
+                raise ValueError(f"rate of jump {j} must be finite and nonnegative, "
+                                 f"got {rate!r}")
+            jumps.append((op, rate))
+        object.__setattr__(self, "jumps", tuple(jumps))
 
     def without_jumps(self) -> "CollisionSpec":
         """The dissipation-free member of the same family."""
-        return CollisionSpec(self.h0, self.h1, (), self.dim, self.dh0)
+        return CollisionSpec(self.h0, self.h1, (), self.dim)
 
 
 @dataclass(frozen=True)
@@ -171,7 +150,7 @@ class TimeGrid:
     """Uniform grid of N steps covering [0, T].
 
     dt is derived as T/N, never stored independently, so dt*N = T holds by
-    construction; sample times are generated with an exact T endpoint.
+    construction.
     """
 
     T: float
@@ -190,49 +169,39 @@ class TimeGrid:
     def dt(self) -> float:
         return self.T / self.N
 
-    def right_edges(self) -> np.ndarray:
-        """t_n = n*dt for n = 1..N, with t_N = T exactly."""
-        return np.linspace(self.dt, self.T, self.N)
-
-    def midpoints(self) -> np.ndarray:
-        """t at the center of each step."""
-        return self.right_edges() - 0.5 * self.dt
-
 
 @dataclass(frozen=True)
 class NhTrajectory:
     """Time-ordered no-jump products and their parameter derivatives.
 
-    The matrix route: ``propagate`` returns it for the explicit channel
-    and the completeness checks of a callable spec, and the probe
-    propagation of ``run`` is tested against it; ``run`` forms none.
+    The matrix route: ``propagate`` returns it for the explicit channel,
+    and the probe propagation of ``run`` is tested against it; ``run``
+    forms none.
 
     ``products[n]`` is the cumulative factor after n steps (index 0 is the
     identity), so ``products[n] @ psi`` is the unnormalized conditional
     state at t_n. ``mid_products[n]`` extends ``products[n]`` by half a
     step under the scheme's local rule and supplies the midpoint samples
     used by every quadrature here. The derivative arrays follow the same
-    indexing and are None when propagation skipped them. ``h_mid`` stacks
-    the midpoint H_nh samples behind the factors, one for a constant spec.
+    indexing and are None when propagation skipped them. ``h_nh`` is the
+    effective generator behind the factors.
 
     All four arrays are strided views of one dense (2N+1, 2*dim, dim)
     column store [[dK], [K]] (K alone without derivatives), a few tens of
-    MB at N <= 2**14. A constant spec's entries are filled by doubling and
-    differ from a literal step product by rounding only (about 1e-14
-    relative).
+    MB at N <= 2**14. Its entries are filled by doubling and differ from a
+    literal step product by rounding only (about 1e-14 relative).
 
-    Under ``expm_step`` each factor is a contraction whenever the rates
-    are nonnegative, so conditional-state norms never increase. The
-    ``euler_paper`` factors have norm >= 1 at zero rate and can grow the
-    norm by O(||H||^2 dt^2) per step; callers comparing norms must budget
-    for that.
+    Under ``expm_step`` each factor is a contraction, so conditional-state
+    norms never increase. The ``euler_paper`` factors have norm >= 1 at
+    zero rate and can grow the norm by O(||H||^2 dt^2) per step; callers
+    comparing norms must budget for that.
     """
 
     grid: TimeGrid
     x: float
     products: np.ndarray
     mid_products: np.ndarray
-    h_mid: np.ndarray
+    h_nh: np.ndarray
     dproducts: Optional[np.ndarray] = None
     dmid_products: Optional[np.ndarray] = None
 
@@ -241,138 +210,64 @@ class NhTrajectory:
         return self.products.shape[-1]
 
 
-def _constant(spec: CollisionSpec) -> bool:
-    """No generator or rate of the spec depends on t."""
-    return (isinstance(spec.h0, _Linear) and isinstance(spec.h1, _Constant)
-            and all(isinstance(rate, _Constant) for _, rate in spec.jumps))
+def _rates(spec: CollisionSpec) -> np.ndarray:
+    """The rates gamma_j as one (n_jumps, 1) column, which broadcasts over
+    the steps."""
+    return np.array([rate for _, rate in spec.jumps]).reshape(-1, 1)
 
 
-def _sample_times(spec: CollisionSpec, times: np.ndarray) -> np.ndarray:
-    """The times a spec must be sampled at to cover ``times``.
-
-    One sample stands for all of them when no generator or rate depends
-    on t, so every stack built from it has a time axis of length 1 that
-    broadcasts against the grid.
-    """
-    return times[:1] if _constant(spec) else times
+def _damping(spec: CollisionSpec, dt: float) -> np.ndarray:
+    """D = sum_j gamma_j dt L_j^+ L_j, the jump weight of one step."""
+    return sum((rate * dt * (op.entries.conj().T @ op.entries) for op, rate in spec.jumps),
+               np.zeros((spec.dim, spec.dim), dtype=complex))
 
 
-def _rate_samples(spec: CollisionSpec, times: np.ndarray) -> np.ndarray:
-    """Rates gamma_j at the given times, shape (n_jumps, len(times)).
+def _hamiltonian(spec: CollisionSpec, x: float, derivative: bool = False):
+    """(H_nh, dH_nh/dx) at x; the derivative, G, is None unless asked for.
 
-    Constant rates are sampled once and come back as a broadcast view.
-    """
-    sampled = _sample_times(spec, times)
-    rates = np.empty((len(spec.jumps), sampled.size))
-    for j, (_, rate) in enumerate(spec.jumps):
-        rates[j] = np.fromiter((float(rate(t)) for t in sampled), float, sampled.size)
-    if rates.size and rates.min() < 0.0:
-        j, n = np.unravel_index(int(rates.argmin()), rates.shape)
-        raise ValueError(
-            f"negative jump rate {rates[j, n]:.3e} for jump {j} at t={sampled[n]:.6g}"
-        )
-    return np.broadcast_to(rates, (len(spec.jumps), times.size))
-
-
-def _hamiltonian_samples(spec: CollisionSpec, times: np.ndarray, x: float,
-                         derivative: bool = False):
-    """Stacks of H_nh(t, x) and of its x-derivative over the given times.
-
-    Both stacks have a time axis of length 1 when the spec is constant
-    (see _sample_times) and len(times) otherwise; the derivative is None
-    unless asked for, and asking for it needs ``spec.dh0``. Hermiticity
-    of h0 and h1 is enforced per sample via the Frobenius norm of A - A^+
+    Hermiticity of x*G + H1 is enforced via the Frobenius norm of A - A^+
     (an upper bound on the spectral defect).
     """
-    sampled = _sample_times(spec, times)
-    d = spec.dim
-    herm = np.empty((sampled.size, d, d), dtype=complex)
-    for n, t in enumerate(sampled):
-        herm[n] = spec.h0(t, x).entries + spec.h1(t).entries
-    defect = herm - herm.conj().transpose(0, 2, 1)
-    frob = np.sqrt((np.abs(defect) ** 2).sum(axis=(1, 2)))
-    if frob.max(initial=0.0) > HERMITIAN_TOL:
-        n = int(frob.argmax())
-        raise ValueError(
-            f"Hamiltonian is not Hermitian at t={sampled[n]:.6g}: "
-            f"defect {frob[n]:.3e}"
-        )
-    total = herm
+    herm = x * spec.h0.entries + spec.h1.entries
+    defect = float(np.linalg.norm(herm - herm.conj().T))
+    if defect > HERMITIAN_TOL:
+        raise ValueError(f"Hamiltonian is not Hermitian at x={x:.6g}: defect {defect:.3e}")
     if spec.jumps:
-        rates = _rate_samples(spec, sampled)
-        damp = np.stack([op.entries.conj().T @ op.entries for op, _ in spec.jumps])
-        total = total - 0.5j * np.einsum("jn,jab->nab", rates, damp)
-    if not derivative:
-        return total, None
-    if spec.dh0 is None:
-        raise ValueError(
-            "derivatives of a callable h0 need its analytic x-derivative; pass dh0"
-        )
-    dh = np.empty((sampled.size, d, d), dtype=complex)
-    for n, t in enumerate(sampled):
-        dh[n] = spec.dh0(t, x).entries
-    return total, dh
+        herm = herm - 0.5j * _damping(spec, 1.0)
+    return herm, (spec.h0.entries if derivative else None)
 
 
 def _step_block(factor, dfactor):
-    """[[S, dS], [0, S]] per step, or S alone when dS is None.
+    """[[S, dS], [0, S]], or S alone when dS is None.
 
     Applied to the column [[dK], [K]] the block gives [[S dK + dS K], [S K]]:
     the product rule for d(SK)/dx in one matrix product.
     """
     if dfactor is None:
         return factor
-    d = factor.shape[-1]
-    block = np.zeros((factor.shape[0], 2 * d, 2 * d), dtype=complex)
-    block[:, :d, :d] = factor
-    block[:, d:, d:] = factor
-    block[:, :d, d:] = dfactor
-    return block
+    return np.block([[factor, dfactor], [np.zeros_like(factor), factor]])
 
 
 def _step_factors(spec, grid, x, derivative):
-    """Half-step and full-step blocks for the grid's scheme, one per step,
-    and the midpoint H_nh samples they were built from.
+    """(half, full, h_nh): the half-step and full-step blocks of the grid's
+    scheme and the H_nh of ``_hamiltonian`` they were built from.
 
-    Each block is [[S, dS], [0, S]] with derivatives, S alone without.
-    A constant spec yields one block, returned as a broadcast view over
-    the N steps. The expm scheme composes a full step as two half steps,
-    so its full blocks come back None.
+    Each block is [[S, dS], [0, S]] with derivatives, S alone without. The
+    expm scheme composes a full step as two half steps, so its full block
+    is None.
     """
     dt = grid.dt
-    n_steps = grid.N
-    h_mid, dh_mid = _hamiltonian_samples(spec, grid.midpoints(), x, derivative)
+    h, dh = _hamiltonian(spec, x, derivative)
 
     if grid.scheme == "euler_paper":
         eye = np.eye(spec.dim, dtype=complex)
-        h_right, dh_right = _hamiltonian_samples(
-            spec, grid.right_edges(), x, derivative)
-        half = _step_block(eye - 0.5j * dt * h_mid,
-                           None if dh_mid is None else -0.5j * dt * dh_mid)
-        full = _step_block(eye - 1j * dt * h_right,
-                           None if dh_right is None else -1j * dt * dh_right)
-        width = full.shape[-1]
-        return (np.broadcast_to(half, (n_steps, width, width)),
-                np.broadcast_to(full, (n_steps, width, width)), h_mid)
+        half = _step_block(eye - 0.5j * dt * h, None if dh is None else -0.5j * dt * dh)
+        full = _step_block(eye - 1j * dt * h, None if dh is None else -1j * dt * dh)
+        return half, full, h
 
     # expm([[A, E], [0, A]]) holds expm(A) on its diagonal blocks and the
     # derivative of expm(A) along E in its upper-right block
-    half = expm(_step_block(-0.5j * dt * h_mid,
-                            None if dh_mid is None else -0.5j * dt * dh_mid))
-    width = half.shape[-1]
-    return np.broadcast_to(half, (n_steps, width, width)), None, h_mid
-
-
-def _step_loop(store, half, full):
-    """Fill ``_propagated``'s store from entry 0, one block product per half
-    step, as a callable spec's changing blocks need."""
-    edges, mids = store[0::2], store[1::2]
-    for n, step in enumerate(half):
-        np.matmul(step, edges[n], out=mids[n])
-        if full is None:
-            np.matmul(step, mids[n], out=edges[n + 1])
-        else:
-            np.matmul(full[n], edges[n], out=edges[n + 1])
+    return expm(_step_block(-0.5j * dt * h, None if dh is None else -0.5j * dt * dh)), None, h
 
 
 def _advance(dst, f, src):
@@ -395,13 +290,13 @@ def _fill(store, fs):
 
 
 def _powers(half, full, n_steps):
-    """(fs, lead) of a constant spec: A^(2^k) = I + fs[k] for the full step
-    A, lead = B - I for the half step B of expm_step (A = B B), else None.
+    """(fs, lead): A^(2^k) = I + fs[k] for the full step A, lead = B - I for
+    the half step B of expm_step (A = B B), else None.
 
     F_2m = 2 F_m + F_m F_m: carried as I + F, a near-identity power keeps
     the digits of F that squaring the power itself would round into I.
     """
-    step = half[0] if full is None else full[0]
+    step = half if full is None else full
     fs = [step - np.eye(len(step))]
     for _ in range(int(n_steps).bit_length() - (full is not None)):
         fs.append(2.0 * fs[-1] + np.matmul(fs[-1], fs[-1]))
@@ -416,34 +311,41 @@ def _require_finite(grid, array):
         )
 
 
-def _propagated(spec, grid, x, first):
-    """(store, steps, h_mid) of one propagation from store[0] = ``first``,
-    the column [[0], [I]] (I alone without derivatives) or, for a constant
-    spec, the probe row [[0], [psi]].
+class _Probe(NamedTuple):
+    """One propagation: its store, the H_nh its steps were built from and
+    the ``_powers`` (``steps``) that ``_residual`` doubles.
 
-    Entry 2n holds edge n, entry 2n + 1 the midpoint of step n + 1. A
-    callable spec takes ``_step_loop`` (steps None), a constant one
-    ``_fill`` with its ``_powers`` (``steps``): the half-step powers under
-    expm_step; under euler_paper full-step powers at the edges, each
+    ``_probe_propagation`` carries it on the probe psi, so ``store`` is the
+    (2N + 1, 2d) array of rows [[dK psi], [K psi]].
+    """
+
+    store: np.ndarray
+    h_nh: np.ndarray
+    steps: tuple
+
+
+def _propagated(spec, grid, x, first) -> _Probe:
+    """One propagation from store[0] = ``first``, the column [[0], [I]]
+    (I alone without derivatives) or the probe row [[0], [psi]].
+
+    Entry 2n holds edge n, entry 2n + 1 the midpoint of step n + 1, filled
+    by ``_fill`` with the ``_powers`` (``steps``): the half-step powers
+    under expm_step; under euler_paper full-step powers at the edges, each
     advanced half a step to its midpoint.
     """
-    half, full, h_mid = _step_factors(spec, grid, x, len(first) > spec.dim)
+    half, full, h_nh = _step_factors(spec, grid, x, len(first) > spec.dim)
     store = np.empty((2 * grid.N + 1,) + first.shape, dtype=complex)
     store[0] = first
-    steps = None
     # overflow here is reported as IntegratorFailure, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if not _constant(spec):
-            _step_loop(store, half, full)
-        elif full is None:
-            fs, lead = steps = _powers(half, full, grid.N)
+        fs, lead = steps = _powers(half, full, grid.N)
+        if full is None:
             _fill(store, [lead] + fs)
         else:
-            fs, _ = steps = _powers(half, full, grid.N)
             _fill(store[0::2], fs)
-            _advance(store[1::2], half[0] - np.eye(len(first)), store[0:-1:2])
+            _advance(store[1::2], half - np.eye(len(first)), store[0:-1:2])
     _require_finite(grid, store[-1])
-    return store, steps, h_mid
+    return _Probe(store, h_nh, steps)
 
 
 def propagate(spec: CollisionSpec, grid: TimeGrid, x: float,
@@ -455,64 +357,34 @@ def propagate(spec: CollisionSpec, grid: TimeGrid, x: float,
     so the x-derivative follows the product rule exactly, which stays
     accurate at x values where differencing full propagators would
     cancel. The products and their derivatives are views of one column
-    store, written in place.
-
-    A callable spec is stepped through the whole grid. A constant spec
-    repeats one block, so its store is filled by doubling (``_fill``), at
-    most 2*log2(2N + 1) products in all.
+    store, filled by doubling (``_fill``): at most 2*log2(2N + 1)
+    products in all.
     """
     d = spec.dim
     width = 2 * d if derivative else d
-    store, _, h_mid = _propagated(spec, grid, x, np.eye(width, d, d - width))
+    store, h_nh, _ = _propagated(spec, grid, x, np.eye(width, d, d - width))
     return NhTrajectory(
         grid=grid,
         x=x,
         products=store[0::2, width - d:],
         mid_products=store[1::2, width - d:],
-        h_mid=h_mid,
+        h_nh=h_nh,
         dproducts=store[0::2, :d] if derivative else None,
         dmid_products=store[1::2, :d] if derivative else None,
     )
 
 
-class _Probe(NamedTuple):
-    """A derivative propagation carried on the probe psi.
-
-    ``store`` is the (2N + 1, 2d) probe store of ``_propagated``, rows
-    [[dK psi], [K psi]] (None for a residual alone); ``h_mid`` the
-    midpoint H_nh samples. The rest feeds ``_residual``: a callable spec's
-    K_T (``end``) and the N ``prefixes`` its jumps split from, or a
-    constant spec's ``_powers`` (``steps``).
-    """
-
-    store: Optional[np.ndarray]
-    h_mid: np.ndarray
-    end: Optional[np.ndarray] = None
-    prefixes: Optional[np.ndarray] = None
-    steps: Optional[tuple] = None
-
-
 def _probe_propagation(spec, grid, x, amps) -> _Probe:
-    """``propagate`` with derivatives, applied to the probe as it goes.
-
-    A callable spec's columns meet psi after ``propagate``'s own step
-    loop, so it gets the matrix route's states bit for bit. A constant
-    spec doubles the probe rows themselves: no array of N matrices.
-    """
-    d = spec.dim
-    if _constant(spec):
-        store, steps, h_mid = _propagated(spec, grid, x, np.concatenate([np.zeros(d), amps]))
-        return _Probe(store, h_mid, steps=steps)
-    cols, _, h_mid = _propagated(spec, grid, x, np.eye(2 * d, d, -d))
-    prefixes = cols[0:-1:2] if grid.scheme == "euler_paper" else cols[1::2]
-    return _Probe(cols @ amps, h_mid, cols[-1, d:], prefixes[:, d:])
+    """``propagate`` with derivatives, applied to the probe as it goes: the
+    probe rows themselves are doubled, so no array of N matrices forms."""
+    return _propagated(spec, grid, x, np.concatenate([np.zeros(spec.dim), amps]))
 
 
-def _first_jump_rows(spec, grid, rates, end, split):
+def _first_jump_rows(spec, grid, end, split):
     """Kraus rows of the first-jump channel, as a read-only array.
 
     Row 0 is ``end``, the no-jump outcome ``check``; row 1 + j*N + n is
-    sqrt(rates[j, n] dt) L_j split[n], the first jump of operator j during
+    sqrt(gamma_j dt) L_j split[n], the first jump of operator j during
     step n + 1, for the (N, d, d) products ``split``.
     """
     out = np.empty((1 + len(spec.jumps) * grid.N,) + end.shape, dtype=complex)
@@ -520,14 +392,14 @@ def _first_jump_rows(spec, grid, rates, end, split):
     rows = out[1:].reshape((len(spec.jumps), grid.N) + end.shape)
     for j, (op, _) in enumerate(spec.jumps):
         np.matmul(op.entries, split, out=rows[j])
-    rows *= np.sqrt(rates * grid.dt)[:, :, None, None]
+    rows *= np.sqrt(_rates(spec) * grid.dt)[:, :, None, None]
     out.flags.writeable = False
     return out
 
 
 def _assemble_channel(spec, psi, grid, x, traj, derivative):
     """Labels and one stack of the first-jump channel, with the trajectory
-    and the jump rates the stack was taken from.
+    the stack was taken from.
 
     Rows follow ``_first_jump_rows``, labeled ``check`` and
     ``jump<j>@<n+1>``; the stack holds the Kraus matrices, or their
@@ -547,16 +419,12 @@ def _assemble_channel(spec, psi, grid, x, traj, derivative):
     labels = ("check",) + tuple(
         f"jump{j}@{n + 1}" for j in range(len(spec.jumps)) for n in range(grid.N)
     )
-    # a jump during step n splits at its right edge's rate and the prefix of
-    # n - 1 steps (euler_paper), or at its midpoint (the midpoint quadrature)
+    # a jump during step n splits at the prefix of n - 1 steps (euler_paper),
+    # or at its midpoint (the midpoint quadrature)
     products, mids = ((traj.dproducts, traj.dmid_products) if derivative
                       else (traj.products, traj.mid_products))
-    if grid.scheme == "euler_paper":
-        rates, split = _rate_samples(spec, grid.right_edges()), products[:-1]
-    else:
-        rates, split = _rate_samples(spec, grid.midpoints()), mids
-    end = products[-1]
-    return labels, _first_jump_rows(spec, grid, rates, end, split), traj, rates
+    split = products[:-1] if grid.scheme == "euler_paper" else mids
+    return labels, _first_jump_rows(spec, grid, products[-1], split), traj
 
 
 def _amplitudes(spec, psi: Ket) -> np.ndarray:
@@ -569,14 +437,11 @@ def _amplitudes(spec, psi: Ket) -> np.ndarray:
 
 
 def _end_row(spec, grid, x, psi) -> np.ndarray:
-    """The end row [dK_T psi, K_T psi] of the probe. A constant spec applies
-    its ``_powers`` to [0, psi] one set bit of N at a time, lowest first, as
-    ``_fill`` forms the store's last entry, and forms no store."""
-    amps = _amplitudes(spec, psi)
-    if not _constant(spec):
-        return _probe_propagation(spec, grid, x, amps).store[-1]
+    """The end row [dK_T psi, K_T psi] of the probe: the ``_powers`` applied
+    to [0, psi] one set bit of N at a time, lowest first, as ``_fill``
+    forms the store's last entry, with no store."""
     half, full, _ = _step_factors(spec, grid, x, True)
-    end = np.concatenate([np.zeros(spec.dim), amps])
+    end = np.concatenate([np.zeros(spec.dim), _amplitudes(spec, psi)])
     with np.errstate(over="ignore", invalid="ignore"):
         for k, f in enumerate(_powers(half, full, grid.N)[0]):
             if grid.N >> k & 1:
@@ -585,65 +450,52 @@ def _end_row(spec, grid, x, psi) -> np.ndarray:
     return end
 
 
-def _midpoint_rows(spec, grid, probe: _Probe) -> tuple:
-    """(rows, rates) at the step midpoints, where ``efg_integrals`` and
-    theorem 2 split the jumps."""
-    return probe.store[1::2], _rate_samples(spec, grid.midpoints())
-
-
-def _jump_sums(spec, grid, rows, rates) -> tuple:
-    """(E, F, G) = sum_jn w_jn (<u|D_j|u>, i <du|D_j|u>, <du|D_j|du>) over the
-    probe rows [du_n, u_n], w = rates dt and D_j = L_j^+ L_j, each as
-    sum_ab (D)_ab W_ab over a block of the rows' Gramian W = R^+ R. A
-    constant spec folds its rates into one D; a callable one weights a W per jump."""
-    d, dt, x = spec.dim, grid.dt, rows.view(float)
-    damps = [op.entries.conj().T @ op.entries for op, _ in spec.jumps]
-    if _constant(spec):
-        terms = [(sum(rates[j, 0] * dt * damp for j, damp in enumerate(damps)), x.T @ x)]
-    else:
-        terms = [(damp, (x.T * (rates[j] * dt)) @ x) for j, damp in enumerate(damps)]
+def _jump_sums(spec, grid, rows) -> tuple:
+    """(E, F, G) = sum_n (<u|D|u>, i <du|D|u>, <du|D|du>) over the probe rows
+    [du_n, u_n], with D = ``_damping``, each as sum_ab (D)_ab W_ab over a
+    block of the rows' Gramian W = R^+ R."""
+    d, x = spec.dim, rows.view(float)
+    damp = _damping(spec, grid.dt)
+    # W_ab = sum conj(r_a) r_b, from the products of real and imaginary parts
+    r = (x.T @ x).reshape(2 * d, 2, 2 * d, 2)
+    gram = r[:, 0, :, 0] + r[:, 1, :, 1] + 1j * (r[:, 0, :, 1] - r[:, 1, :, 0])
     e = f = g = 0j
-    for damp, real in terms:
-        # W_ab = sum conj(r_a) r_b, from the products of real and imaginary parts
-        r = real.reshape(2 * d, 2, 2 * d, 2)
-        gram = r[:, 0, :, 0] + r[:, 1, :, 1] + 1j * (r[:, 0, :, 1] - r[:, 1, :, 0])
-        e += (damp * gram[d:, d:]).sum()
-        f += (damp * gram[:d, d:]).sum()
-        g += (damp * gram[:d, :d]).sum()
+    e += (damp * gram[d:, d:]).sum()
+    f += (damp * gram[:d, d:]).sum()
+    g += (damp * gram[:d, :d]).sum()
     return float(e.real), 1j * f, float(g.real)
 
 
-def _jump_max(spec, rows, weights, c) -> float:
-    """max_jn sqrt(weights[j, n]) ||L_j (du_n + i c u_n)|| over the probe rows
+def _jump_max(spec, rows, c, dt=1.0) -> float:
+    """max_jn sqrt(gamma_j dt) ||L_j (du_n + i c u_n)|| over the probe rows
     [du_n, u_n], in one product; 0.0 without jumps."""
     if not spec.jumps:
         return 0.0
     ops = np.concatenate([op.entries.T for op, _ in spec.jumps], axis=1)
     hit = rows @ np.concatenate([ops, (1j * c) * ops])
     parts = hit.view(float).reshape(len(rows), len(spec.jumps), -1)
+    weights = _rates(spec) * dt
     return math.sqrt(float((weights * np.einsum("njk,njk->jn", parts, parts)).max()))
 
 
-def _held_to_cap(spec, grid, h_mid, rates, residual: float) -> float:
+def _held_to_cap(spec, grid, h_nh, residual: float) -> float:
     """A completeness residual, checked against a generous bound.
 
-    The bound reads the midpoint H_nh samples ``h_mid`` and, under expm_step,
-    the jumps' midpoint ``rates``. Exceeding ten times the bound, an
-    order-of-magnitude estimate, raises IntegratorFailure: it signals a
-    broken integration (norm blow-up, grossly under-resolved grid), not
-    ordinary discretization error.
+    The bound reads the effective generator ``h_nh`` and, under expm_step,
+    the jump rates. Exceeding ten times the bound, an order-of-magnitude
+    estimate, raises IntegratorFailure: it signals a broken integration
+    (norm blow-up, grossly under-resolved grid), not ordinary
+    discretization error.
     """
-    h_norm = float(np.linalg.svd(h_mid, compute_uv=False).max(initial=0.0))
+    h_norm = float(np.linalg.svd(h_nh, compute_uv=False).max(initial=0.0))
     dt = grid.dt
     if grid.scheme == "euler_paper":
         q = (h_norm * dt) ** 2 * grid.N
         growth = math.exp(min(4.0 * q, 50.0))
         bound = 4.0 * q * growth
     else:
-        damp_norm = 0.0
-        for j, (op, _) in enumerate(spec.jumps):
-            l2 = spectral_norm(op.entries.conj().T @ op.entries)
-            damp_norm += l2 * float(rates[j].max(initial=0.0))
+        damp_norm = sum(spectral_norm(op.entries.conj().T @ op.entries) * rate
+                        for op, rate in spec.jumps)
         bound = grid.T * dt * (1.0 + damp_norm) * (1.0 + h_norm) ** 2
     cap = 10.0 * (bound + 1e3 * np.finfo(float).eps * grid.N)
     if residual > cap:
@@ -667,9 +519,9 @@ def build_discrete_channel(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
     a trajectory of this spec on this grid at this x, is used instead of
     propagating again.
     """
-    labels, ks, traj, rates = _assemble_channel(spec, psi, grid, x, traj, derivative=False)
+    labels, ks, traj = _assemble_channel(spec, psi, grid, x, traj, derivative=False)
     channel = MeasurementChannel.from_stack(labels, ks, retained=frozenset({"check"}))
-    _held_to_cap(spec, grid, traj.h_mid, rates, channel.completeness_residual)
+    _held_to_cap(spec, grid, traj.h_nh, channel.completeness_residual)
     return channel
 
 
@@ -683,29 +535,8 @@ def discrete_channel_derivatives(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
     with derivatives, both read the same products, which is what keeps
     the pair consistent bit for bit. Without it, it propagates again.
     """
-    labels, dks, _, _ = _assemble_channel(spec, psi, grid, x, traj, derivative=True)
+    labels, dks, _ = _assemble_channel(spec, psi, grid, x, traj, derivative=True)
     return tuple((label, Operator(m)) for label, m in zip(labels, dks))
-
-
-def _gramian(spec, grid, end, prefixes, rates) -> np.ndarray:
-    """K_T^+ K_T + sum_n K_n^+ (sum_j w_jn L_j^+ L_j) K_n.
-
-    ``end`` is K_T, ``prefixes`` the (n, d, d) products K_n the jumps
-    split from and ``rates`` their (n_jumps, n) rates, weighted as
-    w_jn = rates * dt. The prefixes are laid side by side as one (d, n*d)
-    array, so each jump costs two matrix products: its damping L^+ L
-    applied to all of them, and the sum over n and rows.
-    """
-    d = spec.dim
-    acc = end.conj().T @ end
-    if spec.jumps:
-        side = prefixes.transpose(1, 0, 2).reshape(d, -1)
-        rows = side.reshape(-1, d).conj().T
-        for j, (op, _) in enumerate(spec.jumps):
-            damp = op.entries.conj().T @ op.entries
-            hit = (damp @ side).reshape(d, -1, d) * (rates[j] * grid.dt)[:, None]
-            acc = acc + rows @ hit.reshape(-1, d)
-    return acc
 
 
 def _congruence(s, f):
@@ -714,20 +545,19 @@ def _congruence(s, f):
     return y + f.conj().T @ y
 
 
-def _doubled_gramian(spec, grid, fs, lead, rates) -> np.ndarray:
-    """``_gramian`` of a constant spec from its ``_powers``: O(log N)
-    d x d products.
+def _doubled_gramian(spec, grid, fs, lead) -> np.ndarray:
+    """K_T^+ K_T + sum_(n<N) K_n^+ D K_n, the discrete channel's
+    sum_w M_w^+ M_w, from the ``_powers``: O(log N) d x d products.
 
-    The jumps split from B A^n (n < N), B = I + lead (I for None), all
-    weighted by D = sum_j rate_j dt L_j^+ L_j. K_T = A^N takes one factor
-    per set bit of N, lowest first, as ``_fill`` forms it, and the Stein
+    The jumps split from K_n = B A^n, B = I + lead (I for None), all
+    weighted by D = ``_damping``. K_T = A^N takes one factor per set bit
+    of N, lowest first, as ``_fill`` forms it, and the Stein
     sum S_N = sum_(n<N) (A^n)^+ D A^n doubles as
     S_(c+m) = S_m + (A^m)^+ S_c A^m (Smith 1968, SIAM J. Appl. Math. 16).
     """
     d = spec.dim
     end, acc = np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex)
-    s = sum((rates[j, 0] * grid.dt * (op.entries.conj().T @ op.entries)
-             for j, (op, _) in enumerate(spec.jumps)), acc)
+    s = _damping(spec, grid.dt)
     for k, f in enumerate(fs):
         f = f[-d:, -d:]
         if grid.N >> k & 1:
@@ -739,45 +569,33 @@ def _doubled_gramian(spec, grid, fs, lead, rates) -> np.ndarray:
     return end.conj().T @ end + acc
 
 
-def _residual(spec, grid, probe: _Probe, rates) -> float:
+def _residual(spec, grid, steps) -> float:
     """|| sum_w M_w^+ M_w - 1 || (spectral norm) of the discrete channel,
-    uncapped: ``_gramian`` over a callable spec's prefixes, or
-    ``_doubled_gramian`` of a constant spec's steps."""
-    if probe.steps is None:
-        gram = _gramian(spec, grid, probe.end, probe.prefixes, rates)
-    else:
-        gram = _doubled_gramian(spec, grid, *probe.steps, rates)
+    uncapped: ``_doubled_gramian`` of the ``_powers`` ``steps``."""
+    gram = _doubled_gramian(spec, grid, *steps)
     _require_finite(grid, gram)
     return spectral_norm(gram - np.eye(spec.dim))
 
 
 def _split_residual(spec, grid, x, midpoints) -> tuple:
-    """(residual, h_mid, rates) of ``_residual`` with the jumps split at
-    step midpoints, or at edges with right-edge rates; a constant spec
-    propagates no matrices."""
-    rates = _rate_samples(spec, grid.midpoints() if midpoints else grid.right_edges())
-    if _constant(spec):
-        half, full, h_mid = _step_factors(spec, grid, x, False)
-        fs, lead = _powers(half, full, grid.N)
-        if midpoints and full is not None:
-            lead = half[0] - np.eye(spec.dim)
-        probe = _Probe(None, h_mid, steps=(fs, lead))
-    else:
-        traj = propagate(spec, grid, x, derivative=False)
-        prefixes = traj.mid_products if midpoints else traj.products[:-1]
-        probe = _Probe(None, traj.h_mid, traj.products[-1], prefixes)
-    return _residual(spec, grid, probe, rates), probe.h_mid, rates
+    """(residual, h_nh) of ``_residual`` with the jumps split at step
+    midpoints, or at edges; no matrices are propagated."""
+    half, full, h_nh = _step_factors(spec, grid, x, False)
+    fs, lead = _powers(half, full, grid.N)
+    if midpoints and full is not None:
+        lead = half - np.eye(spec.dim)
+    return _residual(spec, grid, (fs, lead)), h_nh
 
 
 def trajectory_residual(spec: CollisionSpec, grid: TimeGrid, x: float) -> float:
     """Completeness residual of the discrete channel, without building it.
 
-    Its sum_w M_w^+ M_w is K_T^+ K_T + sum_n K_n^+ (sum_j w_jn L_j^+ L_j) K_n
-    (``_residual``, as ``run`` takes it). A residual beyond ten
-    times the predicted cap raises IntegratorFailure.
+    Its sum_w M_w^+ M_w is K_T^+ K_T + sum_n K_n^+ D K_n with
+    D = sum_j gamma_j dt L_j^+ L_j (``_residual``, as ``run`` takes it). A
+    residual beyond ten times the predicted cap raises IntegratorFailure.
     """
-    residual, h_mid, rates = _split_residual(spec, grid, x, grid.scheme == "expm_step")
-    return _held_to_cap(spec, grid, h_mid, rates, residual)
+    residual, h_nh = _split_residual(spec, grid, x, grid.scheme == "expm_step")
+    return _held_to_cap(spec, grid, h_nh, residual)
 
 
 def check_integral_completeness(spec: CollisionSpec, grid: TimeGrid,
@@ -816,7 +634,7 @@ def efg_integrals(spec: CollisionSpec, grid: TimeGrid, x: float,
     ``psi`` must be normalized.
     """
     probe = _probe_propagation(spec, grid, x, _amplitudes(spec, psi))
-    return _efg(spec, probe.store[-1], _jump_sums(spec, grid, *_midpoint_rows(spec, grid, probe)))
+    return _efg(spec, probe.store[-1], _jump_sums(spec, grid, probe.store[1::2]))
 
 
 def _efg(spec, end, sums=(0.0, 0j, 0.0)) -> EfgIntegrals:
@@ -863,15 +681,16 @@ def check_theorem2(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
     """
     probe = _probe_propagation(spec, grid, x, _amplitudes(spec, psi))
     end = probe.store[-1]
-    return _theorem2(spec, _efg(spec, end), end, _midpoint_rows(spec, grid, probe), tol)
+    return _theorem2(spec, _efg(spec, end), end, probe.store[1::2], tol)
 
 
 def _theorem2(spec, ints, end, mids, tol) -> Theorem2Verdict:
+    """``check_theorem2`` of the end row and the midpoint rows ``mids``."""
     if ints.e_check <= P_FLOOR:
         raise ValueError(f"no-jump weight {ints.e_check:.3e} vanished; verdict undefined")
     dtheta = -ints.f_check.real / ints.e_check
     # L_j xi = L_j (dK psi + i dtheta K psi) at every midpoint
-    jump_residual = _jump_max(spec, *mids, dtheta)
+    jump_residual = _jump_max(spec, mids, dtheta)
     weight_slope = abs(2.0 * float(np.vdot(end[spec.dim:], end[:spec.dim]).real))
 
     return Theorem2Verdict(
@@ -896,8 +715,8 @@ class NhLossResult:
     ``efg_integrals`` under either scheme. Under expm_step the explicit
     discrete channel splits its jumps at those midpoints, so an
     operator-statistics report built from it matches both to rounding;
-    the euler_paper channel splits them at step edges with right-edge
-    rates, and the two differ at first order in dt.
+    the euler_paper channel splits them at step edges, and the two differ
+    at first order in dt.
     """
 
     kappa: float
@@ -974,26 +793,24 @@ def run(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
     rows where euler_paper's channel splits its jumps, each maximum in one
     pass (``_jump_max``) and the jump-free baseline as an end row
     (``_end_row``). The completeness residual (``_residual``) comes first,
-    so a blown-up integration raises IntegratorFailure from its cap. A
-    constant spec forms no array of N matrices and no row of the channel."""
+    so a blown-up integration raises IntegratorFailure from its cap. No
+    array of N matrices and no row of the channel is formed."""
     free = spec.without_jumps()
     baseline = _efg(free, _end_row(free, grid, x, psi))
     probe = _probe_propagation(spec, grid, x, psi.amplitudes)
-    end, mids = probe.store[-1], _midpoint_rows(spec, grid, probe)
-    rows, rates = split = mids
-    if grid.scheme == "euler_paper":
-        rows, rates = split = probe.store[0:-1:2], _rate_samples(spec, grid.right_edges())
-    residual = _held_to_cap(spec, grid, probe.h_mid, rates, _residual(spec, grid, probe, rates))
-    sums = _jump_sums(spec, grid, *mids)
+    end, mids = probe.store[-1], probe.store[1::2]
+    rows = probe.store[0:-1:2] if grid.scheme == "euler_paper" else mids
+    residual = _held_to_cap(spec, grid, probe.h_nh, _residual(spec, grid, probe.steps))
+    sums = _jump_sums(spec, grid, mids)
     ints = _efg(spec, end, sums)
     loss = _loss(ints, baseline)
     theorem2 = _theorem2(spec, ints, end, mids, tol)
-    e_dis, f_dis, g_dis = sums if split is mids else _jump_sums(spec, grid, *split)
+    e_dis, f_dis, g_dis = sums if rows is mids else _jump_sums(spec, grid, rows)
     e, f, d = ints.e_check, ints.f_check, spec.dim
     # the end row is the channel's one retained row
     theorem1 = _theorem1((end[None, d:], end[None, :d], np.array([e]), np.array([f])),
                          (e + e_dis, f + f_dis, f_dis, g_dis), residual,
-                         lambda c: _jump_max(spec, rows, rates * grid.dt, c), tol)
+                         lambda c: _jump_max(spec, rows, c, grid.dt), tol)
     return CollisionRun(loss, theorem2, theorem1, residual)
 
 

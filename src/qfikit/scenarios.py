@@ -336,11 +336,9 @@ def build_dephasing(H0: Operator, H1, L: Operator, gamma: float, T: float,
                     psi: Ket, x: float) -> CollisionSpec:
     """Commuting jump model with a multiplicative estimation generator.
 
-    H1 is a constant control Operator or a callable t -> Operator. All of
-    H0, the control at every sampled time, and L must commute pairwise
-    within 1e-10, which is what reduces the loss to the closed
-    decay-weighted-variance form. The spec holds H0 and the rate as
-    constants, so with a constant control it is sampled once per grid.
+    H1 is the constant control Operator. H0, H1 and L must commute
+    pairwise within 1e-10, which is what reduces the loss to the closed
+    decay-weighted-variance form, and H1 must be Hermitian.
     """
     if gamma < 0.0:
         raise ValueError(f"rate must be nonnegative, got {gamma}")
@@ -361,14 +359,12 @@ def build_dephasing(H0: Operator, H1, L: Operator, gamma: float, T: float,
     if not commutes(H0.entries, L.entries):
         raise ValueError("estimation generator and jump operator do not commute")
     spec = CollisionSpec(h0=H0, h1=H1, jumps=((L, gamma),), dim=dim)
-    for t in (0.0, T / 2.0, T):
-        control = spec.h1(t)
-        if not control.is_hermitian(1e-10):
-            raise ValueError(f"control is not Hermitian at t={t:.6g}")
-        if not commutes(H0.entries, control.entries):
-            raise ValueError(f"control does not commute with the generator at t={t:.6g}")
-        if not commutes(L.entries, control.entries):
-            raise ValueError(f"control does not commute with the jump at t={t:.6g}")
+    if not H1.is_hermitian(1e-10):
+        raise ValueError("control is not Hermitian")
+    if not commutes(H0.entries, H1.entries):
+        raise ValueError("control does not commute with the generator")
+    if not commutes(L.entries, H1.entries):
+        raise ValueError("control does not commute with the jump")
     return spec
 
 

@@ -3,10 +3,12 @@
 Each oracle takes a different route than the code under test: fidelity
 finite differences for QFI, explicit dilation vectors for channel
 aggregates, closed-form classical results, the effective generator
-built one time at a time for literal Euler products, the
-per-POVM-element information chain checked element by element, the
-matrix trajectories of ``collision.propagate`` reduced to the probe, and
-the transducer's mixing grid read one channel per point, and the
+for literal Euler products, the collision step loop (one block product
+per half step) and the completeness Gramian summed over its N prefixes,
+both against ``collision``'s doubling, the per-POVM-element information
+chain checked element by element, the matrix trajectories of
+``collision.propagate`` reduced to the probe, and the transducer's
+mixing grid read one channel per point, and the
 ``qfi verify`` chain, gauge and theorem-soundness suites read one
 instance at a time, the last on the one-seed lossless family. The
 one-channel cases of the stacked kernels those routes read
@@ -24,9 +26,7 @@ from qfikit.collision import (
     Theorem2Verdict,
     _held_to_cap,
     _loss,
-    _Probe,
-    _rate_samples,
-    _residual,
+    _step_factors,
     propagate,
 )
 from qfikit.encoding import (
@@ -198,16 +198,80 @@ def rowwise_generic(kraus_mats, deriv_mats, psi, kept, tol):
     return ret, dis, max(ret + [dis]) <= tol
 
 
-def h_nh(spec, t: float, x: float) -> np.ndarray:
-    """Effective generator H0(t,x) + H1(t) - (i/2) sum_j gamma_j(t) L_j^+ L_j.
+def h_nh(spec, x: float) -> np.ndarray:
+    """Effective generator x G + H1 - (i/2) sum_j gamma_j L_j^+ L_j.
 
-    Built from the spec's callables at the one time t, the factor behind
-    a literal Euler product prod_n (1 - i dt H_nh(t_n)).
+    Built from the spec's data one term at a time, the factor behind a
+    literal Euler product (1 - i dt H_nh)^N.
     """
-    total = spec.h0(t, x).entries + spec.h1(t).entries
+    total = x * spec.h0.entries + spec.h1.entries
     for op, rate in spec.jumps:
-        total = total - 0.5j * float(rate(t)) * (op.entries.conj().T @ op.entries)
+        total = total - 0.5j * rate * (op.entries.conj().T @ op.entries)
     return total
+
+
+def rate_column(spec) -> np.ndarray:
+    """The spec's rates as an (n_jumps, 1) column."""
+    return np.array([rate for _, rate in spec.jumps]).reshape(-1, 1)
+
+
+def plain_loop(spec, grid, x: float, derivative: bool):
+    """(products, mid_products, dproducts, dmid_products) of one block
+    product per half step over the whole grid, the derivative arrays None
+    without ``derivative``.
+
+    The step-by-step arithmetic that ``collision.propagate``'s doubling
+    fill replaces; it reads the same step blocks.
+    """
+    d = spec.dim
+    half, full, _ = _step_factors(spec, grid, x, derivative)
+    width = half.shape[-1]
+    cols = np.empty((grid.N + 1, width, d), dtype=complex)
+    mid_cols = np.empty((grid.N, width, d), dtype=complex)
+    cols[0] = 0.0
+    cols[0, width - d:] = np.eye(d)
+    for n in range(grid.N):
+        np.matmul(half, cols[n], out=mid_cols[n])
+        if full is None:
+            np.matmul(half, mid_cols[n], out=cols[n + 1])
+        else:
+            np.matmul(full, cols[n], out=cols[n + 1])
+    if not derivative:
+        return cols, mid_cols, None, None
+    return cols[:, d:], mid_cols[:, d:], cols[:, :d], mid_cols[:, :d]
+
+
+def prefix_gramian(spec, grid, end, prefixes) -> np.ndarray:
+    """K_T^+ K_T + sum_n K_n^+ (sum_j gamma_j dt L_j^+ L_j) K_n, one term
+    per prefix.
+
+    ``end`` is K_T and ``prefixes`` the (n, d, d) products K_n the jumps
+    split from. The prefixes are laid side by side as one (d, n*d) array,
+    so each jump costs two matrix products: its damping L^+ L applied to
+    all of them, and the sum over n and rows.
+    """
+    d = spec.dim
+    acc = end.conj().T @ end
+    if spec.jumps:
+        side = prefixes.transpose(1, 0, 2).reshape(d, -1)
+        rows = side.reshape(-1, d).conj().T
+        for op, rate in spec.jumps:
+            damp = op.entries.conj().T @ op.entries
+            hit = (damp @ side) * (rate * grid.dt)
+            acc = acc + rows @ hit.reshape(-1, d)
+    return acc
+
+
+def prefix_residual(spec, grid, end, prefixes) -> float:
+    """|| ``prefix_gramian`` - 1 || (spectral norm), uncapped."""
+    return spectral_norm(prefix_gramian(spec, grid, end, prefixes) - np.eye(spec.dim))
+
+
+def looped_completeness(spec, grid, x: float) -> float:
+    """``collision.check_integral_completeness`` over ``plain_loop``'s
+    products, the jumps split at every midpoint."""
+    products, mids, _, _ = plain_loop(spec, grid, x, False)
+    return prefix_residual(spec, grid, products[-1], mids)
 
 
 @dataclass(frozen=True)
@@ -353,10 +417,14 @@ def _jumped(spec, split) -> np.ndarray:
     return out
 
 
+#: a matrix trajectory applied to psi: its (2N + 1, 2d) rows [dK psi, K psi],
+#: H_nh, K_T and the N prefixes the channel's jumps split from
+MatrixProbe = namedtuple("MatrixProbe", "store h_nh end prefixes")
+
 _Reduction = namedtuple("_Reduction", "source psi_end dpsi_end e_check f_check mids")
 
 
-def _reduced(spec, grid, probe: _Probe) -> _Reduction:
+def _reduced(spec, grid, probe: MatrixProbe) -> _Reduction:
     """What the row readers take from a probe propagation.
 
     ``source`` is the probe. The reduction holds K psi and dK psi at the
@@ -368,24 +436,24 @@ def _reduced(spec, grid, probe: _Probe) -> _Reduction:
     end = probe.store[-1].copy()
     psi_end, dpsi_end = end[d:], end[:d]
     mid_rows = probe.store[1::2]
-    mids = (_rate_samples(spec, grid.midpoints()),
-            _jumped(spec, mid_rows[:, d:]), _jumped(spec, mid_rows[:, :d]))
+    mids = (rate_column(spec), _jumped(spec, mid_rows[:, d:]), _jumped(spec, mid_rows[:, :d]))
     return _Reduction(probe, psi_end, dpsi_end, float(np.vdot(psi_end, psi_end).real),
                       1j * np.vdot(dpsi_end, psi_end), mids)
 
 
 def _columns(spec, grid, red) -> ProbeColumns:
     """The discrete channel's rows M_w psi and dM_w psi, in the order of
-    ``build_discrete_channel``, and its ``_residual``, capped."""
+    ``build_discrete_channel``, and its ``prefix_residual``, capped."""
     probe, d = red.source, spec.dim
     if grid.scheme == "euler_paper":
-        # euler_paper's jumps split at step edges, with right-edge rates
-        rates = _rate_samples(spec, grid.right_edges())
+        # euler_paper's jumps split at step edges
+        rates = rate_column(spec)
         edges = probe.store[0:-1:2]
         jumped, djumped = _jumped(spec, edges[:, d:]), _jumped(spec, edges[:, :d])
     else:
         rates, jumped, djumped = red.mids
-    residual = _held_to_cap(spec, grid, probe.h_mid, rates, _residual(spec, grid, probe, rates))
+    residual = _held_to_cap(spec, grid, probe.h_nh,
+                            prefix_residual(spec, grid, probe.end, probe.prefixes))
     scale = np.sqrt(rates * grid.dt)[:, :, None]
     m = np.concatenate([red.psi_end[None], (jumped * scale).reshape(-1, d)])
     dm = np.concatenate([red.dpsi_end[None], (djumped * scale).reshape(-1, d)])
@@ -448,18 +516,17 @@ def matrix_reduction(spec, grid, psi: Ket, traj):
     """The reduction of ``_reduced``, taken from a matrix trajectory.
 
     ``traj`` is ``propagate(spec, grid, x)``. Its edge and midpoint
-    columns [[dK], [K]] meet psi in one product each, as the probe route
-    of a callable spec applies its column store (``source.store``), and
-    the completeness residual is the plain sum over all N prefixes
-    (``end`` and ``prefixes`` of the probe, no doubled steps), whatever
-    the spec.
+    columns [[dK], [K]] meet psi in one product each (``source.store``),
+    and the completeness residual is the plain sum over all N prefixes
+    (``end`` and ``prefixes`` of the probe, ``prefix_residual``), not
+    the doubled Stein sum.
     """
     d = spec.dim
     store = np.empty((2 * grid.N + 1, 2 * d), dtype=complex)
     store[0::2] = np.concatenate([traj.dproducts, traj.products], axis=1) @ psi.amplitudes
     store[1::2] = np.concatenate([traj.dmid_products, traj.mid_products], axis=1) @ psi.amplitudes
     prefixes = traj.products[:-1] if grid.scheme == "euler_paper" else traj.mid_products
-    return _reduced(spec, grid, _Probe(store, traj.h_mid, traj.products[-1], prefixes))
+    return _reduced(spec, grid, MatrixProbe(store, traj.h_nh, traj.products[-1], prefixes))
 
 
 def matrix_route(spec, grid, x: float, psi: Ket, tol: float):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, expm_frechet
 
 from conftest import PAULI, PLUS_X, random_ket, scaled_model
-from oracles import h_nh, matrix_route
+from oracles import h_nh, looped_completeness, matrix_route, plain_loop
 from qfikit.collision import (
     SCHEMES,
     CollisionSpec,
@@ -19,9 +19,8 @@ from qfikit.collision import (
     IntegratorFailure,
     NhTrajectory,
     TimeGrid,
-    _hamiltonian_samples,
+    _hamiltonian,
     _probe_propagation,
-    _step_factors,
     build_discrete_channel,
     check_integral_completeness,
     check_theorem2,
@@ -38,8 +37,7 @@ from qfikit.quantum_core import EXACT_RESIDUAL_TOL, Ket, Operator
 
 
 def constant(matrix):
-    op = Operator(np.asarray(matrix, dtype=complex))
-    return lambda t: op
+    return Operator(np.asarray(matrix, dtype=complex))
 
 
 def zero_control(dim):
@@ -50,11 +48,10 @@ def dephasing_spec(gamma, control=0.0):
     """Qubit rotating under x*sz while sz jumps fire at a constant rate."""
     sz = PAULI["z"]
     return CollisionSpec(
-        h0=lambda t, x: Operator(x * sz),
+        h0=Operator(sz),
         h1=constant(control * sz),
-        jumps=((Operator(sz), lambda t: gamma),),
+        jumps=((Operator(sz), gamma),),
         dim=2,
-        dh0=lambda t, x: Operator(sz),
     )
 
 
@@ -62,16 +59,15 @@ def qutrit_dephasing_spec(gamma):
     h0 = np.diag([1.0, 0.0, -1.0]).astype(complex)
     jump = np.diag([np.sqrt(2.0), 0.0, np.sqrt(2.0)]).astype(complex)
     return CollisionSpec(
-        h0=lambda t, x: Operator(x * h0),
+        h0=Operator(h0),
         h1=zero_control(3),
-        jumps=((Operator(jump), lambda t: gamma),),
+        jumps=((Operator(jump), gamma),),
         dim=3,
-        dh0=lambda t, x: Operator(h0),
     )
 
 
-def random_spec(seed, dim=3, n_jumps=2, time_dependent=False):
-    """Generic non-commuting model with constant or ramped rates."""
+def random_spec(seed, dim=3, n_jumps=2):
+    """Generic non-commuting model with constant rates."""
     rng = np.random.default_rng(seed)
 
     def herm():
@@ -83,18 +79,12 @@ def random_spec(seed, dim=3, n_jumps=2, time_dependent=False):
     jumps = []
     for _ in range(n_jumps):
         l_op = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) * 0.5
-        base = float(rng.uniform(0.2, 0.8))
-        if time_dependent:
-            rate = (lambda b: lambda t: b * (1.0 + t))(base)
-        else:
-            rate = (lambda b: lambda t: b)(base)
-        jumps.append((Operator(l_op), rate))
+        jumps.append((Operator(l_op), float(rng.uniform(0.2, 0.8))))
     return CollisionSpec(
-        h0=lambda t, x: Operator(x * gen),
-        h1=lambda t: Operator(control * np.cos(t)),
+        h0=Operator(gen),
+        h1=Operator(control),
         jumps=tuple(jumps),
         dim=dim,
-        dh0=lambda t, x: Operator(gen),
     )
 
 
@@ -102,11 +92,6 @@ class TestTimeGrid:
     def test_step_times(self):
         grid = TimeGrid(T=1.7, N=7, scheme="expm_step")
         assert grid.dt * grid.N == pytest.approx(grid.T, rel=1e-15)
-        edges = grid.right_edges()
-        assert edges.shape == (7,)
-        assert edges[-1] == grid.T
-        mids = grid.midpoints()
-        assert mids[0] == pytest.approx(grid.dt / 2.0, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="step"):
@@ -117,32 +102,32 @@ class TestTimeGrid:
             TimeGrid(T=1.0, N=4, scheme="leapfrog")
 
 
-def sampled_h_nh(spec, t, x):
-    """The effective generator as propagation samples it, at one time."""
-    return _hamiltonian_samples(spec, np.array([t]), x)[0][0]
+def formed_h_nh(spec, x):
+    """The effective generator as propagation forms it."""
+    return _hamiltonian(spec, x)[0]
 
 
 class TestHnh:
     def test_zero_rates_give_hermitian_generator(self):
         spec = random_spec(0, n_jumps=0)
-        assert Operator(sampled_h_nh(spec, 0.3, 0.7)).is_hermitian(1e-12)
+        assert Operator(formed_h_nh(spec, 0.7)).is_hermitian(1e-12)
 
     def test_dephasing_form(self):
         gamma, x = 0.8, 0.5
         spec = dephasing_spec(gamma)
-        got = sampled_h_nh(spec, 0.2, x)
+        got = formed_h_nh(spec, x)
         want = x * PAULI["z"] - 0.5j * gamma * np.eye(2)
         assert np.allclose(got, want, atol=1e-14)
 
     def test_hermitian_antihermitian_split(self):
         spec = random_spec(3)
-        t, x = 0.4, 0.9
-        h = sampled_h_nh(spec, t, x)
+        x = 0.9
+        h = formed_h_nh(spec, x)
         herm = (h + h.conj().T) / 2.0
         anti = (h - h.conj().T) / 2.0
-        want_herm = spec.h0(t, x).entries + spec.h1(t).entries
+        want_herm = x * spec.h0.entries + spec.h1.entries
         want_anti = sum(
-            -0.5j * rate(t) * (op.entries.conj().T @ op.entries)
+            -0.5j * rate * (op.entries.conj().T @ op.entries)
             for op, rate in spec.jumps
         )
         assert np.allclose(herm, want_herm, atol=1e-13)
@@ -150,34 +135,32 @@ class TestHnh:
 
     def test_negative_rate_rejected(self):
         sz = PAULI["z"]
-        spec = CollisionSpec(
-            h0=lambda t, x: Operator(x * sz),
-            h1=zero_control(2),
-            jumps=((Operator(sz), lambda t: -0.1),),
-            dim=2,
-        )
         with pytest.raises(ValueError, match="negative"):
-            sampled_h_nh(spec, 0.0, 1.0)
+            CollisionSpec(
+                h0=Operator(sz),
+                h1=zero_control(2),
+                jumps=((Operator(sz), -0.1),),
+                dim=2,
+            )
 
     def test_non_hermitian_estimation_rejected(self):
         spec = CollisionSpec(
-            h0=lambda t, x: Operator(np.array([[0.0, 1.0], [0.0, 0.0]])),
+            h0=Operator(np.array([[0.0, 1.0], [0.0, 0.0]])),
             h1=zero_control(2),
             jumps=(),
             dim=2,
         )
         with pytest.raises(ValueError, match="Hermitian"):
-            sampled_h_nh(spec, 0.0, 1.0)
+            formed_h_nh(spec, 1.0)
 
 
 class TestPropagate:
     def test_zero_generator_is_identity(self):
         spec = CollisionSpec(
-            h0=lambda t, x: Operator(np.zeros((2, 2))),
+            h0=Operator(np.zeros((2, 2))),
             h1=zero_control(2),
             jumps=(),
             dim=2,
-            dh0=lambda t, x: Operator(np.zeros((2, 2))),
         )
         for scheme in ("euler_paper", "expm_step"):
             traj = propagate(spec, TimeGrid(T=1.0, N=16, scheme=scheme), 0.5)
@@ -203,7 +186,7 @@ class TestPropagate:
         spec = dephasing_spec(gamma)
         grid = TimeGrid(T=1.0, N=32, scheme="expm_step")
         traj = propagate(spec, grid, x)
-        t_mid = grid.midpoints()[10]
+        t_mid = (10 + 0.5) * grid.dt
         closed = expm(-1j * x * t_mid * PAULI["z"] - 0.5 * gamma * t_mid * np.eye(2))
         assert np.linalg.norm(traj.mid_products[10] - closed, 2) <= 1e-12
 
@@ -213,8 +196,8 @@ class TestPropagate:
         x = 0.6
         traj = propagate(spec, grid, x)
         acc = np.eye(3, dtype=complex)
-        for t in grid.right_edges():
-            acc = (np.eye(3) - 1j * grid.dt * h_nh(spec, t, x)) @ acc
+        for _ in range(grid.N):
+            acc = (np.eye(3) - 1j * grid.dt * h_nh(spec, x)) @ acc
         assert np.allclose(traj.products[-1], acc, atol=1e-14)
 
     def test_derivative_matches_finite_difference(self):
@@ -227,14 +210,6 @@ class TestPropagate:
         fd = (hi.products[-1] - lo.products[-1]) / (2.0 * h)
         assert np.linalg.norm(traj.dproducts[-1] - fd, 2) <= 1e-7
 
-    def test_ramped_rate_self_convergence(self):
-        spec = random_spec(19, dim=2, n_jumps=1, time_dependent=True)
-        x = 0.3
-        coarse = propagate(spec, TimeGrid(T=1.0, N=4096, scheme="expm_step"), x)
-        fine = propagate(spec, TimeGrid(T=1.0, N=40960, scheme="expm_step"), x)
-        diff = np.linalg.norm(coarse.products[-1] - fine.products[-1], 2)
-        assert diff <= 1e-8
-
     def test_expm_norms_never_increase(self):
         spec = random_spec(23, dim=3, n_jumps=2)
         grid = TimeGrid(T=2.0, N=128, scheme="expm_step")
@@ -246,11 +221,10 @@ class TestPropagate:
 
     def test_overflow_raises(self):
         spec = CollisionSpec(
-            h0=lambda t, x: Operator(x * PAULI["z"]),
+            h0=Operator(PAULI["z"]),
             h1=zero_control(2),
             jumps=(),
             dim=2,
-            dh0=lambda t, x: Operator(PAULI["z"]),
         )
         with pytest.raises(IntegratorFailure, match="non-finite"):
             propagate(spec, TimeGrid(T=1.0, N=64, scheme="euler_paper"), 1e200)
@@ -259,20 +233,6 @@ class TestPropagate:
         spec = dephasing_spec(0.5)
         traj = propagate(spec, TimeGrid(T=1.0, N=8), 0.3, derivative=False)
         assert traj.dproducts is None
-
-    def test_callable_h0_without_dh0_propagates_only_without_derivatives(self):
-        spec = CollisionSpec(
-            h0=lambda t, x: Operator(x * PAULI["z"]),
-            h1=zero_control(2),
-            jumps=(),
-            dim=2,
-        )
-        grid = TimeGrid(T=1.0, N=16)
-        with pytest.raises(ValueError, match="dh0"):
-            propagate(spec, grid, 0.3)
-        traj = propagate(spec, grid, 0.3, derivative=False)
-        assert traj.dproducts is None
-        assert np.allclose(traj.products[-1], expm(-0.3j * PAULI["z"]), atol=1e-14)
 
 
 class TestBuildDiscreteChannel:
@@ -292,8 +252,7 @@ class TestBuildDiscreteChannel:
         chan = build_discrete_channel(spec, PLUS_X, grid, x)
         dt = grid.dt
         prefix = np.eye(2, dtype=complex)
-        ts = grid.right_edges()
-        step1 = np.eye(2) - 1j * dt * h_nh(spec, ts[0], x)
+        step1 = np.eye(2) - 1j * dt * h_nh(spec, x)
         want = np.sqrt(gamma * dt) * PAULI["z"] @ step1
         assert np.allclose(chan.operator("jump0@2").entries, want, atol=1e-14)
         want_first = np.sqrt(gamma * dt) * PAULI["z"] @ prefix
@@ -301,11 +260,10 @@ class TestBuildDiscreteChannel:
 
     def test_no_jump_limit_approaches_unitary(self):
         spec = CollisionSpec(
-            h0=lambda t, x: Operator(x * PAULI["z"]),
+            h0=Operator(PAULI["z"]),
             h1=zero_control(2),
             jumps=(),
             dim=2,
-            dh0=lambda t, x: Operator(PAULI["z"]),
         )
         grid = TimeGrid(T=1.0, N=1024, scheme="euler_paper")
         chan = build_discrete_channel(spec, PLUS_X, grid, 1.0)
@@ -334,16 +292,16 @@ class TestBuildDiscreteChannel:
             acc += op.entries.conj().T @ op.entries
         want = np.linalg.norm(acc - np.eye(3), 2)
         assert chan.completeness_residual == pytest.approx(want, abs=1e-12)
-        # a constant spec's doubled sums, on grids whose N sets several
-        # bits, within TestProbeRoute's bound of the explicit channel and
-        # of the midpoint rule over the same model's N prefixes one by one
+        # the doubled sums, on grids whose N sets several bits, within
+        # TestProbeRoute's bound of the explicit channel and of the midpoint
+        # rule over the step loop's N prefixes one by one
         for n_steps, scheme, n_jumps in itertools.product(MULTI_BIT, SCHEMES, range(3)):
             grid = TimeGrid(T=1.0, N=n_steps, scheme=scheme)
             spec = scaled_spec(5, 3, n_jumps)
             want = build_discrete_channel(spec, psi, grid, 0.3).completeness_residual
             got = trajectory_residual(spec, grid, 0.3)
             assert abs(got - want) <= max(1e-13, 1e-13 * want), (n_steps, scheme, n_jumps)
-            want = check_integral_completeness(looped_spec(5, 3, n_jumps), grid, 0.3)
+            want = looped_completeness(spec, grid, 0.3)
             got = check_integral_completeness(spec, grid, 0.3)
             assert abs(got - want) <= max(1e-13, 1e-13 * want), (n_steps, scheme, n_jumps)
 
@@ -367,11 +325,10 @@ class TestBuildDiscreteChannel:
 
     def test_blowup_raises_integrator_failure(self):
         spec = CollisionSpec(
-            h0=lambda t, x: Operator(x * PAULI["z"]),
+            h0=Operator(PAULI["z"]),
             h1=zero_control(2),
             jumps=(),
             dim=2,
-            dh0=lambda t, x: Operator(PAULI["z"]),
         )
         grid = TimeGrid(T=1.0, N=32, scheme="euler_paper")
         with pytest.raises(IntegratorFailure, match="residual"):
@@ -406,8 +363,9 @@ class TestIntegralCompleteness:
         assert check_integral_completeness(spec, grid, 0.7) <= 1e-12
         for n_steps in MULTI_BIT:
             grid = TimeGrid(T=1.0, N=n_steps, scheme="expm_step")
-            for spec in (scaled_spec(4, 2, 0), looped_spec(4, 2, 0)):
-                assert check_integral_completeness(spec, grid, 0.7) <= 1e-12
+            spec = scaled_spec(4, 2, 0)
+            assert check_integral_completeness(spec, grid, 0.7) <= 1e-12
+            assert looped_completeness(spec, grid, 0.7) <= 1e-12
 
     def test_second_order_decay_on_two_qubit_model(self):
         spec = random_spec(6, dim=4, n_jumps=2)
@@ -502,11 +460,10 @@ class TestTheorem2:
         proj[2, 2] = 1.0
         gen = np.diag([1.0, -1.0, 5.0]).astype(complex)
         spec = CollisionSpec(
-            h0=lambda t, x: Operator(x * gen),
+            h0=Operator(gen),
             h1=zero_control(3),
-            jumps=((Operator(proj), lambda t: 0.8),),
+            jumps=((Operator(proj), 0.8),),
             dim=3,
-            dh0=lambda t, x: Operator(gen),
         )
         grid = TimeGrid(T=1.0, N=512, scheme="expm_step")
         psi = Ket(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
@@ -613,11 +570,10 @@ class TestNhLoss:
 
     def test_uninformative_model_rejected(self):
         spec = CollisionSpec(
-            h0=lambda t, x: Operator(np.zeros((2, 2))),
+            h0=Operator(np.zeros((2, 2))),
             h1=zero_control(2),
-            jumps=((Operator(PAULI["z"]), lambda t: 0.5),),
+            jumps=((Operator(PAULI["z"]), 0.5),),
             dim=2,
-            dh0=lambda t, x: Operator(np.zeros((2, 2))),
         )
         grid = TimeGrid(T=1.0, N=64, scheme="expm_step")
         with pytest.raises(ValueError, match="zero"):
@@ -740,37 +696,44 @@ def relative_gap(got, want):
 
 
 class TestConstantGenerators:
-    def test_constant_data_keeps_the_callable_interface(self):
-        gen, control, jumps = constant_model(1, 3, 1)
-        spec = CollisionSpec(
-            h0=Operator(gen), h1=Operator(control),
-            jumps=tuple((Operator(op), rate) for op, rate in jumps), dim=3,
-        )
-        assert np.allclose(spec.h0(0.4, 0.7).entries, 0.7 * gen, atol=1e-15)
-        assert np.allclose(spec.dh0(0.4, 0.7).entries, gen, atol=0.0)
-        assert np.allclose(spec.h1(0.4).entries, control, atol=0.0)
-        assert spec.jumps[0][1](0.4) == jumps[0][1]
-        assert spec.without_jumps().dh0(0.0, 0.0) is spec.dh0(0.0, 0.0)
-
-    def test_constant_h0_rejects_separate_derivative(self):
-        with pytest.raises(ValueError, match="derivative"):
-            CollisionSpec(h0=Operator(PAULI["z"]), h1=Operator(PAULI["x"]),
-                          jumps=(), dim=2, dh0=lambda t, x: Operator(PAULI["z"]))
-
     def test_constant_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="h1 dimension"):
             CollisionSpec(h0=Operator(PAULI["z"]), h1=Operator(np.eye(3)),
                           jumps=(), dim=2)
 
     def test_negative_constant_rate_rejected(self):
-        spec = CollisionSpec(h0=Operator(PAULI["z"]), h1=Operator(np.zeros((2, 2))),
-                             jumps=((Operator(PAULI["z"]), -0.1),), dim=2)
         with pytest.raises(ValueError, match="negative"):
-            propagate(spec, TimeGrid(T=1.0, N=8), 0.3)
+            CollisionSpec(h0=Operator(PAULI["z"]), h1=Operator(np.zeros((2, 2))),
+                          jumps=((Operator(PAULI["z"]), -0.1),), dim=2)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1e-300])
+    def test_bad_rate_rejected_naming_its_jump(self, rate):
+        # a NaN rate would otherwise reach propagation and fail there as a
+        # non-finite store
+        sz = Operator(PAULI["z"])
+        with pytest.raises(ValueError, match=r"rate of jump 1 must be finite and nonnegative"):
+            CollisionSpec(h0=sz, h1=Operator(np.zeros((2, 2))),
+                          jumps=((sz, 0.5), (sz, rate)), dim=2)
+
+    @pytest.mark.parametrize("field", ["h0", "h1", "rate"])
+    def test_functions_of_time_rejected(self, field):
+        sz = Operator(PAULI["z"])
+        data = {"h0": sz, "h1": sz, "rate": 0.5}
+        data[field] = (lambda t, x=None: sz) if field != "rate" else (lambda t: 0.5)
+        with pytest.raises(TypeError, match="collision specs are constant data"):
+            CollisionSpec(h0=data["h0"], h1=data["h1"], jumps=((sz, data["rate"]),), dim=2)
+
+    def test_rates_are_stored_as_floats(self):
+        sz = Operator(PAULI["z"])
+        spec = CollisionSpec(h0=sz, h1=sz, jumps=((sz, 1), (sz, np.float32(0.25))), dim=2)
+        assert [type(rate) for _, rate in spec.jumps] == [float, float]
+        assert [rate for _, rate in spec.jumps] == [1.0, 0.25]
+        assert spec.without_jumps().jumps == ()
 
 
 class TestKernelEquivalence:
-    """Constant and callable specs against a literal step-by-step product."""
+    """The doubling fill and the step loop against a literal step-by-step
+    product."""
 
     @given(
         seed=st.integers(0, 2**16),
@@ -785,24 +748,14 @@ class TestKernelEquivalence:
     def test_forms_and_reference_agree(self, seed, dim, n_jumps, n_steps, scheme,
                                        derivative, x):
         gen, control, jumps = constant_model(seed, dim, n_jumps)
-        constant = CollisionSpec(
+        spec = CollisionSpec(
             h0=Operator(gen), h1=Operator(control),
             jumps=tuple((Operator(op), rate) for op, rate in jumps), dim=dim,
         )
-        callable_form = CollisionSpec(
-            h0=lambda t, xx: Operator(xx * gen),
-            h1=lambda t: Operator(control),
-            jumps=tuple((Operator(op), (lambda g: lambda t: g)(rate))
-                        for op, rate in jumps),
-            dim=dim,
-            dh0=lambda t, xx: Operator(gen),
-        )
         grid = TimeGrid(T=1.0, N=n_steps, scheme=scheme)
         want = literal_products(gen, control, jumps, grid, x, derivative)
-        for spec in (constant, callable_form):
-            traj = propagate(spec, grid, x, derivative=derivative)
-            got = (traj.products, traj.mid_products, traj.dproducts,
-                   traj.dmid_products)
+        for got in (trajectory_arrays(propagate(spec, grid, x, derivative=derivative)),
+                    plain_loop(spec, grid, x, derivative)):
             for g, w in zip(got, want):
                 if w is None:
                     assert g is None
@@ -825,38 +778,26 @@ class TestKernelEquivalence:
     def test_strided_constant_matches_loop_and_reference(
             self, seed, dim, n_jumps, n_steps, scheme, derivative, x):
         gen, control, jumps = constant_model(seed, dim, n_jumps)
-        constant = CollisionSpec(
+        spec = CollisionSpec(
             h0=Operator(gen), h1=Operator(control),
             jumps=tuple((Operator(op), rate) for op, rate in jumps), dim=dim,
         )
-        callable_form = CollisionSpec(
-            h0=lambda t, xx: Operator(xx * gen),
-            h1=lambda t: Operator(control),
-            jumps=tuple((Operator(op), (lambda g: lambda t: g)(rate))
-                        for op, rate in jumps),
-            dim=dim,
-            dh0=lambda t, xx: Operator(gen),
-        )
         grid = TimeGrid(T=1.0, N=n_steps, scheme=scheme)
-        strided = propagate(constant, grid, x, derivative=derivative)
-        looped = propagate(callable_form, grid, x, derivative=derivative)
+        strided = propagate(spec, grid, x, derivative=derivative)
+        looped = plain_loop(spec, grid, x, derivative)
         want = literal_products(gen, control, jumps, grid, x, derivative)
-        for got, loop, ref in zip(trajectory_arrays(strided), trajectory_arrays(looped),
-                                  want):
+        for got, loop, ref in zip(trajectory_arrays(strided), looped, want):
             if ref is None:
                 assert got is None and loop is None
                 continue
             assert relative_gap(got, loop) <= 1e-13
             assert relative_gap(got, ref) <= 1e-13
-        for got, plain in zip(trajectory_arrays(looped),
-                              plain_loop(callable_form, grid, x, derivative)):
-            assert (got is None and plain is None) or np.array_equal(got, plain)
 
 
     def test_constant_propagation_doubles(self, monkeypatch):
         # every matrix product the propagation kernels take goes through
-        # collision's np.matmul; a constant spec's fill and its F_2m take
-        # at most 2 ceil(log2(2N + 1)) of them, a callable spec's loop 2N
+        # collision's np.matmul; the fill and its F_2m take at most
+        # 2 ceil(log2(2N + 1)) of them, where a step loop takes 2N
         import qfikit.collision
 
         products = []
@@ -881,38 +822,10 @@ class TestKernelEquivalence:
             products.clear()
             _probe_propagation(scaled_spec(3, 3, 2), grid, 0.3, psi.amplitudes)
             assert 0 < len(products) <= bound
-            if n_steps < 300:
-                products.clear()
-                propagate(looped_spec(3, 3, 2), grid, 0.3)
-                assert len(products) == 2 * n_steps
 
 
 def trajectory_arrays(traj):
     return traj.products, traj.mid_products, traj.dproducts, traj.dmid_products
-
-
-def plain_loop(spec, grid, x, derivative):
-    """One block product per half step over the whole grid, as arrays.
-
-    The step-by-step arithmetic a callable spec runs; propagate must
-    reproduce it bit for bit.
-    """
-    d = spec.dim
-    half, full, _ = _step_factors(spec, grid, x, derivative)
-    width = half.shape[-1]
-    cols = np.empty((grid.N + 1, width, d), dtype=complex)
-    mid_cols = np.empty((grid.N, width, d), dtype=complex)
-    cols[0] = 0.0
-    cols[0, width - d:] = np.eye(d)
-    for n in range(grid.N):
-        np.matmul(half[n], cols[n], out=mid_cols[n])
-        if full is None:
-            np.matmul(half[n], mid_cols[n], out=cols[n + 1])
-        else:
-            np.matmul(full[n], cols[n], out=cols[n + 1])
-    if not derivative:
-        return cols, mid_cols, None, None
-    return cols[:, d:], mid_cols[:, d:], cols[:, :d], mid_cols[:, :d]
 
 
 class TestTrajectoryReuse:
@@ -964,19 +877,6 @@ def scaled_spec(seed, dim, n_jumps):
     return CollisionSpec(
         h0=Operator(gen), h1=Operator(control),
         jumps=tuple((Operator(op), rate) for op, rate in jumps), dim=dim,
-    )
-
-
-def looped_spec(seed, dim, n_jumps):
-    """``scaled_spec``'s model given as functions of time, which is
-    propagated step by step."""
-    gen, control, jumps = scaled_model(seed, dim, n_jumps)
-    return CollisionSpec(
-        h0=lambda t, x: Operator(x * gen),
-        h1=lambda t: Operator(control),
-        jumps=tuple((Operator(op), (lambda r: lambda t: r)(rate)) for op, rate in jumps),
-        dim=dim,
-        dh0=lambda t, x: Operator(gen),
     )
 
 
@@ -1075,19 +975,6 @@ class TestPropertiesAcrossN:
             assert nh_loss(spec, grid, 0.3, psi).kappa <= 1e-6
 
 
-def timed_spec(seed, dim, n_jumps):
-    """``scaled_spec``'s model with a control and rates that vary in time."""
-    gen, control, jumps = scaled_model(seed, dim, n_jumps)
-    return CollisionSpec(
-        h0=lambda t, x: Operator(x * gen),
-        h1=lambda t: Operator(control * np.cos(t)),
-        jumps=tuple((Operator(op), (lambda r: lambda t: r * (1.0 + 0.5 * t))(rate))
-                    for op, rate in jumps),
-        dim=dim,
-        dh0=lambda t, x: Operator(gen),
-    )
-
-
 class TestRun:
     """``run`` reads one reduction of one trajectory for all its results."""
 
@@ -1097,12 +984,10 @@ class TestRun:
         n_jumps=st.integers(0, 2),
         n_steps=st.sampled_from([16, 64, 256]),
         scheme=st.sampled_from(SCHEMES),
-        timed=st.booleans(),
     )
     @settings(max_examples=30, deadline=None)
-    def test_run_equals_the_separate_functions(self, seed, dim, n_jumps, n_steps,
-                                               scheme, timed):
-        spec = (timed_spec if timed else scaled_spec)(seed, dim, n_jumps)
+    def test_run_equals_the_separate_functions(self, seed, dim, n_jumps, n_steps, scheme):
+        spec = scaled_spec(seed, dim, n_jumps)
         psi = random_ket(dim, np.random.default_rng(seed))
         grid = TimeGrid(1.0, n_steps, scheme)
 
@@ -1120,22 +1005,21 @@ class TestRun:
         assert got.loss == loss
         assert got.theorem2 == verdict
 
-    @pytest.mark.parametrize("scheme, samplings", [("euler_paper", 4), ("expm_step", 2)])
+    @pytest.mark.parametrize("scheme, samplings", [("euler_paper", 2), ("expm_step", 2)])
     def test_run_samples_each_propagation_once(self, monkeypatch, scheme, samplings):
-        # the baseline and the main propagation sample H_nh at the
-        # midpoints, and euler_paper at the right edges too; the residual
-        # cap reads the main propagation's midpoint samples
+        # the baseline and the main propagation each form H_nh once, under
+        # either scheme; the residual cap reads the main propagation's
         import qfikit.collision
 
         calls = []
-        original = qfikit.collision._hamiltonian_samples
+        original = qfikit.collision._hamiltonian
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(qfikit.collision, "_hamiltonian_samples", counted)
-        spec = timed_spec(5, 3, 2)
+        monkeypatch.setattr(qfikit.collision, "_hamiltonian", counted)
+        spec = scaled_spec(5, 3, 2)
         run(spec, TimeGrid(1.0, 256, scheme), 0.3, random_ket(3, np.random.default_rng(5)))
         assert len(calls) == samplings
 
@@ -1158,11 +1042,10 @@ class TestProbeRoute:
         # partial or full; 4097 sets the lowest and the highest bit
         n_steps=st.sampled_from([1, 2, 3, 5, 17, 255, 256, 257, 4097]),
         scheme=st.sampled_from(SCHEMES),
-        timed=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_run_matches_the_matrix_route(self, seed, dim, n_jumps, n_steps, scheme, timed):
-        spec = (timed_spec if timed else scaled_spec)(seed, dim, n_jumps)
+    def test_run_matches_the_matrix_route(self, seed, dim, n_jumps, n_steps, scheme):
+        spec = scaled_spec(seed, dim, n_jumps)
         psi = random_ket(dim, np.random.default_rng(seed))
         grid = TimeGrid(1.0, n_steps, scheme)
 
@@ -1175,11 +1058,6 @@ class TestProbeRoute:
             return
         base, ints, loss, verdict, columns, red = matrix_route(spec, grid, 0.3, psi, 1e-6)
         store = _probe_propagation(spec, grid, 0.3, psi.amplitudes).store
-        if timed:
-            # a callable spec is stepped one block at a time: the probe
-            # route's store holds the very products propagate forms
-            assert np.array_equal(store, red.source.store)
-            assert got.completeness_residual == columns.completeness_residual
         assert relative_gap(store, red.source.store) <= 1e-13
         residual = columns.completeness_residual
         bound = max(1e-13, 1e-13 * residual)

@@ -412,16 +412,16 @@ class TestTransducerPoints:
 
 class TestBuildDephasing:
     def zero_control(self, dim=2):
-        return lambda t: Operator(np.zeros((dim, dim), dtype=complex))
+        return Operator(np.zeros((dim, dim), dtype=complex))
 
     def test_returns_collision_spec(self):
         spec = build_dephasing(SZ, self.zero_control(), SZ, 1.0, 1.0, PLUS_X, 0.0)
         assert isinstance(spec, CollisionSpec)
         assert spec.dim == 2
         assert len(spec.jumps) == 1
-        np.testing.assert_allclose(spec.h0(0.3, 0.7).entries, 0.7 * PAULI["z"], atol=1e-15)
-        np.testing.assert_allclose(spec.dh0(0.3, 0.7).entries, PAULI["z"], atol=1e-15)
-        assert spec.jumps[0][1](0.5) == 1.0
+        np.testing.assert_allclose(spec.h0.entries, PAULI["z"], atol=1e-15)
+        np.testing.assert_allclose(spec.h1.entries, 0.0, atol=0.0)
+        assert spec.jumps[0][1] == 1.0
 
     @pytest.mark.parametrize("gamma_t", [0.1, 1.0, 3.0])
     def test_canonical_decay(self, gamma_t):
@@ -437,7 +437,7 @@ class TestBuildDephasing:
         assert result.kappa == 0.0
 
     def test_commuting_control_does_not_change_loss(self):
-        control = lambda t: Operator(np.sin(t) * PAULI["z"])
+        control = Operator(0.6 * PAULI["z"])
         spec = build_dephasing(SZ, control, SZ, 0.8, 1.0, PLUS_X, 0.0)
         result = nh_loss(spec, TimeGrid(1.0, 2048, "expm_step"), 0.0, PLUS_X)
         assert result.kappa == pytest.approx(1 - np.exp(-0.8), abs=1e-8)
@@ -447,8 +447,13 @@ class TestBuildDephasing:
             build_dephasing(SZ, self.zero_control(), SX, 1.0, 1.0, PLUS_X, 0.0)
 
     def test_rejects_noncommuting_control(self):
-        control = lambda t: Operator(t * PAULI["x"])
+        control = Operator(0.5 * PAULI["x"])
         with pytest.raises(ValueError, match="commute"):
+            build_dephasing(SZ, control, SZ, 1.0, 1.0, PLUS_X, 0.0)
+
+    def test_rejects_non_hermitian_control(self):
+        control = Operator(0.5j * PAULI["z"])
+        with pytest.raises(ValueError, match="control is not Hermitian"):
             build_dephasing(SZ, control, SZ, 1.0, 1.0, PLUS_X, 0.0)
 
     def test_rejects_negative_rate(self):

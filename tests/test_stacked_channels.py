@@ -162,26 +162,17 @@ class TestTrajectoryColumnsMatchStacks:
         n_steps=st.sampled_from([2**6, 2**7, 2**8, 2**9, 2**10]),
         scheme=st.sampled_from(SCHEMES),
         jump_free=st.booleans(),
-        callable_h0=st.booleans(),
         log_tol=st.floats(-12.0, -1.0),
     )
     @settings(max_examples=30, deadline=None)
     def test_verdicts_match_stack_path(self, seed, dim, n_jumps, n_steps, scheme,
-                                       jump_free, callable_h0, log_tol):
+                                       jump_free, log_tol):
         gen, control, jumps = scaled_model(seed, dim, n_jumps)
         # zero rates leave a unitary no-jump branch under expm_step, so
         # those draws give exact channels and exercise the gauge fix
         scale = 0.0 if jump_free else 1.0
-        h0, dh0 = Operator(gen), None
-        if callable_h0:
-            # time-dependent, so every step is sampled and exponentiated
-            def h0(t, x):
-                return Operator(x * (1.0 + 0.5 * t) * gen)
-
-            def dh0(t, x):
-                return Operator((1.0 + 0.5 * t) * gen)
         spec = CollisionSpec(
-            h0=h0, h1=Operator(control), dh0=dh0, dim=dim,
+            h0=Operator(gen), h1=Operator(control), dim=dim,
             jumps=tuple((Operator(op), scale * rate) for op, rate in jumps),
         )
         grid = TimeGrid(T=1.0, N=n_steps, scheme=scheme)
