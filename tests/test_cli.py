@@ -534,6 +534,29 @@ class TestSweepCommand:
         gammas = [float(line.split(",")[0]) for line in lines]
         np.testing.assert_allclose(gammas, [0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("grid, message", [
+        # only gamma = 67.3 fails: its no-jump weight vanishes
+        ("lin:1:200:4", "no-jump weight 0.000e+00 vanished; loss undefined"),
+        # every point from gamma = 500.75 on blows the residual cap
+        ("lin:1:2000:5", "completeness residual 3.218e+53 exceeds 10x the predicted "
+                         "bound 4.063e+25 for scheme euler_paper"),
+        # the first point's failure wins, in either order of the two
+        ("lin:67.33333333333333:500.75:2", "no-jump weight 0.000e+00 vanished; "
+                                           "loss undefined"),
+        ("lin:500.75:67.33333333333333:2", "completeness residual 3.218e+53 exceeds 10x "
+                                           "the predicted bound 4.063e+25 for scheme "
+                                           "euler_paper"),
+    ])
+    def test_failing_sweep_names_its_first_failure(self, tmp_path, capsys, grid, message):
+        payload = {**CANONICAL_DEPHASING,
+                   "parameters": {"x": 0.0, "T": 1.0, "N": 32, "gamma": 1.0,
+                                  "scheme": "euler_paper"}}
+        path = write_config(tmp_path, payload)
+        assert main(["sweep", path, "--param", "gamma", "--grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_non_integer_step_grid_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, CANONICAL_DEPHASING)
         assert main(["sweep", path, "--param", "N", "--grid", "lin:100:300.7:3"]) == 1
