@@ -5,7 +5,7 @@ library's builders and checks, and emits reports. Configs are strict
 UTF-8 JSON (schema in docs/schema.json): a scenario kind, scalar
 parameters, operators as presets or [re, im] matrices, and an output
 sink. `qfi run` computes one report, `qfi sweep` repeats it over a
-parameter grid, one point after another, and `qfi verify` runs one of
+parameter grid (collision points in stacked passes), and `qfi verify` runs one of
 the invariant suites of `qfikit.verify`. Exit codes: 0 success, 1
 parse/validation failure, 2 when a verdict the config marks
 `expect: pass` does not pass, or a suite fails.
@@ -31,7 +31,7 @@ from .collision import (
     IntegratorFailure,
     SCHEMES,
     TimeGrid,
-    run,
+    run_points,
 )
 from .encoding import amplification, amplification_grid, complete_report, theorem1_residuals
 from .quantum_core import Ket, MeasurementChannel, Operator
@@ -523,29 +523,34 @@ def _run_transducer(config: ScenarioConfig, tol: float):
     return metrics, per_outcome, _channel_verdicts(theorem1_residuals(report.columns, tol)), None
 
 
-def _collision_inputs(config: ScenarioConfig):
+def _collision_point(config: ScenarioConfig) -> tuple:
+    """(spec, grid, x, psi) of a collision config."""
     p = config.parameters
     grid = TimeGrid(p.get("T", 1.0), p.get("N", 16384), p.get("scheme", "expm_step"))
     psi = Ket(config.states.get("psi", STATE_PRESETS["plus_x"].copy()))
-    return grid, p.get("x", 0.0), psi
+    x = p.get("x", 0.0)
+    if config.kind == "dephasing":
+        h0 = Operator(config.operators.get("h0", OPERATOR_PRESETS["pauli_z"].copy()))
+        jump = Operator(config.operators.get("jump", OPERATOR_PRESETS["pauli_z"].copy()))
+        return build_dephasing(h0, _control(config, h0.dim), jump, p.get("gamma", 1.0),
+                               grid.T, psi, x), grid, x, psi
+    if "h0" not in config.operators:
+        raise ConfigError(f"{config.path}: custom_collision needs operators.h0")
+    h0 = Operator(config.operators["h0"])
+    jumps = tuple((Operator(op), rate) for op, rate in config.jumps)
+    return CollisionSpec(h0, _control(config, h0.dim), jumps, h0.dim), grid, x, psi
 
 
-def _collision_run(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket, tol: float):
-    loss, thm2, t1, _ = run(spec, grid, x, psi, tol)
-    metrics = {
-        "i_q_baseline": loss.i_q_baseline,
-        "i_sigma": loss.i_sigma,
-        "kappa": loss.kappa,
-        "p_check": loss.p_check,
-    }
+def _collision_metrics(collision_run) -> tuple:
+    """A runner's result for one ``CollisionRun``."""
+    loss, thm2, t1, _ = collision_run
+    metrics = {"i_q_baseline": loss.i_q_baseline, "i_sigma": loss.i_sigma,
+               "kappa": loss.kappa, "p_check": loss.p_check}
     if loss.kappa_channel is not None:
-        metrics["kappa_channel"] = loss.kappa_channel
-        metrics["i_q_channel"] = loss.i_q_channel
+        metrics.update(kappa_channel=loss.kappa_channel, i_q_channel=loss.i_q_channel)
     verdicts = _channel_verdicts(t1)
-    verdicts["theorem2"] = _verdict(
-        "pass" if thm2.lossless else "fail",
-        max(thm2.weight_slope, thm2.jump_residual),
-    )
+    verdicts["theorem2"] = _verdict("pass" if thm2.lossless else "fail",
+                                    max(thm2.weight_slope, thm2.jump_residual))
     return metrics, [], verdicts, None
 
 
@@ -555,28 +560,21 @@ def _control(config: ScenarioConfig, dim: int) -> Operator:
     return Operator(np.zeros((dim, dim), dtype=complex) if control is None else control)
 
 
-def _run_dephasing(config: ScenarioConfig, tol: float):
-    p = config.parameters
-    grid, x, psi = _collision_inputs(config)
-    h0 = Operator(config.operators.get("h0", OPERATOR_PRESETS["pauli_z"].copy()))
-    jump = Operator(config.operators.get("jump", OPERATOR_PRESETS["pauli_z"].copy()))
-    spec = build_dephasing(h0, _control(config, h0.dim), jump, p.get("gamma", 1.0),
-                           grid.T, psi, x)
-    return _collision_run(spec, grid, x, psi, tol)
-
-
-def _run_custom_collision(config: ScenarioConfig, tol: float):
-    grid, x, psi = _collision_inputs(config)
-    if "h0" not in config.operators:
-        raise ConfigError(f"{config.path}: custom_collision needs operators.h0")
-    h0 = Operator(config.operators["h0"])
-    spec = CollisionSpec(
-        h0=h0,
-        h1=_control(config, h0.dim),
-        jumps=tuple((Operator(op), rate) for op, rate in config.jumps),
-        dim=h0.dim,
-    )
-    return _collision_run(spec, grid, x, psi, tol)
+def _run_collisions(configs, tol_override: Optional[float]) -> list:
+    """Each collision config's runner result, in order. Consecutive configs
+    of one grid, tol, dimension, jump count and probe run as one
+    ``run_points`` group, so a sweep over T, N or tol runs groups of one."""
+    groups = []
+    for config in configs:
+        spec, grid, x, psi = _collision_point(config)
+        key = (grid, config.tol(tol_override), spec.dim, len(spec.jumps),
+               psi.amplitudes.tobytes())
+        if not groups or groups[-1][0] != key:
+            groups.append((key, [], [], psi))
+        groups[-1][1].append(spec)
+        groups[-1][2].append(x)
+    return [_collision_metrics(each) for (grid, tol, *_), specs, xs, psi in groups
+            for each in run_points(specs, grid, xs, psi, tol)]
 
 
 def _run_custom_channel(config: ScenarioConfig, tol: float):
@@ -601,9 +599,9 @@ def _run_custom_channel(config: ScenarioConfig, tol: float):
 
 _RUNNERS = {
     "transducer": _run_transducer,
-    "dephasing": _run_dephasing,
+    "dephasing": lambda config, tol: _run_collisions([config], tol)[0],
     "custom_channel": _run_custom_channel,
-    "custom_collision": _run_custom_collision,
+    "custom_collision": lambda config, tol: _run_collisions([config], tol)[0],
 }
 
 #: scalar columns each kind contributes to a sweep row, in order
@@ -741,15 +739,16 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"grid {args.grid!r}: {complaint}")
     start = time.perf_counter()
     columns = [args.param] + list(_SWEEP_COLUMNS[config.kind])
+    configs = [replace(config, parameters={**config.parameters, args.param: v}) for v in values]
+    points = (_run_collisions(configs, tol) if config.kind in ("dephasing", "custom_collision")
+              else [_RUNNERS[config.kind](point, point.tol(tol)) for point in configs])
     rows = []
     worst = {name: ("pass", None) for name in _VERDICT_NAMES}
-    for value in values:
-        point = execute(replace(config, parameters={**config.parameters, args.param: value}),
-                        tol_override=tol)
+    for value, (metrics, _, point_verdicts, _) in zip(values, points):
         # a metric the point left undefined stays empty (JSON null), not 0
-        rows.append([float(value)] + [point.metrics.get(c) for c in columns[1:]])
+        rows.append([float(value)] + [metrics.get(c) for c in columns[1:]])
         for name in _VERDICT_NAMES:
-            verdict = point.verdicts[name]
+            verdict = point_verdicts[name]
             status, residual = worst[name]
             if verdict["status"] == "n.a.":
                 worst[name] = ("n.a.", None)

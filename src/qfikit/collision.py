@@ -31,12 +31,13 @@ this per segment: a piecewise-constant schedule chains each segment's
 doubled products and Stein sums, S = S_1 + (A_1^N1)^+ S_2 A_1^N1.
 
 Runs propagate the probe, not the propagator (Al-Mohy & Higham 2011):
-every statistic is an expectation in psi, read off the edge and midpoint
-rows [dK psi, K psi] of a (2N+1, 2d) probe store. Its jump sums are
-blocks of one Gramian of the rows, each verdict maximum one pass over
-them, and the jump-free baseline an end row; neither the channel's rows
-nor its Kraus matrices (``build_discrete_channel``, the matrix route of
-``propagate``) are built. ``run`` is the recipe of ``qfi run``.
+every statistic is an expectation in psi, read off probe rows [dK psi,
+K psi], N midpoint rows (P, N, 2d) for P points under expm_step and 2N + 1
+edge and midpoint rows under euler_paper. Its jump sums are Gramian
+blocks, each verdict maximum one pass over them, and the jump-free
+baseline an end row; no channel row or Kraus matrix (the matrix route of
+``propagate``) is built. ``run_points`` is the recipe of `qfi run` and
+`qfi sweep`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .encoding import KAPPA_DENOM_FLOOR, Theorem1Residuals, _theorem1
+from .encoding import KAPPA_DENOM_FLOOR, Theorem1Residuals, _gauge_rate, _theorem1
 from .fisher import P_FLOOR
 from .quantum_core import (Ket, MeasurementChannel, Operator, channel_kind, expm,
                            spectral_norm)
@@ -72,6 +73,7 @@ __all__ = [
     "nh_loss",
     "CollisionRun",
     "run",
+    "run_points",
     "dephasing_closed_form",
 ]
 
@@ -237,74 +239,85 @@ def _hamiltonian(spec: CollisionSpec, x: float, derivative: bool = False):
     return herm, (spec.h0.entries if derivative else None)
 
 
-def _step_block(factor, dfactor):
-    """[[S, dS], [0, S]], or S alone when dS is None.
+def _hamiltonians(specs, xs) -> tuple:
+    """(H_nh, dH_nh/dx, faults) of the points, stacked; where x*G + H1 is not
+    Hermitian, a zero H_nh and the ValueError in ``faults``."""
+    hs, faults = [], [None] * len(specs)
+    for i, (spec, x) in enumerate(zip(specs, xs)):
+        try:
+            hs.append(_hamiltonian(spec, x)[0])
+        except ValueError as err:
+            hs.append(np.zeros((spec.dim, spec.dim), dtype=complex))
+            faults[i] = err
+    return np.stack(hs), np.stack([spec.h0.entries for spec in specs]), faults
 
-    Applied to the column [[dK], [K]] the block gives [[S dK + dS K], [S K]]:
-    the product rule for d(SK)/dx in one matrix product.
-    """
+
+def _step_block(factor, dfactor):
+    """[[S, dS], [0, S]], or S alone when dS is None, of matrices or stacks:
+    applied to the column [[dK], [K]] it gives [[S dK + dS K], [S K]], the
+    product rule for d(SK)/dx in one matrix product."""
     if dfactor is None:
         return factor
-    return np.block([[factor, dfactor], [np.zeros_like(factor), factor]])
+    n = factor.shape[-1]
+    block = np.zeros(factor.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    block[..., :n, :n] = block[..., n:, n:] = factor
+    block[..., :n, n:] = dfactor
+    return block
 
 
-def _step_factors(spec, grid, x, derivative):
-    """(half, full, h_nh): the half-step and full-step blocks of the grid's
-    scheme and the H_nh of ``_hamiltonian`` they were built from.
-
-    Each block is [[S, dS], [0, S]] with derivatives, S alone without. The
-    expm scheme composes a full step as two half steps, so its full block
-    is None.
-    """
+def _step_factors(grid, h, dh) -> tuple:
+    """(half, full): the step blocks of the grid's scheme for H_nh ``h`` and
+    its derivative ``dh`` (None without derivatives), matrices or stacks:
+    [[S, dS], [0, S]], or S alone. The expm scheme composes a full step as
+    two half steps, so its full block is None."""
     dt = grid.dt
-    h, dh = _hamiltonian(spec, x, derivative)
-
     if grid.scheme == "euler_paper":
-        eye = np.eye(spec.dim, dtype=complex)
+        eye = np.eye(h.shape[-1], dtype=complex)
         half = _step_block(eye - 0.5j * dt * h, None if dh is None else -0.5j * dt * dh)
         full = _step_block(eye - 1j * dt * h, None if dh is None else -1j * dt * dh)
-        return half, full, h
+        return half, full
 
     # expm([[A, E], [0, A]]) holds expm(A) on its diagonal blocks and the
     # derivative of expm(A) along E in its upper-right block
-    return expm(_step_block(-0.5j * dt * h, None if dh is None else -0.5j * dt * dh)), None, h
+    return expm(_step_block(-0.5j * dt * h, None if dh is None else -0.5j * dt * dh)), None
 
 
 def _advance(dst, f, src):
     """dst = src + f src, the product written into ``dst`` first: from the
-    left on column stores (n, width, d), from the right on probe rows."""
-    if src.ndim == 2:
-        np.matmul(src, f.T, out=dst)
+    left on column stores (n, width, d), from the right on rows (P, n, width)."""
+    if f.ndim == 3:
+        np.matmul(src, f.swapaxes(-1, -2), out=dst)
     else:
         np.matmul(f, src, out=dst)
     dst += src
 
 
-def _fill(store, fs):
-    """store[m + k] = store[k] + F_m store[k] for k < m, m = 1, 2, 4, ...,
-    so entry n becomes step^n store[0] in len(fs) products."""
+def _fill(store, fs, filled=1):
+    """store[m + k] = store[k] + F_m store[k], k < m = filled * 2^i: entry n
+    becomes step^n store[0] (axis 0 of column stores, 1 of rows)."""
     for k, f in enumerate(fs):
-        m = 1 << k
-        src = store[:min(m, len(store) - m)]
-        _advance(store[m:m + len(src)], f, src)
+        m = filled << k
+        lead = (slice(None),) * (f.ndim - 2)
+        count = min(m, store.shape[f.ndim - 2] - m)
+        _advance(store[lead + (slice(m, m + count),)], f, store[lead + (slice(count),)])
 
 
 def _powers(half, full, n_steps):
     """(fs, lead): A^(2^k) = I + fs[k] for the full step A, lead = B - I for
-    the half step B of expm_step (A = B B), else None.
+    the half step B of expm_step (A = B B), else None; of matrices or stacks.
 
     F_2m = 2 F_m + F_m F_m: carried as I + F, a near-identity power keeps
     the digits of F that squaring the power itself would round into I.
     """
     step = half if full is None else full
-    fs = [step - np.eye(len(step))]
+    fs = [step - np.eye(step.shape[-1])]
     for _ in range(int(n_steps).bit_length() - (full is not None)):
         fs.append(2.0 * fs[-1] + np.matmul(fs[-1], fs[-1]))
     return (fs[1:], fs[0]) if full is None else (fs, None)
 
 
-def _require_finite(grid, array):
-    if not np.isfinite(array).all():
+def _require_finite(grid, *arrays):
+    if not all(np.isfinite(array).all() for array in arrays):
         raise IntegratorFailure(
             f"propagation produced non-finite entries at N={grid.N}, "
             f"scheme {grid.scheme}; reduce dt or rescale the generator"
@@ -312,40 +325,13 @@ def _require_finite(grid, array):
 
 
 class _Probe(NamedTuple):
-    """One propagation: its store, the H_nh its steps were built from and
-    the ``_powers`` (``steps``) that ``_residual`` doubles.
+    """Probe rows [dK psi, K psi] of P points: ``mids`` (P, N, 2d) at step midpoints,
+    ``edges`` before them under euler_paper (else None), ``end`` (P, 2d); ``_powers``."""
 
-    ``_probe_propagation`` carries it on the probe psi, so ``store`` is the
-    (2N + 1, 2d) array of rows [[dK psi], [K psi]].
-    """
-
-    store: np.ndarray
-    h_nh: np.ndarray
+    mids: Optional[np.ndarray]
+    edges: Optional[np.ndarray]
+    end: np.ndarray
     steps: tuple
-
-
-def _propagated(spec, grid, x, first) -> _Probe:
-    """One propagation from store[0] = ``first``, the column [[0], [I]]
-    (I alone without derivatives) or the probe row [[0], [psi]].
-
-    Entry 2n holds edge n, entry 2n + 1 the midpoint of step n + 1, filled
-    by ``_fill`` with the ``_powers`` (``steps``): the half-step powers
-    under expm_step; under euler_paper full-step powers at the edges, each
-    advanced half a step to its midpoint.
-    """
-    half, full, h_nh = _step_factors(spec, grid, x, len(first) > spec.dim)
-    store = np.empty((2 * grid.N + 1,) + first.shape, dtype=complex)
-    store[0] = first
-    # overflow here is reported as IntegratorFailure, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        fs, lead = steps = _powers(half, full, grid.N)
-        if full is None:
-            _fill(store, [lead] + fs)
-        else:
-            _fill(store[0::2], fs)
-            _advance(store[1::2], half - np.eye(len(first)), store[0:-1:2])
-    _require_finite(grid, store[-1])
-    return _Probe(store, h_nh, steps)
 
 
 def propagate(spec: CollisionSpec, grid: TimeGrid, x: float,
@@ -362,7 +348,19 @@ def propagate(spec: CollisionSpec, grid: TimeGrid, x: float,
     """
     d = spec.dim
     width = 2 * d if derivative else d
-    store, h_nh, _ = _propagated(spec, grid, x, np.eye(width, d, d - width))
+    h_nh, dh = _hamiltonian(spec, x, derivative)
+    half, full = _step_factors(grid, h_nh, dh)
+    store = np.empty((2 * grid.N + 1, width, d), dtype=complex)
+    store[0] = np.eye(width, d, d - width)
+    # overflow here is reported as IntegratorFailure, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        fs, lead = _powers(half, full, grid.N)
+        if full is None:
+            _fill(store, [lead] + fs)
+        else:
+            _fill(store[0::2], fs)
+            _advance(store[1::2], half - np.eye(width), store[0:-1:2])
+    _require_finite(grid, store[-1])
     return NhTrajectory(
         grid=grid,
         x=x,
@@ -374,10 +372,49 @@ def propagate(spec: CollisionSpec, grid: TimeGrid, x: float,
     )
 
 
-def _probe_propagation(spec, grid, x, amps) -> _Probe:
-    """``propagate`` with derivatives, applied to the probe as it goes: the
-    probe rows themselves are doubled, so no array of N matrices forms."""
-    return _propagated(spec, grid, x, np.concatenate([np.zeros(spec.dim), amps]))
+def _probe_propagation(grid, h, dh, amps, rows=True) -> _Probe:
+    """``propagate`` of P points (generators ``h``, derivatives ``dh``) on
+    the probe psi, its rows doubled; the end rows alone without ``rows``.
+    Midpoint row n is A^n B [0, psi] under expm_step; under euler_paper the
+    edges are filled, each advanced half a step. An end row is euler_paper's
+    last edge, or the powers applied one set bit of N at a time, lowest
+    first, which matches a fill's last entry bit for bit only when N is a
+    power of two. Non-finite rows are the caller's to refuse."""
+    half, full = _step_factors(grid, h, dh)
+    first = np.broadcast_to(np.concatenate([np.zeros(len(amps)), amps]), (len(h), 2 * len(amps)))
+    points, width = first.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        fs, lead = steps = _powers(half, full, grid.N)
+        if rows and full is not None:
+            store = np.empty((points, 2 * grid.N + 1, width), dtype=complex)
+            store[:, 0] = first
+            _fill(store[:, 0::2], fs)
+            _advance(store[:, 1::2], half - np.eye(width), store[:, 0:-1:2])
+            return _Probe(store[:, 1::2], store[:, 0:-1:2], store[:, -1], steps)
+        end = first
+        for k, f in enumerate(fs):
+            if grid.N >> k & 1:
+                end = np.matmul(end[:, None], f.swapaxes(-1, -2))[:, 0] + end
+        if not rows:
+            return _Probe(None, None, end, steps)
+        # a head fill from [0, psi] and a spare row keep each round at two
+        # rows or more: one row goes to gemv, which rounds apart from gemm
+        head = np.empty((points, 4, width), dtype=complex)
+        head[:, 0] = first
+        _fill(head, [lead, fs[0]])
+        store = np.empty((points, grid.N + 1, width), dtype=complex)
+        store[:, :2] = head[:, 1::2]
+        _fill(store, fs[1:], 2)
+    return _Probe(store[:, :-1], None, end, steps)
+
+
+def _point_probe(spec, grid, x, psi, rows=True) -> _Probe:
+    """``_probe_propagation`` of one point, raising its failures."""
+    amps = _amplitudes(spec, psi)
+    h, dh = _hamiltonian(spec, x, True)
+    probe = _probe_propagation(grid, h[None], dh[None], amps, rows)
+    _require_finite(grid, probe.end[0])
+    return probe
 
 
 def _first_jump_rows(spec, grid, end, split):
@@ -436,66 +473,63 @@ def _amplitudes(spec, psi: Ket) -> np.ndarray:
     return psi.amplitudes
 
 
-def _end_row(spec, grid, x, psi) -> np.ndarray:
-    """The end row [dK_T psi, K_T psi] of the probe: the ``_powers`` applied
-    to [0, psi] one set bit of N at a time, lowest first, as ``_fill``
-    forms the store's last entry, with no store."""
-    half, full, _ = _step_factors(spec, grid, x, True)
-    end = np.concatenate([np.zeros(spec.dim), _amplitudes(spec, psi)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, f in enumerate(_powers(half, full, grid.N)[0]):
-            if grid.N >> k & 1:
-                end = end @ f.T + end
-    _require_finite(grid, end)
-    return end
-
-
-def _jump_sums(spec, grid, rows) -> tuple:
-    """(E, F, G) = sum_n (<u|D|u>, i <du|D|u>, <du|D|du>) over the probe rows
-    [du_n, u_n], with D = ``_damping``, each as sum_ab (D)_ab W_ab over a
-    block of the rows' Gramian W = R^+ R."""
-    d, x = spec.dim, rows.view(float)
-    damp = _damping(spec, grid.dt)
+def _jump_sums(damp, rows) -> list:
+    """(E, F, G) = sum_n (<u|D|u>, i <du|D|u>, <du|D|du>) of each point over its
+    rows [du_n, u_n] (P, n, 2d), with its D = ``_damping``, each as
+    sum_ab (D)_ab W_ab over a block of the rows' Gramian W = R^+ R."""
+    d, x = damp.shape[-1], rows.view(float)
     # W_ab = sum conj(r_a) r_b, from the products of real and imaginary parts
-    r = (x.T @ x).reshape(2 * d, 2, 2 * d, 2)
-    gram = r[:, 0, :, 0] + r[:, 1, :, 1] + 1j * (r[:, 0, :, 1] - r[:, 1, :, 0])
-    e = f = g = 0j
-    e += (damp * gram[d:, d:]).sum()
-    f += (damp * gram[:d, d:]).sum()
-    g += (damp * gram[:d, :d]).sum()
-    return float(e.real), 1j * f, float(g.real)
+    r = (x.swapaxes(-1, -2) @ x).reshape(-1, 2 * d, 2, 2 * d, 2)
+    gram = r[:, :, 0, :, 0] + r[:, :, 1, :, 1] + 1j * (r[:, :, 0, :, 1] - r[:, :, 1, :, 0])
+    e, f, g = (0j + (damp * block).reshape(len(damp), -1).sum(axis=-1)
+               for block in (gram[:, d:, d:], gram[:, :d, d:], gram[:, :d, :d]))
+    return [(float(a.real), 1j * b, float(c.real)) for a, b, c in zip(e, f, g)]
 
 
-def _jump_max(spec, rows, c, dt=1.0) -> float:
-    """max_jn sqrt(gamma_j dt) ||L_j (du_n + i c u_n)|| over the probe rows
-    [du_n, u_n], in one product; 0.0 without jumps."""
-    if not spec.jumps:
-        return 0.0
-    ops = np.concatenate([op.entries.T for op, _ in spec.jumps], axis=1)
-    hit = rows @ np.concatenate([ops, (1j * c) * ops])
-    parts = hit.view(float).reshape(len(rows), len(spec.jumps), -1)
-    weights = _rates(spec) * dt
-    return math.sqrt(float((weights * np.einsum("njk,njk->jn", parts, parts)).max()))
+def _jump_max(specs, rows, cs, dt=1.0) -> list:
+    """max_jn sqrt(gamma_j dt) ||L_j (du_n + i c u_n)|| of each point over its
+    rows [du_n, u_n] (P, n, 2d), at its rate c, in one product per block of
+    4096 or more rows (all n when fewer), so none is large; 0 without jumps."""
+    if not specs[0].jumps:
+        return [0.0] * len(specs)
+    ops = np.stack([np.concatenate([op.entries.T for op, _ in spec.jumps], axis=1)
+                    for spec in specs])
+    mat = np.concatenate([ops, np.array([1j * c for c in cs])[:, None, None] * ops], 1)
+    weights = np.array([[rate * dt for _, rate in spec.jumps] for spec in specs])[:, :, None]
+    peaks = np.full(len(specs), -np.inf)
+    for block in np.array_split(rows, max(1, rows.shape[1] // 4096), axis=1):
+        parts = (block @ mat).view(float).reshape(block.shape[:2] + (len(specs[0].jumps), -1))
+        peaks = np.maximum(peaks, (weights * np.einsum("gnjk,gnjk->gjn", parts, parts)).max((1, 2)))
+    return [math.sqrt(float(peak)) for peak in peaks]
 
 
-def _held_to_cap(spec, grid, h_nh, residual: float) -> float:
+def _cap_norms(specs, grid, h_nh) -> np.ndarray:
+    """||H_nh|| (0 where not finite) and, under expm_step, sum_j gamma_j
+    ||L_j^+ L_j|| of P points: the (P, 2) norms ``_held_to_cap`` reads."""
+    norms = np.zeros((len(specs), 2))
+    norms[:, 0] = spectral_norm(np.where(np.isfinite(h_nh).all((1, 2))[:, None, None], h_nh, 0))
+    if grid.scheme == "expm_step" and specs[0].jumps:
+        ops = np.array([[op.entries for op, _ in spec.jumps] for spec in specs])
+        rates = np.array([[rate for _, rate in spec.jumps] for spec in specs])
+        norms[:, 1] = (spectral_norm(ops.conj().swapaxes(-1, -2) @ ops) * rates).sum(axis=-1)
+    return norms
+
+
+def _held_to_cap(grid, norms, residual: float) -> float:
     """A completeness residual, checked against a generous bound.
 
-    The bound reads the effective generator ``h_nh`` and, under expm_step,
-    the jump rates. Exceeding ten times the bound, an order-of-magnitude
-    estimate, raises IntegratorFailure: it signals a broken integration
-    (norm blow-up, grossly under-resolved grid), not ordinary
-    discretization error.
+    The bound reads a point's ``_cap_norms``. Exceeding ten times it, an
+    order-of-magnitude estimate, raises IntegratorFailure: it signals a
+    broken integration (norm blow-up, grossly under-resolved grid), not
+    ordinary discretization error.
     """
-    h_norm = float(np.linalg.svd(h_nh, compute_uv=False).max(initial=0.0))
+    h_norm, damp_norm = (float(norm) for norm in norms)
     dt = grid.dt
     if grid.scheme == "euler_paper":
         q = (h_norm * dt) ** 2 * grid.N
         growth = math.exp(min(4.0 * q, 50.0))
         bound = 4.0 * q * growth
     else:
-        damp_norm = sum(spectral_norm(op.entries.conj().T @ op.entries) * rate
-                        for op, rate in spec.jumps)
         bound = grid.T * dt * (1.0 + damp_norm) * (1.0 + h_norm) ** 2
     cap = 10.0 * (bound + 1e3 * np.finfo(float).eps * grid.N)
     if residual > cap:
@@ -521,7 +555,8 @@ def build_discrete_channel(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
     """
     labels, ks, traj = _assemble_channel(spec, psi, grid, x, traj, derivative=False)
     channel = MeasurementChannel.from_stack(labels, ks, retained=frozenset({"check"}))
-    _held_to_cap(spec, grid, traj.h_nh, channel.completeness_residual)
+    _held_to_cap(grid, _cap_norms((spec,), grid, traj.h_nh[None])[0],
+                 channel.completeness_residual)
     return channel
 
 
@@ -542,60 +577,55 @@ def discrete_channel_derivatives(spec: CollisionSpec, psi: Ket, grid: TimeGrid,
 def _congruence(s, f):
     """(I + f)^+ s (I + f), taken as y = s + s f, then y + f^+ y."""
     y = s + s @ f
-    return y + f.conj().T @ y
+    return y + f.conj().swapaxes(-1, -2) @ y
 
 
-def _doubled_gramian(spec, grid, fs, lead) -> np.ndarray:
+def _doubled_gramian(damp, grid, fs, lead) -> np.ndarray:
     """K_T^+ K_T + sum_(n<N) K_n^+ D K_n, the discrete channel's
     sum_w M_w^+ M_w, from the ``_powers``: O(log N) d x d products.
 
     The jumps split from K_n = B A^n, B = I + lead (I for None), all
-    weighted by D = ``_damping``. K_T = A^N takes one factor per set bit
-    of N, lowest first, as ``_fill`` forms it, and the Stein
-    sum S_N = sum_(n<N) (A^n)^+ D A^n doubles as
+    weighted by D = ``damp`` (``_damping``). K_T = A^N takes one factor per
+    set bit of N, lowest first, as the end rows do, and
+    the Stein sum S_N = sum_(n<N) (A^n)^+ D A^n doubles as
     S_(c+m) = S_m + (A^m)^+ S_c A^m (Smith 1968, SIAM J. Appl. Math. 16).
     """
-    d = spec.dim
-    end, acc = np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex)
-    s = _damping(spec, grid.dt)
+    d = damp.shape[-1]
+    end, acc, s = np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex), damp
     for k, f in enumerate(fs):
-        f = f[-d:, -d:]
+        f = f[..., -d:, -d:]
         if grid.N >> k & 1:
             end = end + f @ end
             acc = s + _congruence(acc, f)
         s = s + _congruence(s, f)
     if lead is not None:
-        acc = _congruence(acc, lead[-d:, -d:])
-    return end.conj().T @ end + acc
-
-
-def _residual(spec, grid, steps) -> float:
-    """|| sum_w M_w^+ M_w - 1 || (spectral norm) of the discrete channel,
-    uncapped: ``_doubled_gramian`` of the ``_powers`` ``steps``."""
-    gram = _doubled_gramian(spec, grid, *steps)
-    _require_finite(grid, gram)
-    return spectral_norm(gram - np.eye(spec.dim))
+        acc = _congruence(acc, lead[..., -d:, -d:])
+    return end.conj().swapaxes(-1, -2) @ end + acc
 
 
 def _split_residual(spec, grid, x, midpoints) -> tuple:
-    """(residual, h_nh) of ``_residual`` with the jumps split at step
-    midpoints, or at edges; no matrices are propagated."""
-    half, full, h_nh = _step_factors(spec, grid, x, False)
+    """(residual, h_nh) of the discrete channel with the jumps split at
+    step midpoints, or at edges; no matrices are propagated."""
+    h_nh, _ = _hamiltonian(spec, x)
+    half, full = _step_factors(grid, h_nh, None)
     fs, lead = _powers(half, full, grid.N)
     if midpoints and full is not None:
         lead = half - np.eye(spec.dim)
-    return _residual(spec, grid, (fs, lead)), h_nh
+    gram = _doubled_gramian(_damping(spec, grid.dt), grid, fs, lead)
+    _require_finite(grid, gram)
+    return spectral_norm(gram - np.eye(spec.dim)), h_nh
 
 
 def trajectory_residual(spec: CollisionSpec, grid: TimeGrid, x: float) -> float:
     """Completeness residual of the discrete channel, without building it.
 
     Its sum_w M_w^+ M_w is K_T^+ K_T + sum_n K_n^+ D K_n with
-    D = sum_j gamma_j dt L_j^+ L_j (``_residual``, as ``run`` takes it). A
-    residual beyond ten times the predicted cap raises IntegratorFailure.
+    D = sum_j gamma_j dt L_j^+ L_j (``_doubled_gramian``, as ``run`` takes
+    it). A residual beyond ten times the predicted cap raises
+    IntegratorFailure.
     """
     residual, h_nh = _split_residual(spec, grid, x, grid.scheme == "expm_step")
-    return _held_to_cap(spec, grid, h_nh, residual)
+    return _held_to_cap(grid, _cap_norms((spec,), grid, h_nh[None])[0], residual)
 
 
 def check_integral_completeness(spec: CollisionSpec, grid: TimeGrid,
@@ -633,14 +663,14 @@ def efg_integrals(spec: CollisionSpec, grid: TimeGrid, x: float,
     O(dt^2) quadrature error and feed the total-information formula.
     ``psi`` must be normalized.
     """
-    probe = _probe_propagation(spec, grid, x, _amplitudes(spec, psi))
-    return _efg(spec, probe.store[-1], _jump_sums(spec, grid, probe.store[1::2]))
+    probe = _point_probe(spec, grid, x, psi)
+    return _efg(probe.end[0], _jump_sums(_damping(spec, grid.dt)[None], probe.mids)[0])
 
 
-def _efg(spec, end, sums=(0.0, 0j, 0.0)) -> EfgIntegrals:
+def _efg(end, sums=(0.0, 0j, 0.0)) -> EfgIntegrals:
     """``EfgIntegrals`` of the end row [dK psi, K psi] plus the midpoint
     jump sums (E, F, G) of ``_jump_sums``."""
-    dpsi_end, psi_end = end[:spec.dim], end[spec.dim:]
+    dpsi_end, psi_end = end[:len(end) // 2], end[len(end) // 2:]
     g_check = float(np.vdot(dpsi_end, dpsi_end).real)
     f_check = 1j * np.vdot(dpsi_end, psi_end)
     return EfgIntegrals(g_total=g_check + sums[2], f_total=complex(f_check + sums[1]),
@@ -679,20 +709,20 @@ def check_theorem2(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
     fixed once from the end-time overlap current. Both are held to
     ``tol``, and ``psi`` must be normalized.
     """
-    probe = _probe_propagation(spec, grid, x, _amplitudes(spec, psi))
-    end = probe.store[-1]
-    return _theorem2(spec, _efg(spec, end), end, probe.store[1::2], tol)
-
-
-def _theorem2(spec, ints, end, mids, tol) -> Theorem2Verdict:
-    """``check_theorem2`` of the end row and the midpoint rows ``mids``."""
+    probe = _point_probe(spec, grid, x, psi)
+    ints = _efg(probe.end[0])
     if ints.e_check <= P_FLOOR:
         raise ValueError(f"no-jump weight {ints.e_check:.3e} vanished; verdict undefined")
     dtheta = -ints.f_check.real / ints.e_check
-    # L_j xi = L_j (dK psi + i dtheta K psi) at every midpoint
-    jump_residual = _jump_max(spec, mids, dtheta)
-    weight_slope = abs(2.0 * float(np.vdot(end[spec.dim:], end[:spec.dim]).real))
+    return _theorem2(probe.end[0], dtheta, _jump_max((spec,), probe.mids, (dtheta,))[0], tol)
 
+
+def _theorem2(end, dtheta, jump_residual, tol) -> Theorem2Verdict:
+    """``check_theorem2`` of the end row, at the phase rate ``dtheta``, with
+    ``jump_residual`` the largest jump amplitude of L_j xi =
+    L_j (dK psi + i dtheta K psi) over the midpoints."""
+    d = len(end) // 2
+    weight_slope = abs(2.0 * float(np.vdot(end[d:], end[:d]).real))
     return Theorem2Verdict(
         lossless=(weight_slope <= tol and jump_residual <= tol),
         tol=tol,
@@ -732,8 +762,7 @@ def nh_loss(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket) -> NhLossRe
     a probe propagation of the model and the end row of its jump-free member.
     """
     ints = efg_integrals(spec, grid, x, psi)
-    free = spec.without_jumps()
-    return _loss(ints, _efg(free, _end_row(free, grid, x, psi)))
+    return _loss(ints, _efg(_point_probe(spec.without_jumps(), grid, x, psi, False).end[0]))
 
 
 def _loss(ints, base) -> NhLossResult:
@@ -785,33 +814,59 @@ class CollisionRun(NamedTuple):
         return channel_kind(self.completeness_residual)
 
 
+def run_points(specs, grid: TimeGrid, xs, psi: Ket, tol: float = 1e-8) -> list:
+    """``run`` of P specs of one dimension and jump count, each at its x, on
+    one grid, from one psi, in one pass whose arrays carry a leading point
+    axis; the first point to fail raises its first failure, as in a loop."""
+    specs, xs, d = tuple(specs), tuple(xs), psi.dim
+    if len(xs) != len(specs) or len({(s.dim, len(s.jumps)) for s in specs}) != 1:
+        raise ValueError("a group needs one x per spec, one dimension and one jump count")
+    h_free, dh, faults = _hamiltonians([spec.without_jumps() for spec in specs], xs)
+    if faults[0] is not None:
+        raise faults[0]
+    amps = _amplitudes(specs[0], psi)
+    base = _probe_propagation(grid, h_free, dh, amps, rows=False).end
+    h_nh = _hamiltonians(specs, xs)[0]
+    probe = _probe_propagation(grid, h_nh, dh, amps)
+    damp = np.stack([_damping(spec, grid.dt) for spec in specs])
+    # values of a point that fails its checks below are never read
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = _doubled_gramian(damp, grid, *probe.steps)
+        eye, finite = np.eye(grams.shape[-1]), np.isfinite(grams).all(axis=(-2, -1))
+        residuals = spectral_norm(np.where(finite[:, None, None], grams, eye) - eye).tolist()
+        sums = _jump_sums(damp, probe.mids)
+        ints = [_efg(end, point_sums) for end, point_sums in zip(probe.end, sums)]
+        # euler_paper's channel splits its jumps at step edges
+        rows = probe.mids if probe.edges is None else probe.edges
+        t1_sums = [(e.e_check + e_dis, e.f_check + f_dis, f_dis, g_dis) for e, (e_dis, f_dis, g_dis)
+                   in zip(ints, sums if probe.edges is None else _jump_sums(damp, rows))]
+        dthetas = [-e.f_check.real / e.e_check if e.e_check > P_FLOOR else 0.0 for e in ints]
+        jump_residuals = _jump_max(specs, probe.mids, dthetas)
+        perps = _jump_max(specs, rows, list(map(_gauge_rate, t1_sums, residuals)), grid.dt)
+    norms = _cap_norms(specs, grid, h_nh)
+    out = []
+    for i, end in enumerate(probe.end):
+        if faults[i] is not None:
+            raise faults[i]
+        _require_finite(grid, base[i], end, grams[i])
+        residual = _held_to_cap(grid, norms[i], residuals[i])
+        loss = _loss(ints[i], _efg(base[i]))
+        # the end row is the channel's one retained row
+        retained = (end[None, d:], end[None, :d], np.array([ints[i].e_check]),
+                    np.array([ints[i].f_check]))
+        theorem1 = _theorem1(retained, t1_sums[i], residual, lambda c, i=i: perps[i], tol)
+        out.append(CollisionRun(loss, _theorem2(end, dthetas[i], jump_residuals[i], tol),
+                                theorem1, residual))
+    return out
+
+
 def run(spec: CollisionSpec, grid: TimeGrid, x: float, psi: Ket,
         tol: float = 1e-8) -> CollisionRun:
-    """``nh_loss``, ``check_theorem2`` and theorem 1 of the discrete channel,
-    reading the rows of one probe propagation once: the jump sums as
-    Gramian blocks (``_jump_sums``) of the midpoint rows, and of the edge
-    rows where euler_paper's channel splits its jumps, each maximum in one
-    pass (``_jump_max``) and the jump-free baseline as an end row
-    (``_end_row``). The completeness residual (``_residual``) comes first,
-    so a blown-up integration raises IntegratorFailure from its cap. No
-    array of N matrices and no row of the channel is formed."""
-    free = spec.without_jumps()
-    baseline = _efg(free, _end_row(free, grid, x, psi))
-    probe = _probe_propagation(spec, grid, x, psi.amplitudes)
-    end, mids = probe.store[-1], probe.store[1::2]
-    rows = probe.store[0:-1:2] if grid.scheme == "euler_paper" else mids
-    residual = _held_to_cap(spec, grid, probe.h_nh, _residual(spec, grid, probe.steps))
-    sums = _jump_sums(spec, grid, mids)
-    ints = _efg(spec, end, sums)
-    loss = _loss(ints, baseline)
-    theorem2 = _theorem2(spec, ints, end, mids, tol)
-    e_dis, f_dis, g_dis = sums if rows is mids else _jump_sums(spec, grid, rows)
-    e, f, d = ints.e_check, ints.f_check, spec.dim
-    # the end row is the channel's one retained row
-    theorem1 = _theorem1((end[None, d:], end[None, :d], np.array([e]), np.array([f])),
-                         (e + e_dis, f + f_dis, f_dis, g_dis), residual,
-                         lambda c: _jump_max(spec, rows, c, grid.dt), tol)
-    return CollisionRun(loss, theorem2, theorem1, residual)
+    """``nh_loss``, ``check_theorem2`` and theorem 1 of the discrete channel:
+    ``run_points`` of one point, whose probe holds its N midpoint rows under
+    expm_step, its 2N + 1 edge and midpoint rows under euler_paper. Its residual
+    comes first, so a blown-up integration raises IntegratorFailure from its cap."""
+    return run_points((spec,), grid, (x,), psi, tol)[0]
 
 
 def dephasing_closed_form(h0: Operator, l2: Operator, T: float,

@@ -487,6 +487,12 @@ class Theorem1Residuals(NamedTuple):
         return self.generic <= self.tol
 
 
+def _gauge_rate(sums, residual: float) -> float:
+    """The gauge rate ``_theorem1`` picks from a channel's ``_sums`` and its
+    completeness ``residual``."""
+    return -sums[1].real / sums[0] if channel_kind(residual) == "exact" else 0.0
+
+
 def _theorem1(retained, sums, residual: float, discarded_max, tol: float) -> Theorem1Residuals:
     """Both theorem-1 checks of a channel from its ``retained`` rows (m, dm,
     e, f), its ``_sums`` and ``discarded_max(c)``, the largest ||dm_w + i c
@@ -495,9 +501,8 @@ def _theorem1(retained, sums, residual: float, discarded_max, tol: float) -> The
     ``residual``), 0 for an approximate one, which cannot be regauged."""
     m, dm, e, f = retained
     retained_res, discarded_res, imag_f = _generic_residuals(e, f, sums)
-    c = 0.0
+    c = _gauge_rate(sums, residual)
     if channel_kind(residual) == "exact":
-        c = -sums[1].real / sums[0]
         dm = dm + (1j * c) * m
     overlap = _modulus(_rowdot(m, dm))
     dead = (e <= P_FLOOR) & (_norms(dm) > tol)

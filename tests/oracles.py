@@ -24,8 +24,12 @@ import numpy as np
 from qfikit.collision import (
     EfgIntegrals,
     Theorem2Verdict,
+    _cap_norms,
+    _fill,
+    _hamiltonian,
     _held_to_cap,
     _loss,
+    _probe_propagation,
     _step_factors,
     propagate,
 )
@@ -224,7 +228,7 @@ def plain_loop(spec, grid, x: float, derivative: bool):
     fill replaces; it reads the same step blocks.
     """
     d = spec.dim
-    half, full, _ = _step_factors(spec, grid, x, derivative)
+    half, full = _step_factors(grid, *_hamiltonian(spec, x, derivative))
     width = half.shape[-1]
     cols = np.empty((grid.N + 1, width, d), dtype=complex)
     mid_cols = np.empty((grid.N, width, d), dtype=complex)
@@ -452,7 +456,7 @@ def _columns(spec, grid, red) -> ProbeColumns:
         jumped, djumped = _jumped(spec, edges[:, d:]), _jumped(spec, edges[:, :d])
     else:
         rates, jumped, djumped = red.mids
-    residual = _held_to_cap(spec, grid, probe.h_nh,
+    residual = _held_to_cap(grid, _cap_norms((spec,), grid, probe.h_nh[None])[0],
                             prefix_residual(spec, grid, probe.end, probe.prefixes))
     scale = np.sqrt(rates * grid.dt)[:, :, None]
     m = np.concatenate([red.psi_end[None], (jumped * scale).reshape(-1, d)])
@@ -671,3 +675,21 @@ def soundness_instance_route(channel, derivatives, psi: Ket) -> tuple:
     if not verdict.lossless:
         return False, 0.0
     return True, complete_report(channel, derivatives, psi).kappa or 0.0
+
+
+def interleaved_probe(grid, h, dh, amps, rows=True):
+    """``collision._probe_propagation`` with its rows read off one
+    (2N + 1, 2d) store of edges and midpoints per point, the fill that
+    ``collision.run`` read before it kept only the N midpoint rows under
+    expm_step: there the half-step powers fill all 2N + 1 entries, and the
+    end row is the store's last entry, not the full-step powers applied
+    one set bit of N at a time. euler_paper's fill is unchanged.
+    """
+    probe = _probe_propagation(grid, h, dh, amps, rows)
+    if not rows or probe.edges is not None:
+        return probe
+    fs, lead = probe.steps
+    store = np.zeros((len(h), 2 * grid.N + 1, 2 * len(amps)), dtype=complex)
+    store[:, 0, len(amps):] = amps
+    _fill(store, [lead] + fs)
+    return probe._replace(mids=store[:, 1::2], end=store[:, -1])

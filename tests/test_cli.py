@@ -565,20 +565,21 @@ class TestSweepCommand:
     def test_step_grid_rows_carry_the_n_that_ran(self, tmp_path, capsys, monkeypatch):
         import qfikit.cli
 
+        # each N is a collision group of its own
         ran = []
-        original = qfikit.cli.execute
+        original = qfikit.cli.run_points
 
-        def recorded(config, **kwargs):
-            ran.append(config.parameters["N"])
-            return original(config, **kwargs)
+        def recorded(specs, grid, *args):
+            ran.append((grid.N, len(specs)))
+            return original(specs, grid, *args)
 
-        monkeypatch.setattr(qfikit.cli, "execute", recorded)
+        monkeypatch.setattr(qfikit.cli, "run_points", recorded)
         path = write_config(tmp_path, CANONICAL_DEPHASING)
         # logspace puts 64 and 128 just below the integers
         assert main(["sweep", path, "--param", "N", "--grid", "log:64:1024:5",
                      "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()[1:]
-        assert ran == [64, 128, 256, 512, 1024]
+        assert ran == [(64, 1), (128, 1), (256, 1), (512, 1), (1024, 1)]
         assert [line.split(",")[0] for line in lines] == ["64", "128", "256", "512", "1024"]
 
     def test_metric_a_point_omits_is_left_empty(self, tmp_path, capsys):
@@ -698,39 +699,36 @@ class TestVerifyCommand:
             assert capsys.readouterr().out == fh.read()
 
     def test_theorem_soundness_propagates_the_probe(self, capsys, monkeypatch):
-        # each collision model is one collision.run: the jump-free baseline
-        # as an end row and the model propagated on the probe, no matrix
-        # trajectory
+        # each collision model is one collision.run, a group of one: the
+        # jump-free baseline as end rows and the model propagated on the
+        # probe, no matrix trajectory
         import qfikit.collision
         import qfikit.verify
 
         matrix_runs, probe_runs, end_rows = [], [], []
         original_propagate = qfikit.collision.propagate
         original_probe = qfikit.collision._probe_propagation
-        original_end = qfikit.collision._end_row
 
         def counted_propagate(*args, **kwargs):
             matrix_runs.append(args)
             return original_propagate(*args, **kwargs)
 
-        def counted_probe(*args):
-            probe_runs.append(args)
-            return original_probe(*args)
-
-        def counted_end(*args):
-            end_rows.append(args)
-            return original_end(*args)
+        def counted_probe(grid, h, dh, amps, rows=True):
+            (probe_runs if rows else end_rows).append(h)
+            return original_probe(grid, h, dh, amps, rows)
 
         monkeypatch.setattr(qfikit.collision, "propagate", counted_propagate)
         # verify may bind propagate by name as well
         monkeypatch.setattr(qfikit.verify, "propagate", counted_propagate, raising=False)
         monkeypatch.setattr(qfikit.collision, "_probe_propagation", counted_probe)
-        monkeypatch.setattr(qfikit.collision, "_end_row", counted_end)
         assert main(["verify", "--suite", "theorem-soundness"]) == 0
         capsys.readouterr()
         assert not matrix_runs
-        assert len(probe_runs) == 2
-        assert len(end_rows) == 2
+        assert [len(h) for h in probe_runs] == [1, 1]
+        assert [len(h) for h in end_rows] == [1, 1]
+        # the end rows are the jump-free baselines': a Hermitian H_nh
+        for h in end_rows:
+            np.testing.assert_array_equal(h, h.conj().swapaxes(-1, -2))
 
     def test_completeness_suite_and_bundled_run_form_no_matrix_trajectory(
             self, tmp_path, capsys, monkeypatch):
@@ -865,20 +863,15 @@ class TestCollisionVerdicts:
         exponentials = []
         original_propagate = qfikit.collision.propagate
         original_probe = qfikit.collision._probe_propagation
-        original_end = qfikit.collision._end_row
         original_expm = qfikit.collision.expm
 
         def counted_propagate(*args, **kwargs):
             matrix_runs.append(args)
             return original_propagate(*args, **kwargs)
 
-        def counted_probe(*args):
-            probe_runs.append(args)
-            return original_probe(*args)
-
-        def counted_end(*args):
-            end_rows.append(args[0].jumps)
-            return original_end(*args)
+        def counted_probe(grid, h, dh, amps, rows=True):
+            (probe_runs if rows else end_rows).append(h)
+            return original_probe(grid, h, dh, amps, rows)
 
         def counted_expm(a):
             exponentials.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
@@ -886,13 +879,14 @@ class TestCollisionVerdicts:
 
         monkeypatch.setattr(qfikit.collision, "propagate", counted_propagate)
         monkeypatch.setattr(qfikit.collision, "_probe_propagation", counted_probe)
-        monkeypatch.setattr(qfikit.collision, "_end_row", counted_end)
         monkeypatch.setattr(qfikit.collision, "expm", counted_expm)
         assert main(["run", write_config(tmp_path, CANONICAL_DEPHASING)]) == 0
         capsys.readouterr()
         assert not matrix_runs
-        assert len(probe_runs) == 1 and probe_runs[0][0].jumps
-        assert end_rows == [()]
+        # one point: the model's H_nh carries its damping, the baseline's none
+        assert len(probe_runs) == 1 and len(end_rows) == 1
+        assert not np.allclose(probe_runs[0], probe_runs[0].conj().swapaxes(-1, -2))
+        np.testing.assert_array_equal(end_rows[0], end_rows[0].conj().swapaxes(-1, -2))
         assert sum(exponentials) <= 2
 
     def test_run_reduces_each_trajectory_once(self, tmp_path, monkeypatch):
@@ -929,12 +923,25 @@ import sys
 from qfikit.cli import main
 for argv in (["run", sys.argv[1], "--output", "dephasing.json"],
              ["run", sys.argv[2], "--output", "fig1b.csv"],
+             ["sweep", sys.argv[1], "--param", "gamma", "--grid", "lin:0.5:1.5:3",
+              "--output", "sweep.json"],
              ["verify", "--suite", "chain"],
              ["verify", "--suite", "gauge"],
-             ["verify", "--suite", "completeness"]):
+             ["verify", "--suite", "completeness"],
+             ["verify", "--suite", "theorem-soundness"]):
     assert main(argv) == 0, argv
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
+"""
+
+#: the top-level modules that `import qfikit.cli` loads, less those of
+#: the standard library, printed one a line
+FOREIGN_IMPORTS = """
+import sys
+before = set(sys.modules)
+import qfikit.cli
+tops = {name.split(".")[0] for name in set(sys.modules) - before}
+print("\\n".join(sorted(tops - set(sys.stdlib_module_names))))
 """
 
 
@@ -955,6 +962,24 @@ class TestRegressionGuards:
              str(configs / "fig1b.json")],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr[-2000:]
+
+    def test_cli_imports_only_numpy_beside_the_standard_library(self, tmp_path):
+        # every module `import qfikit.cli` loads adds to each command's
+        # start-up; it loads numpy and qfikit and nothing else outside the
+        # standard library
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import qfikit
+
+        env = dict(os.environ, PYTHONPATH=str(Path(qfikit.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", FOREIGN_IMPORTS], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "qfikit" in proc.stdout.split()
+        assert set(proc.stdout.split()) <= {"numpy", "qfikit"}, proc.stdout
 
     def test_operator_count_does_not_grow_with_n(self, tmp_path, capsys, monkeypatch):
         from qfikit.quantum_core import Operator

@@ -6,12 +6,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, expm_frechet
 
 from conftest import PAULI, PLUS_X, random_ket, scaled_model
-from oracles import h_nh, looped_completeness, matrix_route, plain_loop
+from oracles import h_nh, interleaved_probe, looped_completeness, matrix_route, plain_loop
 from qfikit.collision import (
     SCHEMES,
     CollisionSpec,
@@ -30,6 +30,7 @@ from qfikit.collision import (
     nh_loss,
     propagate,
     run,
+    run_points,
     trajectory_residual,
 )
 from qfikit.encoding import complete_report, theorem1_residuals
@@ -797,7 +798,8 @@ class TestKernelEquivalence:
     def test_constant_propagation_doubles(self, monkeypatch):
         # every matrix product the propagation kernels take goes through
         # collision's np.matmul; the fill and its F_2m take at most
-        # 2 ceil(log2(2N + 1)) of them, where a step loop takes 2N
+        # 2 ceil(log2(2N + 1)) of them, where a step loop takes 2N, and the
+        # probe's end row one more per set bit of N
         import qfikit.collision
 
         products = []
@@ -820,8 +822,9 @@ class TestKernelEquivalence:
                 propagate(scaled_spec(3, 3, 2), grid, 0.3, derivative=derivative)
                 assert 0 < len(products) <= bound
             products.clear()
-            _probe_propagation(scaled_spec(3, 3, 2), grid, 0.3, psi.amplitudes)
-            assert 0 < len(products) <= bound
+            h, dh = _hamiltonian(scaled_spec(3, 3, 2), 0.3, True)
+            _probe_propagation(grid, h[None], dh[None], psi.amplitudes)
+            assert 0 < len(products) <= bound + bin(n_steps).count("1")
 
 
 def trajectory_arrays(traj):
@@ -1024,6 +1027,93 @@ class TestRun:
         assert len(calls) == samplings
 
 
+#: step counts around powers of two: 255-257 make the last doubling round
+#: partial or full, and 1 and 2 leave the fill only its first rounds
+GROUP_STEPS = (1, 2, 3, 5, 17, 255, 256, 257, 2048, 4097)
+
+
+def group_draw(seed, n_points, dim, n_jumps):
+    """Specs of one dimension and jump count whose rates differ per point,
+    an x per point, and a probe."""
+    base = scaled_spec(seed, dim, n_jumps)
+    rng = np.random.default_rng(seed)
+    specs = [CollisionSpec(base.h0, base.h1,
+                           tuple((op, rate * rng.uniform(0.1, 3.0)) for op, rate in base.jumps),
+                           dim) for _ in range(n_points)]
+    return specs, list(rng.uniform(-1.0, 1.0, n_points)), random_ket(dim, rng)
+
+
+def attempt(spec, grid, x, psi):
+    """``run``'s result, or its failure as 'Error: message'."""
+    try:
+        return run(spec, grid, x, psi, tol=1e-6)
+    except (ValueError, IntegratorFailure) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def outcomes(points, grid, psi):
+    """repr of each point's ``attempt``, ending at the first failure."""
+    out = []
+    for spec, x in points:
+        out.append(repr(attempt(spec, grid, x, psi)))
+        if out[-1].startswith("'"):
+            break
+    return out
+
+
+class TestRunPoints:
+    """``run_points`` evaluates a group in one stacked pass; ``run`` is its
+    group of one."""
+
+    @given(seed=st.integers(0, 2**16), n_points=st.integers(1, 5),
+           dim=st.integers(2, 4), n_jumps=st.integers(0, 2),
+           n_steps=st.sampled_from(GROUP_STEPS), scheme=st.sampled_from(SCHEMES))
+    @example(seed=3, n_points=4, dim=2, n_jumps=1, n_steps=1, scheme="expm_step")
+    @example(seed=4, n_points=5, dim=3, n_jumps=2, n_steps=1, scheme="euler_paper")
+    @settings(max_examples=60, deadline=None)
+    def test_group_equals_its_points_run_alone(self, seed, n_points, dim, n_jumps,
+                                               n_steps, scheme):
+        # bit for bit, and a failing group raises its first point's first
+        # failure, as a loop over the points meets it
+        specs, xs, psi = group_draw(seed, n_points, dim, n_jumps)
+        grid = TimeGrid(1.0, n_steps, scheme)
+        alone = outcomes(zip(specs, xs), grid, psi)
+        try:
+            got = [repr(point) for point in run_points(specs, grid, xs, psi, tol=1e-6)]
+        except (ValueError, IntegratorFailure) as err:
+            got = alone[:-1] + [repr(f"{type(err).__name__}: {err}")]
+        assert got == alone
+
+    @given(seed=st.integers(0, 2**16), dim=st.integers(2, 4), n_jumps=st.integers(0, 2),
+           n_steps=st.sampled_from(GROUP_STEPS), scheme=st.sampled_from(SCHEMES))
+    @example(seed=5, dim=3, n_jumps=2, n_steps=1, scheme="expm_step")
+    @settings(max_examples=60, deadline=None)
+    def test_run_matches_the_interleaved_fill(self, seed, dim, n_jumps, n_steps, scheme):
+        # the (2N + 1)-row edge-and-midpoint fill is the reference; only
+        # expm_step's end row is formed another way, and only where N is
+        # not a power of two does it round apart
+        import qfikit.collision
+
+        specs, xs, psi = group_draw(seed, 1, dim, n_jumps)
+        grid = TimeGrid(1.0, n_steps, scheme)
+        got = attempt(specs[0], grid, xs[0], psi)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qfikit.collision, "_probe_propagation", interleaved_probe)
+            want = attempt(specs[0], grid, xs[0], psi)
+        if (n_steps & (n_steps - 1)) == 0 or isinstance(want, str):
+            assert repr(got) == repr(want)
+            return
+        assert got.kind == want.kind
+        for part in ("loss", "theorem2", "theorem1"):
+            mine, ref = getattr(got, part), getattr(want, part)
+            for name, value in (ref._asdict() if part == "theorem1" else vars(ref)).items():
+                if isinstance(value, float):
+                    # within 1e-12 of its size, or of 1 where it cancels to 0
+                    assert abs(getattr(mine, name) - value) <= 1e-12 * max(abs(value), 1.0)
+                else:
+                    assert getattr(mine, name) == value, (part, name)
+
+
 def cancellation(g, f2):
     """Relative condition number of g - f2: how much a relative rounding
     of g and f2 grows in their difference."""
@@ -1057,8 +1147,15 @@ class TestProbeRoute:
                 matrix_route(spec, grid, 0.3, psi, 1e-6)
             return
         base, ints, loss, verdict, columns, red = matrix_route(spec, grid, 0.3, psi, 1e-6)
-        store = _probe_propagation(spec, grid, 0.3, psi.amplitudes).store
-        assert relative_gap(store, red.source.store) <= 1e-13
+        h, dh = _hamiltonian(spec, 0.3, True)
+        probe = _probe_propagation(grid, h[None], dh[None], psi.amplitudes)
+        # the probe keeps the midpoint rows and the end row, and under
+        # euler_paper the edge rows too
+        store = red.source.store
+        assert relative_gap(probe.mids[0], store[1::2]) <= 1e-13
+        assert relative_gap(probe.end[0], store[-1]) <= 1e-13
+        if scheme == "euler_paper":
+            assert relative_gap(probe.edges[0], store[0:-1:2]) <= 1e-13
         residual = columns.completeness_residual
         bound = max(1e-13, 1e-13 * residual)
         assert abs(got.completeness_residual - residual) <= bound
@@ -1143,10 +1240,12 @@ class TestProbeRoute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the (2N + 1, 2d) probe store; its rows are read as Gramian blocks
-        # and one product per maximum, so no channel rows and no jumped
-        # stacks sit beside it
-        store = (2 * grid.N + 1) * 2 * dim * np.dtype(complex).itemsize
+        # the probe store: N midpoint rows under expm_step, 2N + 1 edge and
+        # midpoint rows under euler_paper; its rows are read as Gramian
+        # blocks and one product per maximum, so no channel rows and no
+        # jumped stacks sit beside it
+        rows = grid.N if scheme == "expm_step" else 2 * grid.N + 1
+        store = rows * 2 * dim * np.dtype(complex).itemsize
         assert peak < 2.5 * store
 
     def test_non_finite_probe_store_raises(self):
