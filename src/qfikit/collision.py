@@ -496,10 +496,9 @@ def _jump_max(specs, rows, cs, dt=1.0) -> list:
                     for spec in specs])
     mat = np.concatenate([ops, np.array([1j * c for c in cs])[:, None, None] * ops], 1)
     weights = np.array([[rate * dt for _, rate in spec.jumps] for spec in specs])[:, :, None]
-    peaks = np.full(len(specs), -np.inf)
-    for block in np.array_split(rows, max(1, rows.shape[1] // 4096), axis=1):
-        parts = (block @ mat).view(float).reshape(block.shape[:2] + (len(specs[0].jumps), -1))
-        peaks = np.maximum(peaks, (weights * np.einsum("gnjk,gnjk->gjn", parts, parts)).max((1, 2)))
+    blocks = [rows] if rows.shape[1] < 8192 else np.array_split(rows, rows.shape[1] // 4096, 1)
+    parts = ((b @ mat).view(float).reshape(b.shape[:2] + (len(specs[0].jumps), -1)) for b in blocks)
+    peaks = np.max([(weights * np.einsum("gnjk,gnjk->gjn", p, p)).max((1, 2)) for p in parts], 0)
     return [math.sqrt(float(peak)) for peak in peaks]
 
 
@@ -507,7 +506,7 @@ def _cap_norms(specs, grid, h_nh) -> np.ndarray:
     """||H_nh|| (0 where not finite) and, under expm_step, sum_j gamma_j
     ||L_j^+ L_j|| of P points: the (P, 2) norms ``_held_to_cap`` reads."""
     norms = np.zeros((len(specs), 2))
-    norms[:, 0] = spectral_norm(np.where(np.isfinite(h_nh).all((1, 2))[:, None, None], h_nh, 0))
+    norms[:, 0] = spectral_norm(np.where(np.isfinite(h_nh), h_nh, 0))
     if grid.scheme == "expm_step" and specs[0].jumps:
         ops = np.array([[op.entries for op, _ in spec.jumps] for spec in specs])
         rates = np.array([[rate for _, rate in spec.jumps] for spec in specs])
@@ -832,8 +831,8 @@ def run_points(specs, grid: TimeGrid, xs, psi: Ket, tol: float = 1e-8) -> list:
     # values of a point that fails its checks below are never read
     with np.errstate(over="ignore", invalid="ignore"):
         grams = _doubled_gramian(damp, grid, *probe.steps)
-        eye, finite = np.eye(grams.shape[-1]), np.isfinite(grams).all(axis=(-2, -1))
-        residuals = spectral_norm(np.where(finite[:, None, None], grams, eye) - eye).tolist()
+        eye = np.eye(grams.shape[-1])
+        residuals = spectral_norm(np.where(np.isfinite(grams), grams, 0) - eye).tolist()
         sums = _jump_sums(damp, probe.mids)
         ints = [_efg(end, point_sums) for end, point_sums in zip(probe.end, sums)]
         # euler_paper's channel splits its jumps at step edges
